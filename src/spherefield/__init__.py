@@ -69,7 +69,6 @@ from .equivalence import (
 from .simulate import (
     CheckReport,
     FieldSample,
-    RngSeed,
     SampleGrid,
     empirical_covariance,
     fourier_function_values,

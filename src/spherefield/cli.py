@@ -289,6 +289,12 @@ def cmd_equiv(args) -> int:
     policy = VerdictPolicy(decay_margin=args.policy_decay_margin,
                            cauchy_eps=args.policy_cauchy_eps,
                            nonvanishing_floor=args.policy_floor)
+    n_terms = args.l_max + 1  # one series term per degree 0 .. l_max
+    if n_terms < policy.min_terms:
+        raise UsageError(
+            f"--l-max {args.l_max} gives {n_terms} series terms; the numeric "
+            f"classifier needs at least {policy.min_terms} "
+            f"(--l-max >= {policy.min_terms - 1})")
 
     closed = None
     if isinstance(p1, MultiquadraticParams) and isinstance(p2, MultiquadraticParams):

@@ -218,42 +218,61 @@ def harmonic_basis(d: int, l_max: int, points) -> np.ndarray:
             off += 2
         return out
 
-    # d == 2: fully normalized associated Legendre values via the stable
-    # sectoral recurrence (m-diagonal) followed by ascent in l, with the
+    # d == 2: fully normalized associated Legendre values P_{l,m}, with the
     # normalization carried inside the recurrence so no factorials overflow.
+    # All orders advance together, one vector step per degree l:
+    #   m = l      sectoral step  P_{l,l}   = -sqrt((2l+1)/(2l)) s P_{l-1,l-1}
+    #   m = l - 1  first step     P_{l,l-1} = sqrt(2l+1) u P_{l-1,l-1}
+    #   m < l - 1  ascent in l    P_{l,m}   = a u P_{l-1,m} - b P_{l-2,m}
+    # Each entry sees the same scalar operations, in the same order, as the
+    # per-(l, m) form of this recurrence, so the values are bit-identical to
+    # it (tests keep that form as the reference).
     u = pts[:, 2]
     s = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    offsets = [l * l for l in range(l_max + 1)]  # degree-major layout
-
-    cos_m = {m: np.cos(m * phi) for m in range(1, l_max + 1)}
-    sin_m = {m: np.sin(m * phi) for m in range(1, l_max + 1)}
     sqrt2 = math.sqrt(2.0)
 
-    def store(l, m, pbar):
-        base = offsets[l]
-        if m == 0:
-            out[:, base] = pbar
-        else:
-            out[:, base + 2 * m - 1] = sqrt2 * pbar * cos_m[m]
-            out[:, base + 2 * m] = sqrt2 * pbar * sin_m[m]
+    cos_m = np.empty((l_max + 1, n))
+    sin_m = np.empty((l_max + 1, n))
+    for m in range(1, l_max + 1):
+        cos_m[m] = np.cos(m * phi)
+        sin_m[m] = np.sin(m * phi)
 
-    pmm = np.full(n, 1.0 / math.sqrt(4.0 * math.pi))
-    for m in range(l_max + 1):
-        if m > 0:
-            pmm = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
-        store(m, m, pmm)
-        if m + 1 <= l_max:
-            p_prev2 = pmm
-            p_prev1 = math.sqrt(2.0 * m + 3.0) * u * pmm
-            store(m + 1, m, p_prev1)
-            for l in range(m + 2, l_max + 1):
-                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = math.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
-                              / ((2.0 * l - 3.0) * (l * l - m * m)))
-                p = a * u * p_prev1 - b * p_prev2
-                store(l, m, p)
-                p_prev2, p_prev1 = p_prev1, p
+    # Row m of p_prev holds P_{l-1,m}; p holds P_{l-2,m} on entry to degree
+    # l and P_{l,m} on exit.  A degree's 2l + 1 columns are assembled as
+    # rows of a contiguous block and stored with one transposed copy, which
+    # is much faster than scattering each column into the C-ordered output.
+    p_prev, p = np.empty((2, l_max + 1, n))
+    block = np.empty((2 * l_max + 1, n))
+    out_t = out.T                                # (H, n) view, no copy
+    for l in range(l_max + 1):
+        if l == 0:
+            p[0] = 1.0 / math.sqrt(4.0 * math.pi)
+        else:
+            if l >= 2:
+                m = np.arange(l - 1)
+                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
+                            / ((2.0 * l - 3.0) * (l * l - m * m)))
+                a_term = block[:l - 1]           # scratch until the block fill
+                np.multiply(a[:, None], u, out=a_term)
+                np.multiply(a_term, p_prev[:l - 1], out=a_term)
+                np.multiply(b[:, None], p[:l - 1], out=p[:l - 1])
+                np.subtract(a_term, p[:l - 1], out=p[:l - 1])
+            np.multiply(math.sqrt(2.0 * (l - 1) + 3.0), u, out=p[l - 1])
+            np.multiply(p[l - 1], p_prev[l - 1], out=p[l - 1])
+            np.multiply(-math.sqrt((2.0 * l + 1.0) / (2.0 * l)), s, out=p[l])
+            np.multiply(p[l], p_prev[l - 1], out=p[l])
+
+        # degree-major layout: degree l occupies columns l^2 .. l^2 + 2l in
+        # the order zonal, then (cos, sin) for m = 1 .. l
+        block[0] = p[0]
+        for trig, first in ((cos_m, 1), (sin_m, 2)):
+            rows = block[first:2 * l + 1:2]
+            np.multiply(sqrt2, p[1:l + 1], out=rows)
+            np.multiply(rows, trig[1:l + 1], out=rows)
+        out_t[l * l:(l + 1) ** 2] = block[:2 * l + 1]
+        p_prev, p = p, p_prev
     return out
 
 

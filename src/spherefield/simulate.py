@@ -25,10 +25,9 @@ needs inverses.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,14 +49,7 @@ from .schoenberg import (
 )
 
 _BATCH_ELEMS = 24_000_000  # ~192 MB of float64 per ensemble draw batch
-
-
-@dataclass(frozen=True)
-class RngSeed:
-    """Key of a Philox stream: 64-bit seed plus 64-bit stream id."""
-
-    seed: int
-    stream: int = 0
+_CSV_CHUNK_ROWS = 256      # rows converted to Python floats at a time
 
 
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -69,10 +61,17 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Evaluation points on S^d (d = 1 or 2)."""
+    """Evaluation points on S^d (d = 1 or 2).
+
+    The grid keeps the largest harmonic basis it has been asked for (see
+    :meth:`basis`), n_points * harmonic_count(d, L) * 8 bytes, for as long
+    as it lives.
+    """
 
     d: int
     points: np.ndarray
+    _basis: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -88,6 +87,20 @@ class SampleGrid:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
+
+    def basis(self, l_max: int) -> np.ndarray:
+        """Read-only :func:`harmonic_basis` of degree <= l_max at the points.
+
+        Built on first use.  Only the largest basis built is kept; a lower
+        degree gets a column prefix of it, which is exact because the basis
+        is degree-major and each degree's values do not depend on l_max.
+        """
+        h = harmonic_count(self.d, l_max)
+        if self._basis is None or self._basis.shape[1] < h:
+            basis = harmonic_basis(self.d, l_max, self.points)
+            basis.setflags(write=False)
+            object.__setattr__(self, "_basis", basis)
+        return self._basis[:, :h]
 
     @classmethod
     def from_points(cls, d: int, points) -> "SampleGrid":
@@ -228,7 +241,7 @@ def synthesize_field(seq: SchoenbergSequence, grid: SampleGrid,
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
     L = _check_l_max(seq, l_max)
     rng = make_generator(seed, stream)
-    basis = harmonic_basis(seq.d, L, grid.points)
+    basis = grid.basis(L)
     slices = degree_slices(seq.d, L)
     dim = unfolded_dim(seq)
     values = np.zeros((grid.n_points, dim))
@@ -253,7 +266,7 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
         raise ValueError(f"n_fields must be >= 1, got {n_fields}")
     L = _check_l_max(seq, l_max)
     rng = make_generator(seed, stream)
-    basis = harmonic_basis(seq.d, L, grid.points)        # (npts, H)
+    basis = grid.basis(L)                                # (npts, H)
     slices = degree_slices(seq.d, L)
     H = harmonic_count(seq.d, L)
     dim = unfolded_dim(seq)
@@ -470,15 +483,20 @@ def fourier_function_values(coefficients: np.ndarray, taus) -> np.ndarray:
 
 
 def write_field_csv(sample: FieldSample, path) -> None:
-    """CSV export: point coordinates then value vector, one row per point."""
+    """CSV export: point coordinates then value vector, one row per point.
+
+    Fields are ``repr`` of the float64 values, unquoted (no field contains a
+    comma, quote or line break), and every line ends in ``\\r\\n``.
+    """
     d = sample.grid.d
     dim = sample.values.shape[1]
     header = [f"x{i}" for i in range(d + 1)] + [f"v{i}" for i in range(dim)]
+    table = np.hstack([sample.grid.points, sample.values])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for pt, val in zip(sample.grid.points, sample.values):
-            w.writerow([repr(float(c)) for c in pt] + [repr(float(v)) for v in val])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, table.shape[0], _CSV_CHUNK_ROWS):
+            rows = table[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def write_field_json(sample: FieldSample, path) -> None:

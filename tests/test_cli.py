@@ -168,6 +168,16 @@ class TestSample:
                                   "--n-samples", "0", "--out", str(tmp_path)])
         assert code == 1
 
+    def test_basis_built_once_per_run(self, capsys, tmp_json, tmp_path,
+                                      basis_calls):
+        cfg = tmp_json("m.json", MQ)
+        grid = tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 4, "seed": 7})
+        code, _, _ = run(capsys, ["sample", "--config", cfg, "--grid", grid,
+                                  "--n-samples", "3", "--l-max", "6",
+                                  "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert basis_calls == [6]
+
     def test_json_format(self, capsys, tmp_json, tmp_path):
         cfg = tmp_json("m.json", MQ)
         grid = tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 2, "seed": 3})
@@ -223,6 +233,14 @@ class TestEquiv:
                                     tmp_json("b.json", LM)])
         assert code == 1
         assert "families differ" in err
+
+    def test_too_few_terms_usage_error(self, capsys, tmp_json):
+        code, out, err = run(capsys, ["equiv", tmp_json("a.json", MQ),
+                                      tmp_json("b.json", dict(MQ, rho12=0.3)),
+                                      "--l-max", "8"])
+        assert code == 1
+        assert out == ""
+        assert "at least 32" in err and "Traceback" not in err
 
     def test_verdict_disagreement_is_loud(self, capsys, tmp_json, monkeypatch):
         # a numeric verdict contradicting the closed form signals an

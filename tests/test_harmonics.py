@@ -225,3 +225,66 @@ class TestBasisLayout:
                     for i in range(6):
                         assert col[i] == pytest.approx(
                             sh.real_harmonic(d, l, m, pts[i]), rel=1e-12, abs=1e-13)
+
+
+def scalar_recurrence_basis(l_max, pts):
+    """Reference d = 2 basis: the per-(l, m) scalar form of the normalized
+    associated-Legendre recurrence (sectoral diagonal, then ascent in l),
+    one column at a time.  The vectorized basis must match it bit for bit.
+    """
+    n = pts.shape[0]
+    out = np.empty((n, sh.harmonic_count(2, l_max)))
+    u = pts[:, 2]
+    s = np.hypot(pts[:, 0], pts[:, 1])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    cos_m = {m: np.cos(m * phi) for m in range(1, l_max + 1)}
+    sin_m = {m: np.sin(m * phi) for m in range(1, l_max + 1)}
+    sqrt2 = math.sqrt(2.0)
+
+    def store(l, m, pbar):
+        base = l * l
+        if m == 0:
+            out[:, base] = pbar
+        else:
+            out[:, base + 2 * m - 1] = sqrt2 * pbar * cos_m[m]
+            out[:, base + 2 * m] = sqrt2 * pbar * sin_m[m]
+
+    pmm = np.full(n, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(l_max + 1):
+        if m > 0:
+            pmm = -math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * s * pmm
+        store(m, m, pmm)
+        if m + 1 <= l_max:
+            p_prev2 = pmm
+            p_prev1 = math.sqrt(2.0 * m + 3.0) * u * pmm
+            store(m + 1, m, p_prev1)
+            for l in range(m + 2, l_max + 1):
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
+                              / ((2.0 * l - 3.0) * (l * l - m * m)))
+                p = a * u * p_prev1 - b * p_prev2
+                store(l, m, p)
+                p_prev2, p_prev1 = p_prev1, p
+    return out
+
+
+def random_points(d, n, seed):
+    pts = np.random.default_rng(seed).standard_normal((n, d + 1))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+class TestBasisArithmetic:
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 24])
+    def test_bitwise_equal_to_scalar_recurrence(self, l_max):
+        pts = random_points(2, 37, seed=11)
+        basis = sh.harmonic_basis(2, l_max, pts)
+        assert basis.flags.c_contiguous
+        assert np.array_equal(basis, scalar_recurrence_basis(l_max, pts))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("l_max", [0, 5, 20])
+    def test_lower_degree_basis_is_column_prefix(self, d, l_max):
+        pts = random_points(d, 29, seed=12)
+        small = sh.harmonic_basis(d, l_max, pts)
+        large = sh.harmonic_basis(d, l_max + 7, pts)
+        assert np.array_equal(small, large[:, :sh.harmonic_count(d, l_max)])
