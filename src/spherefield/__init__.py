@@ -29,7 +29,6 @@ from .schoenberg import (
     SchoenbergSequence,
     ValidityReport,
     hs_distance_to_identity,
-    kernel_eval,
     load_sequence,
     operator_inv_sqrt,
     operator_sqrt,

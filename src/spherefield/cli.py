@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,7 +47,12 @@ from .models import (
     multiquadratic_validity,
     params_from_dict,
 )
-from .schoenberg import IsotropicKernel, sequence_to_dict, validate_sequence
+from .schoenberg import (
+    IsotropicKernel,
+    entry_labels,
+    sequence_to_dict,
+    validate_sequence,
+)
 from .simulate import (
     SampleGrid,
     monte_carlo_kernel_check,
@@ -142,15 +148,6 @@ def _file_hash(path: str) -> str:
     return h.hexdigest()
 
 
-def _entry_labels(seq) -> list:
-    if seq.variant == "matrix":
-        p = seq.dim
-        return [f"R[{i}][{j}]" for i in range(p) for j in range(p)]
-    if seq.variant == "fourier_diagonal":
-        return [f"gamma[{k}]" for k in range(seq.dim)]
-    return ["R"]
-
-
 def _axis_pairs(d: int, thetas) -> np.ndarray:
     """Point pairs at given geodesic angles: a fixed pole against its rotation."""
     pairs = []
@@ -197,7 +194,7 @@ def cmd_kernel(args) -> int:
     thetas = _parse_thetas(args.thetas)
     seq = _build_sequence(params, args.l_max)
     kernel = IsotropicKernel(seq)
-    labels = _entry_labels(seq)
+    labels = entry_labels(seq)
     values = kernel.evaluate_stack([math.cos(t) for t in thetas])
 
     is_mq = isinstance(params, MultiquadraticParams)
@@ -295,6 +292,8 @@ def cmd_equiv(args) -> int:
             f"--l-max {args.l_max} gives {n_terms} series terms; the numeric "
             f"classifier needs at least {policy.min_terms} "
             f"(--l-max >= {policy.min_terms - 1})")
+    if args.k_max is not None and args.k_max < 1:
+        raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
 
     closed = None
     if isinstance(p1, MultiquadraticParams) and isinstance(p2, MultiquadraticParams):
@@ -309,14 +308,12 @@ def cmd_equiv(args) -> int:
 
     if isinstance(p1, LegendreMaternParams):
         k_max = args.k_max if args.k_max is not None else max(p1.k_max, p2.k_max)
-        s1 = build_sequence(LegendreMaternParams(p1.sigma, p1.alpha, p1.nu,
-                                                 args.l_max, k_max))
-        s2 = build_sequence(LegendreMaternParams(p2.sigma, p2.alpha, p2.nu,
-                                                 args.l_max, k_max))
-    else:
-        s1 = _build_sequence(p1, args.l_max)
-        s2 = _build_sequence(p2, args.l_max)
-    series = functional_series(s1, s2, l_max=args.l_max)
+        p1, p2 = (replace(p, l_max=args.l_max, k_max=k_max) for p in (p1, p2))
+    s1, s2 = (_build_sequence(p, args.l_max) for p in (p1, p2))
+    try:
+        series = functional_series(s1, s2, l_max=args.l_max)
+    except ValueError as exc:  # e.g. a reference coefficient not strictly positive
+        raise InvalidModelError(str(exc)) from exc
     numeric = classify_numeric(series, policy)
 
     verdicts = [numeric] if closed is None else [closed, numeric]

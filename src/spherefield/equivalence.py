@@ -36,13 +36,12 @@ from .models import (
 )
 from .schoenberg import (
     FOURIER_DIAGONAL,
-    MATRIX,
     SCALAR,
+    STRICT_RTOL,
     SchoenbergOperator,
     SchoenbergSequence,
-    conjugate,
-    hs_distance_to_identity,
-    operator_inv_sqrt,
+    _reject,
+    fold_multiplicities,
 )
 
 EQUIVALENT = "equivalent"
@@ -119,44 +118,53 @@ class EquivalenceTermSeries:
 
 
 _EPS = float(np.finfo(float).eps)
-_STRICT_RTOL = 1e-12
 
 
-def _matrix_conjugated_distance(b1: SchoenbergOperator, b2: SchoenbergOperator) -> float:
-    """``||(b2)^{-1/2} b1 (b2)^{-1/2} - I||_F^2`` for the matrix variant.
+def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """``||(b2)^{-1/2} b1 (b2)^{-1/2} - I||_HS^2`` for every degree of two
+    coefficient stacks (degree axis first), b2 the strictly positive reference.
 
-    The value equals ``sum_i (mu_i - 1)^2`` over the generalized eigenvalues
-    of the pencil (b1, b2), which are invariant under joint congruence, so
-    both operators are first equilibrated by ``diag(b2)^{-1/2}``.  That keeps
-    the computation well conditioned when diagonal entries decay at different
+    Diagonal stacks (scalar or folded fourier) give
+    ``sum_k mult_k (b1_k / b2_k - 1)^2``.  For dense stacks the value equals
+    ``sum_i (mu_i - 1)^2`` over the generalized eigenvalues of the pencil
+    (b1, b2), which are invariant under joint congruence, so both operators
+    are first equilibrated by ``diag(b2)^{-1/2}``.  That keeps the
+    computation well conditioned when diagonal entries decay at different
     geometric rates (high degrees of product families) and makes the result
     exactly invariant under common positive rescaling.  Distances below the
     resolution of the eigendecomposition-based conjugation -- an
     O((eps * cond)^2) floor -- are reported as exact zeros; anything smaller
-    is indistinguishable from zero at double precision.
+    is indistinguishable from zero at double precision.  Errors name the
+    first degree whose reference is not strictly positive.
     """
-    p = b2.dim
-    d2 = np.diag(b2.data) if b2.data.ndim == 2 else np.atleast_1d(b2.data)
-    if np.any(d2 <= 0.0) or not np.all(np.isfinite(d2)):
-        raise ValueError(
-            "second coefficient must be strictly positive (nonpositive "
-            "diagonal entry encountered)")
+    def require(bad, detail):
+        _reject(bad, lambda l: f"second coefficient must be strictly positive "
+                               f"(degree {l}: {detail(l)})")
+
+    if v2.ndim < 3:
+        g1 = v1.reshape(v1.shape[0], -1)
+        g2 = v2.reshape(v2.shape[0], -1)
+        require(np.any(g2 <= 0.0, axis=1), lambda l: "nonpositive entry")
+        return (g1 / g2 - 1.0) ** 2 @ fold_multiplicities(g2.shape[1])
+    p = v2.shape[1]
+    d2 = np.diagonal(v2, axis1=1, axis2=2)
+    require(np.any((d2 <= 0.0) | ~np.isfinite(d2), axis=1),
+            lambda l: "nonpositive diagonal entry")
     scale = 1.0 / np.sqrt(d2)
-    B1 = scale[:, None] * b1.data * scale[None, :]
-    B2 = scale[:, None] * b2.data * scale[None, :]  # unit diagonal
+    B1 = scale[:, :, None] * v1 * scale[:, None, :]
+    B2 = scale[:, :, None] * v2 * scale[:, None, :]  # unit diagonal
     w, v = np.linalg.eigh(B2)
-    if w[0] <= _STRICT_RTOL * p:  # trace(B2) == p after equilibration
-        cond = w[-1] / w[0] if w[0] > 0 else math.inf
-        raise ValueError(
-            f"second coefficient is not strictly positive after diagonal "
-            f"equilibration: min eigenvalue ratio {w[0] / p:.6e}, "
-            f"condition number {cond:.3e}")
-    s = (v / np.sqrt(w)) @ v.T
+    lo, hi = w[:, 0], w[:, -1]
+    require(lo <= STRICT_RTOL * p,  # trace(B2) == p after equilibration
+            lambda l: f"not strictly positive after diagonal equilibration: "
+                      f"min eigenvalue ratio {lo[l] / p:.6e}, condition number "
+                      f"{hi[l] / lo[l] if lo[l] > 0 else math.inf:.3e}")
+    s = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
     m = s @ B1 @ s
     diff = m - np.eye(p)
-    dist = float(np.sum(diff * diff))
-    noise_floor = p * (64.0 * _EPS * w[-1] / w[0]) ** 2
-    return 0.0 if dist <= noise_floor else dist
+    dist = np.sum(diff * diff, axis=(1, 2))
+    noise_floor = p * (64.0 * _EPS * hi / lo) ** 2
+    return np.where(dist <= noise_floor, 0.0, dist)
 
 
 def hs_term(b1: SchoenbergOperator, b2: SchoenbergOperator, hl: int) -> float:
@@ -164,23 +172,18 @@ def hs_term(b1: SchoenbergOperator, b2: SchoenbergOperator, hl: int) -> float:
 
     b2 must be strictly positive.  The term is exactly invariant under common
     positive rescaling of the pair (tested property); see
-    :func:`_matrix_conjugated_distance` for the conditioning strategy.
+    :func:`_conjugated_distances`, which this evaluates on one-degree stacks.
     """
     if b1.kind != b2.kind or b1.dim != b2.dim:
         raise ValueError("coefficients must share variant and size")
     if hl <= 0:
         raise ValueError(f"eigenspace dimension must be positive, got {hl}")
-    if b1.kind == SCALAR:
-        v2 = float(b2.data)
-        if v2 <= 0.0:
-            raise ValueError("second coefficient must be strictly positive")
-        return hl * (float(b1.data) / v2 - 1.0) ** 2
-    if b1.kind == FOURIER_DIAGONAL:
-        if np.any(b2.data <= 0.0):
-            raise ValueError("second coefficient must be strictly positive")
-        ratios = b1.data / b2.data
-        return hl * float(np.dot(b2.multiplicities(), (ratios - 1.0) ** 2))
-    return hl * _matrix_conjugated_distance(b1, b2)
+    return hl * float(_conjugated_distances(b1.data[None], b2.data[None])[0])
+
+
+def _degree_dims(d: int, l_max: int) -> np.ndarray:
+    """Eigenspace dimensions ``h(l)`` for ``l = 0 .. l_max`` as floats."""
+    return np.array([h_dim(d, l) for l in range(l_max + 1)], dtype=float)
 
 
 def _check_compatible(seq1: SchoenbergSequence, seq2: SchoenbergSequence, l_max):
@@ -229,21 +232,8 @@ def functional_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
     for ``l = 0 .. l_max``, with partial sums and a log-log decay fit over
     the top half of the window (or an explicit ``fit_window``)."""
     L = _check_compatible(seq1, seq2, l_max)
-    d = seq1.d
-    if seq1.variant == FOURIER_DIAGONAL:
-        g1 = seq1.coeff_stack()[:L + 1]
-        g2 = seq2.coeff_stack()[:L + 1]
-        if np.any(g2 <= 0.0):
-            raise ValueError("second sequence must be strictly positive")
-        mult = np.full(g1.shape[1], 2.0)
-        mult[0] = 1.0
-        h = np.array([h_dim(d, l) for l in range(L + 1)], dtype=float)
-        terms = h * ((g1 / g2 - 1.0) ** 2 @ mult)
-    else:
-        terms = np.array([
-            hs_term(seq1.coeffs[l], seq2.coeffs[l], h_dim(d, l))
-            for l in range(L + 1)])
-    return _make_series(d, terms, fit_window)
+    dist = _conjugated_distances(seq1.coeff_stack()[:L + 1], seq2.coeff_stack()[:L + 1])
+    return _make_series(seq1.d, _degree_dims(seq1.d, L) * dist, fit_window)
 
 
 def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
@@ -251,8 +241,7 @@ def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
     u = np.asarray(u, dtype=float)
     if not np.linalg.norm(u) > 0.0:
         raise ValueError("direction u must be nonzero")
-    coeffs = tuple(SchoenbergOperator.scalar(op.quadratic_form(u)) for op in seq.coeffs)
-    return SchoenbergSequence(d=seq.d, coeffs=coeffs, tail=None)
+    return SchoenbergSequence.from_stack(seq.d, SCALAR, seq.quadratic_forms(u))
 
 
 def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u,
@@ -265,15 +254,14 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u
     the matching functional term (tested invariant).
     """
     L = _check_compatible(seq1, seq2, l_max)
-    q1 = np.array([seq1.coeffs[l].quadratic_form(u) for l in range(L + 1)])
-    q2 = np.array([seq2.coeffs[l].quadratic_form(u) for l in range(L + 1)])
+    q1 = seq1.quadratic_forms(u)[:L + 1]
+    q2 = seq2.quadratic_forms(u)[:L + 1]
     if np.any(q2 <= 0.0):
         bad = int(np.argmax(q2 <= 0.0))
         raise ValueError(
             f"degenerate denominator: <b_l u, u> = {q2[bad]:g} for the "
             f"reference sequence at degree {bad}")
-    h = np.array([h_dim(seq1.d, l) for l in range(L + 1)], dtype=float)
-    terms = h * (q1 / q2 - 1.0) ** 2
+    terms = _degree_dims(seq1.d, L) * _conjugated_distances(q1, q2)
     return _make_series(seq1.d, terms, fit_window)
 
 
@@ -284,14 +272,7 @@ def marginal_bound_check(b1: SchoenbergOperator, b2: SchoenbergOperator, u):
     qa = b2.quadratic_form(u)
     if qb <= 0.0:
         raise ValueError("<B u, u> must be strictly positive")
-    lhs = abs(qa - qb) / qb
-    if b1.kind == MATRIX:
-        rhs = math.sqrt(_matrix_conjugated_distance(b2, b1))
-    else:
-        c = b1.trace()
-        s = operator_inv_sqrt(b1.scaled(1.0 / c))
-        rhs = math.sqrt(hs_distance_to_identity(conjugate(b2.scaled(1.0 / c), s)))
-    return lhs, rhs
+    return abs(qa - qb) / qb, math.sqrt(hs_term(b2, b1, 1))
 
 
 def classify_numeric(series: EquivalenceTermSeries,
@@ -402,15 +383,11 @@ def classify_legendre_matern(p1: LegendreMaternParams,
 def legendre_matern_series(p1: LegendreMaternParams, p2: LegendreMaternParams,
                            l_max: int, k_max: int,
                            fit_window: tuple | None = None) -> EquivalenceTermSeries:
-    """Functional series for two Legendre-Matern models at explicit truncations
-    (avoids materializing operator sequences for large l_max/k_max)."""
-    g1 = legendre_matern_gamma_grid(p1, l_max=l_max, k_max=k_max)
-    g2 = legendre_matern_gamma_grid(p2, l_max=l_max, k_max=k_max)
-    mult = np.full(k_max + 1, 2.0)
-    mult[0] = 1.0
-    h = 2.0 * np.arange(l_max + 1) + 1.0
-    terms = h * ((g1 / g2 - 1.0) ** 2 @ mult)
-    return _make_series(2, terms, fit_window)
+    """Functional series for two Legendre-Matern models at explicit truncations."""
+    s1, s2 = (SchoenbergSequence.from_stack(
+        2, FOURIER_DIAGONAL, legendre_matern_gamma_grid(p, l_max=l_max, k_max=k_max))
+        for p in (p1, p2))
+    return functional_series(s1, s2, fit_window=fit_window)
 
 
 # ---------------------------------------------------------------------------

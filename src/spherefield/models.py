@@ -32,6 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .schoenberg import (
+    FOURIER_DIAGONAL,
+    MATRIX,
     GeometricTail,
     PowerLawTail,
     SchoenbergOperator,
@@ -177,18 +179,16 @@ def multiquadratic_sequence(p: MultiquadraticParams, l_max: int = DEFAULT_L_MAX)
     # dividing the published entries by C_n^lam(1) cancels the binomial for
     # d >= 2; on the circle C_n(1) = 1 (Chebyshev convention) while the
     # binomial itself vanishes for n >= 1, so keep it
-    entries = np.exp(_mq_entry_logs(p, degrees, with_binom=(p.d == 1)))  # (3, L+1)
-    coeffs = tuple(
-        SchoenbergOperator.matrix(np.array([[entries[0, n], entries[2, n]],
-                                            [entries[2, n], entries[1, n]]]))
-        for n in range(l_max + 1))
+    e11, e22, e12 = np.exp(_mq_entry_logs(p, degrees, with_binom=(p.d == 1)))
+    stack = np.stack([np.stack([e11, e12], axis=1),
+                      np.stack([e12, e22], axis=1)], axis=1)  # (L+1, 2, 2)
     s1, s2 = p.sigma
     a11, a22, _ = p.alpha
     tail = GeometricTail(
         coefficients=(s1 * s1 * (1.0 - a11) ** (p.d - 1),
                       s2 * s2 * (1.0 - a22) ** (p.d - 1)),
         ratios=(a11, a22), d=p.d)
-    return SchoenbergSequence(d=p.d, coeffs=coeffs, tail=tail)
+    return SchoenbergSequence.from_stack(p.d, MATRIX, stack, tail)
 
 
 @dataclass(frozen=True)
@@ -238,10 +238,9 @@ def legendre_matern_gamma_grid(p: LegendreMaternParams,
 def legendre_matern_sequence(p: LegendreMaternParams,
                              l_max: int | None = None) -> SchoenbergSequence:
     """Materialize the family on S^2 (h(l) = 2l+1 is baked into the spectrum)."""
-    grid = legendre_matern_gamma_grid(p, l_max=l_max)
-    coeffs = tuple(SchoenbergOperator.fourier_diagonal(row) for row in grid)
-    return SchoenbergSequence(d=2, coeffs=coeffs,
-                              tail=PowerLawTail(p.sigma, p.alpha, p.nu))
+    return SchoenbergSequence.from_stack(2, FOURIER_DIAGONAL,
+                                         legendre_matern_gamma_grid(p, l_max=l_max),
+                                         PowerLawTail(p.sigma, p.alpha, p.nu))
 
 
 def build_sequence(params, l_max: int | None = None) -> SchoenbergSequence:

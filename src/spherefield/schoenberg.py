@@ -14,6 +14,10 @@ Three operator variants are supported:
   eigenvalue of the +/-k modes, so it has multiplicity 1 for k = 0 and 2 for
   k >= 1; traces and Hilbert-Schmidt sums weight entries accordingly.
 
+A sequence stores its coefficients as one stacked array, degree axis first;
+the scalar variant is handled as a diagonal with one entry of multiplicity 1,
+so sequence-level code has one dense and one diagonal branch.
+
 Strict positivity (needed for inverse square roots and the equivalence
 criterion) is a stronger gate than PSD validity (enough for sampling);
 :func:`validate_sequence` reports both.
@@ -31,7 +35,6 @@ from .harmonics import (
     gegenbauer_all,
     gegenbauer_at_one_all,
     gegenbauer_order,
-    h_dim,
     surface_measure,
 )
 
@@ -47,6 +50,101 @@ STRICT_RTOL = 1e-12
 
 _SYM_RTOL = 1e-12
 
+# ndim of a coefficient stack (degree axis first) per variant.  A stack of
+# ndim 3 is dense; any other stack is diagonal, a scalar being one entry of
+# multiplicity 1, so sequence-level code has one branch for each.
+_STACK_NDIM = {SCALAR: 1, FOURIER_DIAGONAL: 2, MATRIX: 3}
+
+
+def fold_multiplicities(n: int) -> np.ndarray:
+    """Multiplicities ``(1, 2, 2, ...)`` of n folded diagonal entries: entry 0
+    stands for one mode, entry k >= 1 for the +/-k pair.  ``n = 1`` gives
+    ``(1,)``, the multiplicity of a scalar coefficient."""
+    mult = np.full(n, 2.0)
+    mult[0] = 1.0
+    return mult
+
+
+def _width(stack: np.ndarray) -> int:
+    """Side p of dense coefficients, or number of folded diagonal entries."""
+    return stack.shape[1] if stack.ndim > 1 else 1
+
+
+def _rowdot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x[l] . w`` for every row, each one BLAS dot as ``np.dot`` computes it
+    (``x @ w`` goes through gemv and can differ in the last bit)."""
+    return (x[:, None, :] @ w)[:, 0]
+
+
+def _traces(stack: np.ndarray) -> np.ndarray:
+    if stack.ndim == 3:
+        return np.trace(stack, axis1=1, axis2=2)
+    v = stack.reshape(stack.shape[0], -1)
+    return _rowdot(v, fold_multiplicities(v.shape[1]))
+
+
+def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    if stack.ndim == 3:
+        return np.linalg.eigvalsh(stack)[:, 0]
+    return stack.reshape(stack.shape[0], -1).min(axis=1)
+
+
+def _quadratic_forms(stack: np.ndarray, u) -> np.ndarray:
+    """``<b_l u, u>`` per degree; diagonal stacks take a folded ``u`` and
+    carry the fold multiplicities."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    width = _width(stack)
+    if u.shape != (width,):
+        raise ValueError(f"direction must have length {width}, got shape {u.shape}")
+    if stack.ndim == 3:
+        return _rowdot(u @ stack, u)
+    v = stack.reshape(stack.shape[0], -1)
+    return _rowdot(v * fold_multiplicities(width), u ** 2)
+
+
+def _reject(bad: np.ndarray, message) -> None:
+    """Raise ``ValueError(message(l))`` for the first degree l flagged in bad."""
+    if np.any(bad):
+        raise ValueError(message(int(np.argmax(bad))))
+
+
+def _checked_stack(variant: str, stack) -> np.ndarray:
+    """Validate coefficients of one variant stacked along the degree axis and
+    return them as a new read-only array.
+
+    Every entry must be finite.  Diagonal entries must be >= 0; dense
+    coefficients must be symmetric within ``_SYM_RTOL`` (relative, Frobenius)
+    and PSD within ``PSD_RTOL * trace``, and are returned symmetrized.
+    Errors name the first failing degree.
+    """
+    if variant not in _STACK_NDIM:
+        raise ValueError(f"unknown variant {variant!r}")
+    s = np.asarray(stack, dtype=float)
+    if (s.ndim != _STACK_NDIM[variant] or 0 in s.shape
+            or (s.ndim == 3 and s.shape[1] != s.shape[2])):
+        raise ValueError(f"{variant} coefficients must stack to a nonempty "
+                         f"{_STACK_NDIM[variant]}-d array (matrices square), "
+                         f"got shape {s.shape}")
+    flat = s.reshape(s.shape[0], -1)
+    _reject(~np.all(np.isfinite(flat), axis=1),
+            lambda l: f"{variant} coefficient b_{l} must be finite")
+    if s.ndim == 3:
+        asym = np.linalg.norm(s - s.swapaxes(1, 2), axis=(1, 2))
+        _reject(asym > _SYM_RTOL * np.linalg.norm(s, axis=(1, 2)),
+                lambda l: f"matrix coefficient b_{l} must be symmetric within 1e-12")
+        s = 0.5 * (s + s.swapaxes(1, 2))
+        tr = _traces(s)
+        w0 = _min_eigenvalues(s)
+        _reject(w0 < -PSD_RTOL * np.maximum(tr, 0.0),
+                lambda l: f"matrix coefficient b_{l} must be PSD: min eigenvalue "
+                          f"{w0[l]:.3e} below -{PSD_RTOL:g} * trace ({tr[l]:.3e})")
+    else:
+        _reject(np.any(flat < 0.0, axis=1),
+                lambda l: f"{variant} coefficient b_{l} must have entries >= 0")
+        s = np.array(s)
+    s.setflags(write=False)
+    return s
+
 
 @dataclass(frozen=True)
 class SchoenbergOperator:
@@ -57,68 +155,28 @@ class SchoenbergOperator:
 
     @classmethod
     def scalar(cls, value: float) -> "SchoenbergOperator":
-        value = float(value)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"scalar coefficient must be finite and >= 0, got {value}")
-        return cls(SCALAR, _frozen(np.asarray(value, dtype=float)))
+        # [0, ...] keeps a 0-d array (a plain [0] would give a numpy scalar)
+        return cls(SCALAR, _checked_stack(SCALAR, [float(value)])[0, ...])
 
     @classmethod
     def matrix(cls, mat) -> "SchoenbergOperator":
-        m = np.asarray(mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix coefficient must be square, got shape {m.shape}")
-        scale = np.linalg.norm(m)
-        if scale > 0 and np.linalg.norm(m - m.T) > _SYM_RTOL * scale:
-            raise ValueError("matrix coefficient must be symmetric within 1e-12")
-        m = 0.5 * (m + m.T)
-        tr = float(np.trace(m))
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -PSD_RTOL * max(tr, 0.0) - 0.0:
-            raise ValueError(
-                f"matrix coefficient must be PSD: min eigenvalue {w[0]:.3e} "
-                f"below -{PSD_RTOL:g} * trace ({tr:.3e})")
-        return cls(MATRIX, _frozen(m))
+        return cls(MATRIX, _checked_stack(MATRIX, np.asarray(mat, dtype=float)[None])[0])
 
     @classmethod
     def fourier_diagonal(cls, gammas) -> "SchoenbergOperator":
-        g = np.asarray(gammas, dtype=float)
-        if g.ndim != 1 or g.size == 0:
-            raise ValueError("fourier_diagonal coefficient must be a nonempty vector")
-        if not np.all(np.isfinite(g)) or np.any(g < 0.0):
-            raise ValueError("fourier_diagonal entries must be finite and >= 0")
-        return cls(FOURIER_DIAGONAL, _frozen(g))
+        g = np.asarray(gammas, dtype=float)[None]
+        return cls(FOURIER_DIAGONAL, _checked_stack(FOURIER_DIAGONAL, g)[0])
 
     @property
     def dim(self) -> int:
         """Operator side: p for matrices, K_max + 1 folded entries, 1 for scalars."""
-        if self.kind == SCALAR:
-            return 1
-        return self.data.shape[0]
-
-    def multiplicities(self) -> np.ndarray:
-        """Fold multiplicities (1, 2, 2, ...) for the fourier variant."""
-        if self.kind != FOURIER_DIAGONAL:
-            raise ValueError("multiplicities are defined for fourier_diagonal only")
-        mult = np.full(self.data.shape[0], 2.0)
-        mult[0] = 1.0
-        return mult
+        return _width(self.data[None])
 
     def trace(self) -> float:
-        if self.kind == SCALAR:
-            return float(self.data)
-        if self.kind == MATRIX:
-            return float(np.trace(self.data))
-        return float(np.dot(self.multiplicities(), self.data))
+        return float(_traces(self.data[None])[0])
 
     def min_eigenvalue(self) -> float:
-        if self.kind == SCALAR:
-            return float(self.data)
-        if self.kind == MATRIX:
-            return float(np.linalg.eigvalsh(self.data)[0])
-        return float(np.min(self.data))
-
-    def is_strictly_positive(self, rtol: float = STRICT_RTOL) -> bool:
-        return self.min_eigenvalue() > rtol * self.trace()
+        return float(_min_eigenvalues(self.data[None])[0])
 
     def scaled(self, c: float) -> "SchoenbergOperator":
         if c < 0:
@@ -131,16 +189,7 @@ class SchoenbergOperator:
         For the fourier variant ``u`` is folded (length K_max + 1) and the
         form carries the fold multiplicities.
         """
-        u = np.asarray(u, dtype=float)
-        if self.kind == SCALAR:
-            if u.shape not in ((), (1,)):
-                raise ValueError("scalar variant expects a length-1 direction")
-            return float(self.data) * float(np.sum(u ** 2))
-        if u.shape != (self.dim,):
-            raise ValueError(f"direction must have length {self.dim}, got {u.shape}")
-        if self.kind == MATRIX:
-            return float(u @ self.data @ u)
-        return float(np.dot(self.multiplicities() * self.data, u ** 2))
+        return float(_quadratic_forms(self.data[None], u)[0])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -151,10 +200,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def operator_sqrt(op: SchoenbergOperator) -> SchoenbergOperator:
     """PSD square root; negative eigenvalue dust is clamped to zero."""
-    if op.kind == SCALAR:
-        return SchoenbergOperator(SCALAR, _frozen(np.asarray(math.sqrt(max(float(op.data), 0.0)))))
-    if op.kind == FOURIER_DIAGONAL:
-        return SchoenbergOperator(FOURIER_DIAGONAL, _frozen(np.sqrt(np.clip(op.data, 0.0, None))))
+    if op.kind != MATRIX:
+        return SchoenbergOperator(op.kind, _frozen(np.sqrt(np.clip(op.data, 0.0, None))))
     w, v = np.linalg.eigh(op.data)
     w = np.clip(w, 0.0, None)
     return SchoenbergOperator(MATRIX, _frozen((v * np.sqrt(w)) @ v.T))
@@ -173,24 +220,10 @@ def operator_inv_sqrt(op: SchoenbergOperator, rtol: float = STRICT_RTOL) -> Scho
         raise ValueError(
             f"coefficient is not strictly positive: min eigenvalue {wmin:.6e}, "
             f"trace {tr:.6e}, trace/min ratio {cond:.3e} (threshold rtol={rtol:g})")
-    if op.kind == SCALAR:
-        return SchoenbergOperator(SCALAR, _frozen(np.asarray(1.0 / math.sqrt(float(op.data)))))
-    if op.kind == FOURIER_DIAGONAL:
-        return SchoenbergOperator(FOURIER_DIAGONAL, _frozen(1.0 / np.sqrt(op.data)))
+    if op.kind != MATRIX:
+        return SchoenbergOperator(op.kind, _frozen(1.0 / np.sqrt(op.data)))
     w, v = np.linalg.eigh(op.data)
     return SchoenbergOperator(MATRIX, _frozen((v / np.sqrt(w)) @ v.T))
-
-
-def conjugate(b: SchoenbergOperator, s: SchoenbergOperator) -> SchoenbergOperator:
-    """``s b s`` for operators of the same variant (s symmetric)."""
-    if b.kind != s.kind or b.dim != s.dim:
-        raise ValueError("conjugation requires operators of identical variant and size")
-    if b.kind == SCALAR:
-        return SchoenbergOperator(SCALAR, _frozen(np.asarray(float(s.data) ** 2 * float(b.data))))
-    if b.kind == FOURIER_DIAGONAL:
-        return SchoenbergOperator(FOURIER_DIAGONAL, _frozen(s.data ** 2 * b.data))
-    m = s.data @ b.data @ s.data
-    return SchoenbergOperator(MATRIX, _frozen(0.5 * (m + m.T)))
 
 
 def hs_distance_to_identity(op: SchoenbergOperator) -> float:
@@ -199,10 +232,8 @@ def hs_distance_to_identity(op: SchoenbergOperator) -> float:
     Frobenius for the matrix variant; the fourier variant sums
     ``mult_k (gamma_k - 1)^2`` over folded entries.
     """
-    if op.kind == SCALAR:
-        return (float(op.data) - 1.0) ** 2
-    if op.kind == FOURIER_DIAGONAL:
-        return float(np.dot(op.multiplicities(), (op.data - 1.0) ** 2))
+    if op.kind != MATRIX:
+        return float(np.dot(fold_multiplicities(op.dim), np.atleast_1d(op.data - 1.0) ** 2))
     diff = op.data - np.eye(op.dim)
     return float(np.sum(diff * diff))
 
@@ -314,15 +345,22 @@ def tail_from_dict(obj) -> TailDescriptor | None:
 
 @dataclass(frozen=True)
 class SchoenbergSequence:
-    """Dimension d plus the ordered coefficients ``b_0 .. b_{L_max}``."""
+    """Dimension d plus the ordered coefficients ``b_0 .. b_{L_max}``.
+
+    The coefficients are stored once, as a read-only stack with the degree
+    axis first: ``(L+1,)`` scalar, ``(L+1, p, p)`` matrix, ``(L+1, K+1)``
+    fourier (see :meth:`coeff_stack`).  ``coeffs`` holds per-degree
+    :class:`SchoenbergOperator` views of that stack.
+    """
 
     d: int
     coeffs: tuple
     tail: TailDescriptor | None = None
+    _variant: str | None = field(default=None, init=False, repr=False, compare=False)
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"sphere dimension must be >= 1, got {self.d}")
         coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ValueError("sequence must contain at least one coefficient")
@@ -333,37 +371,56 @@ class SchoenbergSequence:
                 raise ValueError(
                     f"heterogeneous sequence: coefficient {l} has variant "
                     f"{op.kind}/{op.dim}, expected {kind}/{dim}")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._bind(kind, _frozen(np.stack([op.data for op in coeffs])))
+
+    @classmethod
+    def from_stack(cls, d: int, variant: str, stack,
+                   tail: TailDescriptor | None = None) -> "SchoenbergSequence":
+        """Sequence from coefficients stacked along the degree axis, checked
+        in one batched pass (finite, symmetric and PSD; errors name the
+        first failing degree)."""
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "d", d)
+        object.__setattr__(seq, "tail", tail)
+        seq._bind(variant, _checked_stack(variant, stack))
+        return seq
+
+    def _bind(self, variant: str, stack: np.ndarray) -> None:
+        if self.d < 1:
+            raise ValueError(f"sphere dimension must be >= 1, got {self.d}")
+        object.__setattr__(self, "_variant", variant)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "coeffs", tuple(
+            SchoenbergOperator(variant, stack[l, ...]) for l in range(stack.shape[0])))
 
     @property
     def variant(self) -> str:
-        return self.coeffs[0].kind
+        return self._variant
 
     @property
     def dim(self) -> int:
-        return self.coeffs[0].dim
+        return _width(self._stack)
 
     @property
     def l_max(self) -> int:
-        return len(self.coeffs) - 1
+        return self._stack.shape[0] - 1
 
     @property
     def order(self) -> float:
         return gegenbauer_order(self.d)
 
-    def h_values(self) -> np.ndarray:
-        return np.array([h_dim(self.d, l) for l in range(self.l_max + 1)], dtype=float)
-
     def coeff_stack(self) -> np.ndarray:
-        """Coefficients stacked along the degree axis."""
-        if self.variant == SCALAR:
-            return np.array([float(op.data) for op in self.coeffs])
-        return np.stack([op.data for op in self.coeffs])
+        """The read-only coefficient stack, degree axis first."""
+        return self._stack
+
+    def quadratic_forms(self, u) -> np.ndarray:
+        """``<b_l u, u>`` per degree (see :meth:`SchoenbergOperator.quadratic_form`)."""
+        return _quadratic_forms(self._stack, u)
 
     def trace_terms(self) -> np.ndarray:
         """Per-degree variance contributions ``trace(b_l) C_l^lam(1)``."""
         c1 = gegenbauer_at_one_all(self.order, self.l_max)
-        return np.array([op.trace() for op in self.coeffs]) * c1
+        return _traces(self._stack) * c1
 
 
 @dataclass(frozen=True)
@@ -407,8 +464,8 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
     coefficient; PSD-only sequences remain usable for sampling but are not
     equivalence-eligible, which is reported through the separate flags.
     """
-    traces = np.array([op.trace() for op in seq.coeffs])
-    mins = np.array([op.min_eigenvalue() for op in seq.coeffs])
+    traces = _traces(seq.coeff_stack())
+    mins = _min_eigenvalues(seq.coeff_stack())
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(traces > 0, mins / np.where(traces > 0, traces, 1.0), 0.0)
     psd_valid = bool(np.all(mins >= -PSD_RTOL * np.maximum(traces, 0.0)))
@@ -492,12 +549,9 @@ class IsotropicKernel:
 
     def __call__(self, t: float) -> KernelValue:
         vals = self.evaluate_stack([float(t)])[0]
-        if self.seq.variant == SCALAR:
-            op = SchoenbergOperator(SCALAR, _frozen(np.asarray(float(vals))))
-        elif self.seq.variant == MATRIX:
-            op = SchoenbergOperator(MATRIX, _frozen(0.5 * (vals + vals.T)))
-        else:
-            op = SchoenbergOperator(FOURIER_DIAGONAL, _frozen(vals))
+        if self.seq.variant == MATRIX:
+            vals = 0.5 * (vals + vals.T)
+        op = SchoenbergOperator(self.seq.variant, _frozen(vals))
         return KernelValue(op, self._tail_bound, self._tail_heuristic)
 
     def trace_at_one(self) -> float:
@@ -505,9 +559,14 @@ class IsotropicKernel:
         return float(np.sum(self.seq.trace_terms()))
 
 
-def kernel_eval(kernel: IsotropicKernel, t: float) -> KernelValue:
-    """Evaluate an isotropic kernel at ``t = x . y`` with its tail bound."""
-    return kernel(t)
+def entry_labels(seq: SchoenbergSequence) -> list:
+    """Labels of the entries of one coefficient in ``ravel`` order: ``R[i][j]``
+    for matrices, ``gamma[k]`` for folded fourier entries, ``R`` for scalars."""
+    if seq.variant == MATRIX:
+        return [f"R[{i}][{j}]" for i in range(seq.dim) for j in range(seq.dim)]
+    if seq.variant == FOURIER_DIAGONAL:
+        return [f"gamma[{k}]" for k in range(seq.dim)]
+    return ["R"]
 
 
 def truncate_sequence(seq: SchoenbergSequence, l_max: int) -> SchoenbergSequence:
@@ -515,7 +574,8 @@ def truncate_sequence(seq: SchoenbergSequence, l_max: int) -> SchoenbergSequence
     starting degree) is carried over."""
     if not 0 <= l_max <= seq.l_max:
         raise ValueError(f"l_max must lie in [0, {seq.l_max}], got {l_max}")
-    return SchoenbergSequence(d=seq.d, coeffs=seq.coeffs[:l_max + 1], tail=seq.tail)
+    return SchoenbergSequence.from_stack(seq.d, seq.variant,
+                                         seq.coeff_stack()[:l_max + 1], seq.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -524,35 +584,21 @@ def truncate_sequence(seq: SchoenbergSequence, l_max: int) -> SchoenbergSequence
 
 
 def sequence_to_dict(seq: SchoenbergSequence) -> dict:
-    if seq.variant == SCALAR:
-        coeffs = [float(op.data) for op in seq.coeffs]
-    elif seq.variant == MATRIX:
-        coeffs = [op.data.tolist() for op in seq.coeffs]  # row-major nested lists
-    else:
-        coeffs = [op.data.tolist() for op in seq.coeffs]
     return {
         "d": seq.d,
         "variant": seq.variant,
         "L_max": seq.l_max,
-        "coeffs": coeffs,
+        "coeffs": seq.coeff_stack().tolist(),  # row-major nested lists
         "tail": seq.tail.to_dict() if seq.tail is not None else None,
     }
 
 
 def sequence_from_dict(obj: dict) -> SchoenbergSequence:
-    variant = obj["variant"]
-    if variant == SCALAR:
-        coeffs = tuple(SchoenbergOperator.scalar(v) for v in obj["coeffs"])
-    elif variant == MATRIX:
-        coeffs = tuple(SchoenbergOperator.matrix(m) for m in obj["coeffs"])
-    elif variant == FOURIER_DIAGONAL:
-        coeffs = tuple(SchoenbergOperator.fourier_diagonal(g) for g in obj["coeffs"])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if len(coeffs) != obj["L_max"] + 1:
+    seq = SchoenbergSequence.from_stack(int(obj["d"]), obj["variant"], obj["coeffs"],
+                                        tail_from_dict(obj.get("tail")))
+    if seq.l_max != obj["L_max"]:
         raise ValueError("coefficient count does not match L_max")
-    return SchoenbergSequence(d=int(obj["d"]), coeffs=coeffs,
-                              tail=tail_from_dict(obj.get("tail")))
+    return seq
 
 
 def save_sequence(seq: SchoenbergSequence, path) -> None:

@@ -40,10 +40,10 @@ from .harmonics import (
     harmonic_count,
 )
 from .schoenberg import (
-    FOURIER_DIAGONAL,
     MATRIX,
     IsotropicKernel,
     SchoenbergSequence,
+    entry_labels,
     operator_sqrt,
     truncate_sequence,
 )
@@ -161,14 +161,16 @@ class FieldSample:
 
 def unfolded_dim(seq: SchoenbergSequence) -> int:
     """Length of materialized coefficient vectors: p for the matrix variant,
-    1 for scalars, 2*K_max + 1 for the fourier variant (cos/sin pairs)."""
-    if seq.variant == FOURIER_DIAGONAL:
-        return 2 * seq.dim - 1
-    return seq.dim
+    2*K_max + 1 for the fourier variant (cos/sin pairs), 1 for scalars (one
+    folded entry)."""
+    if seq.variant == MATRIX:
+        return seq.dim
+    return 2 * seq.dim - 1
 
 
 def _unfold_fourier(folded: np.ndarray) -> np.ndarray:
-    """Repeat gamma_k onto the (cos, sin) coordinate pair for k >= 1."""
+    """Repeat gamma_k onto the (cos, sin) coordinate pair for k >= 1 (a single
+    entry, as for scalars, is returned as is)."""
     k_max = folded.shape[-1] - 1
     out = np.empty(folded.shape[:-1] + (2 * k_max + 1,))
     out[..., 0] = folded[..., 0]
@@ -181,24 +183,20 @@ def coefficient_covariance(seq: SchoenbergSequence, l: int) -> np.ndarray:
     """Covariance ``bhat_l = b_l * omega_d C_l(1) / h(l)`` of the degree-l
     harmonic coefficients, in the materialized coefficient space."""
     w = 1.0 / addition_constant(seq.d, l)
-    op = seq.coeffs[l]
-    if op.kind == FOURIER_DIAGONAL:
-        return _unfold_fourier(op.data * w)
-    return op.data * w
-
-
-def _scale_factors(seq: SchoenbergSequence, l_max: int):
-    """Per-degree square roots of bhat_l, ready to scale standard normals."""
+    data = seq.coeffs[l].data
     if seq.variant == MATRIX:
-        roots = []
-        for l in range(l_max + 1):
-            w = 1.0 / addition_constant(seq.d, l)
-            roots.append(operator_sqrt(seq.coeffs[l].scaled(w)).data)
-        return roots
-    rows = []
-    for l in range(l_max + 1):
-        rows.append(np.sqrt(coefficient_covariance(seq, l)))
-    return rows
+        return data * w
+    return _unfold_fourier(np.atleast_1d(data) * w)
+
+
+def _scale_factor(seq: SchoenbergSequence, l: int) -> np.ndarray:
+    """Square root of bhat_l, ready to scale standard normals: the symmetric
+    PSD root for the matrix variant (applied as ``z @ root``), entrywise
+    roots otherwise (applied as ``z * root``)."""
+    if seq.variant == MATRIX:
+        w = 1.0 / addition_constant(seq.d, l)
+        return operator_sqrt(seq.coeffs[l].scaled(w)).data
+    return np.sqrt(coefficient_covariance(seq, l))
 
 
 def _check_l_max(seq: SchoenbergSequence, l_max) -> int:
@@ -214,23 +212,15 @@ def sample_coefficients(seq: SchoenbergSequence, l: int,
     """Draw the ``h(l)`` degree-l coefficient vectors, shape (h(l), dim).
 
     Zero-mean Gaussian with covariance ``bhat_l``; the matrix variant goes
-    through the symmetric PSD square root, the fourier variant scales
+    through the symmetric PSD square root, the diagonal variants scale
     independent normals by sqrt(gamma-hat) entrywise (two normals per folded
-    frequency k >= 1).
+    fourier frequency k >= 1).
     """
     if not 0 <= l <= seq.l_max:
         raise ValueError(f"degree must lie in [0, {seq.l_max}], got {l}")
-    h = h_dim(seq.d, l)
-    dim = unfolded_dim(seq)
-    z = rng.standard_normal((h, dim))
-    if seq.variant == MATRIX:
-        w = 1.0 / addition_constant(seq.d, l)
-        s = operator_sqrt(seq.coeffs[l].scaled(w)).data
-        return z @ s
-    if seq.variant == FOURIER_DIAGONAL:
-        return z * np.sqrt(coefficient_covariance(seq, l))[None, :]
-    w = 1.0 / addition_constant(seq.d, l)
-    return z * math.sqrt(float(seq.coeffs[l].data) * w)
+    z = rng.standard_normal((h_dim(seq.d, l), unfolded_dim(seq)))
+    root = _scale_factor(seq, l)
+    return z @ root if seq.variant == MATRIX else z * root[None, :]
 
 
 def synthesize_field(seq: SchoenbergSequence, grid: SampleGrid,
@@ -270,7 +260,7 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     slices = degree_slices(seq.d, L)
     H = harmonic_count(seq.d, L)
     dim = unfolded_dim(seq)
-    factors = _scale_factors(seq, L)
+    factors = [_scale_factor(seq, l) for l in range(L + 1)]
 
     out = np.empty((n_fields, grid.n_points, dim))
     batch = max(1, _BATCH_ELEMS // max(1, H * dim))
@@ -377,37 +367,22 @@ def _pair_statistics(seq, values, idx_x, idx_y):
     vx = values[:, idx_x, :]
     vy = values[:, idx_y, :]
     n = values.shape[0]
-    if seq.variant == FOURIER_DIAGONAL:
-        prod = vx * vy                                  # (n, 2K+1)
-        k_max = seq.dim - 1
-        labels, emp, se = [], [], []
-        for k in range(k_max + 1):
-            if k == 0:
-                sample = prod[:, 0]
-            else:
-                sample = np.concatenate([prod[:, 2 * k - 1], prod[:, 2 * k]])
-            labels.append(f"gamma[{k}]")
-            emp.append(sample.mean())
-            se.append(sample.std(ddof=1) / math.sqrt(sample.size))
-        return labels, np.array(emp), np.array(se)
+    labels = entry_labels(seq)
     if seq.variant == MATRIX:
-        p = seq.dim
         prod = vx[:, :, None] * vy[:, None, :]          # (n, p, p)
         emp = prod.mean(axis=0)
         se = prod.std(axis=0, ddof=1) / math.sqrt(n)
-        labels = [f"R[{i}][{j}]" for i in range(p) for j in range(p)]
         return labels, emp.ravel(), se.ravel()
-    prod = vx[:, 0] * vy[:, 0]
-    return ["R"], np.array([prod.mean()]), np.array([prod.std(ddof=1) / math.sqrt(n)])
-
-
-def _analytic_entries(seq, kernel_value):
-    op = kernel_value.value
-    if seq.variant == FOURIER_DIAGONAL:
-        return np.asarray(op.data)
-    if seq.variant == MATRIX:
-        return np.asarray(op.data).ravel()
-    return np.array([float(op.data)])
+    prod = vx * vy                                      # (n, 2K+1)
+    emp, se = [], []
+    for k in range(seq.dim):
+        if k == 0:
+            sample = prod[:, 0]
+        else:
+            sample = np.concatenate([prod[:, 2 * k - 1], prod[:, 2 * k]])
+        emp.append(sample.mean())
+        se.append(sample.std(ddof=1) / math.sqrt(sample.size))
+    return labels, np.array(emp), np.array(se)
 
 
 def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
@@ -447,7 +422,7 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
         iy = int(inverse[2 * p_idx + 1])
         t = float(np.clip(np.dot(pairs[p_idx, 0], pairs[p_idx, 1]), -1.0, 1.0))
         labels, emp, se = _pair_statistics(seq, values, ix, iy)
-        analytic = _analytic_entries(seq, kernel(t))
+        analytic = np.atleast_1d(kernel(t).value.data).ravel()
         z = _zscores(emp - analytic, se)
         results.append(PairCheck(x=pairs[p_idx, 0], y=pairs[p_idx, 1], t=t,
                                  labels=labels, empirical=emp,

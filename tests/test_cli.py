@@ -242,6 +242,23 @@ class TestEquiv:
         assert out == ""
         assert "at least 32" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_k_max_below_one_usage_error(self, capsys, tmp_json, k_max):
+        code, out, err = run(capsys, ["equiv", tmp_json("a.json", LM),
+                                      tmp_json("b.json", LM), "--l-max", "40",
+                                      "--k-max", k_max])
+        assert code == 1
+        assert out == ""
+        assert "--k-max" in err and "Traceback" not in err
+
+    def test_underflowed_reference_invalid_model(self, capsys, tmp_json):
+        # the diagonal of the default MQ model underflows to 0 at degree 1075
+        code, out, err = run(capsys, ["equiv", tmp_json("a.json", MQ),
+                                      tmp_json("b.json", MQ), "--l-max", "1200"])
+        assert code == 2
+        assert out == ""
+        assert "strictly positive" in err and "degree 1075" in err
+
     def test_verdict_disagreement_is_loud(self, capsys, tmp_json, monkeypatch):
         # a numeric verdict contradicting the closed form signals an
         # undersized truncation or a bug; the command must not pick a side

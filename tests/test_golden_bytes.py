@@ -1,4 +1,6 @@
-"""Golden bytes: `sample` outputs pinned by sha256, `mc-check` stdout verbatim.
+"""Golden bytes: `sample` outputs and the stdout of the algebra commands
+(`validate`, `schoenberg-export`, `kernel`, `equiv`) pinned by sha256,
+`mc-check` stdout verbatim.
 
 The randomness contract promises identical bytes for a fixed (seed, stream),
 and the other tests only compare two runs of the same code.  These values
@@ -22,6 +24,10 @@ LM = {"model": "legendre_matern", "sigma": 1.0, "alpha": 1.0, "nu": 1.0,
       "L_max": 16, "K_max": 4}
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
+MQ_B = dict(MQ, alpha=[0.5, 0.5, 0.40])
+LM_200 = {"model": "legendre_matern", "sigma": 1.0, "alpha": 1.0, "nu": 1.0,
+          "L_max": 200, "K_max": 32}
+LM_B = dict(LM_200, alpha=2.0)
 MQ_D1 = {"model": "multiquadratic", "d": 1, "sigma": [1, 1.2],
          "rho12": 0.3, "alpha": [0.5, 0.6, 0.5]}
 
@@ -78,6 +84,34 @@ GOLDEN_SAMPLE = {
         "sample_0002.json":
             "22aa52770babdd63a48443c10d2902ce2f9371fb00a7b38edbf6327d3cafca38",
     },
+}
+
+# name -> argv with "{name}" placeholders for the config files written by
+# algebra_stdout
+ALGEBRA_RUNS = {
+    "validate_mq_300": ["validate", "--config", "{mq}", "--l-max", "300"],
+    "validate_lm_200": ["validate", "--config", "{lm}", "--l-max", "200"],
+    "export_mq_300": ["schoenberg-export", "--config", "{mq}", "--l-max", "300"],
+    "kernel_mq_300": ["kernel", "--config", "{mq}", "--l-max", "300",
+                      "--thetas", "0,0.5,1.7,3.1"],
+    "equiv_mq_300": ["equiv", "{mq}", "{mq_b}", "--l-max", "300"],
+    "equiv_lm_256": ["equiv", "{lm}", "{lm_b}", "--l-max", "256", "--k-max", "64"],
+}
+
+# name -> (exit code, sha256 of stdout)
+GOLDEN_ALGEBRA = {
+    "equiv_lm_256": (
+        0, "a7a54a15ee691a0ee00b9c6c51bacabb5be36658e67b40e22278d0b2664cc34d"),
+    "equiv_mq_300": (
+        0, "a3657db79452f9e10322c7115d5207ba3e9f40b623c1a4970b06ce0f455de30d"),
+    "export_mq_300": (
+        0, "c86fe553bb190cc27d04d7af0a646d64210ab2f8b959175ab0046eaac0fd99af"),
+    "kernel_mq_300": (
+        0, "01b4b01a97d3150085cf6173d2f45bda7c80c406a22007702e9c0c46b0f2f99b"),
+    "validate_lm_200": (
+        0, "44d644af41a1312fcb53586b2b249764fbd7f73d674bce49f1b46e57fdae784d"),
+    "validate_mq_300": (
+        0, "c5341310f2f79827585c9073e7e944886d054619a9b16440e4d07ccaabbde454"),
 }
 
 GOLDEN_MC_CHECK = '''\
@@ -217,6 +251,19 @@ def mc_check_stdout(tmp_path, capsys) -> str:
     return capsys.readouterr().out
 
 
+def algebra_stdout(tmp_path, capsys, name):
+    """Exit code and sha256 of the stdout of one algebra command."""
+    configs = {"mq": MQ, "mq_b": MQ_B, "lm": LM_200, "lm_b": LM_B}
+    paths = {}
+    for key, model in configs.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(model))
+        paths[key] = str(path)
+    capsys.readouterr()
+    code = cli.main([arg.format(**paths) for arg in ALGEBRA_RUNS[name]])
+    return code, _sha(capsys.readouterr().out.encode())
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLE_RUNS))
 def test_sample_bytes_match_golden(tmp_path, name):
     assert sample_digests(tmp_path, name) == GOLDEN_SAMPLE[name], \
@@ -226,3 +273,9 @@ def test_sample_bytes_match_golden(tmp_path, name):
 def test_mc_check_stdout_matches_golden(tmp_path, capsys):
     assert mc_check_stdout(tmp_path, capsys) == GOLDEN_MC_CHECK, \
         _mismatch("`mc-check` stdout")
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_RUNS))
+def test_algebra_stdout_matches_golden(tmp_path, capsys, name):
+    assert algebra_stdout(tmp_path, capsys, name) == GOLDEN_ALGEBRA[name], \
+        _mismatch(f"`{ALGEBRA_RUNS[name][0]}` stdout of run {name!r}")
