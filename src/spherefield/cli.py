@@ -7,7 +7,8 @@ auto-detected by extension; formats and schemas are documented under docs/.
 
 Exit codes: 0 success / equivalent, 1 usage or malformed config, 2 invalid
 model or unsupported operation (also closed-form vs numeric verdict
-disagreement, which indicates an undersized truncation or a bug), 3 negative
+disagreement, which indicates an undersized truncation or a bug, and a run
+that cannot allocate its arrays), 3 negative
 verdict or failed check, 4 inconclusive numeric verdict.
 
 The default output directory for ``sample`` is taken from the
@@ -116,6 +117,8 @@ def _load_params(path: str):
 
 
 def _build_sequence(params, l_max):
+    if l_max is not None and l_max < 0:
+        raise UsageError(f"--l-max must be >= 0, got {l_max}")
     try:
         return build_sequence(params, l_max=l_max)
     except ValueError as exc:
@@ -472,6 +475,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InvalidModelError as exc:
         _info(f"invalid model: {exc}")
+        return EXIT_INVALID
+    except MemoryError as exc:  # e.g. the draws of one field at a huge --l-max
+        _info(f"out of memory: {str(exc) or 'an allocation failed'}; try a lower "
+              "--l-max (or a lower --k-max / K_max for Legendre-Matern models)")
         return EXIT_INVALID
 
 

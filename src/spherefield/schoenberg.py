@@ -146,12 +146,20 @@ def _checked_stack(variant: str, stack) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchoenbergOperator:
-    """One coefficient of a Schoenberg sequence (see module docstring)."""
+    """One coefficient of a Schoenberg sequence (see module docstring).
+
+    ``==`` compares values (kind and every entry); operators are unhashable.
+    """
 
     kind: str
     data: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, SchoenbergOperator):
+            return NotImplemented
+        return self.kind == other.kind and np.array_equal(self.data, other.data)
 
     @classmethod
     def scalar(cls, value: float) -> "SchoenbergOperator":
@@ -343,22 +351,23 @@ def tail_from_dict(obj) -> TailDescriptor | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchoenbergSequence:
     """Dimension d plus the ordered coefficients ``b_0 .. b_{L_max}``.
 
     The coefficients are stored once, as a read-only stack with the degree
     axis first: ``(L+1,)`` scalar, ``(L+1, p, p)`` matrix, ``(L+1, K+1)``
     fourier (see :meth:`coeff_stack`).  ``coeffs`` holds per-degree
-    :class:`SchoenbergOperator` views of that stack.
+    :class:`SchoenbergOperator` views of that stack.  ``==`` compares
+    values (d, variant, tail and every stacked entry); sequences are
+    unhashable.
     """
 
     d: int
     coeffs: tuple
     tail: TailDescriptor | None = None
-    _variant: str | None = field(default=None, init=False, repr=False, compare=False)
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False,
-                                      compare=False)
+    _variant: str | None = field(default=None, init=False, repr=False)
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(self.coeffs)
@@ -392,6 +401,13 @@ class SchoenbergSequence:
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "coeffs", tuple(
             SchoenbergOperator(variant, stack[l, ...]) for l in range(stack.shape[0])))
+
+    def __eq__(self, other):
+        if not isinstance(other, SchoenbergSequence):
+            return NotImplemented
+        return (self.d == other.d and self.variant == other.variant
+                and self.tail == other.tail
+                and np.array_equal(self._stack, other._stack))
 
     @property
     def variant(self) -> str:

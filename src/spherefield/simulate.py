@@ -48,7 +48,7 @@ from .schoenberg import (
     truncate_sequence,
 )
 
-_BATCH_ELEMS = 24_000_000  # ~192 MB of float64 per ensemble draw batch
+_BATCH_ELEMS = 4_000_000   # float64 elements per ensemble batch buffer (~32 MB)
 _CSV_CHUNK_ROWS = 256      # rows converted to Python floats at a time
 
 
@@ -241,6 +241,15 @@ def synthesize_field(seq: SchoenbergSequence, grid: SampleGrid,
     return FieldSample(grid=grid, values=values, l_max=L, seed=seed, stream=stream)
 
 
+def _batch_sizes(n_fields: int, field_elems: int) -> list:
+    """Balanced split of ``n_fields`` into batches of at most ``_BATCH_ELEMS``
+    float64 elements (at least one field each); sizes differ by at most one."""
+    per_batch = max(1, _BATCH_ELEMS // max(1, field_elems))
+    n_batches = -(-n_fields // per_batch)
+    small, n_large = divmod(n_fields, n_batches)
+    return [small + 1] * n_large + [small] * (n_batches - n_large)
+
+
 def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int,
                         l_max: int | None = None, seed: int = 0,
                         stream: int = 0) -> np.ndarray:
@@ -249,6 +258,16 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     Returns values of shape (n_fields, n_points, dim).  Deterministic given
     (seed, stream); fields are batched internally without changing the draw
     sequence.
+
+    Memory: two batch buffers (draws and their scaled, transposed copy) are
+    allocated once per call, about 2 * ``_BATCH_ELEMS`` * 8 bytes whatever
+    ``n_fields`` is, plus the output.  A field of more than ``_BATCH_ELEMS``
+    elements (H * dim) is drawn alone into one buffer of its own size; the
+    diagonal variants also keep one field-sized table of scale factors.
+    The batch partition is a pure function of ``(n_fields, H, dim)``,
+    balanced so that sizes differ by at most one: BLAS picks its kernel, and
+    so the rounding of the contraction, from the batch's shape, and a tiny
+    remainder batch would round differently from the rest.
     """
     if grid.d != seq.d:
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
@@ -261,23 +280,33 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     H = harmonic_count(seq.d, L)
     dim = unfolded_dim(seq)
     factors = [_scale_factor(seq, l) for l in range(L + 1)]
+    if seq.variant != MATRIX:
+        row_scale = np.concatenate(
+            [np.broadcast_to(factors[l], (h_dim(seq.d, l), dim))
+             for l in range(L + 1)], axis=0)
 
+    sizes = _batch_sizes(n_fields, H * dim)
+    z = np.empty((sizes[0], H, dim))                     # draws, in draw order
+    # Scaled draws go to zt, laid out as the (nb*dim, H) rows of the
+    # contraction.  A batch of one field is scaled in place and contracted as
+    # z[0].T instead, through BLAS's transposed-operand kernel, which rounds
+    # differently: this keeps one-field batches bit-identical to earlier
+    # versions of this function, and they need no second buffer.
+    zt = np.empty((sizes[0], dim, H)) if sizes[0] > 1 else None
     out = np.empty((n_fields, grid.n_points, dim))
-    batch = max(1, _BATCH_ELEMS // max(1, H * dim))
     done = 0
-    while done < n_fields:
-        nb = min(batch, n_fields - done)
-        z = rng.standard_normal((nb, H, dim))
+    for nb in sizes:
+        # the size is redundant with out=, but wrappers that count draws read it
+        zb = rng.standard_normal((nb, H, dim), out=z[:nb])
+        scaled = zb if nb == 1 else zt[:nb].transpose(0, 2, 1)
         if seq.variant == MATRIX:
             for l in range(L + 1):
-                z[:, slices[l], :] = z[:, slices[l], :] @ factors[l]
+                np.matmul(zb[:, slices[l], :], factors[l], out=scaled[:, slices[l], :])
         else:
-            row_scale = np.concatenate(
-                [np.broadcast_to(factors[l], (h_dim(seq.d, l), dim))
-                 for l in range(L + 1)], axis=0)
-            z *= row_scale[None, :, :]
-        vals = np.tensordot(z, basis, axes=([1], [1]))   # (nb, dim, npts)
-        out[done:done + nb] = np.swapaxes(vals, 1, 2)
+            np.multiply(zb, row_scale, out=scaled)
+        rows = zb[0].T if nb == 1 else zt[:nb].reshape(nb * dim, H)
+        vals = np.dot(rows, basis.T)                     # (nb*dim, npts)
+        out[done:done + nb] = vals.reshape(nb, dim, -1).transpose(0, 2, 1)
         done += nb
     return out
 

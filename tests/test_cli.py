@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spherefield import cli
+from spherefield import simulate as sim
 from conftest import validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
@@ -313,6 +314,35 @@ class TestMcCheck:
                                     "--n-samples", "500", "--seed", "1",
                                     "--l-max", "6"])
         assert code == 0
+
+    def test_negative_l_max_usage_error(self, capsys, tmp_json):
+        code, _, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
+                                    "--thetas", "0", "--n-samples", "10",
+                                    "--l-max", "-1"])
+        assert code == 1
+        assert "--l-max must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["mc-check", "sample"])
+def test_out_of_memory_invalid_model(capsys, tmp_json, tmp_path, monkeypatch, command):
+    # stands in for numpy refusing the draws of one field at a huge --l-max
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 12.0 GiB for an array with shape "
+                          "(1, 4004001, 401) and data type float64")
+
+    monkeypatch.setattr(sim, "synthesize_ensemble", refuse)
+    monkeypatch.setattr(cli, "synthesize_field", refuse)
+    argv = [command, "--config", tmp_json("m.json", MQ), "--n-samples", "10",
+            "--l-max", "4"]
+    if command == "mc-check":
+        argv += ["--thetas", "0"]
+    else:
+        argv += ["--grid", tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3}),
+                 "--out", str(tmp_path)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "out of memory: Unable to allocate 12.0 GiB" in err
+    assert "lower --l-max" in err
 
 
 class TestExportAndUsage:

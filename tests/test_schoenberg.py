@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +116,23 @@ class TestSequence:
             sb.SchoenbergSequence(d=2, coeffs=(
                 sb.SchoenbergOperator.scalar(1.0),
                 sb.SchoenbergOperator.matrix(np.eye(2))))
+
+    def test_value_equality(self):
+        mq = md.MultiquadraticParams(d=2, sigma=(1.0, 1.0), rho12=0.4,
+                                     alpha=(0.5, 0.5, 0.45))
+        lm = md.LegendreMaternParams(1.0, 1.0, 1.0, 16, 4)
+        a, b = md.build_sequence(mq, 40), md.build_sequence(mq, 40)
+        assert a == b and a.coeffs[3] == b.coeffs[3]
+        assert a != md.build_sequence(replace(mq, rho12=0.3), 40)
+        assert a != md.build_sequence(mq, 39)
+        assert a.coeffs[3] != a.coeffs[4]
+        assert md.build_sequence(lm) == md.build_sequence(lm)
+        assert md.build_sequence(lm) != md.build_sequence(replace(lm, alpha=2.0))
+        assert sb.truncate_sequence(a, 10) == sb.truncate_sequence(b, 10)
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(TypeError):
+            hash(a.coeffs[0])
 
     def test_truncate(self):
         seq = sb.SchoenbergSequence(

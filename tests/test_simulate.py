@@ -16,6 +16,37 @@ def mq_sequence(l_max=20, d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3
     return md.build_sequence(p, l_max)
 
 
+def reference_ensemble(seq, grid, n_fields, seed, stream):
+    """The ensemble loop as it was before batch buffers were reused: a fresh
+    draw array per batch of up to 24M elements, scaled in place and
+    contracted by tensordot."""
+    L = seq.l_max
+    rng = sim.make_generator(seed, stream)
+    basis = grid.basis(L)
+    slices = sh.degree_slices(seq.d, L)
+    H = sh.harmonic_count(seq.d, L)
+    dim = sim.unfolded_dim(seq)
+    factors = [sim._scale_factor(seq, l) for l in range(L + 1)]
+    out = np.empty((n_fields, grid.n_points, dim))
+    batch = max(1, 24_000_000 // max(1, H * dim))
+    done = 0
+    while done < n_fields:
+        nb = min(batch, n_fields - done)
+        z = rng.standard_normal((nb, H, dim))
+        if seq.variant == sb.MATRIX:
+            for l in range(L + 1):
+                z[:, slices[l], :] = z[:, slices[l], :] @ factors[l]
+        else:
+            row_scale = np.concatenate(
+                [np.broadcast_to(factors[l], (sh.h_dim(seq.d, l), dim))
+                 for l in range(L + 1)], axis=0)
+            z *= row_scale[None, :, :]
+        vals = np.tensordot(z, basis, axes=([1], [1]))
+        out[done:done + nb] = np.swapaxes(vals, 1, 2)
+        done += nb
+    return out
+
+
 def theta_pairs(thetas):
     return np.array([[[0.0, 0.0, 1.0],
                       [math.sin(t), 0.0, math.cos(t)]] for t in thetas])
@@ -185,19 +216,43 @@ class TestSynthesizeField:
         analytic = sb.IsotropicKernel(seq).trace_at_one()
         assert abs(emp - analytic) < 4 * se
 
-    def test_ensemble_deterministic_and_batching_invariant(self):
-        seq = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 8, 4))
-        grid = sim.SampleGrid.uniform_random(2, 4, seed=2)
-        a = sim.synthesize_ensemble(seq, grid, 40, seed=5, stream=1)
-        b = sim.synthesize_ensemble(seq, grid, 40, seed=5, stream=1)
-        assert np.array_equal(a, b)
-        old = sim._BATCH_ELEMS
-        try:
-            sim._BATCH_ELEMS = 500  # force many small batches
-            c = sim.synthesize_ensemble(seq, grid, 40, seed=5, stream=1)
-        finally:
-            sim._BATCH_ELEMS = old
-        assert np.array_equal(a, c)
+    def test_ensemble_deterministic_and_batching_invariant(self, monkeypatch):
+        # the fourier case runs in OpenBLAS's small-matrix dgemm regime
+        # (M*N*K <= 1e6) at either budget, the matrix case in the regular
+        # regime (M*N*K >= 32*12*3721)
+        cases = [(md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 8, 4)),
+                  4, 40, 500),
+                 (mq_sequence(60), 12, 101, 150_000)]
+        for seq, n_points, n_fields, budget in cases:
+            grid = sim.SampleGrid.uniform_random(2, n_points, seed=2)
+            a = sim.synthesize_ensemble(seq, grid, n_fields, seed=5, stream=1)
+            b = sim.synthesize_ensemble(seq, grid, n_fields, seed=5, stream=1)
+            assert np.array_equal(a, b)
+            with monkeypatch.context() as m:
+                m.setattr(sim, "_BATCH_ELEMS", budget)  # force many small batches
+                c = sim.synthesize_ensemble(seq, grid, n_fields, seed=5, stream=1)
+            assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("n_fields, field_elems", [
+        (1, 10), (7, 10**9), (2000, 80802), (777, 80802), (400, 139425), (5, 1)])
+    def test_batch_partition_balanced_and_bounded(self, n_fields, field_elems):
+        sizes = sim._batch_sizes(n_fields, field_elems)
+        assert sum(sizes) == n_fields
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+        assert max(sizes) == 1 or max(sizes) * field_elems <= sim._BATCH_ELEMS
+
+    @pytest.mark.parametrize("seq, n_points, n_fields", [
+        (mq_sequence(60, alpha=(0.5, 0.5, 0.45)), 3, 1201),
+        (md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 30, 30)), 4, 400),
+    ], ids=["matrix", "fourier"])
+    def test_ensemble_matches_reference_bitwise(self, seq, n_points, n_fields):
+        grid = sim.SampleGrid.uniform_random(2, n_points, seed=11)
+        H = sh.harmonic_count(seq.d, seq.l_max)
+        sizes = sim._batch_sizes(n_fields, H * sim.unfolded_dim(seq))
+        assert len(set(sizes)) == 2  # several batches that split unevenly
+        got = sim.synthesize_ensemble(seq, grid, n_fields, seed=3, stream=2)
+        want = reference_ensemble(seq, grid, n_fields, seed=3, stream=2)
+        assert np.array_equal(got, want)
 
     def test_truncation_monotonicity(self):
         # added degrees contribute nonnegative variance
