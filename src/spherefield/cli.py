@@ -2,14 +2,14 @@
 
 Subcommands: ``validate``, ``kernel``, ``sample``, ``equiv``, ``mc-check``,
 ``schoenberg-export``.  Machine-readable JSON goes to stdout (or ``--out``);
-human-readable summaries go to stderr.  Model configs are JSON or TOML,
-auto-detected by extension; formats and schemas are documented under docs/.
+human-readable summaries go to stderr.  Model configs are JSON or TOML v1.0
+(``tomllib``) by extension; formats and schemas are documented under docs/.
 
-Exit codes: 0 success / equivalent, 1 usage or malformed config, 2 invalid
-model or unsupported operation (also closed-form vs numeric verdict
-disagreement, which indicates an undersized truncation or a bug, and a run
-that cannot allocate its arrays), 3 negative
-verdict or failed check, 4 inconclusive numeric verdict.
+Exit codes: 0 success / equivalent, 1 usage or malformed config (or stdout
+closed early), 2 invalid model or unsupported operation (also closed-form vs
+numeric verdict disagreement, which indicates an undersized truncation or a
+bug, and a run that cannot allocate its arrays), 3 negative verdict or failed
+check, 4 inconclusive numeric verdict.
 
 The default output directory for ``sample`` is taken from the
 ``SPHEREFIELD_OUTDIR`` environment variable when ``--out`` is omitted.
@@ -27,7 +27,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import _toml
 from .equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -40,6 +39,7 @@ from .equivalence import (
     report_to_dict,
     write_series_csv,
 )
+from .harmonics import check_points
 from .models import (
     LegendreMaternParams,
     MultiquadraticParams,
@@ -92,18 +92,30 @@ def _emit_json(obj, out_path=None) -> None:
 
 
 def _load_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
+    """Read a JSON object, or a TOML v1.0 table when ``path`` ends in
+    ``.toml``; any file that cannot be read as one is a usage error."""
     try:
         if path.endswith(".toml"):
-            return _toml.load(path)
+            import tomllib  # deferred: runs on JSON configs never pay for it
+            with open(path, "rb") as fh:
+                return tomllib.load(fh)
         with open(path) as fh:
-            return json.load(fh)
-    except _toml.TomlError as exc:
-        raise UsageError(f"malformed TOML in {path}: {exc}") from exc
+            obj = json.load(fh)
+    except FileNotFoundError as exc:
+        raise UsageError(f"config file not found: {path}") from exc
+    except OSError as exc:  # e.g. a directory or an unreadable file
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"malformed JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # tomllib.TOMLDecodeError
+        raise UsageError(f"malformed TOML in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: expected a JSON object at the top level, "
+                         f"got {type(obj).__name__}")
+    return obj
 
 
 def _load_params(path: str):
@@ -241,7 +253,7 @@ def cmd_sample(args) -> int:
     grid_spec = _load_config(args.grid)
     try:
         grid = SampleGrid.from_spec(grid_spec)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad grid spec {args.grid}: {exc}") from exc
     if grid.d != seq.d:
         raise UsageError(f"grid dimension {grid.d} does not match model d={seq.d}")
@@ -354,7 +366,11 @@ def cmd_mc_check(args) -> int:
         spec = _load_config(args.pairs)
         try:
             pairs = np.array(spec["pairs"], dtype=float)
-        except (KeyError, ValueError) as exc:
+            if pairs.ndim != 3 or pairs.shape[1:] != (2, seq.d + 1):
+                raise ValueError(f"pairs must have shape (n_pairs, 2, {seq.d + 1}), "
+                                 f"got {pairs.shape}")
+            check_points(seq.d, pairs.reshape(-1, seq.d + 1))
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad pairs file {args.pairs}: {exc}") from exc
     else:
         if args.thetas is None:
@@ -432,9 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config2")
     p.add_argument("--l-max", type=int, default=512)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--policy-decay-margin", type=float, default=0.2)
-    p.add_argument("--policy-cauchy-eps", type=float, default=1e-6)
-    p.add_argument("--policy-floor", type=float, default=1e-8)
+    policy = VerdictPolicy()
+    p.add_argument("--policy-decay-margin", type=float, default=policy.decay_margin)
+    p.add_argument("--policy-cauchy-eps", type=float, default=policy.cauchy_eps)
+    p.add_argument("--policy-floor", type=float, default=policy.nonvanishing_floor)
     p.add_argument("--out", help="report path prefix (.json and .csv)")
     p.set_defaults(func=cmd_equiv)
 
@@ -469,7 +486,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (e.g. `| head`); point it at devnull so the
+        # flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except UsageError as exc:
         _info(f"usage error: {exc}")
         return EXIT_USAGE

@@ -21,7 +21,6 @@ so verdicts are orientation-free.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -401,11 +400,6 @@ def report_to_dict(series: EquivalenceTermSeries, verdicts: list[EquivalenceVerd
     out["verdicts"] = [v.to_dict() for v in verdicts]
     out["policy"] = policy.to_dict()
     return out
-
-
-def write_report_json(path, series, verdicts, policy) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(series, verdicts, policy), fh, indent=1)
 
 
 def write_series_csv(path, series: EquivalenceTermSeries) -> None:

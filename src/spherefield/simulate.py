@@ -262,8 +262,9 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     Memory: two batch buffers (draws and their scaled, transposed copy) are
     allocated once per call, about 2 * ``_BATCH_ELEMS`` * 8 bytes whatever
     ``n_fields`` is, plus the output.  A field of more than ``_BATCH_ELEMS``
-    elements (H * dim) is drawn alone into one buffer of its own size; the
-    diagonal variants also keep one field-sized table of scale factors.
+    elements (H * dim) is drawn alone into one buffer of its own size.
+    Each degree's draws are scaled by that degree's factor alone (a matrix
+    product, or an entrywise product for the diagonal variants).
     The batch partition is a pure function of ``(n_fields, H, dim)``,
     balanced so that sizes differ by at most one: BLAS picks its kernel, and
     so the rounding of the contraction, from the batch's shape, and a tiny
@@ -280,10 +281,7 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     H = harmonic_count(seq.d, L)
     dim = unfolded_dim(seq)
     factors = [_scale_factor(seq, l) for l in range(L + 1)]
-    if seq.variant != MATRIX:
-        row_scale = np.concatenate(
-            [np.broadcast_to(factors[l], (h_dim(seq.d, l), dim))
-             for l in range(L + 1)], axis=0)
+    scale = np.matmul if seq.variant == MATRIX else np.multiply
 
     sizes = _batch_sizes(n_fields, H * dim)
     z = np.empty((sizes[0], H, dim))                     # draws, in draw order
@@ -299,11 +297,8 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
         # the size is redundant with out=, but wrappers that count draws read it
         zb = rng.standard_normal((nb, H, dim), out=z[:nb])
         scaled = zb if nb == 1 else zt[:nb].transpose(0, 2, 1)
-        if seq.variant == MATRIX:
-            for l in range(L + 1):
-                np.matmul(zb[:, slices[l], :], factors[l], out=scaled[:, slices[l], :])
-        else:
-            np.multiply(zb, row_scale, out=scaled)
+        for l in range(L + 1):
+            scale(zb[:, slices[l], :], factors[l], out=scaled[:, slices[l], :])
         rows = zb[0].T if nb == 1 else zt[:nb].reshape(nb * dim, H)
         vals = np.dot(rows, basis.T)                     # (nb*dim, npts)
         out[done:done + nb] = vals.reshape(nb, dim, -1).transpose(0, 2, 1)

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from spherefield import cli
 from spherefield import simulate as sim
+from spherefield.equivalence import VerdictPolicy
 from conftest import validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
@@ -68,6 +73,35 @@ class TestValidate:
             'L_max = 20\nK_max = 10\n')
         code, out, _ = run(capsys, ["validate", "--config", str(path)])
         assert code == 0 and json.loads(out)["variant"] == "fourier_diagonal"
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('model = "legendre_matern"  # comment after a value\n'
+                     'sigma = 1.0\nalpha = 1.0\nnu = 1.0 # another\n',
+                     id="comment_after_value"),
+        pytest.param('model = "multiquadratic"\nd = 2\nsigma = [1, 1]\n'
+                     'rho12 = 0.4\nalpha = [\n  0.5,\n  0.5,\n  0.45,  # alpha_12\n]\n',
+                     id="multiline_array"),
+        pytest.param("model = 'legendre_matern'\nsigma = 1.0\nalpha = 1.0\nnu = 1.0\n",
+                     id="literal_string"),
+    ])
+    def test_toml_syntax_accepted(self, capsys, tmp_path, text):
+        path = tmp_path / "m.toml"
+        path.write_text(text)
+        code, out, _ = run(capsys, ["validate", "--config", str(path), "--l-max", "20"])
+        assert code == 0 and json.loads(out)["passed"]
+
+    @pytest.mark.parametrize("line", ["sigma = 1.", "sigma = .5", "sigma = Infinity",
+                                      "sigma = 01", "nu = 2.0"],
+                             ids=["trailing_dot", "leading_dot", "infinity",
+                                  "leading_zero", "duplicate_key"])
+    def test_non_toml_rejected(self, capsys, tmp_path, line):
+        # not TOML v1.0: a bare dot, Infinity, a leading zero, a duplicate key
+        path = tmp_path / "m.toml"
+        path.write_text(f'model = "legendre_matern"\nsigma = 1.0\nalpha = 1.0\n'
+                        f'nu = 1.0\n{line}\n')
+        code, out, err = run(capsys, ["validate", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert f"malformed TOML in {path}" in err and "line 5" in err
 
 
 class TestKernel:
@@ -179,6 +213,17 @@ class TestSample:
         assert code == 0
         assert basis_calls == [6]
 
+    def test_toml_grid_spec(self, capsys, tmp_json, tmp_path):
+        grid = tmp_path / "g.toml"
+        grid.write_text('kind = "uniform"\nd = 2\nn = 4\nseed = 7\n')
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, ["sample", "--config", tmp_json("m.json", MQ),
+                                  "--grid", str(grid), "--n-samples", "1",
+                                  "--l-max", "3", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["grid"] == {"kind": "uniform", "d": 2, "n": 4, "seed": 7}
+
     def test_json_format(self, capsys, tmp_json, tmp_path):
         cfg = tmp_json("m.json", MQ)
         grid = tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 2, "seed": 3})
@@ -228,6 +273,11 @@ class TestEquiv:
         validate_schema("equivalence_report.schema.json", report)
         with open(tmp_path / "rep.csv") as fh:
             assert fh.readline().strip() == "l,term,partial_sum"
+
+    def test_policy_flag_defaults(self):
+        args = cli.build_parser().parse_args(["equiv", "a.json", "b.json"])
+        assert VerdictPolicy(args.policy_decay_margin, args.policy_cauchy_eps,
+                             args.policy_floor) == VerdictPolicy()
 
     def test_mixed_families_rejected(self, capsys, tmp_json):
         code, _, err = run(capsys, ["equiv", tmp_json("a.json", MQ),
@@ -343,6 +393,50 @@ def test_out_of_memory_invalid_model(capsys, tmp_json, tmp_path, monkeypatch, co
     assert code == 2
     assert "out of memory: Unable to allocate 12.0 GiB" in err
     assert "lower --l-max" in err
+
+
+@pytest.mark.parametrize("role, name, content", [
+    pytest.param("config", "bad.json", None, id="config_is_directory"),
+    pytest.param("config", "bad.json", b"\xff\xfe{}", id="config_not_utf8"),
+    pytest.param("config", "bad.toml", b"\xff\xfe", id="toml_not_utf8"),
+    pytest.param("config", "bad.json", b"[1, 2]", id="config_top_level_array"),
+    pytest.param("grid", "bad.json", b'{"kind": "uniform", "d": 2, "n": [3]}',
+                 id="grid_list_count"),
+    pytest.param("pairs", "bad.json", b'{"pairs": {"a": 1}}', id="pairs_not_a_list"),
+    pytest.param("pairs", "bad.json", b'{"pairs": [[1, 2, 3]]}', id="pairs_bad_shape"),
+    pytest.param("pairs", "bad.json", b'{"pairs": [[[0, 0, 2], [0, 1, 0]]]}',
+                 id="pairs_not_unit"),
+])
+def test_bad_input_file_usage_error(capsys, tmp_json, tmp_path, role, name, content):
+    bad = tmp_path / name
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    config = str(bad) if role == "config" else tmp_json("m.json", MQ)
+    argv = {
+        "config": ["validate", "--config", config],
+        "grid": ["sample", "--config", config, "--grid", str(bad),
+                 "--n-samples", "1", "--l-max", "2", "--out", str(tmp_path / "run")],
+        "pairs": ["mc-check", "--config", config, "--pairs", str(bad),
+                  "--n-samples", "10", "--l-max", "2"],
+    }[role]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert str(bad) in err
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_json):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spherefield.cli", "schoenberg-export",
+         "--config", tmp_json("m.json", MQ), "--l-max", "800"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # the reader goes away, as with `| head -1`
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 class TestExportAndUsage:
