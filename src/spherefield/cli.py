@@ -56,8 +56,10 @@ from .schoenberg import (
 )
 from .simulate import (
     SampleGrid,
+    field_groups,
     monte_carlo_kernel_check,
-    synthesize_field,
+    synthesize_field,  # not called here; bench/tracing.py wraps it by this name
+    synthesize_fields,
     write_field_csv,
     write_field_json,
 )
@@ -146,6 +148,8 @@ def _parse_thetas(arg: str) -> list:
         raise UsageError(f"cannot parse theta list: {exc}") from exc
     if not thetas:
         raise UsageError("empty theta list")
+    if not all(map(math.isfinite, thetas)):
+        raise UsageError("thetas must be finite numbers")
     if any(t < 0.0 or t > math.pi + 1e-9 for t in thetas):
         raise UsageError("thetas must lie in [0, pi]")
     return thetas
@@ -264,16 +268,15 @@ def cmd_sample(args) -> int:
     writer = write_field_csv if ext == "csv" else write_field_json
 
     files = []
-    streams = []
-    for i in range(args.n_samples):
-        stream = args.stream + i
-        sample = synthesize_field(seq, grid, l_max=seq.l_max,
-                                  seed=args.seed, stream=stream)
-        name = f"sample_{i:04d}.{ext}"
-        path = os.path.join(outdir, name)
-        writer(sample, path)
-        files.append({"name": name, "stream": stream, "sha256": _file_hash(path)})
-        streams.append(stream)
+    streams = [args.stream + i for i in range(args.n_samples)]
+    for group in field_groups(seq, grid, streams):
+        for sample in synthesize_fields(seq, grid, group, l_max=seq.l_max,
+                                        seed=args.seed):
+            name = f"sample_{len(files):04d}.{ext}"
+            path = os.path.join(outdir, name)
+            writer(sample, path)
+            files.append({"name": name, "stream": sample.stream,
+                          "sha256": _file_hash(path)})
 
     manifest = {
         "seed": args.seed,

@@ -33,6 +33,8 @@ import math
 
 import numpy as np
 
+from ._memory import require_fit
+
 UNIT_NORM_TOL = 1e-12
 
 # |t| may exceed 1 by at most this much (dot products of unit vectors carry
@@ -201,24 +203,67 @@ def harmonic_basis(d: int, l_max: int, points) -> np.ndarray:
     Returns
     -------
     array (n, harmonic_count(d, l_max)), columns ordered degree-major with
-    the within-degree ordering documented in the module docstring.
+    the within-degree ordering documented in the module docstring.  The
+    degree-l columns are the blocks of :func:`iter_degree_blocks`.
     """
     _require_synthesis_dim(d)
     pts = check_points(d, points)
-    n = pts.shape[0]
-    out = np.empty((n, harmonic_count(d, l_max)), dtype=float)
-    if d == 1:
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        out[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
-        inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-        off = 1
-        for l in range(1, l_max + 1):
-            out[:, off] = np.cos(l * phi) * inv_sqrt_pi
-            out[:, off + 1] = np.sin(l * phi) * inv_sqrt_pi
-            off += 2
-        return out
+    out = np.empty((pts.shape[0], harmonic_count(d, l_max)), dtype=float)
+    off = 0
+    for block in iter_degree_blocks(d, l_max, pts):
+        h = block.shape[1]
+        out[:, off:off + h] = block
+        off += h
+    return out
 
-    # d == 2: fully normalized associated Legendre values P_{l,m}, with the
+
+def iter_degree_blocks(d: int, l_max: int, points):
+    """Iterate over the degrees ``l = 0 .. l_max`` of the harmonic basis.
+
+    Yields, for each degree in turn, a read-only C-contiguous
+    ``(n, h(l))`` array of the degree-l harmonics at the points: the
+    degree-l columns of :func:`harmonic_basis`, bit for bit.  Every item is
+    a view of one buffer that the next step overwrites; copy an item to
+    keep it.  On S^2 the recurrence keeps ``(8 l_max + 6) * n * 8`` bytes of
+    state, so the ``(n, harmonic_count)`` basis never exists.  Arguments are
+    checked when this is called, not when iteration starts.
+
+    The items are C-contiguous because BLAS rounds ``block @ a`` for a
+    transposed (F-ordered) block differently when ``a`` has few columns.
+    """
+    _require_synthesis_dim(d)
+    pts = check_points(d, points)
+    if d == 1:
+        return _circle_blocks(l_max, pts)
+    require_fit((8 * l_max + 6) * pts.shape[0] * 8,
+                f"the degree-{l_max} harmonic recurrence at {pts.shape[0]} points")
+    return _sphere_blocks(l_max, pts)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _circle_blocks(l_max: int, pts: np.ndarray):
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
+    n = pts.shape[0]
+    out_buf = np.empty(2 * n)
+    out = out_buf.reshape(n, 2)
+    for l in range(l_max + 1):
+        if l == 0:
+            out_buf[:n] = 1.0 / math.sqrt(2.0 * math.pi)
+            yield _readonly(out_buf[:n].reshape(n, 1))
+        else:
+            out[:, 0] = np.cos(l * phi) * inv_sqrt_pi
+            out[:, 1] = np.sin(l * phi) * inv_sqrt_pi
+            yield _readonly(out)
+
+
+def _sphere_blocks(l_max: int, pts: np.ndarray):
+    # Fully normalized associated Legendre values P_{l,m}, with the
     # normalization carried inside the recurrence so no factorials overflow.
     # All orders advance together, one vector step per degree l:
     #   m = l      sectoral step  P_{l,l}   = -sqrt((2l+1)/(2l)) s P_{l-1,l-1}
@@ -227,6 +272,7 @@ def harmonic_basis(d: int, l_max: int, points) -> np.ndarray:
     # Each entry sees the same scalar operations, in the same order, as the
     # per-(l, m) form of this recurrence, so the values are bit-identical to
     # it (tests keep that form as the reference).
+    n = pts.shape[0]
     u = pts[:, 2]
     s = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
@@ -239,12 +285,12 @@ def harmonic_basis(d: int, l_max: int, points) -> np.ndarray:
         sin_m[m] = np.sin(m * phi)
 
     # Row m of p_prev holds P_{l-1,m}; p holds P_{l-2,m} on entry to degree
-    # l and P_{l,m} on exit.  A degree's 2l + 1 columns are assembled as
-    # rows of a contiguous block and stored with one transposed copy, which
-    # is much faster than scattering each column into the C-ordered output.
+    # l and P_{l,m} on exit.  A degree's 2l + 1 harmonics are assembled as
+    # rows of a contiguous block and stored in out_buf with one transposed
+    # copy, which is much faster than scattering them column by column.
     p_prev, p = np.empty((2, l_max + 1, n))
     block = np.empty((2 * l_max + 1, n))
-    out_t = out.T                                # (H, n) view, no copy
+    out_buf = np.empty(n * (2 * l_max + 1))
     for l in range(l_max + 1):
         if l == 0:
             p[0] = 1.0 / math.sqrt(4.0 * math.pi)
@@ -264,22 +310,25 @@ def harmonic_basis(d: int, l_max: int, points) -> np.ndarray:
             np.multiply(-math.sqrt((2.0 * l + 1.0) / (2.0 * l)), s, out=p[l])
             np.multiply(p[l], p_prev[l - 1], out=p[l])
 
-        # degree-major layout: degree l occupies columns l^2 .. l^2 + 2l in
-        # the order zonal, then (cos, sin) for m = 1 .. l
+        # within-degree order: zonal, then (cos, sin) for m = 1 .. l
         block[0] = p[0]
         for trig, first in ((cos_m, 1), (sin_m, 2)):
             rows = block[first:2 * l + 1:2]
             np.multiply(sqrt2, p[1:l + 1], out=rows)
             np.multiply(rows, trig[1:l + 1], out=rows)
-        out_t[l * l:(l + 1) ** 2] = block[:2 * l + 1]
+        out = out_buf[:n * (2 * l + 1)].reshape(n, 2 * l + 1)
+        out.T[...] = block[:2 * l + 1]
+        yield _readonly(out)
         p_prev, p = p, p_prev
-    return out
 
 
 def harmonic_degree_block(d: int, l: int, points) -> np.ndarray:
     """Values of the ``h(l)`` degree-``l`` harmonics at the given points."""
-    basis = harmonic_basis(d, l, points)
-    return basis[:, degree_slices(d, l)[l]]
+    if l < 0:
+        raise ValueError(f"degree must be >= 0, got {l}")
+    for block in iter_degree_blocks(d, l, points):
+        pass
+    return np.array(block)
 
 
 def real_harmonic(d: int, l: int, m: int, x) -> float:

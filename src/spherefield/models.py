@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._memory import require_fit
 from .schoenberg import (
     FOURIER_DIAGONAL,
     MATRIX,
@@ -175,6 +176,7 @@ def multiquadratic_sequence(p: MultiquadraticParams, l_max: int = DEFAULT_L_MAX)
     check = multiquadratic_validity(p)
     if not check.valid:
         raise ValueError(f"invalid multiquadratic parameters: {check.failing_condition}")
+    require_fit(8 * 4 * (l_max + 1), f"the degree-{l_max} coefficient stack")
     degrees = np.arange(l_max + 1)
     # dividing the published entries by C_n^lam(1) cancels the binomial for
     # d >= 2; on the circle C_n(1) = 1 (Chebyshev convention) while the
@@ -230,6 +232,8 @@ def legendre_matern_gamma_grid(p: LegendreMaternParams,
     """Grid ``gamma_{l,k}`` for ``l <= l_max``, ``k <= k_max``, shape (L+1, K+1)."""
     L = p.l_max if l_max is None else l_max
     K = p.k_max if k_max is None else k_max
+    require_fit(8 * (L + 1) * (K + 1),
+                f"the degree-{L}, frequency-{K} coefficient stack")
     l = np.arange(L + 1, dtype=float)[:, None]
     k = np.arange(K + 1, dtype=float)[None, :]
     return p.sigma ** 2 / ((2 * l + 1) * (p.alpha + k * k + l * l) ** (p.nu + 0.5))

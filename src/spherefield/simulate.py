@@ -25,6 +25,7 @@ needs inverses.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ from .harmonics import (
     h_dim,
     harmonic_basis,
     harmonic_count,
+    iter_degree_blocks,
 )
 from .schoenberg import (
     MATRIX,
@@ -48,7 +50,7 @@ from .schoenberg import (
     truncate_sequence,
 )
 
-_BATCH_ELEMS = 4_000_000   # float64 elements per ensemble batch buffer (~32 MB)
+_BATCH_ELEMS = 4_000_000   # float64 elements per ensemble batch buffer or field group
 _CSV_CHUNK_ROWS = 256      # rows converted to Python floats at a time
 
 
@@ -65,7 +67,7 @@ class SampleGrid:
 
     The grid keeps the largest harmonic basis it has been asked for (see
     :meth:`basis`), n_points * harmonic_count(d, L) * 8 bytes, for as long
-    as it lives.
+    as it lives.  Only :func:`synthesize_ensemble` asks for one.
     """
 
     d: int
@@ -227,18 +229,42 @@ def synthesize_field(seq: SchoenbergSequence, grid: SampleGrid,
                      l_max: int | None = None, seed: int = 0,
                      stream: int = 0) -> FieldSample:
     """Synthesize one field realization; deterministic given (seed, stream)."""
+    return synthesize_fields(seq, grid, [stream], l_max=l_max, seed=seed)[0]
+
+
+def synthesize_fields(seq: SchoenbergSequence, grid: SampleGrid, streams,
+                      l_max: int | None = None, seed: int = 0) -> list:
+    """Synthesize one field realization per stream id in ``streams``.
+
+    Field ``i`` is :func:`synthesize_field` of ``(seed, streams[i])``, bit
+    for bit: it draws from its own generator, degree by degree, and each
+    degree adds ``block @ a`` to it alone, so how fields are grouped does
+    not change a bit.  The group walks the harmonic recurrence once
+    (:func:`iter_degree_blocks`) and never builds the ``(n_points, H)``
+    basis; its values, ``len(streams) * n_points * dim`` floats, are views
+    of one array (:func:`field_groups` bounds them).
+    """
     if grid.d != seq.d:
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
     L = _check_l_max(seq, l_max)
-    rng = make_generator(seed, stream)
-    basis = grid.basis(L)
-    slices = degree_slices(seq.d, L)
-    dim = unfolded_dim(seq)
-    values = np.zeros((grid.n_points, dim))
-    for l in range(L + 1):
-        a = sample_coefficients(seq, l, rng)            # (h(l), dim)
-        values += basis[:, slices[l]] @ a
-    return FieldSample(grid=grid, values=values, l_max=L, seed=seed, stream=stream)
+    rngs = [make_generator(seed, stream) for stream in streams]
+    values = np.zeros((len(rngs), grid.n_points, unfolded_dim(seq)))
+    for l, block in enumerate(iter_degree_blocks(seq.d, L, grid.points)):
+        for v, rng in zip(values, rngs):
+            v += block @ sample_coefficients(seq, l, rng)   # (h(l), dim)
+    return [FieldSample(grid=grid, values=v, l_max=L, seed=seed, stream=stream)
+            for v, stream in zip(values, streams)]
+
+
+def field_groups(seq: SchoenbergSequence, grid: SampleGrid, streams) -> list:
+    """Split ``streams`` into consecutive groups for :func:`synthesize_fields`
+    of at most ``_BATCH_ELEMS`` value elements each (at least one field)."""
+    streams = list(streams)
+    if not streams:
+        return []
+    it = iter(streams)
+    sizes = _batch_sizes(len(streams), grid.n_points * unfolded_dim(seq))
+    return [list(itertools.islice(it, nb)) for nb in sizes]
 
 
 def _batch_sizes(n_fields: int, field_elems: int) -> list:
@@ -289,17 +315,27 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     # contraction.  A batch of one field is scaled in place and contracted as
     # z[0].T instead, through BLAS's transposed-operand kernel, which rounds
     # differently: this keeps one-field batches bit-identical to earlier
-    # versions of this function, and they need no second buffer.
+    # versions of this function, and they need no second buffer.  The
+    # entrywise products of the diagonal variants are exact wherever they
+    # are stored, so those are scaled in place too (contiguous inner loops)
+    # and reach zt with one transposed copy; the matrix variant's products
+    # are written straight into zt.
     zt = np.empty((sizes[0], dim, H)) if sizes[0] > 1 else None
     out = np.empty((n_fields, grid.n_points, dim))
     done = 0
     for nb in sizes:
         # the size is redundant with out=, but wrappers that count draws read it
         zb = rng.standard_normal((nb, H, dim), out=z[:nb])
-        scaled = zb if nb == 1 else zt[:nb].transpose(0, 2, 1)
+        in_place = nb == 1 or seq.variant != MATRIX
+        scaled = zb if in_place else zt[:nb].transpose(0, 2, 1)
         for l in range(L + 1):
             scale(zb[:, slices[l], :], factors[l], out=scaled[:, slices[l], :])
-        rows = zb[0].T if nb == 1 else zt[:nb].reshape(nb * dim, H)
+        if nb == 1:
+            rows = zb[0].T
+        else:
+            if in_place:
+                zt[:nb] = zb.transpose(0, 2, 1)
+            rows = zt[:nb].reshape(nb * dim, H)
         vals = np.dot(rows, basis.T)                     # (nb*dim, npts)
         out[done:done + nb] = vals.reshape(nb, dim, -1).transpose(0, 2, 1)
         done += nb

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +137,13 @@ class TestKernel:
                                     "--thetas", " "])
         assert code == 1
 
+    @pytest.mark.parametrize("thetas", ["nan", "0.5,nan", "inf", "0,-inf"])
+    def test_non_finite_theta_usage_error(self, capsys, tmp_json, thetas):
+        code, out, err = run(capsys, ["kernel", "--config", tmp_json("m.json", MQ),
+                                      "--thetas", thetas, "--l-max", "10"])
+        assert code == 1 and out == ""
+        assert "thetas must be finite" in err
+
     def test_fourier_labels(self, capsys, tmp_json):
         lm = dict(LM, L_max=10, K_max=4)
         code, out, _ = run(capsys, ["kernel", "--config", tmp_json("m.json", lm),
@@ -203,15 +212,58 @@ class TestSample:
                                   "--n-samples", "0", "--out", str(tmp_path)])
         assert code == 1
 
-    def test_basis_built_once_per_run(self, capsys, tmp_json, tmp_path,
-                                      basis_calls):
+    def test_sample_builds_no_basis(self, capsys, tmp_json, tmp_path, basis_calls):
         cfg = tmp_json("m.json", MQ)
         grid = tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 4, "seed": 7})
         code, _, _ = run(capsys, ["sample", "--config", cfg, "--grid", grid,
                                   "--n-samples", "3", "--l-max", "6",
                                   "--out", str(tmp_path / "run")])
         assert code == 0
-        assert basis_calls == [6]
+        assert basis_calls == []
+
+    def test_field_groups_leave_bytes_unchanged(self, capsys, tmp_json, tmp_path,
+                                                monkeypatch):
+        cfg = tmp_json("m.json", dict(LM, L_max=12, K_max=3))
+        grid = tmp_json("g.json", {"kind": "equiangular", "n_polar": 5,
+                                   "n_azimuth": 8})
+        walks = []
+        real = sim.iter_degree_blocks
+
+        def counted(*args):
+            walks.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(sim, "iter_degree_blocks", counted)
+        runs = {}
+        # one field per group, then all four fields in one group
+        for budget in (1, 10**9):
+            monkeypatch.setattr(sim, "_BATCH_ELEMS", budget)
+            out = tmp_path / f"run{budget}"
+            code, _, _ = run(capsys, ["sample", "--config", cfg, "--grid", grid,
+                                      "--n-samples", "4", "--seed", "2",
+                                      "--out", str(out)])
+            assert code == 0
+            runs[budget] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert walks == [12] * 4 + [12]
+        assert len(runs[1]) == 5 and runs[1] == runs[10**9]
+
+    def test_large_grid_never_allocates_the_basis(self, capsys, tmp_json, tmp_path):
+        n_points, l_max = 4000, 100
+        basis_bytes = n_points * (l_max + 1) ** 2 * 8             # 326 MB
+        cfg = tmp_json("m.json", MQ)
+        grid = tmp_json("g.json", {"kind": "uniform", "d": 2, "n": n_points,
+                                   "seed": 1})
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, ["sample", "--config", cfg, "--grid", grid,
+                                      "--n-samples", "2", "--l-max", str(l_max),
+                                      "--out", str(tmp_path / "run")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # the recurrence state is (8 L + 6) * n * 8 bytes = 26 MB
+        assert peak < basis_bytes / 8
 
     def test_toml_grid_spec(self, capsys, tmp_json, tmp_path):
         grid = tmp_path / "g.toml"
@@ -365,6 +417,13 @@ class TestMcCheck:
                                     "--l-max", "6"])
         assert code == 0
 
+    def test_nan_theta_usage_error(self, capsys, tmp_json):
+        code, out, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
+                                      "--thetas", "0,nan", "--n-samples", "10",
+                                      "--l-max", "4"])
+        assert code == 1 and out == ""
+        assert "thetas must be finite" in err
+
     def test_negative_l_max_usage_error(self, capsys, tmp_json):
         code, _, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
                                     "--thetas", "0", "--n-samples", "10",
@@ -381,7 +440,7 @@ def test_out_of_memory_invalid_model(capsys, tmp_json, tmp_path, monkeypatch, co
                           "(1, 4004001, 401) and data type float64")
 
     monkeypatch.setattr(sim, "synthesize_ensemble", refuse)
-    monkeypatch.setattr(cli, "synthesize_field", refuse)
+    monkeypatch.setattr(cli, "synthesize_fields", refuse)
     argv = [command, "--config", tmp_json("m.json", MQ), "--n-samples", "10",
             "--l-max", "4"]
     if command == "mc-check":
@@ -393,6 +452,25 @@ def test_out_of_memory_invalid_model(capsys, tmp_json, tmp_path, monkeypatch, co
     assert code == 2
     assert "out of memory: Unable to allocate 12.0 GiB" in err
     assert "lower --l-max" in err
+
+
+def test_huge_config_truncation_out_of_memory(tmp_json):
+    # Run under an address-space limit: a build that allocated the stack
+    # anyway then fails at once here, instead of filling physical memory.
+    limit = 1 << 30
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherefield.cli", "validate",
+         "--config", tmp_json("m.json", dict(LM, L_max=1e12))],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=limit_address_space)
+    assert proc.returncode == cli.EXIT_INVALID, proc.stderr
+    assert "out of memory: the degree-1000000000000, frequency-200" in proc.stderr
+    assert "physical memory" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("role, name, content", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, eval_legendre
 
+from spherefield import _memory
 from spherefield import harmonics as sh
 
 
@@ -288,3 +289,30 @@ class TestBasisArithmetic:
         small = sh.harmonic_basis(d, l_max, pts)
         large = sh.harmonic_basis(d, l_max + 7, pts)
         assert np.array_equal(small, large[:, :sh.harmonic_count(d, l_max)])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("l_max", [0, 1, 17])
+    def test_degree_blocks_are_basis_columns(self, d, l_max):
+        pts = random_points(d, 23, seed=13)
+        basis = sh.harmonic_basis(d, l_max, pts)
+        slices = sh.degree_slices(d, l_max)
+        n_blocks = 0
+        for l, block in enumerate(sh.iter_degree_blocks(d, l_max, pts)):
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert np.array_equal(block, basis[:, slices[l]])
+            assert np.array_equal(sh.harmonic_degree_block(d, l, pts), block)
+            n_blocks += 1
+        assert n_blocks == l_max + 1
+
+    def test_degree_blocks_check_arguments_on_call(self):
+        with pytest.raises(ValueError, match="d in"):
+            sh.iter_degree_blocks(3, 2, np.eye(4))
+        with pytest.raises(ValueError, match="unit vectors"):
+            sh.iter_degree_blocks(2, 2, [[0.0, 0.0, 2.0]])
+
+    def test_recurrence_state_checked_against_memory(self, monkeypatch):
+        # (8 * 100 + 6) * 200 * 8 bytes of state, against 1 MB "installed"
+        monkeypatch.setattr(_memory, "physical_memory", lambda: 10**6)
+        with pytest.raises(MemoryError, match="physical memory"):
+            sh.iter_degree_blocks(2, 100, random_points(2, 200, seed=1))
+        sh.iter_degree_blocks(2, 10, random_points(2, 200, seed=1))

@@ -47,6 +47,19 @@ def reference_ensemble(seq, grid, n_fields, seed, stream):
     return out
 
 
+def reference_field(seq, grid, seed, stream, l_max=None):
+    """The field loop as it was before degree streaming: one slice of the
+    full basis per degree."""
+    L = seq.l_max if l_max is None else l_max
+    rng = sim.make_generator(seed, stream)
+    basis = sh.harmonic_basis(seq.d, L, grid.points)
+    slices = sh.degree_slices(seq.d, L)
+    values = np.zeros((grid.n_points, sim.unfolded_dim(seq)))
+    for l in range(L + 1):
+        values += basis[:, slices[l]] @ sim.sample_coefficients(seq, l, rng)
+    return values
+
+
 def theta_pairs(thetas):
     return np.array([[[0.0, 0.0, 1.0],
                       [math.sin(t), 0.0, math.cos(t)]] for t in thetas])
@@ -114,13 +127,15 @@ class TestSampleGrid:
         grid.basis(10)
         assert basis_calls == [10, 12]
 
-    def test_field_and_ensemble_share_the_grid_basis(self, basis_calls):
+    def test_fields_build_no_basis_and_ensemble_builds_one(self, basis_calls):
         seq = mq_sequence(8)
         grid = sim.SampleGrid.uniform_random(2, 6, seed=2)
         for stream in range(3):
             sim.synthesize_field(seq, grid, seed=1, stream=stream)
+        sim.synthesize_fields(seq, grid, [3, 4], seed=1)
+        assert basis_calls == []
         sim.synthesize_ensemble(seq, grid, 4, l_max=5, seed=1)
-        assert basis_calls == [8]
+        assert basis_calls == [5]
 
 
 class TestSampleCoefficients:
@@ -199,6 +214,36 @@ class TestSynthesizeField:
         f3 = sim.synthesize_field(seq, grid, seed=9, stream=3)
         assert np.array_equal(f1.values, f2.values)
         assert not np.allclose(f1.values, f3.values)
+
+    @pytest.mark.parametrize("seq, grid", [
+        (mq_sequence(40), sim.SampleGrid.uniform_random(2, 150, seed=6)),
+        (mq_sequence(30, d=1), sim.SampleGrid.equispaced_circle(90)),
+        (md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 24, 6)),
+         sim.SampleGrid.equiangular(9, 18)),
+        (sb.SchoenbergSequence(d=2, coeffs=tuple(
+            sb.SchoenbergOperator.scalar(1.0 / (l + 1) ** 3) for l in range(31))),
+         sim.SampleGrid.uniform_random(2, 120, seed=7)),
+    ], ids=["matrix", "circle", "fourier", "scalar"])
+    def test_streamed_fields_match_basis_reference_bitwise(self, seq, grid):
+        streams = [4, 5, 6]
+        fields = sim.synthesize_fields(seq, grid, streams, seed=8)
+        assert [f.stream for f in fields] == streams
+        for f in fields:
+            assert np.array_equal(f.values, reference_field(seq, grid, 8, f.stream))
+        low = sim.synthesize_field(seq, grid, l_max=7, seed=8, stream=2)
+        assert np.array_equal(low.values, reference_field(seq, grid, 8, 2, l_max=7))
+
+    def test_field_groups_do_not_change_bits(self, monkeypatch):
+        seq = mq_sequence(12)
+        grid = sim.SampleGrid.uniform_random(2, 40, seed=3)
+        together = sim.synthesize_fields(seq, grid, range(5), seed=2)
+        monkeypatch.setattr(sim, "_BATCH_ELEMS", 2 * 40 * 2)   # two fields a group
+        groups = sim.field_groups(seq, grid, range(5))
+        assert groups == [[0, 1], [2, 3], [4]]
+        apart = [f for g in groups for f in sim.synthesize_fields(seq, grid, g, seed=2)]
+        assert [f.stream for f in apart] == list(range(5))
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(together, apart))
+        assert sim.field_groups(seq, grid, []) == []
 
     def test_dimension_mismatch_rejected(self):
         seq = mq_sequence(5)
