@@ -8,8 +8,12 @@ human-readable summaries go to stderr.  Model configs are JSON or TOML v1.0
 Exit codes: 0 success / equivalent, 1 usage or malformed config (or stdout
 closed early), 2 invalid model or unsupported operation (also closed-form vs
 numeric verdict disagreement, which indicates an undersized truncation or a
-bug, and a run that cannot allocate its arrays), 3 negative verdict or failed
-check, 4 inconclusive numeric verdict.
+bug, a run that cannot allocate its arrays, and a ``sample`` worker process
+that dies), 3 negative verdict or failed check, 4 inconclusive numeric
+verdict.
+
+``sample`` spreads its fields over one process per available CPU (see
+:func:`_worker_count`); the files do not depend on how many there are.
 
 The default output directory for ``sample`` is taken from the
 ``SPHEREFIELD_OUTDIR`` environment variable when ``--out`` is omitted.
@@ -56,6 +60,7 @@ from .schoenberg import (
 )
 from .simulate import (
     SampleGrid,
+    check_key,
     field_groups,
     monte_carlo_kernel_check,
     synthesize_field,  # not called here; bench/tracing.py wraps it by this name
@@ -79,6 +84,11 @@ class UsageError(Exception):
 
 class InvalidModelError(Exception):
     pass
+
+
+class WorkerError(Exception):
+    """A ``sample`` worker process that could not start or died without
+    reporting (e.g. killed by a signal)."""
 
 
 def _info(msg: str) -> None:
@@ -153,6 +163,13 @@ def _parse_thetas(arg: str) -> list:
     if any(t < 0.0 or t > math.pi + 1e-9 for t in thetas):
         raise UsageError("thetas must lie in [0, pi]")
     return thetas
+
+
+def _check_key(name: str, value: int) -> None:
+    try:
+        check_key(name, value)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _model_hash(params) -> str:
@@ -246,10 +263,105 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
+def _worker_count(n_samples: int) -> int:
+    """Processes ``sample`` spreads its fields over: one per CPU this process
+    may run on (``taskset`` narrows the set), at most one per field."""
+    return min(len(os.sched_getaffinity(0)), n_samples)
+
+
+def _run_shares(run_share, shares: list) -> list:
+    """``[run_share(share) for share in shares]``, with the first share run
+    in this process and each other one in a forked child.
+
+    A child inherits everything by fork (no function is pickled) and sends
+    back its pickled result, or the exception it raised, which is raised
+    here.  Every child is reaped before this returns or raises; when this
+    process's own share fails, the children are killed first.  A child that
+    dies without reporting (e.g. killed by the out-of-memory killer) raises
+    :class:`WorkerError`.
+    """
+    import signal
+    children = []                                  # (pid, read end, share), unreaped
+    try:
+        for share in shares[1:]:
+            children.append((*_fork_share(run_share, share), share))
+        results = [run_share(shares[0])]
+        outcomes = []
+        while children:
+            outcomes.append(_reap(*children[0]))
+            children.pop(0)
+    finally:
+        for pid, read_fd, _ in children:           # this process's share failed
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _fork_share(run_share, share) -> tuple:
+    """Fork a child that runs ``run_share(share)``, pickles the outcome into
+    a pipe and leaves with ``os._exit``; returns ``(pid, read end)``."""
+    import pickle
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()   # what is buffered now must not be written twice
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise WorkerError(f"cannot start a sample worker: {exc.strerror}") from exc
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:   # the child: it never returns into the caller
+        os.close(read_fd)
+        try:
+            outcome = (True, run_share(share))
+        except BaseException as exc:   # re-raised by the parent
+            outcome = (False, exc)
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(outcome, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, read_fd: int, share: list) -> tuple:
+    """Read a child's pickled ``(ok, value)`` outcome, wait for the child and
+    close the pipe; a child that exited without one gives
+    ``(False, WorkerError)``."""
+    import pickle
+    import signal
+    with open(read_fd, "rb", closefd=False) as fh:
+        data = fh.read()   # drained before waiting: a full pipe blocks the child
+    _, status = os.waitpid(pid, 0)
+    os.close(read_fd)
+    if status == 0 and data:
+        return pickle.loads(data)
+    what = f"the sample worker for streams {share[0]}..{share[-1]}"
+    if os.WIFSIGNALED(status):
+        sig = signal.Signals(os.WTERMSIG(status)).name
+        return False, WorkerError(f"{what} was killed by {sig}; if memory ran "
+                                  "out, try a lower --l-max or fewer CPUs "
+                                  "(taskset)")
+    return False, WorkerError(f"{what} exited with status "
+                              f"{os.waitstatus_to_exitcode(status)} and no result")
+
+
 def cmd_sample(args) -> int:
     params = _load_params(args.config)
     if args.n_samples < 1:
         raise UsageError(f"--n-samples must be >= 1, got {args.n_samples}")
+    _check_key("--seed", args.seed)
+    _check_key("--stream", args.stream)
+    _check_key("the last stream (--stream + --n-samples - 1)",
+               args.stream + args.n_samples - 1)
     seq = _build_sequence(params, args.l_max)
     if seq.d not in (1, 2):
         _info(f"field synthesis is restricted to d in {{1, 2}}; model has d={seq.d}")
@@ -267,16 +379,27 @@ def cmd_sample(args) -> int:
     ext = args.format
     writer = write_field_csv if ext == "csv" else write_field_json
 
-    files = []
     streams = [args.stream + i for i in range(args.n_samples)]
-    for group in field_groups(seq, grid, streams):
-        for sample in synthesize_fields(seq, grid, group, l_max=seq.l_max,
-                                        seed=args.seed):
-            name = f"sample_{len(files):04d}.{ext}"
-            path = os.path.join(outdir, name)
-            writer(sample, path)
-            files.append({"name": name, "stream": sample.stream,
-                          "sha256": _file_hash(path)})
+
+    def write_share(share: list) -> list:
+        """Synthesize and write the fields of ``share`` (consecutive stream
+        ids); files are named by their index in ``streams``."""
+        entries = []
+        for group in field_groups(seq, grid, share):
+            for sample in synthesize_fields(seq, grid, group, l_max=seq.l_max,
+                                            seed=args.seed):
+                name = f"sample_{sample.stream - args.stream:04d}.{ext}"
+                path = os.path.join(outdir, name)
+                writer(sample, path)
+                entries.append({"name": name, "stream": sample.stream,
+                                "sha256": _file_hash(path)})
+        return entries
+
+    n_workers = _worker_count(args.n_samples)
+    shares = [streams[i * len(streams) // n_workers:
+                      (i + 1) * len(streams) // n_workers] for i in range(n_workers)]
+    files = [entry for entries in _run_shares(write_share, shares)
+             for entry in entries]
 
     manifest = {
         "seed": args.seed,
@@ -361,6 +484,8 @@ def cmd_mc_check(args) -> int:
     params = _load_params(args.config)
     if args.n_samples < 2:
         raise UsageError(f"--n-samples must be >= 2, got {args.n_samples}")
+    _check_key("--seed", args.seed)
+    _check_key("--stream", args.stream)   # every field draws from this one stream
     seq = _build_sequence(params, args.l_max)
     if seq.d not in (1, 2):
         _info(f"field synthesis is restricted to d in {{1, 2}}; model has d={seq.d}")
@@ -502,6 +627,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InvalidModelError as exc:
         _info(f"invalid model: {exc}")
+        return EXIT_INVALID
+    except WorkerError as exc:
+        _info(f"error: {exc}")
         return EXIT_INVALID
     except MemoryError as exc:  # e.g. the draws of one field at a huge --l-max
         _info(f"out of memory: {str(exc) or 'an allocation failed'}; try a lower "

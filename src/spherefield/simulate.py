@@ -13,12 +13,13 @@ kernel truncated at the same degree, with the series tail bound reported
 separately.
 
 Randomness contract: draws come from numpy's Philox counter-based generator
-keyed with the 128-bit key ``(seed, stream)``; distinct stream ids give
-independent streams and identical ``(seed, stream)`` reproduce outputs
-bit-for-bit.  Gaussians use numpy's ziggurat ``standard_normal``.  A single
-field draws, for each degree ``l`` ascending, a row-major block of shape
-``(h(l), dim)``; an ensemble draws ``(n_fields, H, dim)`` with fields as the
-leading axis.  PSD coefficients that are not strictly positive are sampled
+keyed with the 128-bit key ``(seed, stream)`` of two integers in [0, 2^64)
+(others raise ``ValueError``); distinct stream ids give independent streams
+and identical ``(seed, stream)`` reproduce outputs bit-for-bit.  Gaussians
+use numpy's ziggurat ``standard_normal``.  A single field draws, for each
+degree ``l`` ascending, a row-major block of shape ``(h(l), dim)``; an
+ensemble draws ``(n_fields, H, dim)`` with fields as the leading axis.
+PSD coefficients that are not strictly positive are sampled
 through the PSD square root (zero modes draw no variance); sampling never
 needs inverses.
 """
@@ -54,10 +55,18 @@ _BATCH_ELEMS = 4_000_000   # float64 elements per ensemble batch buffer or field
 _CSV_CHUNK_ROWS = 256      # rows converted to Python floats at a time
 
 
+def check_key(name: str, value: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is one word of a Philox key, an
+    integer in [0, 2^64); no two valid ``(seed, stream)`` keys alias."""
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+
+
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for the (seed, stream) key (see module docstring)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(stream & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+    check_key("seed", seed)
+    check_key("stream", stream)
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -4,8 +4,10 @@ import math
 import os
 import pathlib
 import resource
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -234,6 +236,7 @@ class TestSample:
             return real(*args)
 
         monkeypatch.setattr(sim, "iter_degree_blocks", counted)
+        monkeypatch.setattr(cli, "_worker_count", lambda n: 1)   # count every walk
         runs = {}
         # one field per group, then all four fields in one group
         for budget in (1, 10**9):
@@ -247,7 +250,9 @@ class TestSample:
         assert walks == [12] * 4 + [12]
         assert len(runs[1]) == 5 and runs[1] == runs[10**9]
 
-    def test_large_grid_never_allocates_the_basis(self, capsys, tmp_json, tmp_path):
+    def test_large_grid_never_allocates_the_basis(self, capsys, tmp_json, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(cli, "_worker_count", lambda n: 1)   # trace every field
         n_points, l_max = 4000, 100
         basis_bytes = n_points * (l_max + 1) ** 2 * 8             # 326 MB
         cfg = tmp_json("m.json", MQ)
@@ -286,6 +291,175 @@ class TestSample:
         assert code == 0
         obj = json.loads((out / "sample_0000.json").read_text())
         assert obj["L_max"] == 3
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--seed", "-1"], id="seed_negative"),
+    pytest.param(["--seed", str(2 ** 64)], id="seed_2_64"),
+    pytest.param(["--stream", "-1"], id="stream_negative"),
+    pytest.param(["--stream", str(2 ** 64)], id="stream_2_64"),
+    pytest.param(["--stream", str(2 ** 64 - 2), "--n-samples", "3"],
+                 id="last_stream_2_64"),
+])
+def test_sample_key_out_of_range_usage_error(capsys, tmp_json, tmp_path, flags):
+    argv = ["sample", "--config", tmp_json("m.json", MQ), "--grid",
+            tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3}),
+            "--n-samples", "1", "--l-max", "2", "--out", str(tmp_path / "run"),
+            *flags]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "must lie in [0, 2^64)" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_sample_key_range_edges_accepted(capsys, tmp_json, tmp_path):
+    top = 2 ** 64 - 1
+    code, _, _ = run(capsys, [
+        "sample", "--config", tmp_json("m.json", MQ), "--grid",
+        tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3}),
+        "--n-samples", "2", "--l-max", "2", "--seed", str(top),
+        "--stream", str(top - 1), "--out", str(tmp_path / "run")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["seed"] == top and manifest["streams"] == [top - 1, top]
+
+
+# The `sample` tests below force the worker count, so that they fan out on a
+# machine with one CPU too; each child is checked to be reaped afterwards.
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Pids of the processes forked through ``os.fork`` during the test."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch, share_of):
+    """Run `sample` on two workers, each field's share going through
+    ``share_of(in_child, group)`` before it is synthesized."""
+    parent = os.getpid()
+    real = cli.synthesize_fields
+
+    def patched(seq, grid, group, **kwargs):
+        share_of(os.getpid() != parent, group)
+        return real(seq, grid, group, **kwargs)
+
+    monkeypatch.setattr(cli, "synthesize_fields", patched)
+    monkeypatch.setattr(cli, "_worker_count", lambda n: min(2, n))
+    return run(capsys, ["sample", "--config", tmp_json("m.json", MQ), "--grid",
+                        tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3}),
+                        "--n-samples", "4", "--l-max", "3",
+                        "--out", str(tmp_path / "run")])
+
+
+def test_worker_out_of_memory_exits_2(capsys, tmp_json, tmp_path, monkeypatch, forked):
+    def share_of(in_child, group):
+        if in_child:
+            raise MemoryError("Unable to allocate 12.0 GiB for an array")
+
+    code, out, err = sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch,
+                                           share_of)
+    assert code == 2 and out == ""
+    assert "out of memory: Unable to allocate 12.0 GiB" in err
+    assert "lower --l-max" in err and "Traceback" not in err
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+def test_killed_worker_exits_2(capsys, tmp_json, tmp_path, monkeypatch, forked):
+    def share_of(in_child, group):
+        if in_child:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    code, out, err = sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch,
+                                           share_of)
+    assert code == 2 and out == ""
+    assert "the sample worker for streams 2..3 was killed by SIGKILL" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+def test_failed_parent_share_kills_workers(capsys, tmp_json, tmp_path, monkeypatch,
+                                           forked):
+    def share_of(in_child, group):
+        if in_child:
+            time.sleep(60)   # killed long before this ends
+        raise MemoryError("Unable to allocate 12.0 GiB for an array")
+
+    start = time.monotonic()
+    code, _, err = sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch,
+                                         share_of)
+    assert time.monotonic() - start < 30
+    assert code == 2 and "out of memory" in err
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+FAN_OUT_SCRIPT = """
+import sys
+from spherefield import cli, simulate
+
+simulate._BATCH_ELEMS = 1   # one field per group: each share spans several groups
+out, config, grid = sys.argv[1:]
+real_count = cli._worker_count
+for fmt in ("csv", "json"):
+    for n in (1, 2, 3, 5):
+        for workers in ("1", "real", "3"):
+            cli._worker_count = (real_count if workers == "real"
+                                 else lambda n_samples: min(int(workers), n_samples))
+            code = cli.main(["sample", "--config", config, "--grid", grid,
+                             "--n-samples", str(n), "--seed", "4", "--stream", "9",
+                             "--format", fmt, "--out", f"{out}/{fmt}{n}-{workers}"])
+            assert code == 0, code
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_fan_out_leaves_bytes_unchanged(tmp_json, tmp_path, blas_threads):
+    cfg = tmp_json("m.json", dict(LM, L_max=12, K_max=3))
+    grid = tmp_json("g.json", {"kind": "equiangular", "n_polar": 5, "n_azimuth": 8})
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", FAN_OUT_SCRIPT, str(tmp_path),
+                           cfg, grid], capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for fmt in ("csv", "json"):
+        for n in (1, 2, 3, 5):
+            runs = {workers: {p.name: p.read_bytes()
+                              for p in (tmp_path / f"{fmt}{n}-{workers}").iterdir()}
+                    for workers in ("1", "real", "3")}
+            assert len(runs["1"]) == n + 1
+            assert runs["real"] == runs["1"] and runs["3"] == runs["1"], (fmt, n)
+
+
+def test_cli_import_loads_no_pool_machinery():
+    # mc-check and the algebra commands must not pay for sample's fan-out
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; import spherefield.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    loaded = json.loads(proc.stdout)
+    assert not [m for m in loaded
+                if m.split(".")[0] in ("multiprocessing", "concurrent")]
 
 
 class TestEquiv:
@@ -423,6 +597,23 @@ class TestMcCheck:
                                       "--l-max", "4"])
         assert code == 1 and out == ""
         assert "thetas must be finite" in err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", -1), ("--seed", 2 ** 64),
+                                             ("--stream", -1), ("--stream", 2 ** 64)])
+    def test_key_out_of_range_usage_error(self, capsys, tmp_json, flag, value):
+        code, out, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
+                                      "--thetas", "0", "--n-samples", "4",
+                                      "--l-max", "2", flag, str(value)])
+        assert code == 1 and out == ""
+        assert "must lie in [0, 2^64)" in err
+
+    def test_last_key_words_accepted(self, capsys, tmp_json):
+        # every field draws from the one stream, so --n-samples adds no stream id
+        top = 2 ** 64 - 1
+        code, _, _ = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
+                                  "--thetas", "0", "--n-samples", "4", "--l-max", "2",
+                                  "--seed", str(top), "--stream", str(top)])
+        assert code in (0, 3)
 
     def test_negative_l_max_usage_error(self, capsys, tmp_json):
         code, _, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),

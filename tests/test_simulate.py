@@ -76,6 +76,19 @@ class TestRng:
         b = sim.make_generator(123, 6).standard_normal(100)
         assert not np.allclose(a, b)
 
+    def test_key_words_span_64_bits(self):
+        top = 2 ** 64 - 1
+        a = sim.make_generator(top, top).standard_normal(4)
+        b = sim.make_generator(0, 0).standard_normal(4)
+        assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2 ** 64, 0),
+                                              (0, -1), (0, 2 ** 64)])
+    def test_key_out_of_range_rejected(self, seed, stream):
+        # masking to 64 bits would alias -1 with 2^64 - 1 and 2^64 with 0
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+            sim.make_generator(seed, stream)
+
 
 class TestSampleGrid:
     def test_grid_builders(self):
