@@ -12,8 +12,9 @@ bug, a run that cannot allocate its arrays, and a ``sample`` worker process
 that dies), 3 negative verdict or failed check, 4 inconclusive numeric
 verdict.
 
-``sample`` spreads its fields over one process per available CPU (see
-:func:`_worker_count`); the files do not depend on how many there are.
+``sample`` synthesizes its fields in this process and writes each group of
+them from one process per available CPU (see :func:`_worker_count`); the
+files do not depend on how many there are.
 
 The default output directory for ``sample`` is taken from the
 ``SPHEREFIELD_OUTDIR`` environment variable when ``--out`` is omitted.
@@ -263,10 +264,14 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(n_samples: int) -> int:
-    """Processes ``sample`` spreads its fields over: one per CPU this process
-    may run on (``taskset`` narrows the set), at most one per field."""
-    return min(len(os.sched_getaffinity(0)), n_samples)
+def _worker_count(n_fields: int) -> int:
+    """Processes that write a group of ``n_fields`` synthesized fields: one
+    per CPU this process may run on (``taskset`` narrows the set), at most
+    one per field; one where the platform does not say which CPUs those are
+    (no ``os.sched_getaffinity``), so that nothing is forked there."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_fields)
 
 
 def _run_shares(run_share, shares: list) -> list:
@@ -280,6 +285,7 @@ def _run_shares(run_share, shares: list) -> list:
     dies without reporting (e.g. killed by the out-of-memory killer) raises
     :class:`WorkerError`.
     """
+    import pickle
     import signal
     children = []                                  # (pid, read end, share), unreaped
     try:
@@ -288,14 +294,22 @@ def _run_shares(run_share, shares: list) -> list:
         results = [run_share(shares[0])]
         outcomes = []
         while children:
-            outcomes.append(_reap(*children[0]))
-            children.pop(0)
+            pid, read_fd, share = children[0]
+            with open(read_fd, "rb", closefd=False) as fh:
+                data = fh.read()   # drained before waiting: a full pipe blocks the child
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)        # reaped: never killed or closed again below
+            os.close(read_fd)
+            outcomes.append((status, data, share))
     finally:
         for pid, read_fd, _ in children:           # this process's share failed
             os.kill(pid, signal.SIGKILL)
             os.close(read_fd)
             os.waitpid(pid, 0)
-    for ok, value in outcomes:
+    for status, data, share in outcomes:
+        if status != 0 or not data:
+            raise _worker_death(status, share)
+        ok, value = pickle.loads(data)
         if not ok:
             raise value
         results.append(value)
@@ -332,26 +346,16 @@ def _fork_share(run_share, share) -> tuple:
         os._exit(code)
 
 
-def _reap(pid: int, read_fd: int, share: list) -> tuple:
-    """Read a child's pickled ``(ok, value)`` outcome, wait for the child and
-    close the pipe; a child that exited without one gives
-    ``(False, WorkerError)``."""
-    import pickle
+def _worker_death(status: int, share: list) -> WorkerError:
+    """The error for a child that left with wait status ``status`` and no
+    pickled outcome."""
     import signal
-    with open(read_fd, "rb", closefd=False) as fh:
-        data = fh.read()   # drained before waiting: a full pipe blocks the child
-    _, status = os.waitpid(pid, 0)
-    os.close(read_fd)
-    if status == 0 and data:
-        return pickle.loads(data)
-    what = f"the sample worker for streams {share[0]}..{share[-1]}"
+    what = f"the sample worker for streams {share[0].stream}..{share[-1].stream}"
     if os.WIFSIGNALED(status):
         sig = signal.Signals(os.WTERMSIG(status)).name
-        return False, WorkerError(f"{what} was killed by {sig}; if memory ran "
-                                  "out, try a lower --l-max or fewer CPUs "
-                                  "(taskset)")
-    return False, WorkerError(f"{what} exited with status "
-                              f"{os.waitstatus_to_exitcode(status)} and no result")
+        return WorkerError(f"{what} was killed by {sig}")
+    return WorkerError(f"{what} exited with status "
+                       f"{os.waitstatus_to_exitcode(status)} and no result")
 
 
 def cmd_sample(args) -> int:
@@ -381,25 +385,31 @@ def cmd_sample(args) -> int:
 
     streams = [args.stream + i for i in range(args.n_samples)]
 
-    def write_share(share: list) -> list:
-        """Synthesize and write the fields of ``share`` (consecutive stream
-        ids); files are named by their index in ``streams``."""
+    def write_share(samples: list) -> list:
+        """Write and hash ``samples``; files are named by their index in
+        ``streams``."""
         entries = []
-        for group in field_groups(seq, grid, share):
-            for sample in synthesize_fields(seq, grid, group, l_max=seq.l_max,
-                                            seed=args.seed):
-                name = f"sample_{sample.stream - args.stream:04d}.{ext}"
-                path = os.path.join(outdir, name)
-                writer(sample, path)
-                entries.append({"name": name, "stream": sample.stream,
-                                "sha256": _file_hash(path)})
+        for sample in samples:
+            name = f"sample_{sample.stream - args.stream:04d}.{ext}"
+            path = os.path.join(outdir, name)
+            writer(sample, path)
+            entries.append({"name": name, "stream": sample.stream,
+                            "sha256": _file_hash(path)})
         return entries
 
-    n_workers = _worker_count(args.n_samples)
-    shares = [streams[i * len(streams) // n_workers:
-                      (i + 1) * len(streams) // n_workers] for i in range(n_workers)]
-    files = [entry for entries in _run_shares(write_share, shares)
-             for entry in entries]
+    # Each group is synthesized here and its files are written by
+    # _worker_count processes: the forked ones read the values they inherit
+    # and call no BLAS, so they add neither synthesis memory nor BLAS threads.
+    files = []
+    for group in field_groups(seq, grid, streams):
+        samples = synthesize_fields(seq, grid, group, l_max=seq.l_max,
+                                    seed=args.seed)
+        n_workers = _worker_count(len(samples))
+        shares = [samples[i * len(samples) // n_workers:
+                          (i + 1) * len(samples) // n_workers]
+                  for i in range(n_workers)]
+        files += [entry for entries in _run_shares(write_share, shares)
+                  for entry in entries]
 
     manifest = {
         "seed": args.seed,

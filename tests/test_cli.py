@@ -236,7 +236,6 @@ class TestSample:
             return real(*args)
 
         monkeypatch.setattr(sim, "iter_degree_blocks", counted)
-        monkeypatch.setattr(cli, "_worker_count", lambda n: 1)   # count every walk
         runs = {}
         # one field per group, then all four fields in one group
         for budget in (1, 10**9):
@@ -250,9 +249,7 @@ class TestSample:
         assert walks == [12] * 4 + [12]
         assert len(runs[1]) == 5 and runs[1] == runs[10**9]
 
-    def test_large_grid_never_allocates_the_basis(self, capsys, tmp_json, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setattr(cli, "_worker_count", lambda n: 1)   # trace every field
+    def test_large_grid_never_allocates_the_basis(self, capsys, tmp_json, tmp_path):
         n_points, l_max = 4000, 100
         basis_bytes = n_points * (l_max + 1) ** 2 * 8             # 326 MB
         cfg = tmp_json("m.json", MQ)
@@ -349,31 +346,32 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch, share_of):
-    """Run `sample` on two workers, each field's share going through
-    ``share_of(in_child, group)`` before it is synthesized."""
+def sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch, write_of,
+                          n_samples=4):
+    """Run `sample` on two workers, each field going through
+    ``write_of(in_child, sample)`` before it is written."""
     parent = os.getpid()
-    real = cli.synthesize_fields
+    real = cli.write_field_csv
 
-    def patched(seq, grid, group, **kwargs):
-        share_of(os.getpid() != parent, group)
-        return real(seq, grid, group, **kwargs)
+    def patched(sample, path):
+        write_of(os.getpid() != parent, sample)
+        return real(sample, path)
 
-    monkeypatch.setattr(cli, "synthesize_fields", patched)
+    monkeypatch.setattr(cli, "write_field_csv", patched)
     monkeypatch.setattr(cli, "_worker_count", lambda n: min(2, n))
     return run(capsys, ["sample", "--config", tmp_json("m.json", MQ), "--grid",
                         tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3}),
-                        "--n-samples", "4", "--l-max", "3",
+                        "--n-samples", str(n_samples), "--l-max", "3",
                         "--out", str(tmp_path / "run")])
 
 
 def test_worker_out_of_memory_exits_2(capsys, tmp_json, tmp_path, monkeypatch, forked):
-    def share_of(in_child, group):
+    def write_of(in_child, sample):
         if in_child:
             raise MemoryError("Unable to allocate 12.0 GiB for an array")
 
     code, out, err = sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch,
-                                           share_of)
+                                           write_of)
     assert code == 2 and out == ""
     assert "out of memory: Unable to allocate 12.0 GiB" in err
     assert "lower --l-max" in err and "Traceback" not in err
@@ -382,12 +380,12 @@ def test_worker_out_of_memory_exits_2(capsys, tmp_json, tmp_path, monkeypatch, f
 
 
 def test_killed_worker_exits_2(capsys, tmp_json, tmp_path, monkeypatch, forked):
-    def share_of(in_child, group):
+    def write_of(in_child, sample):
         if in_child:
             os.kill(os.getpid(), signal.SIGKILL)
 
     code, out, err = sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch,
-                                           share_of)
+                                           write_of)
     assert code == 2 and out == ""
     assert "the sample worker for streams 2..3 was killed by SIGKILL" in err
     assert "Traceback" not in err
@@ -398,25 +396,59 @@ def test_killed_worker_exits_2(capsys, tmp_json, tmp_path, monkeypatch, forked):
 
 def test_failed_parent_share_kills_workers(capsys, tmp_json, tmp_path, monkeypatch,
                                            forked):
-    def share_of(in_child, group):
+    def write_of(in_child, sample):
         if in_child:
             time.sleep(60)   # killed long before this ends
         raise MemoryError("Unable to allocate 12.0 GiB for an array")
 
     start = time.monotonic()
     code, _, err = sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch,
-                                         share_of)
+                                         write_of)
     assert time.monotonic() - start < 30
     assert code == 2 and "out of memory" in err
     assert len(forked) == 1
     assert_reaped(forked)
 
 
+def test_workers_only_write(capsys, tmp_json, tmp_path, monkeypatch, forked):
+    # a forked worker holds no recurrence state or group values and calls no
+    # BLAS: every field is synthesized in the CLI process
+    parent = os.getpid()
+    real = sim.iter_degree_blocks
+    walks = []
+
+    def walk(*args):
+        assert os.getpid() == parent, "a worker walked the recurrence"
+        walks.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(sim, "iter_degree_blocks", walk)
+    monkeypatch.setattr(sim, "_BATCH_ELEMS", 3 * 3 * 2)   # groups of 3 fields
+    code, _, _ = sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch,
+                                       lambda in_child, sample: None, n_samples=5)
+    assert code == 0
+    assert walks == [3, 3]
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+def test_no_affinity_api_means_one_worker(capsys, tmp_json, tmp_path, monkeypatch,
+                                          forked):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._worker_count(5) == 1
+    code, _, _ = run(capsys, ["sample", "--config", tmp_json("m.json", MQ), "--grid",
+                              tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3}),
+                              "--n-samples", "5", "--l-max", "3",
+                              "--out", str(tmp_path / "run")])
+    assert code == 0 and forked == []
+    assert len(list((tmp_path / "run").iterdir())) == 6
+
+
 FAN_OUT_SCRIPT = """
 import sys
 from spherefield import cli, simulate
 
-simulate._BATCH_ELEMS = 1   # one field per group: each share spans several groups
+simulate._BATCH_ELEMS = 3 * 40 * 7   # groups of at most 3 fields of 40 x 7 values
 out, config, grid = sys.argv[1:]
 real_count = cli._worker_count
 for fmt in ("csv", "json"):
