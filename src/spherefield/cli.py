@@ -179,10 +179,8 @@ def _model_hash(params) -> str:
 
 
 def _file_hash(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _axis_pairs(d: int, thetas) -> np.ndarray:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .harmonics import (
     addition_constant,
     check_points,
@@ -304,7 +305,16 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     balanced so that sizes differ by at most one: BLAS picks its kernel, and
     so the rounding of the contraction, from the batch's shape, and a tiny
     remainder batch would round differently from the rest.
+
+    Threads: each batch is drawn in two halves of fields, and one worker
+    thread draws the next half while the caller scales the current one and
+    contracts a finished batch.  The loop runs at one OpenBLAS thread
+    (:func:`one_blas_thread`), so its bits do not depend on
+    ``OPENBLAS_NUM_THREADS`` and idle BLAS threads do not compete with the
+    draws.  The worker has exited when this function returns or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if grid.d != seq.d:
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
     if n_fields < 1:
@@ -327,27 +337,49 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     # versions of this function, and they need no second buffer.  The
     # entrywise products of the diagonal variants are exact wherever they
     # are stored, so those are scaled in place too (contiguous inner loops)
-    # and reach zt with one transposed copy; the matrix variant's products
-    # are written straight into zt.
+    # and reach zt with one transposed copy per half; the matrix variant's
+    # products are written straight into zt.
     zt = np.empty((sizes[0], dim, H)) if sizes[0] > 1 else None
     out = np.empty((n_fields, grid.n_points, dim))
+    # (first field of the batch, batch size, half start, half end) in draw order
+    halves = []
     done = 0
     for nb in sizes:
-        # the size is redundant with out=, but wrappers that count draws read it
-        zb = rng.standard_normal((nb, H, dim), out=z[:nb])
-        in_place = nb == 1 or seq.variant != MATRIX
-        scaled = zb if in_place else zt[:nb].transpose(0, 2, 1)
-        for l in range(L + 1):
-            scale(zb[:, slices[l], :], factors[l], out=scaled[:, slices[l], :])
-        if nb == 1:
-            rows = zb[0].T
-        else:
-            if in_place:
-                zt[:nb] = zb.transpose(0, 2, 1)
-            rows = zt[:nb].reshape(nb * dim, H)
-        vals = np.dot(rows, basis.T)                     # (nb*dim, npts)
-        out[done:done + nb] = vals.reshape(nb, dim, -1).transpose(0, 2, 1)
+        mid = -(-nb // 2)
+        halves.append((done, nb, 0, mid))
+        if mid < nb:
+            halves.append((done, nb, mid, nb))
         done += nb
+
+    def draw(f0, f1):
+        # the size is redundant with out=, but wrappers that count draws read it
+        rng.standard_normal((f1 - f0, H, dim), out=z[f0:f1])
+
+    # A draw may start while the caller works only on rows it does not
+    # write: the next half's rows of z are disjoint from the current half's,
+    # and a finished batch of two or more fields is contracted from zt.  A
+    # one-field batch is contracted from z[0], so the next draw waits for it.
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, *halves[0][2:])
+        for i, (first, nb, f0, f1) in enumerate(halves):
+            pending.result()
+            following = halves[i + 1][2:] if i + 1 < len(halves) else None
+            if following and nb > 1:
+                pending = pool.submit(draw, *following)
+            zh = z[f0:f1]
+            in_place = nb == 1 or seq.variant != MATRIX
+            scaled = zh if in_place else zt[f0:f1].transpose(0, 2, 1)
+            for l in range(L + 1):
+                scale(zh[:, slices[l], :], factors[l], out=scaled[:, slices[l], :])
+            if in_place and nb > 1:
+                zt[f0:f1] = zh.transpose(0, 2, 1)
+            if f1 < nb:
+                continue
+            rows = z[0].T if nb == 1 else zt[:nb].reshape(nb * dim, H)
+            vals = np.dot(rows, basis.T)                 # (nb*dim, npts)
+            out[first:first + nb] = vals.reshape(nb, dim, -1).transpose(0, 2, 1)
+            if following and nb == 1:
+                pending = pool.submit(draw, *following)
     return out
 
 

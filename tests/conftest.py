@@ -48,6 +48,27 @@ def basis_calls(monkeypatch):
     return calls
 
 
+def patch_draws(monkeypatch, on_draw):
+    """Make every generator of the simulate module call ``on_draw(call
+    index)`` before each ``standard_normal``."""
+    from spherefield import simulate
+
+    make_generator = simulate.make_generator
+
+    class Generator:
+        def __init__(self, rng):
+            self.rng = rng
+            self.calls = 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.calls += 1
+            on_draw(self.calls)
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "make_generator",
+                        lambda *a, **kw: Generator(make_generator(*a, **kw)))
+
+
 @pytest.fixture
 def tmp_json(tmp_path):
     def write(name, obj):

@@ -7,6 +7,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -16,7 +17,7 @@ import pytest
 from spherefield import cli
 from spherefield import simulate as sim
 from spherefield.equivalence import VerdictPolicy
-from conftest import validate_schema
+from conftest import patch_draws, validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -675,6 +676,22 @@ def test_out_of_memory_invalid_model(capsys, tmp_json, tmp_path, monkeypatch, co
     assert code == 2
     assert "out of memory: Unable to allocate 12.0 GiB" in err
     assert "lower --l-max" in err
+
+
+def test_failed_ensemble_draw_exits_2(capsys, tmp_json, monkeypatch):
+    def on_draw(call):   # the second draw runs on the ensemble's worker thread
+        if call == 2:
+            raise MemoryError("Unable to allocate 12.0 GiB for an array")
+
+    patch_draws(monkeypatch, on_draw)
+    threads = threading.active_count()
+    code, out, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
+                                  "--thetas", "0,1", "--n-samples", "10",
+                                  "--l-max", "4"])
+    assert code == 2 and out == ""
+    assert "out of memory: Unable to allocate 12.0 GiB" in err
+    assert "lower --l-max" in err and "Traceback" not in err
+    assert threading.active_count() == threads
 
 
 def test_huge_config_truncation_out_of_memory(tmp_json):

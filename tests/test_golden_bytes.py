@@ -12,6 +12,10 @@ them; the failure message names the numpy version they were taken with.
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,10 +118,12 @@ GOLDEN_ALGEBRA = {
         0, "c5341310f2f79827585c9073e7e944886d054619a9b16440e4d07ccaabbde454"),
 }
 
+# taken at one BLAS thread, the count the ensemble runs at whatever the
+# environment says
 GOLDEN_MC_CHECK = '''\
 {
  "passed": true,
- "z_max": 1.4458668683543452,
+ "z_max": 1.445866868354347,
  "z_threshold": 4.0,
  "n_samples": 300,
  "L_max": 30,
@@ -187,9 +193,9 @@ GOLDEN_MC_CHECK = '''\
    ],
    "empirical": [
     0.6261810342131061,
-    0.3459421682256297,
+    0.3459421682256298,
     0.23251901435761121,
-    0.5594484074203923
+    0.5594484074203924
    ],
    "analytic": [
     0.5935171972482367,
@@ -205,11 +211,11 @@ GOLDEN_MC_CHECK = '''\
    ],
    "z": [
     0.4968080987825984,
-    1.4458668683543452,
+    1.445866868354347,
     -0.4855835825255845,
-    -0.5583020813069328
+    -0.558302081306931
    ],
-   "z_max": 1.4458668683543452
+   "z_max": 1.445866868354347
   }
  ]
 }
@@ -241,13 +247,17 @@ def sample_digests(tmp_path, name) -> dict:
     return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
 
 
-def mc_check_stdout(tmp_path, capsys) -> str:
+def mc_check_argv(tmp_path) -> list:
     path = tmp_path / "mq.json"
     path.write_text(json.dumps(MQ))
+    return ["mc-check", "--config", str(path), "--thetas", "0,1.0",
+            "--n-samples", "300", "--l-max", "30", "--seed", "11"]
+
+
+def mc_check_stdout(tmp_path, capsys) -> str:
+    argv = mc_check_argv(tmp_path)
     capsys.readouterr()
-    code = cli.main(["mc-check", "--config", str(path), "--thetas", "0,1.0",
-                     "--n-samples", "300", "--l-max", "30", "--seed", "11"])
-    assert code == 0
+    assert cli.main(argv) == 0
     return capsys.readouterr().out
 
 
@@ -273,6 +283,16 @@ def test_sample_bytes_match_golden(tmp_path, name):
 def test_mc_check_stdout_matches_golden(tmp_path, capsys):
     assert mc_check_stdout(tmp_path, capsys) == GOLDEN_MC_CHECK, \
         _mismatch("`mc-check` stdout")
+
+
+def test_mc_check_stdout_independent_of_blas_threads(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    outs = [subprocess.run([sys.executable, "-m", "spherefield.cli",
+                            *mc_check_argv(tmp_path)], capture_output=True,
+                           text=True, check=True, timeout=300,
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+    assert outs[0] == outs[1] == GOLDEN_MC_CHECK, _mismatch("`mc-check` stdout")
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRA_RUNS))

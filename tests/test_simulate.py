@@ -1,4 +1,11 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +15,9 @@ from spherefield import harmonics as sh
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from conftest import validate_schema
+from spherefield import _blas
+from spherefield._blas import one_blas_thread
+from conftest import patch_draws, validate_schema
 
 
 def mq_sequence(l_max=20, d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)):
@@ -309,7 +318,8 @@ class TestSynthesizeField:
         sizes = sim._batch_sizes(n_fields, H * sim.unfolded_dim(seq))
         assert len(set(sizes)) == 2  # several batches that split unevenly
         got = sim.synthesize_ensemble(seq, grid, n_fields, seed=3, stream=2)
-        want = reference_ensemble(seq, grid, n_fields, seed=3, stream=2)
+        with one_blas_thread():   # the thread count the ensemble contracts at
+            want = reference_ensemble(seq, grid, n_fields, seed=3, stream=2)
         assert np.array_equal(got, want)
 
     def test_truncation_monotonicity(self):
@@ -376,6 +386,135 @@ class TestSynthesizeField:
         wmean = np.sum(ests / ses ** 2) / np.sum(1.0 / ses ** 2)
         chi2 = float(np.sum(((ests - wmean) / ses) ** 2))
         assert chi2 < stats.chi2.ppf(0.999, df=3)
+
+
+ENSEMBLE_DIGEST_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+from spherefield import harmonics as sh, models as md, schoenberg as sb, simulate as sim
+
+def mq(l_max, d=2):
+    return md.build_sequence(md.MultiquadraticParams(
+        d=d, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)), l_max)
+
+scalar = sb.SchoenbergSequence.from_stack(
+    2, sb.SCALAR, 1.0 / (1.0 + np.arange(16.0)) ** 3)
+fourier = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 12, 3))
+# name -> (sequence, points, fields, fields per batch)
+cases = {"matrix_2_2_1": (mq(20), 3, 5, 2), "matrix_ones": (mq(20), 3, 4, 1),
+         "fourier_2_2_1": (fourier, 4, 5, 2), "scalar_3_2_2": (scalar, 2, 7, 3),
+         "d1_3_2_2": (mq(40, d=1), 5, 7, 3)}
+sys.setswitchinterval(1e-6)   # interleave the draw thread and the caller often
+out = {}
+for name, (seq, n_points, n_fields, per_batch) in cases.items():
+    grid = sim.SampleGrid.uniform_random(seq.d, n_points, seed=8)
+    field_elems = sh.harmonic_count(seq.d, seq.l_max) * sim.unfolded_dim(seq)
+    sim._BATCH_ELEMS = per_batch * field_elems
+    vals = sim.synthesize_ensemble(seq, grid, n_fields, seed=12, stream=3)
+    out[name] = [sim._batch_sizes(n_fields, field_elems),
+                 hashlib.sha256(vals.tobytes()).hexdigest()]
+print(json.dumps(out))
+"""
+
+# batch sizes and sha256 of the values, recorded with the draw, scale and
+# contraction of each batch run one after the other, at one BLAS thread
+GOLDEN_ENSEMBLE = {
+    "matrix_2_2_1": [[2, 2, 1],
+                     "33a39df1f3f53614b49e2902fc4abb0323e376d4340785e2df2910df21a4c386"],
+    "matrix_ones": [[1, 1, 1, 1],
+                    "916093200bc37b2eef32861a96c16b0fda1fe64fffa80b3946cfdd886f1c1032"],
+    "fourier_2_2_1": [[2, 2, 1],
+                      "9baac4b5f88d6937ea5c92dc59e674a4bafe69b7419ad131d93f74e9539c9da4"],
+    "scalar_3_2_2": [[3, 2, 2],
+                     "b1e2ba3051aefaac1daeb2aabcc89d8c57162b4e84b42efa5d0fe22a1fa0cc30"],
+    "d1_3_2_2": [[3, 2, 2],
+                 "4b47a083a9c10d5c88299f4f954f94ed850b5db12259a4edb57cf7f39a7d5a24"],
+}
+
+
+def blas_threads():
+    api = _blas._thread_api()
+    return None if api is None else api[0]()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Run at two OpenBLAS threads, so that a pin left behind shows."""
+    api = _blas._thread_api()
+    before = None if api is None else api[0]()
+    if api is not None:
+        api[1](2)
+    yield
+    if api is not None:
+        api[1](before)
+
+
+def ensemble_with_batches_of_two(monkeypatch):
+    """synthesize_ensemble of 5 fields in batches [2, 2, 1]."""
+    seq = mq_sequence(20)
+    grid = sim.SampleGrid.uniform_random(2, 3, seed=1)
+    monkeypatch.setattr(sim, "_BATCH_ELEMS", 2 * sh.harmonic_count(2, 20) * 2)
+    return lambda: sim.synthesize_ensemble(seq, grid, 5, seed=1)
+
+
+class TestEnsembleThreads:
+    @pytest.mark.parametrize("openblas_threads", ["1", "2"])
+    def test_overlapped_ensemble_keeps_bits(self, openblas_threads):
+        # the cases where a draw may not start early: one-field batches,
+        # halves of unequal size, the diagonal variants' in-place scaling
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=openblas_threads,
+                   PYTHONPATH=str(pathlib.Path(sim.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", ENSEMBLE_DIGEST_SCRIPT],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == GOLDEN_ENSEMBLE
+
+    def test_failed_draw_leaves_nothing_running(self, monkeypatch, two_blas_threads):
+        seen = []
+
+        def on_draw(call):
+            seen.append(blas_threads())
+            if call == 2:
+                raise MemoryError("Unable to allocate 12.0 GiB for an array")
+
+        ensemble = ensemble_with_batches_of_two(monkeypatch)
+        patch_draws(monkeypatch, on_draw)
+        threads, blas = threading.active_count(), blas_threads()
+        with pytest.raises(MemoryError, match="12.0 GiB"):
+            ensemble()
+        assert threading.active_count() == threads
+        assert blas_threads() == blas
+        assert seen == [None if blas is None else 1] * 2
+
+    def test_failed_contraction_joins_the_draw_in_flight(self, monkeypatch,
+                                                         two_blas_threads):
+        started, released = threading.Event(), threading.Event()
+        finished, in_flight = [], []
+
+        def on_draw(call):
+            if call == 3:      # the first half of the second batch
+                started.set()
+                assert released.wait(30)
+                time.sleep(0.3)
+                finished.append(call)
+
+        class Basis:
+            @property
+            def T(self):   # the contraction of the first batch
+                assert started.wait(30)
+                in_flight.append(not finished)
+                released.set()
+                raise RuntimeError("contraction failed")
+
+        ensemble = ensemble_with_batches_of_two(monkeypatch)
+        patch_draws(monkeypatch, on_draw)
+        monkeypatch.setattr(sim.SampleGrid, "basis", lambda self, l_max: Basis())
+        threads, blas = threading.active_count(), blas_threads()
+        with pytest.raises(RuntimeError, match="contraction failed"):
+            ensemble()
+        assert in_flight == [True] and finished == [3]
+        assert threading.active_count() == threads
+        assert blas_threads() == blas
 
 
 class TestEmpiricalCovariance:
