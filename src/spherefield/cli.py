@@ -44,8 +44,9 @@ from .equivalence import (
     report_to_dict,
     write_series_csv,
 )
-from .harmonics import check_points
+from .harmonics import check_points, require_synthesis_dim
 from .models import (
+    THETA_SLACK,
     LegendreMaternParams,
     MultiquadraticParams,
     build_sequence,
@@ -161,7 +162,7 @@ def _parse_thetas(arg: str) -> list:
         raise UsageError("empty theta list")
     if not all(map(math.isfinite, thetas)):
         raise UsageError("thetas must be finite numbers")
-    if any(t < 0.0 or t > math.pi + 1e-9 for t in thetas):
+    if any(t < 0.0 or t > math.pi + THETA_SLACK for t in thetas):
         raise UsageError("thetas must lie in [0, pi]")
     return thetas
 
@@ -171,6 +172,13 @@ def _check_key(name: str, value: int) -> None:
         check_key(name, value)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _require_synthesis_dim(d: int) -> None:
+    try:
+        require_synthesis_dim(d)
+    except ValueError as exc:
+        raise InvalidModelError(str(exc)) from exc
 
 
 def _model_hash(params) -> str:
@@ -365,9 +373,7 @@ def cmd_sample(args) -> int:
     _check_key("the last stream (--stream + --n-samples - 1)",
                args.stream + args.n_samples - 1)
     seq = _build_sequence(params, args.l_max)
-    if seq.d not in (1, 2):
-        _info(f"field synthesis is restricted to d in {{1, 2}}; model has d={seq.d}")
-        return EXIT_INVALID
+    _require_synthesis_dim(seq.d)
     grid_spec = _load_config(args.grid)
     try:
         grid = SampleGrid.from_spec(grid_spec)
@@ -495,9 +501,7 @@ def cmd_mc_check(args) -> int:
     _check_key("--seed", args.seed)
     _check_key("--stream", args.stream)   # every field draws from this one stream
     seq = _build_sequence(params, args.l_max)
-    if seq.d not in (1, 2):
-        _info(f"field synthesis is restricted to d in {{1, 2}}; model has d={seq.d}")
-        return EXIT_INVALID
+    _require_synthesis_dim(seq.d)
     if args.pairs:
         spec = _load_config(args.pairs)
         try:

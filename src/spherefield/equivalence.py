@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,11 +30,10 @@ from .harmonics import h_dim
 from .models import (
     LegendreMaternParams,
     MultiquadraticParams,
-    legendre_matern_gamma_grid,
+    legendre_matern_sequence,
     multiquadratic_validity,
 )
 from .schoenberg import (
-    FOURIER_DIAGONAL,
     SCALAR,
     STRICT_RTOL,
     SchoenbergOperator,
@@ -383,9 +382,8 @@ def legendre_matern_series(p1: LegendreMaternParams, p2: LegendreMaternParams,
                            l_max: int, k_max: int,
                            fit_window: tuple | None = None) -> EquivalenceTermSeries:
     """Functional series for two Legendre-Matern models at explicit truncations."""
-    s1, s2 = (SchoenbergSequence.from_stack(
-        2, FOURIER_DIAGONAL, legendre_matern_gamma_grid(p, l_max=l_max, k_max=k_max))
-        for p in (p1, p2))
+    s1, s2 = (legendre_matern_sequence(replace(p, l_max=l_max, k_max=k_max))
+              for p in (p1, p2))
     return functional_series(s1, s2, fit_window=fit_window)
 
 

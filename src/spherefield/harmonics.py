@@ -167,12 +167,13 @@ def check_points(d: int, points) -> np.ndarray:
     return pts
 
 
-def _require_synthesis_dim(d: int) -> None:
+def require_synthesis_dim(d: int) -> None:
+    """The one check that real harmonics, and so sampling, exist on S^d."""
     if d not in (1, 2):
         raise ValueError(
-            f"real harmonic evaluation (and field synthesis) is implemented "
-            f"for d in {{1, 2}} only; got d = {d}.  Coefficient and "
-            f"equivalence calculus remain available for general d.")
+            f"real harmonic evaluation and field synthesis are restricted to "
+            f"d in {{1, 2}}; got d = {d}.  Coefficient and equivalence "
+            f"calculus remain available for general d.")
 
 
 def harmonic_count(d: int, l_max: int) -> int:
@@ -206,7 +207,7 @@ def harmonic_basis(d: int, l_max: int, points) -> np.ndarray:
     the within-degree ordering documented in the module docstring.  The
     degree-l columns are the blocks of :func:`iter_degree_blocks`.
     """
-    _require_synthesis_dim(d)
+    require_synthesis_dim(d)
     pts = check_points(d, points)
     out = np.empty((pts.shape[0], harmonic_count(d, l_max)), dtype=float)
     off = 0
@@ -231,7 +232,7 @@ def iter_degree_blocks(d: int, l_max: int, points):
     The items are C-contiguous because BLAS rounds ``block @ a`` for a
     transposed (F-ordered) block differently when ``a`` has few columns.
     """
-    _require_synthesis_dim(d)
+    require_synthesis_dim(d)
     pts = check_points(d, points)
     if d == 1:
         return _circle_blocks(l_max, pts)
@@ -333,7 +334,7 @@ def harmonic_degree_block(d: int, l: int, points) -> np.ndarray:
 
 def real_harmonic(d: int, l: int, m: int, x) -> float:
     """Real orthonormal spherical harmonic ``Y_{l,m}(x)``, ``1 <= m <= h(l)``."""
-    _require_synthesis_dim(d)
+    require_synthesis_dim(d)
     if not 1 <= m <= h_dim(d, l):
         raise ValueError(f"harmonic index m={m} outside [1, h({l})={h_dim(d, l)}]")
     block = harmonic_degree_block(d, l, np.asarray(x, dtype=float)[None, :])
@@ -345,7 +346,7 @@ def zonal_sum(d: int, l: int, x, y) -> float:
 
     Equals ``addition_constant(d, l) * C_l^lam(x . y)`` (tested property).
     """
-    _require_synthesis_dim(d)
+    require_synthesis_dim(d)
     pts = check_points(d, np.stack([np.asarray(x, float), np.asarray(y, float)]))
     block = harmonic_degree_block(d, l, pts)
     return float(np.dot(block[0], block[1]))
@@ -362,7 +363,7 @@ def sphere_quadrature(d: int, max_degree: int):
     Returns ``(points, weights)`` with ``points`` of shape ``(n, d+1)`` and
     ``sum(weights) = omega_d``.
     """
-    _require_synthesis_dim(d)
+    require_synthesis_dim(d)
     if d == 1:
         n = max_degree + 2
         phi = 2.0 * math.pi * np.arange(n) / n

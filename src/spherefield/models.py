@@ -44,6 +44,10 @@ from .schoenberg import (
 DEFAULT_L_MAX = 200
 DEFAULT_K_MAX = 200
 
+# An angle may exceed pi by this much: a decimal pi written to ten places
+# rounds above it.
+THETA_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class MultiquadraticParams:
@@ -154,7 +158,7 @@ def multiquadratic_kernel_closed_form(p: MultiquadraticParams, theta: float) -> 
     The denominator exponent matches the coefficient expansion exactly at
     d = 3; for other d the value is returned with ``series_consistent=False``.
     """
-    if not 0.0 <= theta <= math.pi + 1e-12:
+    if not 0.0 <= theta <= math.pi + THETA_SLACK:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     s1, s2 = p.sigma
     a11, a22, a12 = p.alpha

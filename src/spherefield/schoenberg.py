@@ -13,6 +13,8 @@ Three operator variants are supported:
   space of L^2([0,1]).  Entry ``k`` of the stored vector carries the shared
   eigenvalue of the +/-k modes, so it has multiplicity 1 for k = 0 and 2 for
   k >= 1; traces and Hilbert-Schmidt sums weight entries accordingly.
+  :func:`unfolded_index` is the one definition of this fold layout: it maps
+  each unfolded (cos, sin) coordinate to its folded entry.
 
 A sequence stores its coefficients as one stacked array, degree axis first;
 the scalar variant is handled as a diagonal with one entry of multiplicity 1,
@@ -56,13 +58,18 @@ _SYM_RTOL = 1e-12
 _STACK_NDIM = {SCALAR: 1, FOURIER_DIAGONAL: 2, MATRIX: 3}
 
 
+def unfolded_index(n: int) -> np.ndarray:
+    """Folded entry ``(0, 1, 1, 2, 2, ...)`` of each of the ``2n - 1``
+    unfolded coordinates of n folded diagonal entries: coordinate 0 is entry
+    0, coordinates ``2k - 1`` and ``2k`` (the cos and sin of frequency k)
+    are entry k.  ``n = 1`` gives ``(0,)``, a scalar coefficient."""
+    return (np.arange(2 * n - 1) + 1) // 2
+
+
 def fold_multiplicities(n: int) -> np.ndarray:
-    """Multiplicities ``(1, 2, 2, ...)`` of n folded diagonal entries: entry 0
-    stands for one mode, entry k >= 1 for the +/-k pair.  ``n = 1`` gives
-    ``(1,)``, the multiplicity of a scalar coefficient."""
-    mult = np.full(n, 2.0)
-    mult[0] = 1.0
-    return mult
+    """Multiplicities ``(1, 2, 2, ...)`` of n folded diagonal entries: the
+    number of unfolded coordinates of each (see :func:`unfolded_index`)."""
+    return np.bincount(unfolded_index(n), minlength=n).astype(float)
 
 
 def _width(stack: np.ndarray) -> int:
@@ -215,19 +222,20 @@ def operator_sqrt(op: SchoenbergOperator) -> SchoenbergOperator:
     return SchoenbergOperator(MATRIX, _frozen((v * np.sqrt(w)) @ v.T))
 
 
-def operator_inv_sqrt(op: SchoenbergOperator, rtol: float = STRICT_RTOL) -> SchoenbergOperator:
+def operator_inv_sqrt(op: SchoenbergOperator) -> SchoenbergOperator:
     """Inverse square root ``b^{-1/2}`` of a strictly positive coefficient.
 
-    Near-singular input (minimum eigenvalue <= rtol * trace) is rejected with
-    conditioning diagnostics in the error message.
+    Near-singular input (minimum eigenvalue <= STRICT_RTOL * trace) is
+    rejected with conditioning diagnostics in the error message.
     """
     tr = op.trace()
     wmin = op.min_eigenvalue()
-    if wmin <= rtol * tr or tr <= 0.0:
+    if wmin <= STRICT_RTOL * tr or tr <= 0.0:
         cond = tr / wmin if wmin > 0 else math.inf
         raise ValueError(
             f"coefficient is not strictly positive: min eigenvalue {wmin:.6e}, "
-            f"trace {tr:.6e}, trace/min ratio {cond:.3e} (threshold rtol={rtol:g})")
+            f"trace {tr:.6e}, trace/min ratio {cond:.3e} "
+            f"(threshold rtol={STRICT_RTOL:g})")
     if op.kind != MATRIX:
         return SchoenbergOperator(op.kind, _frozen(1.0 / np.sqrt(op.data)))
     w, v = np.linalg.eigh(op.data)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,14 +42,17 @@ from .harmonics import (
     harmonic_basis,
     harmonic_count,
     iter_degree_blocks,
+    require_synthesis_dim,
 )
 from .schoenberg import (
     MATRIX,
     IsotropicKernel,
+    SchoenbergOperator,
     SchoenbergSequence,
     entry_labels,
     operator_sqrt,
     truncate_sequence,
+    unfolded_index,
 )
 
 _BATCH_ELEMS = 4_000_000   # float64 elements per ensemble batch buffer or field group
@@ -73,22 +76,13 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Evaluation points on S^d (d = 1 or 2).
-
-    The grid keeps the largest harmonic basis it has been asked for (see
-    :meth:`basis`), n_points * harmonic_count(d, L) * 8 bytes, for as long
-    as it lives.  Only :func:`synthesize_ensemble` asks for one.
-    """
+    """Evaluation points on S^d (d = 1 or 2)."""
 
     d: int
     points: np.ndarray
-    _basis: np.ndarray | None = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise ValueError(
-                f"field synthesis is restricted to d in {{1, 2}}; got d = {self.d}")
+        require_synthesis_dim(self.d)
         pts = check_points(self.d, self.points)
         if pts.shape[0] == 0:
             raise ValueError("grid must contain at least one point")
@@ -99,20 +93,6 @@ class SampleGrid:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    def basis(self, l_max: int) -> np.ndarray:
-        """Read-only :func:`harmonic_basis` of degree <= l_max at the points.
-
-        Built on first use.  Only the largest basis built is kept; a lower
-        degree gets a column prefix of it, which is exact because the basis
-        is degree-major and each degree's values do not depend on l_max.
-        """
-        h = harmonic_count(self.d, l_max)
-        if self._basis is None or self._basis.shape[1] < h:
-            basis = harmonic_basis(self.d, l_max, self.points)
-            basis.setflags(write=False)
-            object.__setattr__(self, "_basis", basis)
-        return self._basis[:, :h]
 
     @classmethod
     def from_points(cls, d: int, points) -> "SampleGrid":
@@ -173,42 +153,31 @@ class FieldSample:
 
 def unfolded_dim(seq: SchoenbergSequence) -> int:
     """Length of materialized coefficient vectors: p for the matrix variant,
-    2*K_max + 1 for the fourier variant (cos/sin pairs), 1 for scalars (one
-    folded entry)."""
+    otherwise the unfolded length of the folded entries (2*K_max + 1 for the
+    fourier variant, 1 for scalars)."""
     if seq.variant == MATRIX:
         return seq.dim
-    return 2 * seq.dim - 1
-
-
-def _unfold_fourier(folded: np.ndarray) -> np.ndarray:
-    """Repeat gamma_k onto the (cos, sin) coordinate pair for k >= 1 (a single
-    entry, as for scalars, is returned as is)."""
-    k_max = folded.shape[-1] - 1
-    out = np.empty(folded.shape[:-1] + (2 * k_max + 1,))
-    out[..., 0] = folded[..., 0]
-    out[..., 1::2] = folded[..., 1:]
-    out[..., 2::2] = folded[..., 1:]
-    return out
+    return unfolded_index(seq.dim).size
 
 
 def coefficient_covariance(seq: SchoenbergSequence, l: int) -> np.ndarray:
     """Covariance ``bhat_l = b_l * omega_d C_l(1) / h(l)`` of the degree-l
-    harmonic coefficients, in the materialized coefficient space."""
-    w = 1.0 / addition_constant(seq.d, l)
-    data = seq.coeffs[l].data
+    harmonic coefficients, in the materialized coefficient space (folded
+    diagonal entries repeated onto their (cos, sin) pairs)."""
+    bhat = seq.coeffs[l].data * (1.0 / addition_constant(seq.d, l))
     if seq.variant == MATRIX:
-        return data * w
-    return _unfold_fourier(np.atleast_1d(data) * w)
+        return bhat
+    return np.atleast_1d(bhat)[unfolded_index(seq.dim)]
 
 
 def _scale_factor(seq: SchoenbergSequence, l: int) -> np.ndarray:
     """Square root of bhat_l, ready to scale standard normals: the symmetric
     PSD root for the matrix variant (applied as ``z @ root``), entrywise
     roots otherwise (applied as ``z * root``)."""
+    bhat = coefficient_covariance(seq, l)
     if seq.variant == MATRIX:
-        w = 1.0 / addition_constant(seq.d, l)
-        return operator_sqrt(seq.coeffs[l].scaled(w)).data
-    return np.sqrt(coefficient_covariance(seq, l))
+        return operator_sqrt(SchoenbergOperator(MATRIX, bhat)).data
+    return np.sqrt(bhat)
 
 
 def _check_l_max(seq: SchoenbergSequence, l_max) -> int:
@@ -297,7 +266,8 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
 
     Memory: two batch buffers (draws and their scaled, transposed copy) are
     allocated once per call, about 2 * ``_BATCH_ELEMS`` * 8 bytes whatever
-    ``n_fields`` is, plus the output.  A field of more than ``_BATCH_ELEMS``
+    ``n_fields`` is, plus the output and the ``(n_points, H)`` harmonic
+    basis, built once per call.  A field of more than ``_BATCH_ELEMS``
     elements (H * dim) is drawn alone into one buffer of its own size.
     Each degree's draws are scaled by that degree's factor alone (a matrix
     product, or an entrywise product for the diagonal variants).
@@ -321,7 +291,7 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
         raise ValueError(f"n_fields must be >= 1, got {n_fields}")
     L = _check_l_max(seq, l_max)
     rng = make_generator(seed, stream)
-    basis = grid.basis(L)                                # (npts, H)
+    basis = harmonic_basis(seq.d, L, grid.points)        # (npts, H)
     slices = degree_slices(seq.d, L)
     H = harmonic_count(seq.d, L)
     dim = unfolded_dim(seq)
@@ -475,12 +445,11 @@ def _pair_statistics(seq, values, idx_x, idx_y):
         se = prod.std(axis=0, ddof=1) / math.sqrt(n)
         return labels, emp.ravel(), se.ravel()
     prod = vx * vy                                      # (n, 2K+1)
+    idx = unfolded_index(seq.dim)
     emp, se = [], []
     for k in range(seq.dim):
-        if k == 0:
-            sample = prod[:, 0]
-        else:
-            sample = np.concatenate([prod[:, 2 * k - 1], prod[:, 2 * k]])
+        # every cos draw, then every sin draw: the order the mean sums in
+        sample = prod[:, idx == k].T.ravel()
         emp.append(sample.mean())
         se.append(sample.std(ddof=1) / math.sqrt(sample.size))
     return labels, np.array(emp), np.array(se)

@@ -135,6 +135,14 @@ class TestKernel:
                 for j in range(2):
                     assert abs(float(r[f"R[{i}][{j}]"]) - float(r[f"cf[{i}][{j}]"])) < 1e-8
 
+    def test_theta_just_past_pi_accepted(self, capsys, tmp_json):
+        # 3.1415926545 exceeds pi by 9.2e-10, inside the --thetas allowance;
+        # the closed-form columns must accept every angle the parser does
+        code, out, err = run(capsys, ["kernel", "--config", tmp_json("m.json", MQ),
+                                      "--thetas", "3.1415926545", "--l-max", "10"])
+        assert code == 0 and "Traceback" not in err
+        assert out.splitlines()[1].startswith("3.1415926545,")
+
     def test_empty_theta_list_usage_error(self, capsys, tmp_json):
         code, _, err = run(capsys, ["kernel", "--config", tmp_json("m.json", MQ),
                                     "--thetas", " "])
@@ -773,3 +781,17 @@ class TestExportAndUsage:
         code, _, err = run(capsys, ["validate", "--config", "/nonexistent.json"])
         assert code == 1
         assert "not found" in err
+
+    @pytest.mark.parametrize("command", [
+        ["sample", "--grid", "{grid}", "--n-samples", "1", "--out", "{out}"],
+        ["mc-check", "--thetas", "0,1", "--n-samples", "10"],
+    ])
+    def test_synthesis_on_d3_is_invalid_model(self, capsys, tmp_json, tmp_path,
+                                              command):
+        grid = tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 4})
+        argv = [arg.format(grid=grid, out=tmp_path / "out") for arg in command]
+        code, out, err = run(capsys, argv[:1] + ["--config", tmp_json("m.json", MQ_D3),
+                                                 "--l-max", "5"] + argv[1:])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.count("restricted to d in {1, 2}; got d = 3") == 1
+        assert not (tmp_path / "out").exists()

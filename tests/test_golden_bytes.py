@@ -1,6 +1,6 @@
 """Golden bytes: `sample` outputs and the stdout of the algebra commands
 (`validate`, `schoenberg-export`, `kernel`, `equiv`) pinned by sha256,
-`mc-check` stdout verbatim.
+`mc-check` stdout verbatim (and by sha256 for a fourier model).
 
 The randomness contract promises identical bytes for a fixed (seed, stream),
 and the other tests only compare two runs of the same code.  These values
@@ -34,6 +34,7 @@ LM_200 = {"model": "legendre_matern", "sigma": 1.0, "alpha": 1.0, "nu": 1.0,
 LM_B = dict(LM_200, alpha=2.0)
 MQ_D1 = {"model": "multiquadratic", "d": 1, "sigma": [1, 1.2],
          "rho12": 0.3, "alpha": [0.5, 0.6, 0.5]}
+LM_20 = dict(LM, L_max=20, K_max=6)
 
 # name -> (model, grid, format, extra flags)
 SAMPLE_RUNS = {
@@ -221,6 +222,11 @@ GOLDEN_MC_CHECK = '''\
 }
 '''
 
+# sha256 of the `mc-check` stdout of a fourier_diagonal model, whose entries
+# pool the draws of each (cos, sin) coordinate pair
+GOLDEN_MC_CHECK_LM = (
+    "b99c24fe7ef8f64f33e5771d536cfef02839d9c9144a8d537570abf1e5a1c406")
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -283,6 +289,16 @@ def test_sample_bytes_match_golden(tmp_path, name):
 def test_mc_check_stdout_matches_golden(tmp_path, capsys):
     assert mc_check_stdout(tmp_path, capsys) == GOLDEN_MC_CHECK, \
         _mismatch("`mc-check` stdout")
+
+
+def test_mc_check_fourier_stdout_matches_golden(tmp_path, capsys):
+    path = tmp_path / "lm.json"
+    path.write_text(json.dumps(LM_20))
+    capsys.readouterr()
+    assert cli.main(["mc-check", "--config", str(path), "--thetas", "0,0.5,1,2,3",
+                     "--n-samples", "300", "--seed", "5"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == GOLDEN_MC_CHECK_LM, \
+        _mismatch("fourier `mc-check` stdout")
 
 
 def test_mc_check_stdout_independent_of_blas_threads(tmp_path):

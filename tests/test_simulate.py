@@ -31,7 +31,7 @@ def reference_ensemble(seq, grid, n_fields, seed, stream):
     contracted by tensordot."""
     L = seq.l_max
     rng = sim.make_generator(seed, stream)
-    basis = grid.basis(L)
+    basis = sh.harmonic_basis(seq.d, L, grid.points)
     slices = sh.degree_slices(seq.d, L)
     H = sh.harmonic_count(seq.d, L)
     dim = sim.unfolded_dim(seq)
@@ -134,20 +134,6 @@ class TestSampleGrid:
                      {"kind": "points", "d": 2, "points": [[0, 0, 1]]}):
             sim.SampleGrid.from_spec(spec)
         assert basis_calls == []
-
-    def test_basis_built_once_and_prefixed(self, basis_calls):
-        grid = sim.SampleGrid.uniform_random(2, 9, seed=4)
-        full = grid.basis(10)
-        assert basis_calls == [10]
-        assert np.shares_memory(grid.basis(10), full)
-        low = grid.basis(6)
-        assert basis_calls == [10]
-        assert np.array_equal(low, sh.harmonic_basis(2, 6, grid.points))
-        assert not full.flags.writeable and not low.flags.writeable
-        grid.basis(12)
-        assert basis_calls == [10, 12]
-        grid.basis(10)
-        assert basis_calls == [10, 12]
 
     def test_fields_build_no_basis_and_ensemble_builds_one(self, basis_calls):
         seq = mq_sequence(8)
@@ -508,7 +494,7 @@ class TestEnsembleThreads:
 
         ensemble = ensemble_with_batches_of_two(monkeypatch)
         patch_draws(monkeypatch, on_draw)
-        monkeypatch.setattr(sim.SampleGrid, "basis", lambda self, l_max: Basis())
+        monkeypatch.setattr(sim, "harmonic_basis", lambda d, l_max, points: Basis())
         threads, blas = threading.active_count(), blas_threads()
         with pytest.raises(RuntimeError, match="contraction failed"):
             ensemble()
