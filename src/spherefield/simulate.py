@@ -189,18 +189,21 @@ def _check_l_max(seq: SchoenbergSequence, l_max) -> int:
 
 
 def sample_coefficients(seq: SchoenbergSequence, l: int,
-                        rng: np.random.Generator) -> np.ndarray:
+                        rng: np.random.Generator, root=None) -> np.ndarray:
     """Draw the ``h(l)`` degree-l coefficient vectors, shape (h(l), dim).
 
     Zero-mean Gaussian with covariance ``bhat_l``; the matrix variant goes
     through the symmetric PSD square root, the diagonal variants scale
     independent normals by sqrt(gamma-hat) entrywise (two normals per folded
-    fourier frequency k >= 1).
+    fourier frequency k >= 1).  ``root`` is that scale factor when the
+    caller already has it (it depends on ``(seq, l)`` alone); by default it
+    is computed here.
     """
     if not 0 <= l <= seq.l_max:
         raise ValueError(f"degree must lie in [0, {seq.l_max}], got {l}")
     z = rng.standard_normal((h_dim(seq.d, l), unfolded_dim(seq)))
-    root = _scale_factor(seq, l)
+    if root is None:
+        root = _scale_factor(seq, l)
     return z @ root if seq.variant == MATRIX else z * root[None, :]
 
 
@@ -220,7 +223,7 @@ def synthesize_fields(seq: SchoenbergSequence, grid: SampleGrid, streams,
     degree adds ``block @ a`` to it alone, so how fields are grouped does
     not change a bit.  The group walks the harmonic recurrence once
     (:func:`iter_degree_blocks`) and never builds the ``(n_points, H)``
-    basis; its values, ``len(streams) * n_points * dim`` floats, are views
+    basis, and computes each degree's scale factor once; its values, ``len(streams) * n_points * dim`` floats, are views
     of one array (:func:`field_groups` bounds them).
     """
     if grid.d != seq.d:
@@ -229,8 +232,9 @@ def synthesize_fields(seq: SchoenbergSequence, grid: SampleGrid, streams,
     rngs = [make_generator(seed, stream) for stream in streams]
     values = np.zeros((len(rngs), grid.n_points, unfolded_dim(seq)))
     for l, block in enumerate(iter_degree_blocks(seq.d, L, grid.points)):
+        root = _scale_factor(seq, l)                        # once per group
         for v, rng in zip(values, rngs):
-            v += block @ sample_coefficients(seq, l, rng)   # (h(l), dim)
+            v += block @ sample_coefficients(seq, l, rng, root)   # (h(l), dim)
     return [FieldSample(grid=grid, values=v, l_max=L, seed=seed, stream=stream)
             for v, stream in zip(values, streams)]
 
@@ -246,13 +250,18 @@ def field_groups(seq: SchoenbergSequence, grid: SampleGrid, streams) -> list:
     return [list(itertools.islice(it, nb)) for nb in sizes]
 
 
+def _balanced_sizes(n: int, cap: int) -> list:
+    """Split ``n`` items into the fewest parts of at most ``cap`` (at least
+    one item each); sizes differ by at most one, the larger ones first."""
+    n_parts = -(-n // cap)
+    small, n_large = divmod(n, n_parts)
+    return [small + 1] * n_large + [small] * (n_parts - n_large)
+
+
 def _batch_sizes(n_fields: int, field_elems: int) -> list:
     """Balanced split of ``n_fields`` into batches of at most ``_BATCH_ELEMS``
     float64 elements (at least one field each); sizes differ by at most one."""
-    per_batch = max(1, _BATCH_ELEMS // max(1, field_elems))
-    n_batches = -(-n_fields // per_batch)
-    small, n_large = divmod(n_fields, n_batches)
-    return [small + 1] * n_large + [small] * (n_batches - n_large)
+    return _balanced_sizes(n_fields, max(1, _BATCH_ELEMS // max(1, field_elems)))
 
 
 def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int,
@@ -264,25 +273,41 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     (seed, stream); fields are batched internally without changing the draw
     sequence.
 
-    Memory: two batch buffers (draws and their scaled, transposed copy) are
-    allocated once per call, about 2 * ``_BATCH_ELEMS`` * 8 bytes whatever
-    ``n_fields`` is, plus the output and the ``(n_points, H)`` harmonic
-    basis, built once per call.  A field of more than ``_BATCH_ELEMS``
-    elements (H * dim) is drawn alone into one buffer of its own size.
-    Each degree's draws are scaled by that degree's factor alone (a matrix
-    product, or an entrywise product for the diagonal variants).
+    Memory: one batch buffer (the scaled draws, laid out as the rows of the
+    contraction) and a ring of two draw slots are allocated once per call,
+    about ``_BATCH_ELEMS * 8 * 1.25`` bytes whatever ``n_fields`` is, plus
+    the output and the ``(n_points, H)`` harmonic basis, built once per
+    call.  A slot holds at most half a batch and at most
+    ``_BATCH_ELEMS // 8`` elements, but at least one field.  When every
+    batch holds one field (a field of more than half of ``_BATCH_ELEMS``
+    elements, H * dim), each field is drawn, scaled and contracted in one
+    slot of its own size, and no batch buffer is needed.  Each degree's draws
+    are scaled by that degree's factor alone (a matrix product, or an
+    entrywise product for the diagonal variants).  Philox fills a request
+    sequentially, so drawing a batch slot by slot gives the same normals in
+    the same order, and how a batch is split into slots changes no bit.
     The batch partition is a pure function of ``(n_fields, H, dim)``,
     balanced so that sizes differ by at most one: BLAS picks its kernel, and
     so the rounding of the contraction, from the batch's shape, and a tiny
-    remainder batch would round differently from the rest.
+    remainder batch would round differently from the rest.  On a one-point
+    grid the basis is a single row, and numpy's ``dot`` sends the
+    ``(nb * dim, H) . (H, 1)`` contraction to BLAS dgemv rather than dgemm;
+    OpenBLAS's dgemv computes the rows of a block of four with one kernel
+    and the last ``nb * dim mod 4`` rows with a remainder kernel whose
+    rounding can differ, so there the last bits of a field also depend on
+    its position in its batch, and so on the batch partition.
 
-    Threads: each batch is drawn in two halves of fields, and one worker
-    thread draws the next half while the caller scales the current one and
-    contracts a finished batch.  The loop runs at one OpenBLAS thread
-    (:func:`one_blas_thread`), so its bits do not depend on
-    ``OPENBLAS_NUM_THREADS`` and idle BLAS threads do not compete with the
-    draws.  The worker has exited when this function returns or raises.
+    Threads: one worker thread fills the next slot while the caller scales
+    the current one into the batch buffer and contracts each finished batch.
+    The worker signals when it has started a draw, and the caller waits for
+    that signal before it scales: the scaling loop would otherwise hold the
+    GIL until the interpreter forces a switch, leaving the worker idle for
+    milliseconds per slot.  Only the caller calls BLAS.  The loop runs at
+    one OpenBLAS thread (:func:`one_blas_thread`), so its bits do not depend
+    on ``OPENBLAS_NUM_THREADS`` and idle BLAS threads do not compete with
+    the draws.  The worker has exited when this function returns or raises.
     """
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     if grid.d != seq.d:
@@ -299,57 +324,82 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     scale = np.matmul if seq.variant == MATRIX else np.multiply
 
     sizes = _batch_sizes(n_fields, H * dim)
-    z = np.empty((sizes[0], H, dim))                     # draws, in draw order
+    cap = max(1, min(-(-sizes[0] // 2), _BATCH_ELEMS // 8 // (H * dim)))
+    # A batch of one field is scaled in place in its slot and contracted as
+    # z[0].T, through BLAS's transposed-operand kernel, which rounds
+    # differently from the batch buffer's rows: this keeps one-field batches
+    # bit-identical to earlier versions of this function.  When every batch
+    # has one field, one slot and no batch buffer suffice.
+    ring = [np.empty((cap, H, dim)) for _ in range(1 if sizes[0] == 1 else 2)]
     # Scaled draws go to zt, laid out as the (nb*dim, H) rows of the
-    # contraction.  A batch of one field is scaled in place and contracted as
-    # z[0].T instead, through BLAS's transposed-operand kernel, which rounds
-    # differently: this keeps one-field batches bit-identical to earlier
-    # versions of this function, and they need no second buffer.  The
-    # entrywise products of the diagonal variants are exact wherever they
-    # are stored, so those are scaled in place too (contiguous inner loops)
-    # and reach zt with one transposed copy per half; the matrix variant's
-    # products are written straight into zt.
+    # contraction.  The entrywise products of the diagonal variants are
+    # exact wherever they are stored, so those are scaled in place (contiguous
+    # inner loops) and reach zt with one transposed copy per slot; the matrix
+    # variant's products are written straight into zt.
     zt = np.empty((sizes[0], dim, H)) if sizes[0] > 1 else None
     out = np.empty((n_fields, grid.n_points, dim))
-    # (first field of the batch, batch size, half start, half end) in draw order
-    halves = []
+    # (first field of the batch, batch size, slot start, slot end) in draw order
+    slots = []
     done = 0
     for nb in sizes:
-        mid = -(-nb // 2)
-        halves.append((done, nb, 0, mid))
-        if mid < nb:
-            halves.append((done, nb, mid, nb))
+        f1 = 0
+        for n in _balanced_sizes(nb, cap):
+            slots.append((done, nb, f1, f1 + n))
+            f1 += n
         done += nb
 
-    def draw(f0, f1):
-        # the size is redundant with out=, but wrappers that count draws read it
-        rng.standard_normal((f1 - f0, H, dim), out=z[f0:f1])
+    views = {}
 
-    # A draw may start while the caller works only on rows it does not
-    # write: the next half's rows of z are disjoint from the current half's,
-    # and a finished batch of two or more fields is contracted from zt.  A
-    # one-field batch is contracted from z[0], so the next draw waits for it.
+    def by_degree(key, a):
+        """Per-degree views of ``a`` (fields, H, dim), made once per key."""
+        if key not in views:
+            views[key] = [a[:, s, :] for s in slices]
+        return views[key]
+
+    entered = threading.Event()
+
+    def draw(z):
+        entered.set()
+        # the size is redundant with out=, but wrappers that count draws read it
+        rng.standard_normal(z.shape, out=z)
+
+    def slot(k):
+        """The ring slot that draw ``k`` fills, cut to its fields."""
+        f0, f1 = slots[k][2:]
+        return ring[k % len(ring)][:f1 - f0]
+
+    def submit(k):
+        entered.clear()
+        future = pool.submit(draw, slot(k))
+        entered.wait()
+        return future
+
+    # A draw may start while the caller works only on memory it does not
+    # write: with two slots the next draw fills the slot the caller is not
+    # reading, and a finished batch of two or more fields is contracted from
+    # zt.  With one slot the next draw waits for the contraction.
     with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, *halves[0][2:])
-        for i, (first, nb, f0, f1) in enumerate(halves):
+        pending = submit(0)
+        for k, (first, nb, f0, f1) in enumerate(slots):
             pending.result()
-            following = halves[i + 1][2:] if i + 1 < len(halves) else None
-            if following and nb > 1:
-                pending = pool.submit(draw, *following)
-            zh = z[f0:f1]
+            following = k + 1 < len(slots)
+            if following and len(ring) == 2:
+                pending = submit(k + 1)
+            z = slot(k)
+            zs = by_degree((k % len(ring), f1 - f0), z)
             in_place = nb == 1 or seq.variant != MATRIX
-            scaled = zh if in_place else zt[f0:f1].transpose(0, 2, 1)
-            for l in range(L + 1):
-                scale(zh[:, slices[l], :], factors[l], out=scaled[:, slices[l], :])
+            scaled = zs if in_place else by_degree(
+                ("zt", f0, f1), zt[f0:f1].transpose(0, 2, 1))
+            for zl, factor, sl in zip(zs, factors, scaled):
+                scale(zl, factor, out=sl)
             if in_place and nb > 1:
-                zt[f0:f1] = zh.transpose(0, 2, 1)
-            if f1 < nb:
-                continue
-            rows = z[0].T if nb == 1 else zt[:nb].reshape(nb * dim, H)
-            vals = np.dot(rows, basis.T)                 # (nb*dim, npts)
-            out[first:first + nb] = vals.reshape(nb, dim, -1).transpose(0, 2, 1)
-            if following and nb == 1:
-                pending = pool.submit(draw, *following)
+                zt[f0:f1] = z.transpose(0, 2, 1)
+            if f1 == nb:
+                rows = z[0].T if nb == 1 else zt[:nb].reshape(nb * dim, H)
+                vals = np.dot(rows, basis.T)             # (nb*dim, npts)
+                out[first:first + nb] = vals.reshape(nb, dim, -1).transpose(0, 2, 1)
+            if following and len(ring) == 1:
+                pending = submit(k + 1)
     return out
 
 

@@ -51,6 +51,17 @@ class TestValidate:
         assert code == 2
         assert "alpha_12" in json.loads(out)["violated_condition"]
 
+    @pytest.mark.parametrize("command", [["validate"], ["schoenberg-export"],
+                                         ["kernel", "--thetas", "0,1"]])
+    @pytest.mark.parametrize("sigma", [1e300, 1.35e154, math.inf])
+    def test_overflowing_lm_sigma_invalid_model(self, capsys, tmp_json, command,
+                                                sigma):
+        blob = dict(LM, sigma=sigma, L_max=5, K_max=4)
+        code, out, err = run(capsys, command[:1] + [
+            "--config", tmp_json("m.json", blob)] + command[1:])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "sigma^2 must be a finite float64" in err
+
     def test_missing_field_usage_error(self, capsys, tmp_json):
         blob = {"model": "legendre_matern", "sigma": 1.0, "alpha": 1.0}
         code, _, err = run(capsys, ["validate", "--config", tmp_json("m.json", blob)])

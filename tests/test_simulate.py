@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,18 @@ class TestSynthesizeField:
         assert all(np.array_equal(a.values, b.values) for a, b in zip(together, apart))
         assert sim.field_groups(seq, grid, []) == []
 
+    def test_scale_factors_computed_once_per_group(self, monkeypatch):
+        seq = mq_sequence(12)
+        grid = sim.SampleGrid.uniform_random(2, 6, seed=3)
+        roots = []
+        real = sim.operator_sqrt
+        monkeypatch.setattr(sim, "operator_sqrt",
+                            lambda op: roots.append(op) or real(op))
+        fields = sim.synthesize_fields(seq, grid, range(5), seed=2)
+        assert len(roots) == 13
+        assert all(np.array_equal(f.values, reference_field(seq, grid, 2, f.stream))
+                   for f in fields)
+
     def test_dimension_mismatch_rejected(self):
         seq = mq_sequence(5)
         grid = sim.SampleGrid.equispaced_circle(4)
@@ -389,7 +402,10 @@ fourier = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 12, 3))
 # name -> (sequence, points, fields, fields per batch)
 cases = {"matrix_2_2_1": (mq(20), 3, 5, 2), "matrix_ones": (mq(20), 3, 4, 1),
          "fourier_2_2_1": (fourier, 4, 5, 2), "scalar_3_2_2": (scalar, 2, 7, 3),
-         "d1_3_2_2": (mq(40, d=1), 5, 7, 3)}
+         "d1_3_2_2": (mq(40, d=1), 5, 7, 3),
+         # batches [17, 17, 16] drawn through slots of at most 3 fields
+         "matrix_ring": (mq(20), 3, 50, 24), "fourier_ring": (fourier, 4, 50, 24),
+         "one_point_ring": (mq(20), 1, 50, 24)}
 sys.setswitchinterval(1e-6)   # interleave the draw thread and the caller often
 out = {}
 for name, (seq, n_points, n_fields, per_batch) in cases.items():
@@ -415,6 +431,12 @@ GOLDEN_ENSEMBLE = {
                      "b1e2ba3051aefaac1daeb2aabcc89d8c57162b4e84b42efa5d0fe22a1fa0cc30"],
     "d1_3_2_2": [[3, 2, 2],
                  "4b47a083a9c10d5c88299f4f954f94ed850b5db12259a4edb57cf7f39a7d5a24"],
+    "matrix_ring": [[17, 17, 16],
+                    "9971937fb42421b5fcad3645e22df899e4c5d6d2522067173567e5dcf612afca"],
+    "fourier_ring": [[17, 17, 16],
+                     "6af40b56bc8e86d65d4f2631c67c81ed0a0a2bd6f06fabe6b3775c58dd32c92f"],
+    "one_point_ring": [[17, 17, 16],
+                       "59a42793c220f20a8eef5216b2caa27a57a7439bc3817b2b7b69c16aa13f7aa4"],
 }
 
 
@@ -501,6 +523,49 @@ class TestEnsembleThreads:
         assert in_flight == [True] and finished == [3]
         assert threading.active_count() == threads
         assert blas_threads() == blas
+
+
+class TestEnsembleRing:
+    def test_peak_memory_is_one_batch_and_two_slots(self, monkeypatch):
+        seq = mq_sequence(80)
+        grid = sim.SampleGrid.uniform_random(2, 3, seed=1)
+        field = sh.harmonic_count(2, 80) * 2                 # elements
+        monkeypatch.setattr(sim, "_BATCH_ELEMS", 48 * field)  # slots of 6 fields
+        tracemalloc.start()
+        try:
+            sim.synthesize_ensemble(seq, grid, 96, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        batch, slots = 48 * field * 8, 2 * 6 * field * 8
+        out, basis = 96 * 3 * 2 * 8, 3 * field // 2 * 8
+        assert peak <= batch + slots + out + basis + batch // 20
+
+    def test_next_draw_starts_before_the_caller_scales(self, monkeypatch):
+        # with a long switch interval the caller would keep the GIL through
+        # its scaling loop unless it waits for the draw thread to start
+        seq = mq_sequence(20)
+        grid = sim.SampleGrid.uniform_random(2, 3, seed=1)
+        degrees = seq.l_max + 1
+        monkeypatch.setattr(sim, "_BATCH_ELEMS", 8 * sh.harmonic_count(2, 20) * 2)
+        scaled, seen = [], []
+        real = np.matmul
+
+        def matmul(*args, **kwargs):   # the matrix variant's scaling, per degree
+            scaled.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        patch_draws(monkeypatch, lambda call: seen.append(len(scaled)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            vals = sim.synthesize_ensemble(seq, grid, 16, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        # draw k enters standard_normal before slot k - 1 is scaled
+        assert seen == [max(0, k - 2) * degrees for k in range(1, 17)]
+        assert np.array_equal(vals, reference_ensemble(seq, grid, 16, 4, 0))
 
 
 class TestEmpiricalCovariance:
