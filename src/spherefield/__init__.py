@@ -25,12 +25,9 @@ from .schoenberg import (
     SCALAR,
     IsotropicKernel,
     KernelValue,
-    SchoenbergOperator,
     SchoenbergSequence,
     ValidityReport,
-    hs_distance_to_identity,
     load_sequence,
-    operator_inv_sqrt,
     operator_sqrt,
     save_sequence,
     sequence_from_dict,

@@ -55,8 +55,10 @@ from .models import (
     params_from_dict,
 )
 from .schoenberg import (
+    TRACE_NOT_FINITE,
     IsotropicKernel,
     entry_labels,
+    has_finite_variance,
     sequence_to_dict,
     validate_sequence,
 )
@@ -151,6 +153,16 @@ def _build_sequence(params, l_max):
         raise InvalidModelError(str(exc)) from exc
 
 
+def _build_finite_sequence(params, l_max):
+    """:func:`_build_sequence` for the subcommands that evaluate or sample the
+    field: a sequence that ``validate`` flags as :data:`TRACE_NOT_FINITE`
+    (its kernel and samples would be ``inf`` or ``nan``) is an invalid model."""
+    seq = _build_sequence(params, l_max)
+    if not has_finite_variance(seq):
+        raise InvalidModelError(TRACE_NOT_FINITE)
+    return seq
+
+
 def _parse_thetas(arg: str) -> list:
     if arg is None or not arg.strip():
         raise UsageError("empty theta list")
@@ -235,7 +247,7 @@ def cmd_validate(args) -> int:
 def cmd_kernel(args) -> int:
     params = _load_params(args.config)
     thetas = _parse_thetas(args.thetas)
-    seq = _build_sequence(params, args.l_max)
+    seq = _build_finite_sequence(params, args.l_max)
     kernel = IsotropicKernel(seq)
     labels = entry_labels(seq)
     values = kernel.evaluate_stack([math.cos(t) for t in thetas])
@@ -372,7 +384,7 @@ def cmd_sample(args) -> int:
     _check_key("--stream", args.stream)
     _check_key("the last stream (--stream + --n-samples - 1)",
                args.stream + args.n_samples - 1)
-    seq = _build_sequence(params, args.l_max)
+    seq = _build_finite_sequence(params, args.l_max)
     _require_synthesis_dim(seq.d)
     grid_spec = _load_config(args.grid)
     try:
@@ -500,7 +512,7 @@ def cmd_mc_check(args) -> int:
         raise UsageError(f"--n-samples must be >= 2, got {args.n_samples}")
     _check_key("--seed", args.seed)
     _check_key("--stream", args.stream)   # every field draws from this one stream
-    seq = _build_sequence(params, args.l_max)
+    seq = _build_finite_sequence(params, args.l_max)
     _require_synthesis_dim(seq.d)
     if args.pairs:
         spec = _load_config(args.pairs)
@@ -519,7 +531,7 @@ def cmd_mc_check(args) -> int:
         pairs = _axis_pairs(seq.d, thetas)
     analytic = None
     if args.analytic_config:
-        analytic = _build_sequence(_load_params(args.analytic_config), args.l_max)
+        analytic = _build_finite_sequence(_load_params(args.analytic_config), args.l_max)
     report = monte_carlo_kernel_check(
         seq, pairs, n_samples=args.n_samples, seed=args.seed,
         stream=args.stream, z_threshold=args.z_threshold, analytic_seq=analytic)

@@ -36,10 +36,11 @@ from .models import (
 from .schoenberg import (
     SCALAR,
     STRICT_RTOL,
-    SchoenbergOperator,
     SchoenbergSequence,
+    _quadratic_forms,
     _reject,
     fold_multiplicities,
+    one_degree_stack,
 )
 
 EQUIVALENT = "equivalent"
@@ -165,18 +166,20 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return np.where(dist <= noise_floor, 0.0, dist)
 
 
-def hs_term(b1: SchoenbergOperator, b2: SchoenbergOperator, hl: int) -> float:
-    """One functional series term ``hl * ||(b2)^{-1/2} b1 (b2)^{-1/2} - I||^2``.
+def hs_term(b1, b2, hl: int) -> float:
+    """One functional series term ``hl * ||(b2)^{-1/2} b1 (b2)^{-1/2} - I||^2``
+    of two coefficients given as arrays (see :func:`one_degree_stack`).
 
     b2 must be strictly positive.  The term is exactly invariant under common
     positive rescaling of the pair (tested property); see
     :func:`_conjugated_distances`, which this evaluates on one-degree stacks.
     """
-    if b1.kind != b2.kind or b1.dim != b2.dim:
+    s1, s2 = one_degree_stack(b1), one_degree_stack(b2)
+    if s1.shape != s2.shape:
         raise ValueError("coefficients must share variant and size")
     if hl <= 0:
         raise ValueError(f"eigenspace dimension must be positive, got {hl}")
-    return hl * float(_conjugated_distances(b1.data[None], b2.data[None])[0])
+    return hl * float(_conjugated_distances(s1, s2)[0])
 
 
 def _degree_dims(d: int, l_max: int) -> np.ndarray:
@@ -230,7 +233,7 @@ def functional_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
     for ``l = 0 .. l_max``, with partial sums and a log-log decay fit over
     the top half of the window (or an explicit ``fit_window``)."""
     L = _check_compatible(seq1, seq2, l_max)
-    dist = _conjugated_distances(seq1.coeff_stack()[:L + 1], seq2.coeff_stack()[:L + 1])
+    dist = _conjugated_distances(seq1.coeffs[:L + 1], seq2.coeffs[:L + 1])
     return _make_series(seq1.d, _degree_dims(seq1.d, L) * dist, fit_window)
 
 
@@ -239,7 +242,7 @@ def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
     u = np.asarray(u, dtype=float)
     if not np.linalg.norm(u) > 0.0:
         raise ValueError("direction u must be nonzero")
-    return SchoenbergSequence.from_stack(seq.d, SCALAR, seq.quadratic_forms(u))
+    return SchoenbergSequence(seq.d, SCALAR, seq.quadratic_forms(u))
 
 
 def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u,
@@ -263,11 +266,12 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u
     return _make_series(seq1.d, terms, fit_window)
 
 
-def marginal_bound_check(b1: SchoenbergOperator, b2: SchoenbergOperator, u):
+def marginal_bound_check(b1, b2, u):
     """Both sides of ``|<(A - B) u, u>| / <B u, u>  <=  ||B^{-1/2} A B^{-1/2} - I||_HS``
-    with ``B = b1`` (strictly positive) and ``A = b2``.  Returns (lhs, rhs)."""
-    qb = b1.quadratic_form(u)
-    qa = b2.quadratic_form(u)
+    with ``B = b1`` (strictly positive) and ``A = b2``, two coefficients given
+    as arrays (see :func:`one_degree_stack`).  Returns (lhs, rhs)."""
+    qb = float(_quadratic_forms(one_degree_stack(b1), u)[0])
+    qa = float(_quadratic_forms(one_degree_stack(b2), u)[0])
     if qb <= 0.0:
         raise ValueError("<B u, u> must be strictly positive")
     return abs(qa - qb) / qb, math.sqrt(hs_term(b2, b1, 1))

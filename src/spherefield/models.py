@@ -37,8 +37,8 @@ from .schoenberg import (
     MATRIX,
     GeometricTail,
     PowerLawTail,
-    SchoenbergOperator,
     SchoenbergSequence,
+    one_degree_stack,
 )
 
 DEFAULT_L_MAX = 200
@@ -135,15 +135,16 @@ def multiquadratic_coeff_entries(p: MultiquadraticParams, degrees) -> np.ndarray
     return np.exp(logs)
 
 
-def multiquadratic_coeff(p: MultiquadraticParams, n: int) -> SchoenbergOperator:
-    """Degree-n coefficient of the published normalized-basis expansion,
+def multiquadratic_coeff(p: MultiquadraticParams, n: int) -> np.ndarray:
+    """Degree-n coefficient of the published normalized-basis expansion, a
+    read-only 2 x 2 matrix checked by :func:`one_degree_stack`,
 
         b_n(i,j) = rho_ij sigma_i sigma_j binom(d+n-2, n) alpha_ij^n (1-alpha_ij)^{d-1}.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     e11, e22, e12 = multiquadratic_coeff_entries(p, [n])[:, 0]
-    return SchoenbergOperator.matrix(np.array([[e11, e12], [e12, e22]]))
+    return one_degree_stack([[e11, e12], [e12, e22]])[0]
 
 
 class ClosedFormValue(NamedTuple):
@@ -194,7 +195,15 @@ def multiquadratic_sequence(p: MultiquadraticParams, l_max: int = DEFAULT_L_MAX)
         coefficients=(s1 * s1 * (1.0 - a11) ** (p.d - 1),
                       s2 * s2 * (1.0 - a22) ** (p.d - 1)),
         ratios=(a11, a22), d=p.d)
-    return SchoenbergSequence.from_stack(p.d, MATRIX, stack, tail)
+    return SchoenbergSequence(p.d, MATRIX, stack, tail)
+
+
+def _finite_gammas(*xs) -> bool:
+    """Whether ``math.gamma`` of every x is a finite float64."""
+    try:
+        return all(math.isfinite(math.gamma(x)) for x in xs)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -216,6 +225,10 @@ class LegendreMaternParams:
         if not math.isfinite(self.sigma * self.sigma):
             raise ValueError("sigma^2 must be a finite float64 (sigma below about "
                              f"1.34e154), got sigma = {self.sigma}")
+        if not _finite_gammas(self.nu, self.nu + 0.5):
+            raise ValueError("nu must keep Gamma(nu) and Gamma(nu + 1/2) of the tail "
+                             "bound finite float64s (about 5.6e-309 < nu < 171.12), "
+                             f"got nu = {self.nu}")
         if self.l_max < 1 or self.k_max < 1:
             raise ValueError("truncations l_max and k_max must be >= 1")
 
@@ -249,9 +262,9 @@ def legendre_matern_gamma_grid(p: LegendreMaternParams,
 def legendre_matern_sequence(p: LegendreMaternParams,
                              l_max: int | None = None) -> SchoenbergSequence:
     """Materialize the family on S^2 (h(l) = 2l+1 is baked into the spectrum)."""
-    return SchoenbergSequence.from_stack(2, FOURIER_DIAGONAL,
-                                         legendre_matern_gamma_grid(p, l_max=l_max),
-                                         PowerLawTail(p.sigma, p.alpha, p.nu))
+    return SchoenbergSequence(2, FOURIER_DIAGONAL,
+                              legendre_matern_gamma_grid(p, l_max=l_max),
+                              PowerLawTail(p.sigma, p.alpha, p.nu))
 
 
 def build_sequence(params, l_max: int | None = None) -> SchoenbergSequence:

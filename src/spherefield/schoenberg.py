@@ -16,13 +16,17 @@ Three operator variants are supported:
   :func:`unfolded_index` is the one definition of this fold layout: it maps
   each unfolded (cos, sin) coordinate to its folded entry.
 
-A sequence stores its coefficients as one stacked array, degree axis first;
-the scalar variant is handled as a diagonal with one entry of multiplicity 1,
-so sequence-level code has one dense and one diagonal branch.
+A :class:`SchoenbergSequence` stores its coefficients as one stacked array,
+degree axis first, and that array is their only representation: a single
+coefficient is a plain array (0-d scalar, 1-d folded fourier entries, 2-d
+matrix), checked by :func:`one_degree_stack` under the same rules as a
+sequence.  The scalar variant is handled as a diagonal with one entry of
+multiplicity 1, so sequence-level code has one dense and one diagonal branch.
 
-Strict positivity (needed for inverse square roots and the equivalence
-criterion) is a stronger gate than PSD validity (enough for sampling);
-:func:`validate_sequence` reports both.
+Strict positivity (needed for the equivalence criterion) is a stronger gate
+than PSD validity (enough for sampling); :func:`validate_sequence` reports
+both, and whether the weighted trace is finite (:func:`has_finite_variance`),
+which kernel evaluation and sampling need.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ _SYM_RTOL = 1e-12
 # ndim 3 is dense; any other stack is diagonal, a scalar being one entry of
 # multiplicity 1, so sequence-level code has one branch for each.
 _STACK_NDIM = {SCALAR: 1, FOURIER_DIAGONAL: 2, MATRIX: 3}
+# variant of one coefficient (no degree axis) by its ndim
+_NDIM_VARIANT = {n - 1: variant for variant, n in _STACK_NDIM.items()}
 
 
 def unfolded_index(n: int) -> np.ndarray:
@@ -153,105 +159,23 @@ def _checked_stack(variant: str, stack) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True, eq=False)
-class SchoenbergOperator:
-    """One coefficient of a Schoenberg sequence (see module docstring).
-
-    ``==`` compares values (kind and every entry); operators are unhashable.
-    """
-
-    kind: str
-    data: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, SchoenbergOperator):
-            return NotImplemented
-        return self.kind == other.kind and np.array_equal(self.data, other.data)
-
-    @classmethod
-    def scalar(cls, value: float) -> "SchoenbergOperator":
-        # [0, ...] keeps a 0-d array (a plain [0] would give a numpy scalar)
-        return cls(SCALAR, _checked_stack(SCALAR, [float(value)])[0, ...])
-
-    @classmethod
-    def matrix(cls, mat) -> "SchoenbergOperator":
-        return cls(MATRIX, _checked_stack(MATRIX, np.asarray(mat, dtype=float)[None])[0])
-
-    @classmethod
-    def fourier_diagonal(cls, gammas) -> "SchoenbergOperator":
-        g = np.asarray(gammas, dtype=float)[None]
-        return cls(FOURIER_DIAGONAL, _checked_stack(FOURIER_DIAGONAL, g)[0])
-
-    @property
-    def dim(self) -> int:
-        """Operator side: p for matrices, K_max + 1 folded entries, 1 for scalars."""
-        return _width(self.data[None])
-
-    def trace(self) -> float:
-        return float(_traces(self.data[None])[0])
-
-    def min_eigenvalue(self) -> float:
-        return float(_min_eigenvalues(self.data[None])[0])
-
-    def scaled(self, c: float) -> "SchoenbergOperator":
-        if c < 0:
-            raise ValueError("scale factor must be >= 0")
-        return SchoenbergOperator(self.kind, _frozen(self.data * c))
-
-    def quadratic_form(self, u) -> float:
-        """``<b u, u>`` for a coefficient-space direction ``u``.
-
-        For the fourier variant ``u`` is folded (length K_max + 1) and the
-        form carries the fold multiplicities.
-        """
-        return float(_quadratic_forms(self.data[None], u)[0])
+def one_degree_stack(b) -> np.ndarray:
+    """One coefficient checked as a one-degree stack by :func:`_checked_stack`:
+    a 0-d scalar, a 1-d vector of folded fourier entries or a 2-d matrix
+    becomes a read-only stack of shape ``(1,) + b.shape``."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in _NDIM_VARIANT:
+        raise ValueError(f"a coefficient must be a 0-d, 1-d or 2-d array, "
+                         f"got shape {b.shape}")
+    return _checked_stack(_NDIM_VARIANT[b.ndim], b[None])
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-def operator_sqrt(op: SchoenbergOperator) -> SchoenbergOperator:
-    """PSD square root; negative eigenvalue dust is clamped to zero."""
-    if op.kind != MATRIX:
-        return SchoenbergOperator(op.kind, _frozen(np.sqrt(np.clip(op.data, 0.0, None))))
-    w, v = np.linalg.eigh(op.data)
+def operator_sqrt(b: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root of one matrix coefficient; negative
+    eigenvalue dust is clamped to zero."""
+    w, v = np.linalg.eigh(b)
     w = np.clip(w, 0.0, None)
-    return SchoenbergOperator(MATRIX, _frozen((v * np.sqrt(w)) @ v.T))
-
-
-def operator_inv_sqrt(op: SchoenbergOperator) -> SchoenbergOperator:
-    """Inverse square root ``b^{-1/2}`` of a strictly positive coefficient.
-
-    Near-singular input (minimum eigenvalue <= STRICT_RTOL * trace) is
-    rejected with conditioning diagnostics in the error message.
-    """
-    tr = op.trace()
-    wmin = op.min_eigenvalue()
-    if wmin <= STRICT_RTOL * tr or tr <= 0.0:
-        cond = tr / wmin if wmin > 0 else math.inf
-        raise ValueError(
-            f"coefficient is not strictly positive: min eigenvalue {wmin:.6e}, "
-            f"trace {tr:.6e}, trace/min ratio {cond:.3e} "
-            f"(threshold rtol={STRICT_RTOL:g})")
-    if op.kind != MATRIX:
-        return SchoenbergOperator(op.kind, _frozen(1.0 / np.sqrt(op.data)))
-    w, v = np.linalg.eigh(op.data)
-    return SchoenbergOperator(MATRIX, _frozen((v / np.sqrt(w)) @ v.T))
-
-
-def hs_distance_to_identity(op: SchoenbergOperator) -> float:
-    """Squared Hilbert-Schmidt norm ``||op - I||^2``.
-
-    Frobenius for the matrix variant; the fourier variant sums
-    ``mult_k (gamma_k - 1)^2`` over folded entries.
-    """
-    if op.kind != MATRIX:
-        return float(np.dot(fold_multiplicities(op.dim), np.atleast_1d(op.data - 1.0) ** 2))
-    diff = op.data - np.eye(op.dim)
-    return float(np.sum(diff * diff))
+    return (v * np.sqrt(w)) @ v.T
 
 
 # ---------------------------------------------------------------------------
@@ -361,90 +285,57 @@ def tail_from_dict(obj) -> TailDescriptor | None:
 
 @dataclass(frozen=True, eq=False)
 class SchoenbergSequence:
-    """Dimension d plus the ordered coefficients ``b_0 .. b_{L_max}``.
+    """Dimension d, the variant, and the coefficients ``b_0 .. b_{L_max}``.
 
-    The coefficients are stored once, as a read-only stack with the degree
-    axis first: ``(L+1,)`` scalar, ``(L+1, p, p)`` matrix, ``(L+1, K+1)``
-    fourier (see :meth:`coeff_stack`).  ``coeffs`` holds per-degree
-    :class:`SchoenbergOperator` views of that stack.  ``==`` compares
-    values (d, variant, tail and every stacked entry); sequences are
-    unhashable.
+    ``coeffs`` is a read-only stack with the degree axis first: ``(L+1,)``
+    scalar, ``(L+1, p, p)`` matrix, ``(L+1, K+1)`` fourier.  The input is
+    checked in one batched pass (finite, symmetric and PSD; errors name the
+    first failing degree) and stored as a new array.  ``==`` compares values
+    (d, variant, tail and every entry); sequences are unhashable.
     """
 
     d: int
-    coeffs: tuple
+    variant: str
+    coeffs: np.ndarray
     tail: TailDescriptor | None = None
-    _variant: str | None = field(default=None, init=False, repr=False)
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if not coeffs:
-            raise ValueError("sequence must contain at least one coefficient")
-        kind = coeffs[0].kind
-        dim = coeffs[0].dim
-        for l, op in enumerate(coeffs):
-            if op.kind != kind or op.dim != dim:
-                raise ValueError(
-                    f"heterogeneous sequence: coefficient {l} has variant "
-                    f"{op.kind}/{op.dim}, expected {kind}/{dim}")
-        self._bind(kind, _frozen(np.stack([op.data for op in coeffs])))
-
-    @classmethod
-    def from_stack(cls, d: int, variant: str, stack,
-                   tail: TailDescriptor | None = None) -> "SchoenbergSequence":
-        """Sequence from coefficients stacked along the degree axis, checked
-        in one batched pass (finite, symmetric and PSD; errors name the
-        first failing degree)."""
-        seq = cls.__new__(cls)
-        object.__setattr__(seq, "d", d)
-        object.__setattr__(seq, "tail", tail)
-        seq._bind(variant, _checked_stack(variant, stack))
-        return seq
-
-    def _bind(self, variant: str, stack: np.ndarray) -> None:
+        object.__setattr__(self, "coeffs", _checked_stack(self.variant, self.coeffs))
         if self.d < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {self.d}")
-        object.__setattr__(self, "_variant", variant)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "coeffs", tuple(
-            SchoenbergOperator(variant, stack[l, ...]) for l in range(stack.shape[0])))
 
     def __eq__(self, other):
         if not isinstance(other, SchoenbergSequence):
             return NotImplemented
         return (self.d == other.d and self.variant == other.variant
                 and self.tail == other.tail
-                and np.array_equal(self._stack, other._stack))
-
-    @property
-    def variant(self) -> str:
-        return self._variant
+                and np.array_equal(self.coeffs, other.coeffs))
 
     @property
     def dim(self) -> int:
-        return _width(self._stack)
+        """Coefficient side: p for matrices, K_max + 1 folded entries, 1 for scalars."""
+        return _width(self.coeffs)
 
     @property
     def l_max(self) -> int:
-        return self._stack.shape[0] - 1
+        return self.coeffs.shape[0] - 1
 
     @property
     def order(self) -> float:
         return gegenbauer_order(self.d)
 
-    def coeff_stack(self) -> np.ndarray:
-        """The read-only coefficient stack, degree axis first."""
-        return self._stack
-
     def quadratic_forms(self, u) -> np.ndarray:
-        """``<b_l u, u>`` per degree (see :meth:`SchoenbergOperator.quadratic_form`)."""
-        return _quadratic_forms(self._stack, u)
+        """``<b_l u, u>`` per degree for a coefficient-space direction ``u``.
+
+        For the fourier variant ``u`` is folded (length K_max + 1) and the
+        forms carry the fold multiplicities.
+        """
+        return _quadratic_forms(self.coeffs, u)
 
     def trace_terms(self) -> np.ndarray:
         """Per-degree variance contributions ``trace(b_l) C_l^lam(1)``."""
         c1 = gegenbauer_at_one_all(self.order, self.l_max)
-        return _traces(self._stack) * c1
+        return _traces(self.coeffs) * c1
 
 
 @dataclass(frozen=True)
@@ -481,6 +372,28 @@ class ValidityReport:
         }
 
 
+TRACE_NOT_FINITE = "weighted trace not finite"
+
+
+def _weighted_partial_sums(seq: SchoenbergSequence) -> np.ndarray:
+    """Partial sums of ``omega_d trace(b_l) C_l^lam(1)`` over l = 0 .. L_max;
+    the last one is the truncated field variance integrated over S^d.  An
+    overflow gives ``inf`` without a warning: :func:`has_finite_variance`
+    reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(surface_measure(seq.d) * seq.trace_terms())
+
+
+def has_finite_variance(seq: SchoenbergSequence) -> bool:
+    """Whether every weighted-trace partial sum is a finite float64.
+
+    :func:`validate_sequence` flags a sequence for which it is not as
+    :data:`TRACE_NOT_FINITE`; its kernel and samples would hold ``inf`` or
+    ``nan``.
+    """
+    return bool(np.all(np.isfinite(_weighted_partial_sums(seq))))
+
+
 def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
     """PSD margins, traces, weighted-trace partial sums, and tail estimate.
 
@@ -488,37 +401,36 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
     coefficient; PSD-only sequences remain usable for sampling but are not
     equivalence-eligible, which is reported through the separate flags.
     """
-    traces = _traces(seq.coeff_stack())
-    mins = _min_eigenvalues(seq.coeff_stack())
+    traces = _traces(seq.coeffs)
+    mins = _min_eigenvalues(seq.coeffs)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(traces > 0, mins / np.where(traces > 0, traces, 1.0), 0.0)
     psd_valid = bool(np.all(mins >= -PSD_RTOL * np.maximum(traces, 0.0)))
     strictly_positive = bool(np.all(mins > STRICT_RTOL * traces))
-
-    omega = surface_measure(seq.d)
-    weighted = omega * seq.trace_terms()
-    partial = np.cumsum(weighted)
+    partial = _weighted_partial_sums(seq)
+    finite = has_finite_variance(seq)
 
     flags = []
     if not psd_valid:
         flags.append("not positive semi-definite")
     if not strictly_positive:
         flags.append("not strictly positive")
-    if not np.all(np.isfinite(partial)):
-        flags.append("weighted trace not finite")
+    if not finite:
+        flags.append(TRACE_NOT_FINITE)
 
+    omega = surface_measure(seq.d)
     if seq.tail is not None:
         tail_estimate = omega * seq.tail.trace_tail_bound(seq.l_max)
         heuristic = False
     elif seq.l_max >= 1:
-        tail_estimate = float(weighted[-1])
+        tail_estimate = float(omega * seq.trace_terms()[-1])
         heuristic = True
         flags.append("tail estimate is a last-term heuristic")
     else:
         tail_estimate = None
         heuristic = True
 
-    passed = psd_valid and strictly_positive and np.all(np.isfinite(partial))
+    passed = psd_valid and strictly_positive and finite
     return ValidityReport(
         d=seq.d, variant=seq.variant, l_max=seq.l_max,
         traces=traces, min_eig_ratios=ratios, weighted_partial_sums=partial,
@@ -531,7 +443,7 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
 class KernelValue:
     """One kernel evaluation with its truncation-error bound."""
 
-    value: SchoenbergOperator
+    value: np.ndarray   # read-only, the shape of one coefficient
     tail_bound: float
     tail_is_heuristic: bool
 
@@ -547,7 +459,6 @@ class IsotropicKernel:
 
     def __init__(self, seq: SchoenbergSequence):
         self.seq = seq
-        self._stack = seq.coeff_stack()
         self._order = seq.order
         if seq.tail is not None:
             self._tail_bound = seq.tail.trace_tail_bound(seq.l_max)
@@ -569,14 +480,15 @@ class IsotropicKernel:
         """Raw kernel values for an array of ts, shape ``(len(ts),) + coeff shape``."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         c = gegenbauer_all(self._order, self.seq.l_max, ts)  # (L+1, nt)
-        return np.tensordot(np.moveaxis(c, 0, -1), self._stack, axes=([-1], [0]))
+        return np.tensordot(np.moveaxis(c, 0, -1), self.seq.coeffs, axes=([-1], [0]))
 
     def __call__(self, t: float) -> KernelValue:
         vals = self.evaluate_stack([float(t)])[0]
         if self.seq.variant == MATRIX:
             vals = 0.5 * (vals + vals.T)
-        op = SchoenbergOperator(self.seq.variant, _frozen(vals))
-        return KernelValue(op, self._tail_bound, self._tail_heuristic)
+        vals = np.array(vals)   # a 0-d array for scalars; a copy to freeze
+        vals.setflags(write=False)
+        return KernelValue(vals, self._tail_bound, self._tail_heuristic)
 
     def trace_at_one(self) -> float:
         """Field variance ``trace R(x, x) = sum_l trace(b_l) C_l^lam(1)`` (truncated)."""
@@ -598,8 +510,7 @@ def truncate_sequence(seq: SchoenbergSequence, l_max: int) -> SchoenbergSequence
     starting degree) is carried over."""
     if not 0 <= l_max <= seq.l_max:
         raise ValueError(f"l_max must lie in [0, {seq.l_max}], got {l_max}")
-    return SchoenbergSequence.from_stack(seq.d, seq.variant,
-                                         seq.coeff_stack()[:l_max + 1], seq.tail)
+    return SchoenbergSequence(seq.d, seq.variant, seq.coeffs[:l_max + 1], seq.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +523,14 @@ def sequence_to_dict(seq: SchoenbergSequence) -> dict:
         "d": seq.d,
         "variant": seq.variant,
         "L_max": seq.l_max,
-        "coeffs": seq.coeff_stack().tolist(),  # row-major nested lists
+        "coeffs": seq.coeffs.tolist(),  # row-major nested lists
         "tail": seq.tail.to_dict() if seq.tail is not None else None,
     }
 
 
 def sequence_from_dict(obj: dict) -> SchoenbergSequence:
-    seq = SchoenbergSequence.from_stack(int(obj["d"]), obj["variant"], obj["coeffs"],
-                                        tail_from_dict(obj.get("tail")))
+    seq = SchoenbergSequence(int(obj["d"]), obj["variant"], obj["coeffs"],
+                             tail_from_dict(obj.get("tail")))
     if seq.l_max != obj["L_max"]:
         raise ValueError("coefficient count does not match L_max")
     return seq

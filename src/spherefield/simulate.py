@@ -47,7 +47,6 @@ from .harmonics import (
 from .schoenberg import (
     MATRIX,
     IsotropicKernel,
-    SchoenbergOperator,
     SchoenbergSequence,
     entry_labels,
     operator_sqrt,
@@ -164,7 +163,7 @@ def coefficient_covariance(seq: SchoenbergSequence, l: int) -> np.ndarray:
     """Covariance ``bhat_l = b_l * omega_d C_l(1) / h(l)`` of the degree-l
     harmonic coefficients, in the materialized coefficient space (folded
     diagonal entries repeated onto their (cos, sin) pairs)."""
-    bhat = seq.coeffs[l].data * (1.0 / addition_constant(seq.d, l))
+    bhat = seq.coeffs[l] * (1.0 / addition_constant(seq.d, l))
     if seq.variant == MATRIX:
         return bhat
     return np.atleast_1d(bhat)[unfolded_index(seq.dim)]
@@ -176,7 +175,7 @@ def _scale_factor(seq: SchoenbergSequence, l: int) -> np.ndarray:
     roots otherwise (applied as ``z * root``)."""
     bhat = coefficient_covariance(seq, l)
     if seq.variant == MATRIX:
-        return operator_sqrt(SchoenbergOperator(MATRIX, bhat)).data
+        return operator_sqrt(bhat)
     return np.sqrt(bhat)
 
 
@@ -542,7 +541,7 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
         iy = int(inverse[2 * p_idx + 1])
         t = float(np.clip(np.dot(pairs[p_idx, 0], pairs[p_idx, 1]), -1.0, 1.0))
         labels, emp, se = _pair_statistics(seq, values, ix, iy)
-        analytic = np.atleast_1d(kernel(t).value.data).ravel()
+        analytic = np.atleast_1d(kernel(t).value).ravel()
         z = _zscores(emp - analytic, se)
         results.append(PairCheck(x=pairs[p_idx, 0], y=pairs[p_idx, 1], t=t,
                                  labels=labels, empirical=emp,

@@ -118,7 +118,7 @@ def test_criterion_4_closed_form_series_consistency():
         for theta in np.arange(0.0, math.pi + 1e-12, math.pi / 8):
             cf = md.multiquadratic_kernel_closed_form(p, float(theta))
             assert cf.series_consistent
-            val = kernel(math.cos(theta)).value.data
+            val = kernel(math.cos(theta)).value
             assert np.max(np.abs(val - cf.matrix)) < 1e-8
 
 
@@ -170,11 +170,12 @@ def test_criterion_6_marginalization_inequality():
             p = int(rng.integers(1, 9))
             a1 = rng.standard_normal((p, p))
             a2 = rng.standard_normal((p, p))
-            b1 = sb.SchoenbergOperator.matrix(a1 @ a1.T + 0.05 * np.eye(p))
-            b2 = sb.SchoenbergOperator.matrix(a2 @ a2.T + 0.05 * np.eye(p))
+            b1 = a1 @ a1.T + 0.05 * np.eye(p)
+            b2 = a2 @ a2.T + 0.05 * np.eye(p)
             u = rng.standard_normal(p)
             hl = int(rng.integers(1, 40))
-            q1, q2 = b1.quadratic_form(u), b2.quadratic_form(u)
+            q1, q2 = (sb.SchoenbergSequence(2, sb.MATRIX, [b]).quadratic_forms(u)[0]
+                      for b in (b1, b2))
             scalar = hl * (q1 / q2 - 1.0) ** 2
             functional = eq.hs_term(b1, b2, hl)
             if scalar > functional * (1.0 + 1e-10) + 1e-18:
@@ -295,10 +296,8 @@ def test_criterion_9_scale_invariance():
             b2 = a2 @ a2.T + 0.05 * np.eye(p)
             c = 10.0 ** rng.uniform(-3, 3)
             hl = int(rng.integers(1, 60))
-            t0 = eq.hs_term(sb.SchoenbergOperator.matrix(b1),
-                            sb.SchoenbergOperator.matrix(b2), hl)
-            t1 = eq.hs_term(sb.SchoenbergOperator.matrix(c * b1),
-                            sb.SchoenbergOperator.matrix(c * b2), hl)
+            t0 = eq.hs_term(b1, b2, hl)
+            t1 = eq.hs_term(c * b1, c * b2, hl)
             assert abs(t1 - t0) <= 1e-12 * max(1.0, abs(t0))
 
 

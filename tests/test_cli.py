@@ -62,6 +62,37 @@ class TestValidate:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "sigma^2 must be a finite float64" in err
 
+    @pytest.mark.parametrize("command", [["validate"], ["schoenberg-export"],
+                                         ["kernel", "--thetas", "0,1"]])
+    @pytest.mark.parametrize("nu", [172.0, 1e300, math.inf, 1e-310])
+    def test_overflowing_lm_tail_constant_invalid_model(self, capsys, tmp_json,
+                                                        command, nu):
+        blob = dict(LM, nu=nu, L_max=5, K_max=4)
+        code, out, err = run(capsys, command[:1] + [
+            "--config", tmp_json("m.json", blob)] + command[1:])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "nu must keep Gamma(nu) and Gamma(nu + 1/2)" in err
+
+    @pytest.mark.parametrize("command", [
+        ["kernel", "--thetas", "0,1"],
+        ["mc-check", "--thetas", "0,1", "--n-samples", "10"],
+        ["sample", "--n-samples", "1"],
+    ])
+    def test_non_finite_variance_invalid_model(self, capsys, tmp_json, tmp_path,
+                                               command):
+        # sigma^2 is finite, the weighted trace overflows: validate flags it
+        cfg = tmp_json("m.json", dict(LM, sigma=1.3e154, L_max=20, K_max=4))
+        code, out, err = run(capsys, ["validate", "--config", cfg])
+        assert code == 2 and "weighted trace not finite" in err
+        if command[0] == "sample":
+            command = command + ["--grid", tmp_json("g.json", {
+                "kind": "uniform", "d": 2, "n": 4, "seed": 7}),
+                "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, command[:1] + ["--config", cfg] + command[1:])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == "invalid model: weighted trace not finite\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_field_usage_error(self, capsys, tmp_json):
         blob = {"model": "legendre_matern", "sigma": 1.0, "alpha": 1.0}
         code, _, err = run(capsys, ["validate", "--config", tmp_json("m.json", blob)])

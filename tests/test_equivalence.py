@@ -25,19 +25,18 @@ def brute_force_term(b1, b2, hl):
 
 
 def scalar_seq(d, values):
-    return sb.SchoenbergSequence(
-        d=d, coeffs=tuple(sb.SchoenbergOperator.scalar(v) for v in values))
+    return sb.SchoenbergSequence(d, sb.SCALAR, values)
 
 
 class TestHsTerm:
     def test_identical_coefficients_exact_zero(self):
         rng = np.random.default_rng(0)
-        b = sb.SchoenbergOperator.matrix(random_spd(rng, 4))
+        b = random_spd(rng, 4)
         assert eq.hs_term(b, b, 9) == 0.0
 
     def test_scalar_case(self):
-        b1 = sb.SchoenbergOperator.scalar(2.0)
-        b2 = sb.SchoenbergOperator.scalar(1.0)
+        b1 = 2.0
+        b2 = 1.0
         assert eq.hs_term(b1, b2, 3) == pytest.approx(3.0, rel=1e-14)
 
     def test_against_dense_linear_algebra_oracle(self):
@@ -45,20 +44,19 @@ class TestHsTerm:
         for _ in range(50):
             b1 = random_spd(rng, 4)
             b2 = random_spd(rng, 4)
-            ours = eq.hs_term(sb.SchoenbergOperator.matrix(b1),
-                              sb.SchoenbergOperator.matrix(b2), 7)
+            ours = eq.hs_term(b1, b2, 7)
             ref = brute_force_term(b1, b2, 7)
             assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
     def test_fourier_reduction(self):
-        b1 = sb.SchoenbergOperator.fourier_diagonal([2.0, 1.0, 0.5])
-        b2 = sb.SchoenbergOperator.fourier_diagonal([1.0, 1.0, 1.0])
+        b1 = [2.0, 1.0, 0.5]
+        b2 = [1.0, 1.0, 1.0]
         # hl * sum_k mult_k (ratio_k - 1)^2 = 5 * (1 + 0 + 2 * 0.25)
         assert eq.hs_term(b1, b2, 5) == pytest.approx(5 * 1.5, rel=1e-14)
 
     def test_singular_reference_rejected(self):
-        b1 = sb.SchoenbergOperator.matrix(np.eye(2))
-        b2 = sb.SchoenbergOperator.matrix(np.diag([1.0, 0.0]))
+        b1 = np.eye(2)
+        b2 = np.diag([1.0, 0.0])
         with pytest.raises(ValueError, match="strictly positive"):
             eq.hs_term(b1, b2, 1)
 
@@ -69,10 +67,8 @@ class TestHsTerm:
             b1 = random_spd(rng, p)
             b2 = random_spd(rng, p)
             c = 10.0 ** rng.uniform(-3, 3)
-            t0 = eq.hs_term(sb.SchoenbergOperator.matrix(b1),
-                            sb.SchoenbergOperator.matrix(b2), 11)
-            t1 = eq.hs_term(sb.SchoenbergOperator.matrix(c * b1),
-                            sb.SchoenbergOperator.matrix(c * b2), 11)
+            t0 = eq.hs_term(b1, b2, 11)
+            t1 = eq.hs_term(c * b1, c * b2, 11)
             assert abs(t1 - t0) <= 1e-12 * max(1.0, abs(t0))
 
     def test_scalar_reduction_matches_ratio_form(self):
@@ -81,8 +77,7 @@ class TestHsTerm:
         for _ in range(100):
             v1, v2 = rng.uniform(0.1, 3.0, 2)
             hl = int(rng.integers(1, 50))
-            ours = eq.hs_term(sb.SchoenbergOperator.matrix([[v1]]),
-                              sb.SchoenbergOperator.matrix([[v2]]), hl)
+            ours = eq.hs_term([[v1]], [[v2]], hl)
             assert ours == pytest.approx(hl * (v1 / v2 - 1.0) ** 2, rel=1e-11)
 
 
@@ -126,10 +121,8 @@ class TestScalarMarginalization:
         rng = np.random.default_rng(5)
         mats1 = [random_spd(rng, 3) for _ in range(9)]
         mats2 = [random_spd(rng, 3) for _ in range(9)]
-        s1 = sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.matrix(m) for m in mats1))
-        s2 = sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.matrix(m) for m in mats2))
+        s1 = sb.SchoenbergSequence(2, sb.MATRIX, mats1)
+        s2 = sb.SchoenbergSequence(2, sb.MATRIX, mats2)
         series = eq.scalar_marginal_series(s1, s2, [1.0, 0.0, 0.0])
         for l in range(9):
             expect = h_dim(2, l) * (mats1[l][0, 0] / mats2[l][0, 0] - 1.0) ** 2
@@ -149,14 +142,13 @@ class TestScalarMarginalization:
         proj = eq.project_sequence(seq, [1.0, 1.0])
         assert proj.variant == sb.SCALAR
         for l in range(9):
-            b = seq.coeffs[l].data
-            assert float(proj.coeffs[l].data) == pytest.approx(
+            b = seq.coeffs[l]
+            assert float(proj.coeffs[l]) == pytest.approx(
                 b[0, 0] + 2 * b[0, 1] + b[1, 1], rel=1e-13)
 
     def test_degenerate_denominator_rejected(self):
         s1 = scalar_seq(2, [1.0, 1.0])
-        s2 = sb.SchoenbergSequence(d=2, coeffs=(
-            sb.SchoenbergOperator.scalar(1.0), sb.SchoenbergOperator.scalar(0.0)))
+        s2 = scalar_seq(2, [1.0, 0.0])
         with pytest.raises(ValueError, match="degenerate denominator"):
             eq.scalar_marginal_series(s1, s2, [1.0])
 
@@ -169,12 +161,12 @@ class TestScalarMarginalization:
         rng = np.random.default_rng(17)
         for _ in range(300):
             p = int(rng.integers(1, 9))
-            b1 = sb.SchoenbergOperator.matrix(random_spd(rng, p))
-            b2 = sb.SchoenbergOperator.matrix(random_spd(rng, p))
+            b1 = random_spd(rng, p)
+            b2 = random_spd(rng, p)
             u = rng.standard_normal(p)
             hl = int(rng.integers(1, 30))
-            s1 = sb.SchoenbergSequence(d=2, coeffs=(b1,))
-            s2 = sb.SchoenbergSequence(d=2, coeffs=(b2,))
+            s1 = sb.SchoenbergSequence(2, sb.MATRIX, [b1])
+            s2 = sb.SchoenbergSequence(2, sb.MATRIX, [b2])
             scal = eq.scalar_marginal_series(s1, s2, u).terms[0] * hl
             func = eq.hs_term(b1, b2, 1) * hl
             assert scal <= func * (1.0 + 1e-10) + 1e-18
@@ -183,7 +175,7 @@ class TestScalarMarginalization:
 class TestMarginalBoundCheck:
     def test_equal_operators(self):
         rng = np.random.default_rng(2)
-        b = sb.SchoenbergOperator.matrix(random_spd(rng, 5))
+        b = random_spd(rng, 5)
         lhs, rhs = eq.marginal_bound_check(b, b, rng.standard_normal(5))
         assert lhs == 0.0 and rhs == 0.0
 
@@ -191,10 +183,7 @@ class TestMarginalBoundCheck:
         rng = np.random.default_rng(4)
         for p in (2, 5, 8):
             b = random_spd(rng, p)
-            lhs, rhs = eq.marginal_bound_check(
-                sb.SchoenbergOperator.matrix(b),
-                sb.SchoenbergOperator.matrix(2.0 * b),
-                rng.standard_normal(p))
+            lhs, rhs = eq.marginal_bound_check(b, 2.0 * b, rng.standard_normal(p))
             assert lhs == pytest.approx(1.0, rel=1e-11)
             assert rhs == pytest.approx(math.sqrt(p), rel=1e-11)
 
@@ -202,8 +191,8 @@ class TestMarginalBoundCheck:
         rng = np.random.default_rng(123)
         for _ in range(1000):
             p = int(rng.integers(1, 9))
-            b = sb.SchoenbergOperator.matrix(random_spd(rng, p))
-            a = sb.SchoenbergOperator.matrix(random_spd(rng, p))
+            b = random_spd(rng, p)
+            a = random_spd(rng, p)
             u = rng.standard_normal(p)
             lhs, rhs = eq.marginal_bound_check(b, a, u)
             assert lhs <= rhs * (1.0 + 1e-10) + 1e-15

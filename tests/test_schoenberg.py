@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from conftest import validate_schema
@@ -15,146 +16,150 @@ def random_spd(rng, p, jitter=0.05):
     return a @ a.T + jitter * np.eye(p)
 
 
+def scalar_sequence(values, d=2):
+    return sb.SchoenbergSequence(d, sb.SCALAR, values)
+
+
 class TestOperatorConstruction:
+    """The coefficient checks, on one-degree stacks."""
+
     def test_scalar_rejects_negative(self):
-        with pytest.raises(ValueError):
-            sb.SchoenbergOperator.scalar(-0.1)
+        with pytest.raises(ValueError, match="entries >= 0"):
+            scalar_sequence([-0.1])
 
     def test_matrix_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            sb.SchoenbergOperator.matrix([[1.0, 0.2], [0.3, 1.0]])
+            sb.SchoenbergSequence(2, sb.MATRIX, [[[1.0, 0.2], [0.3, 1.0]]])
 
     def test_matrix_rejects_indefinite(self):
         with pytest.raises(ValueError, match="PSD"):
-            sb.SchoenbergOperator.matrix([[1.0, 2.0], [2.0, 1.0]])
+            sb.SchoenbergSequence(2, sb.MATRIX, [[[1.0, 2.0], [2.0, 1.0]]])
 
     def test_fourier_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            sb.SchoenbergOperator.fourier_diagonal([1.0, -0.5])
+        with pytest.raises(ValueError, match="entries >= 0"):
+            sb.SchoenbergSequence(2, sb.FOURIER_DIAGONAL, [[1.0, -0.5]])
+
+    @pytest.mark.parametrize("variant, stack", [
+        (sb.SCALAR, [math.inf]),
+        (sb.FOURIER_DIAGONAL, [[1.0, math.nan]]),
+        (sb.MATRIX, [[[1.0, 0.0], [0.0, math.inf]]]),
+    ])
+    def test_rejects_non_finite(self, variant, stack):
+        with pytest.raises(ValueError, match="finite"):
+            sb.SchoenbergSequence(2, variant, stack)
+
+    @pytest.mark.parametrize("bad, good, match", [
+        (-0.1, 1.0, "entries >= 0"),
+        ([1.0, -0.5], [1.0, 1.0], "entries >= 0"),
+        ([math.nan, 1.0], [1.0, 1.0], "finite"),
+        ([[1.0, 0.2], [0.3, 1.0]], np.eye(2), "symmetric"),
+        ([[1.0, 2.0], [2.0, 1.0]], np.eye(2), "PSD"),
+    ])
+    def test_per_degree_helpers_keep_the_checks(self, bad, good, match):
+        u = np.ones(len(np.atleast_1d(good)))
+        for call in (lambda: sb.one_degree_stack(bad),
+                     lambda: eq.hs_term(bad, good, 1),
+                     lambda: eq.hs_term(good, bad, 1),
+                     lambda: eq.marginal_bound_check(good, bad, u),
+                     lambda: eq.marginal_bound_check(bad, good, u)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_coefficient_must_be_at_most_2d(self):
+        with pytest.raises(ValueError, match="0-d, 1-d or 2-d"):
+            sb.one_degree_stack(np.ones((1, 1, 1)))
+
+    def test_multiquadratic_coeff_checked(self):
+        # alpha_12 > sqrt(alpha_11 alpha_22): b_n is indefinite at high n
+        p = md.MultiquadraticParams(d=2, sigma=(1.0, 1.0), rho12=0.5,
+                                    alpha=(0.2, 0.2, 0.9))
+        assert not md.multiquadratic_coeff(p, 0).flags.writeable
+        with pytest.raises(ValueError, match="PSD"):
+            md.multiquadratic_coeff(p, 10)
 
     def test_fourier_trace_uses_multiplicities(self):
-        op = sb.SchoenbergOperator.fourier_diagonal([1.0, 0.5, 0.25])
-        assert op.trace() == pytest.approx(1.0 + 2 * 0.5 + 2 * 0.25)
+        seq = sb.SchoenbergSequence(2, sb.FOURIER_DIAGONAL, [[1.0, 0.5, 0.25]])
+        assert seq.trace_terms()[0] == pytest.approx(1.0 + 2 * 0.5 + 2 * 0.25)
 
     def test_quadratic_form_multiplicities(self):
-        op = sb.SchoenbergOperator.fourier_diagonal([2.0, 3.0])
+        seq = sb.SchoenbergSequence(2, sb.FOURIER_DIAGONAL, [[2.0, 3.0]])
         # <b u, u> = gamma_0 u_0^2 + 2 gamma_1 u_1^2
-        assert op.quadratic_form([1.0, 1.0]) == pytest.approx(8.0)
-
-
-class TestInverseSquareRoot:
-    def test_identity(self):
-        op = sb.SchoenbergOperator.matrix(np.eye(3))
-        out = sb.operator_inv_sqrt(op)
-        assert np.allclose(out.data, np.eye(3))
-
-    def test_diagonal(self):
-        op = sb.SchoenbergOperator.matrix(np.diag([4.0, 9.0]))
-        out = sb.operator_inv_sqrt(op)
-        assert np.allclose(out.data, np.diag([0.5, 1.0 / 3.0]), rtol=1e-14)
-
-    def test_reconstruction_random_spd(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            p = int(rng.integers(1, 9))
-            b = random_spd(rng, p)
-            op = sb.SchoenbergOperator.matrix(b)
-            s = sb.operator_inv_sqrt(op)
-            recon = s.data @ b @ s.data
-            assert np.max(np.abs(recon - np.eye(p))) < 1e-10
-
-    def test_fourier_entrywise(self):
-        op = sb.SchoenbergOperator.fourier_diagonal([4.0, 0.25])
-        out = sb.operator_inv_sqrt(op)
-        assert np.allclose(out.data, [0.5, 2.0])
-
-    def test_near_singular_rejected_with_diagnostics(self):
-        op = sb.SchoenbergOperator.matrix(np.diag([1.0, 1e-14]))
-        with pytest.raises(ValueError, match="trace/min ratio"):
-            sb.operator_inv_sqrt(op)
-
-    def test_zero_scalar_rejected(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            sb.operator_inv_sqrt(sb.SchoenbergOperator.scalar(0.0))
+        assert seq.quadratic_forms([1.0, 1.0])[0] == pytest.approx(8.0)
 
 
 class TestPsdSquareRoot:
     def test_zero_modes_allowed(self):
-        op = sb.SchoenbergOperator.matrix(np.diag([1.0, 0.0]))
-        s = sb.operator_sqrt(op)
-        assert np.allclose(s.data @ s.data, op.data)
+        b = np.diag([1.0, 0.0])
+        s = sb.operator_sqrt(b)
+        assert np.allclose(s @ s, b)
 
     def test_matches_square(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             b = random_spd(rng, 4)
-            s = sb.operator_sqrt(sb.SchoenbergOperator.matrix(b))
-            assert np.max(np.abs(s.data @ s.data - b)) < 1e-11
+            s = sb.operator_sqrt(b)
+            assert np.max(np.abs(s @ s - b)) < 1e-11
 
 
 class TestHsDistance:
+    """``||b - I||_HS^2`` as the functional term against the identity."""
+
     def test_identity_is_zero(self):
-        assert sb.hs_distance_to_identity(sb.SchoenbergOperator.matrix(np.eye(4))) == 0.0
+        assert eq.hs_term(np.eye(4), np.eye(4), 1) == 0.0
 
     def test_single_perturbed_eigenvalue(self):
         eps = 1e-3
-        op = sb.SchoenbergOperator.matrix(np.diag([1.0 + eps, 1.0]))
-        assert sb.hs_distance_to_identity(op) == pytest.approx(eps ** 2, rel=1e-12)
+        b = np.diag([1.0 + eps, 1.0])
+        assert eq.hs_term(b, np.eye(2), 1) == pytest.approx(eps ** 2, rel=1e-12)
 
     def test_frobenius_by_hand(self):
-        op = sb.SchoenbergOperator.matrix([[1.0, 0.1], [0.1, 1.0]])
-        assert sb.hs_distance_to_identity(op) == pytest.approx(0.02, rel=1e-12)
+        b = np.array([[1.0, 0.1], [0.1, 1.0]])
+        assert eq.hs_term(b, np.eye(2), 1) == pytest.approx(0.02, rel=1e-12)
 
     def test_fourier_multiplicity_weighting(self):
-        op = sb.SchoenbergOperator.fourier_diagonal([1.0, 1.5])
-        assert sb.hs_distance_to_identity(op) == pytest.approx(2 * 0.25)
+        assert eq.hs_term([1.0, 1.5], np.ones(2), 1) == pytest.approx(2 * 0.25)
 
 
 class TestSequence:
-    def test_heterogeneous_rejected(self):
-        with pytest.raises(ValueError, match="heterogeneous"):
-            sb.SchoenbergSequence(d=2, coeffs=(
-                sb.SchoenbergOperator.scalar(1.0),
-                sb.SchoenbergOperator.matrix(np.eye(2))))
-
     def test_value_equality(self):
         mq = md.MultiquadraticParams(d=2, sigma=(1.0, 1.0), rho12=0.4,
                                      alpha=(0.5, 0.5, 0.45))
         lm = md.LegendreMaternParams(1.0, 1.0, 1.0, 16, 4)
         a, b = md.build_sequence(mq, 40), md.build_sequence(mq, 40)
-        assert a == b and a.coeffs[3] == b.coeffs[3]
+        assert a == b and np.array_equal(a.coeffs[3], b.coeffs[3])
         assert a != md.build_sequence(replace(mq, rho12=0.3), 40)
         assert a != md.build_sequence(mq, 39)
-        assert a.coeffs[3] != a.coeffs[4]
         assert md.build_sequence(lm) == md.build_sequence(lm)
         assert md.build_sequence(lm) != md.build_sequence(replace(lm, alpha=2.0))
         assert sb.truncate_sequence(a, 10) == sb.truncate_sequence(b, 10)
         with pytest.raises(TypeError):
             hash(a)
-        with pytest.raises(TypeError):
-            hash(a.coeffs[0])
+
+    def test_coeffs_are_a_read_only_copy(self):
+        values = np.array([1.0, 0.5])
+        seq = scalar_sequence(values)
+        values[0] = 7.0
+        assert seq.coeffs.tolist() == [1.0, 0.5] and len(seq.coeffs) == seq.l_max + 1
+        with pytest.raises(ValueError):
+            seq.coeffs[0] = 2.0
 
     def test_truncate(self):
-        seq = sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.scalar(v) for v in (1, .5, .25)))
+        seq = scalar_sequence([1, .5, .25])
         short = sb.truncate_sequence(seq, 1)
-        assert short.l_max == 1 and short.coeffs == seq.coeffs[:2]
+        assert short.l_max == 1 and short.coeffs.tolist() == seq.coeffs[:2].tolist()
         with pytest.raises(ValueError):
             sb.truncate_sequence(seq, 5)
 
 
 class TestKernelEval:
     def test_scalar_sum_at_one(self):
-        seq = sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.scalar(v) for v in (1, .5, .25)))
-        k = sb.IsotropicKernel(seq)
+        k = sb.IsotropicKernel(scalar_sequence([1, .5, .25]))
         # P_l(1) = 1: 1 + 0.5 + 0.25
-        assert float(k(1.0).value.data) == pytest.approx(1.75, rel=1e-14)
+        assert float(k(1.0).value) == pytest.approx(1.75, rel=1e-14)
 
     def test_out_of_range_rejected(self):
-        seq = sb.SchoenbergSequence(d=2, coeffs=(sb.SchoenbergOperator.scalar(1.0),))
         with pytest.raises(ValueError):
-            sb.IsotropicKernel(seq)(1.01)
+            sb.IsotropicKernel(scalar_sequence([1.0]))(1.01)
 
     def test_matrix_value_symmetric(self):
         p = md.MultiquadraticParams(d=2, sigma=(1.0, 2.0), rho12=0.3,
@@ -162,14 +167,14 @@ class TestKernelEval:
         seq = md.build_sequence(p, 64)
         k = sb.IsotropicKernel(seq)
         for t in (-1.0, -0.3, 0.2, 0.9):
-            v = k(t).value.data
-            assert np.array_equal(v, v.T)
+            v = k(t).value
+            assert np.array_equal(v, v.T) and not v.flags.writeable
 
     def test_variance_at_zero_angle_mq_d3(self):
         p = md.MultiquadraticParams(d=3, sigma=(1.0, 1.2), rho12=0.4,
                                     alpha=(0.5, 0.5, 0.45))
         seq = md.build_sequence(p, 200)
-        v = sb.IsotropicKernel(seq)(1.0).value.data
+        v = sb.IsotropicKernel(seq)(1.0).value
         s1, s2 = p.sigma
         expect = np.array([[s1 * s1, p.rho12 * s1 * s2],
                            [p.rho12 * s1 * s2, s2 * s2]])
@@ -178,12 +183,10 @@ class TestKernelEval:
     def test_scalar_kernel_against_legendre_oracle(self):
         rng = np.random.default_rng(4)
         bl = rng.uniform(0.1, 1.0, 8)
-        seq = sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.scalar(v) for v in bl))
-        k = sb.IsotropicKernel(seq)
+        k = sb.IsotropicKernel(scalar_sequence(bl))
         for t in np.linspace(-1, 1, 9):
             expect = sum(b * eval_legendre(l, t) for l, b in enumerate(bl))
-            assert float(k(t).value.data) == pytest.approx(expect, abs=1e-12)
+            assert float(k(t).value) == pytest.approx(expect, abs=1e-12)
 
     def test_trace_at_one_matches_weighted_sum(self):
         p = md.MultiquadraticParams(d=3, sigma=(1.0, 1.0), rho12=0.5,
@@ -191,7 +194,7 @@ class TestKernelEval:
         seq = md.build_sequence(p, 50)
         k = sb.IsotropicKernel(seq)
         expect = float(np.sum(seq.trace_terms()))
-        assert np.trace(k(1.0).value.data) == pytest.approx(expect, rel=1e-13)
+        assert np.trace(k(1.0).value) == pytest.approx(expect, rel=1e-13)
 
     def test_psd_at_one_and_joint_two_point(self):
         # R(1) is PSD up to the tail; the joint two-point covariance
@@ -201,17 +204,15 @@ class TestKernelEval:
         seq = md.build_sequence(p, 200)
         k = sb.IsotropicKernel(seq)
         tail = k.tail_bound
-        r1 = k(1.0).value.data
+        r1 = k(1.0).value
         assert np.linalg.eigvalsh(r1)[0] >= -(tail + 1e-10)
         for t in np.linspace(-1, 1, 21):
-            rt = k(t).value.data
+            rt = k(t).value
             joint = np.block([[r1, rt], [rt.T, r1]])
             assert np.linalg.eigvalsh(joint)[0] >= -(2 * tail + 1e-10)
 
     def test_tail_heuristic_flagged(self):
-        seq = sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.scalar(v) for v in (1, .5, .25)))
-        kv = sb.IsotropicKernel(seq)(0.5)
+        kv = sb.IsotropicKernel(scalar_sequence([1, .5, .25]))(0.5)
         assert kv.tail_is_heuristic
         assert kv.tail_bound == pytest.approx(0.25)
 
@@ -260,9 +261,8 @@ class TestValidateSequence:
         assert not report.flags
 
     def test_zero_coefficient_flagged(self):
-        coeffs = (sb.SchoenbergOperator.matrix(np.eye(2)),
-                  sb.SchoenbergOperator.matrix(np.zeros((2, 2))))
-        report = sb.validate_sequence(sb.SchoenbergSequence(d=2, coeffs=coeffs))
+        seq = sb.SchoenbergSequence(2, sb.MATRIX, [np.eye(2), np.zeros((2, 2))])
+        report = sb.validate_sequence(seq)
         assert not report.passed
         assert report.psd_valid
         assert "not strictly positive" in report.flags
@@ -282,8 +282,7 @@ class TestValidateSequence:
 
 class TestSequenceSerialization:
     @pytest.mark.parametrize("make", [
-        lambda: sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.scalar(v) for v in (1, .5))),
+        lambda: scalar_sequence([1, .5]),
         lambda: md.build_sequence(
             md.MultiquadraticParams(d=3, sigma=(1, 1.2), rho12=.4,
                                     alpha=(.5, .5, .45)), 10),
@@ -295,8 +294,8 @@ class TestSequenceSerialization:
         validate_schema("sequence.schema.json", obj)
         back = sb.sequence_from_dict(obj)
         assert back.d == seq.d and back.variant == seq.variant
-        assert np.allclose(back.coeff_stack(), seq.coeff_stack())
+        assert np.allclose(back.coeffs, seq.coeffs)
         assert back.tail == seq.tail
         path = tmp_path / "seq.json"
         sb.save_sequence(seq, path)
-        assert np.allclose(sb.load_sequence(path).coeff_stack(), seq.coeff_stack())
+        assert np.allclose(sb.load_sequence(path).coeffs, seq.coeffs)

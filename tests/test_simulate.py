@@ -149,16 +149,14 @@ class TestSampleGrid:
 
 class TestSampleCoefficients:
     def test_zero_coefficient_gives_zero_draws(self):
-        coeffs = (sb.SchoenbergOperator.scalar(1.0), sb.SchoenbergOperator.scalar(0.0))
-        seq = sb.SchoenbergSequence(d=2, coeffs=coeffs)
+        seq = sb.SchoenbergSequence(2, sb.SCALAR, [1.0, 0.0])
         a = sim.sample_coefficients(seq, 1, sim.make_generator(0))
         assert a.shape == (3, 1) and np.all(a == 0.0)
 
     def test_scalar_bridge_variance(self):
         # b_l = 1, d = 2: coefficient variance is 4 pi / (2l + 1)
         l = 3
-        seq = sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.scalar(1.0) for _ in range(l + 1)))
+        seq = sb.SchoenbergSequence(2, sb.SCALAR, np.ones(l + 1))
         rng = sim.make_generator(2024)
         n_draws = 100_000
         h = sh.h_dim(2, l)
@@ -209,8 +207,7 @@ class TestSampleCoefficients:
 
 class TestSynthesizeField:
     def test_degree_zero_only_constant(self):
-        coeffs = (sb.SchoenbergOperator.scalar(1.0),)
-        seq = sb.SchoenbergSequence(d=2, coeffs=coeffs)
+        seq = sb.SchoenbergSequence(2, sb.SCALAR, [1.0])
         grid = sim.SampleGrid.uniform_random(2, 9, seed=1)
         f = sim.synthesize_field(seq, grid, seed=3)
         assert np.allclose(f.values, f.values[0])
@@ -229,8 +226,7 @@ class TestSynthesizeField:
         (mq_sequence(30, d=1), sim.SampleGrid.equispaced_circle(90)),
         (md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 24, 6)),
          sim.SampleGrid.equiangular(9, 18)),
-        (sb.SchoenbergSequence(d=2, coeffs=tuple(
-            sb.SchoenbergOperator.scalar(1.0 / (l + 1) ** 3) for l in range(31))),
+        (sb.SchoenbergSequence(2, sb.SCALAR, 1.0 / (1.0 + np.arange(31.0)) ** 3),
          sim.SampleGrid.uniform_random(2, 120, seed=7)),
     ], ids=["matrix", "circle", "fourier", "scalar"])
     def test_streamed_fields_match_basis_reference_bitwise(self, seq, grid):
@@ -260,7 +256,7 @@ class TestSynthesizeField:
         roots = []
         real = sim.operator_sqrt
         monkeypatch.setattr(sim, "operator_sqrt",
-                            lambda op: roots.append(op) or real(op))
+                            lambda b: roots.append(b) or real(b))
         fields = sim.synthesize_fields(seq, grid, range(5), seed=2)
         assert len(roots) == 13
         assert all(np.array_equal(f.values, reference_field(seq, grid, 2, f.stream))
@@ -339,8 +335,7 @@ class TestSynthesizeField:
         # d = 1: scalar sequence, empirical covariance against the
         # Chebyshev-basis kernel at a few angles
         values = (1.0, 0.6, 0.3, 0.1)
-        seq = sb.SchoenbergSequence(
-            d=1, coeffs=tuple(sb.SchoenbergOperator.scalar(v) for v in values))
+        seq = sb.SchoenbergSequence(1, sb.SCALAR, values)
         grid = sim.SampleGrid.equispaced_circle(8)
         vals = sim.synthesize_ensemble(seq, grid, 6000, seed=44)
         kernel = sb.IsotropicKernel(seq)
@@ -348,7 +343,7 @@ class TestSynthesizeField:
             t = float(np.clip(grid.points[0] @ grid.points[j], -1, 1))
             prod = vals[:, 0, 0] * vals[:, j, 0]
             se = prod.std(ddof=1) / math.sqrt(prod.shape[0])
-            assert abs(prod.mean() - float(kernel(t).value.data)) < 4 * se
+            assert abs(prod.mean() - float(kernel(t).value)) < 4 * se
 
     def test_gaussianity_of_projections(self):
         # <Z(x), u> must pass an Anderson-Darling normality check
@@ -396,8 +391,7 @@ def mq(l_max, d=2):
     return md.build_sequence(md.MultiquadraticParams(
         d=d, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)), l_max)
 
-scalar = sb.SchoenbergSequence.from_stack(
-    2, sb.SCALAR, 1.0 / (1.0 + np.arange(16.0)) ** 3)
+scalar = sb.SchoenbergSequence(2, sb.SCALAR, 1.0 / (1.0 + np.arange(16.0)) ** 3)
 fourier = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 12, 3))
 # name -> (sequence, points, fields, fields per batch)
 cases = {"matrix_2_2_1": (mq(20), 3, 5, 2), "matrix_ones": (mq(20), 3, 4, 1),
@@ -570,7 +564,7 @@ class TestEnsembleRing:
 
 class TestEmpiricalCovariance:
     def test_zero_samples_give_zero(self):
-        seq = sb.SchoenbergSequence(d=2, coeffs=(sb.SchoenbergOperator.scalar(0.0),))
+        seq = sb.SchoenbergSequence(2, sb.SCALAR, [0.0])
         grid = sim.SampleGrid.uniform_random(2, 3, seed=0)
         samples = [sim.synthesize_field(seq, grid, seed=0, stream=i) for i in range(4)]
         est, se = sim.empirical_covariance(samples, 0, 1)
@@ -578,8 +572,7 @@ class TestEmpiricalCovariance:
 
     def test_variance_identity_scalar(self):
         values = (1.0, 0.5, 0.25)
-        seq = sb.SchoenbergSequence(
-            d=2, coeffs=tuple(sb.SchoenbergOperator.scalar(v) for v in values))
+        seq = sb.SchoenbergSequence(2, sb.SCALAR, values)
         grid = sim.SampleGrid.uniform_random(2, 2, seed=5)
         vals = sim.synthesize_ensemble(seq, grid, 6000, seed=9)
         est, se = sim.empirical_covariance(vals, 0, 0)
@@ -617,8 +610,7 @@ class TestMonteCarloKernelCheck:
         assert not report.passed
 
     def test_zero_sequence_exact_pass(self):
-        coeffs = tuple(sb.SchoenbergOperator.scalar(0.0) for _ in range(4))
-        seq = sb.SchoenbergSequence(d=2, coeffs=coeffs)
+        seq = sb.SchoenbergSequence(2, sb.SCALAR, np.zeros(4))
         report = sim.monte_carlo_kernel_check(
             seq, theta_pairs([0.0, 1.0]), 500, seed=0)
         assert report.passed and report.z_max == 0.0

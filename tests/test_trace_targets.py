@@ -6,8 +6,13 @@ failing any other test."""
 import importlib.util
 import pathlib
 import sys
+from collections import Counter
 
+import numpy as np
 import pytest
+
+from spherefield import models as md
+from spherefield import schoenberg as sb
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -32,3 +37,18 @@ def test_every_target_resolves(tracing):
 
 def test_counted_generator_resolves(tracing):
     assert "make_generator" in vars(tracing._resolve("spherefield.simulate"))
+
+
+
+@pytest.mark.parametrize("seq", [
+    md.build_sequence(md.MultiquadraticParams(
+        d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)), 7),
+    md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 5, 3)),
+    sb.SchoenbergSequence(2, sb.SCALAR, np.ones(4)),
+], ids=["matrix", "fourier", "scalar"])
+def test_count_degrees_counts_every_degree(tracing, seq):
+    # models.degrees_built reads the sequence's coefficients as the traced
+    # run sees them
+    counts = Counter()
+    tracing._count_degrees(counts, (), {}, seq)
+    assert counts["models.degrees_built"] == seq.l_max + 1
