@@ -5,10 +5,10 @@ sequences ``{b_l^(1)}`` and ``{b_l^(2)}`` induce equivalent measures iff
 
     sum_l h(l) || (b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I ||_HS^2 < inf,
 
-and orthogonal measures otherwise (Gaussian dichotomy).  This module computes
-the per-degree terms of that series, scalar marginalizations along a
-direction u, a three-valued numeric classifier for truncated series, and
-closed-form classifiers for the two built-in model families.
+and orthogonal measures otherwise (Gaussian dichotomy); the reference must
+pass :func:`schoenberg.strict_positivity`.  This module computes the terms,
+scalar marginalizations along u, a three-valued numeric classifier for
+truncated series, and closed-form classifiers for the two model families.
 
 Orientation: sequence 2 is the reference throughout -- functional terms
 conjugate by ``(b_l^(2))^{-1/2}`` and scalar terms use the ratio
@@ -35,12 +35,12 @@ from .models import (
 )
 from .schoenberg import (
     SCALAR,
-    STRICT_RTOL,
     SchoenbergSequence,
     _quadratic_forms,
     _reject,
     fold_multiplicities,
     one_degree_stack,
+    strict_positivity,
 )
 
 EQUIVALENT = "equivalent"
@@ -134,30 +134,21 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     resolution of the eigendecomposition-based conjugation -- an
     O((eps * cond)^2) floor -- are reported as exact zeros; anything smaller
     is indistinguishable from zero at double precision.  Errors name the
-    first degree whose reference is not strictly positive.
+    first degree whose reference fails :func:`schoenberg.strict_positivity`.
     """
-    def require(bad, detail):
-        _reject(bad, lambda l: f"second coefficient must be strictly positive "
-                               f"(degree {l}: {detail(l)})")
-
+    bad, why = strict_positivity(v2)
+    _reject(bad, lambda l: f"second coefficient must be strictly positive "
+                           f"(degree {l}: {why(l)})")
     if v2.ndim < 3:
         g1 = v1.reshape(v1.shape[0], -1)
         g2 = v2.reshape(v2.shape[0], -1)
-        require(np.any(g2 <= 0.0, axis=1), lambda l: "nonpositive entry")
         return (g1 / g2 - 1.0) ** 2 @ fold_multiplicities(g2.shape[1])
     p = v2.shape[1]
-    d2 = np.diagonal(v2, axis1=1, axis2=2)
-    require(np.any((d2 <= 0.0) | ~np.isfinite(d2), axis=1),
-            lambda l: "nonpositive diagonal entry")
-    scale = 1.0 / np.sqrt(d2)
+    scale = 1.0 / np.sqrt(np.diagonal(v2, axis1=1, axis2=2))
     B1 = scale[:, :, None] * v1 * scale[:, None, :]
     B2 = scale[:, :, None] * v2 * scale[:, None, :]  # unit diagonal
     w, v = np.linalg.eigh(B2)
     lo, hi = w[:, 0], w[:, -1]
-    require(lo <= STRICT_RTOL * p,  # trace(B2) == p after equilibration
-            lambda l: f"not strictly positive after diagonal equilibration: "
-                      f"min eigenvalue ratio {lo[l] / p:.6e}, condition number "
-                      f"{hi[l] / lo[l] if lo[l] > 0 else math.inf:.3e}")
     s = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
     m = s @ B1 @ s
     diff = m - np.eye(p)
@@ -255,13 +246,7 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u
     the matching functional term (tested invariant).
     """
     L = _check_compatible(seq1, seq2, l_max)
-    q1 = seq1.quadratic_forms(u)[:L + 1]
-    q2 = seq2.quadratic_forms(u)[:L + 1]
-    if np.any(q2 <= 0.0):
-        bad = int(np.argmax(q2 <= 0.0))
-        raise ValueError(
-            f"degenerate denominator: <b_l u, u> = {q2[bad]:g} for the "
-            f"reference sequence at degree {bad}")
+    q1, q2 = (seq.quadratic_forms(u)[:L + 1] for seq in (seq1, seq2))
     terms = _degree_dims(seq1.d, L) * _conjugated_distances(q1, q2)
     return _make_series(seq1.d, terms, fit_window)
 
@@ -269,12 +254,10 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u
 def marginal_bound_check(b1, b2, u):
     """Both sides of ``|<(A - B) u, u>| / <B u, u>  <=  ||B^{-1/2} A B^{-1/2} - I||_HS``
     with ``B = b1`` (strictly positive) and ``A = b2``, two coefficients given
-    as arrays (see :func:`one_degree_stack`).  Returns (lhs, rhs)."""
-    qb = float(_quadratic_forms(one_degree_stack(b1), u)[0])
-    qa = float(_quadratic_forms(one_degree_stack(b2), u)[0])
-    if qb <= 0.0:
-        raise ValueError("<B u, u> must be strictly positive")
-    return abs(qa - qb) / qb, math.sqrt(hs_term(b2, b1, 1))
+    as arrays (see :func:`one_degree_stack`).  Returns (lhs, rhs); the lhs
+    is a scalar term, so ``<B u, u>`` must be > 0."""
+    qb, qa = (_quadratic_forms(one_degree_stack(b), u) for b in (b1, b2))
+    return math.sqrt(_conjugated_distances(qa, qb)[0]), math.sqrt(hs_term(b2, b1, 1))
 
 
 def classify_numeric(series: EquivalenceTermSeries,

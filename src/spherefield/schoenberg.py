@@ -23,10 +23,10 @@ matrix), checked by :func:`one_degree_stack` under the same rules as a
 sequence.  The scalar variant is handled as a diagonal with one entry of
 multiplicity 1, so sequence-level code has one dense and one diagonal branch.
 
-Strict positivity (needed for the equivalence criterion) is a stronger gate
-than PSD validity (enough for sampling); :func:`validate_sequence` reports
-both, and whether the weighted trace is finite (:func:`has_finite_variance`),
-which kernel evaluation and sampling need.
+Sequences are PSD by construction (enough for sampling); the equivalence
+criterion also needs the strict positivity of :func:`strict_positivity`,
+which :func:`validate_sequence` reports with whether the weighted trace is
+finite (:func:`has_finite_variance`), as kernels and sampling need.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ MATRIX = "matrix"
 FOURIER_DIAGONAL = "fourier_diagonal"
 
 # Double-precision eigensolvers produce O(eps * trace) negative dust on PSD
-# input; eigenvalues above -PSD_RTOL * trace count as nonnegative, and
-# strict positivity requires eigenvalues above +STRICT_RTOL * trace.
+# input; eigenvalues above -PSD_RTOL * trace count as nonnegative.  Strict
+# positivity needs equilibrated eigenvalues above STRICT_RTOL * p.
 PSD_RTOL = 1e-12
 STRICT_RTOL = 1e-12
 
@@ -157,6 +157,27 @@ def _checked_stack(variant: str, stack) -> np.ndarray:
         s = np.array(s)
     s.setflags(write=False)
     return s
+
+
+def strict_positivity(stack: np.ndarray):
+    """The one strict-positivity rule: ``(bad, why)``, a mask of the degrees
+    of a checked stack whose coefficient is not strictly positive, and the
+    reason ``why(l)``.  Diagonal entries must be > 0, exactly; a dense
+    coefficient equilibrated by ``diag(b)^{-1/2}`` needs a smallest eigenvalue
+    above ``STRICT_RTOL * p``, which no positive diagonal scaling moves."""
+    if stack.ndim < 3:
+        return (np.any(stack.reshape(stack.shape[0], -1) <= 0.0, axis=1),
+                lambda l: "nonpositive entry")
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    zero = np.any(diag <= 0.0, axis=1)
+    scale = 1.0 / np.sqrt(np.where(zero[:, None], 1.0, diag))
+    w = np.linalg.eigvalsh(scale[:, :, None] * stack * scale[:, None, :])
+    lo, hi, p = w[:, 0], w[:, -1], w.shape[1]
+    return zero | (lo <= STRICT_RTOL * p), lambda l: (
+        "nonpositive diagonal entry" if zero[l] else
+        f"not strictly positive after diagonal equilibration: min eigenvalue "
+        f"ratio {lo[l] / p:.6e}, condition number "
+        f"{hi[l] / lo[l] if lo[l] > 0 else math.inf:.3e}")
 
 
 def one_degree_stack(b) -> np.ndarray:
@@ -395,24 +416,21 @@ def has_finite_variance(seq: SchoenbergSequence) -> bool:
 
 
 def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
-    """PSD margins, traces, weighted-trace partial sums, and tail estimate.
+    """Traces, eigenvalue margins, weighted-trace partial sums, and tail estimate.
 
-    ``passed`` requires both PSD validity and strict positivity of every
-    coefficient; PSD-only sequences remain usable for sampling but are not
-    equivalence-eligible, which is reported through the separate flags.
-    """
-    traces = _traces(seq.coeffs)
-    mins = _min_eigenvalues(seq.coeffs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    ``passed`` requires a finite weighted trace and every coefficient strictly
+    positive (:func:`strict_positivity`).  ``psd_valid`` is always true, as
+    construction checks it; ``min_eig_ratios`` (raw ``min eig / trace``) is
+    a diagnostic only."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        traces = _traces(seq.coeffs)
+        mins = _min_eigenvalues(seq.coeffs)
         ratios = np.where(traces > 0, mins / np.where(traces > 0, traces, 1.0), 0.0)
-    psd_valid = bool(np.all(mins >= -PSD_RTOL * np.maximum(traces, 0.0)))
-    strictly_positive = bool(np.all(mins > STRICT_RTOL * traces))
+    strictly_positive = not np.any(strict_positivity(seq.coeffs)[0])
     partial = _weighted_partial_sums(seq)
     finite = has_finite_variance(seq)
 
     flags = []
-    if not psd_valid:
-        flags.append("not positive semi-definite")
     if not strictly_positive:
         flags.append("not strictly positive")
     if not finite:
@@ -430,13 +448,12 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
         tail_estimate = None
         heuristic = True
 
-    passed = psd_valid and strictly_positive and finite
     return ValidityReport(
         d=seq.d, variant=seq.variant, l_max=seq.l_max,
         traces=traces, min_eig_ratios=ratios, weighted_partial_sums=partial,
         tail_estimate=tail_estimate, tail_is_heuristic=heuristic,
-        psd_valid=psd_valid, strictly_positive=strictly_positive,
-        flags=tuple(flags), passed=bool(passed))
+        psd_valid=True, strictly_positive=strictly_positive,
+        flags=tuple(flags), passed=strictly_positive and finite)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,10 @@ MQ_BAD = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
 LM = {"model": "legendre_matern", "sigma": 1.0, "alpha": 1.0, "nu": 1.0}
 LM_ALPHA = {"model": "legendre_matern", "sigma": 1.0, "alpha": 2.0, "nu": 1.0}
 LM_NU = {"model": "legendre_matern", "sigma": 1.0, "alpha": 1.0, "nu": 1.2}
+# unequal marginal rates: the diagonal entries decay at different geometric
+# rates, so min eigenvalue / trace falls below 1e-12 from degree 50 on
+MQ_WIDE = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
+           "rho12": 0.4, "alpha": [0.5, 0.9, 0.6]}
 
 
 def run(capsys, argv):
@@ -44,6 +49,19 @@ class TestValidate:
         report = json.loads(out)
         validate_schema("validity_report.schema.json", report)
         assert report["passed"]
+
+    @pytest.mark.parametrize("model, l_max", [
+        (dict(LM, nu=3.0), []), (dict(LM, nu=5.0), []),
+        (MQ_WIDE, ["--l-max", "60"]), (MQ_WIDE, ["--l-max", "200"])])
+    def test_wide_spectrum_strictly_positive(self, capsys, tmp_json, model, l_max):
+        # strict positivity does not depend on how many decades the spectrum
+        # spans: these models pass although min eig / trace is below 1e-12
+        code, out, err = run(capsys, ["validate", "--config",
+                                      tmp_json("m.json", model), *l_max])
+        assert code == 0 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["passed"] and report["strictly_positive"]
+        assert min(report["min_eig_ratios"]) < 1e-12
 
     def test_violated_inequality_named(self, capsys, tmp_json):
         code, out, err = run(capsys, ["validate", "--config",
@@ -82,8 +100,14 @@ class TestValidate:
                                                command):
         # sigma^2 is finite, the weighted trace overflows: validate flags it
         cfg = tmp_json("m.json", dict(LM, sigma=1.3e154, L_max=20, K_max=4))
-        code, out, err = run(capsys, ["validate", "--config", cfg])
-        assert code == 2 and "weighted trace not finite" in err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["validate", "--config", cfg])
+        # every gamma is positive: the finiteness flag is the only one, and
+        # the overflowing traces raise no RuntimeWarning on the way
+        assert code == 2
+        assert err == "sequence validation failed: weighted trace not finite\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if command[0] == "sample":
             command = command + ["--grid", tmp_json("g.json", {
                 "kind": "uniform", "d": 2, "n": 4, "seed": 7}),
@@ -610,6 +634,15 @@ class TestEquiv:
         assert code == 1
         assert out == ""
         assert "--k-max" in err and "Traceback" not in err
+
+    def test_wide_spectrum_reference_accepted(self, capsys, tmp_json):
+        # the model validate accepts at 200 is an admissible reference too
+        a = tmp_json("a.json", MQ_WIDE)
+        code, out, err = run(capsys, ["equiv", a, a, "--l-max", "200"])
+        assert code == 0 and "Traceback" not in err
+        verdicts = {v["provenance"]: v["verdict"]
+                    for v in json.loads(out)["verdicts"]}
+        assert verdicts == {"closed_form": "equivalent", "numeric": "equivalent"}
 
     def test_underflowed_reference_invalid_model(self, capsys, tmp_json):
         # the diagonal of the default MQ model underflows to 0 at degree 1075

@@ -1,10 +1,16 @@
-"""Property tests over CLI flags: every input maps to a documented exit code."""
+"""Property tests: every CLI flag input maps to a documented exit code, and
+``validate`` and ``equiv`` share one definition of strict positivity."""
 
 import json
+import math
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 from spherefield import cli
+from spherefield import equivalence as eq
+from spherefield import models as md
+from spherefield import schoenberg as sb
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -59,3 +65,88 @@ def test_l_max_flag_gives_documented_exit_code(tmp_path_factory, command, family
                  "--out", str(tmp_path_factory.getbasetemp() / "samples")]
     code = cli.main(argv)
     assert code == 1 if l_max < 0 else code in {0, 2, 3, 4}
+
+
+def _equiv_accepts(seq) -> bool:
+    """Whether ``seq`` is admissible as the reference of a functional series."""
+    try:
+        eq.functional_series(seq, seq)
+    except ValueError as exc:
+        assert "strictly positive" in str(exc)
+        return False
+    return True
+
+
+def _assert_one_definition(seq) -> bool:
+    positive = sb.validate_sequence(seq).strictly_positive
+    assert positive == _equiv_accepts(seq)
+    return positive
+
+
+@st.composite
+def scaled_stacks(draw):
+    """A coefficient stack and the same stack under per-degree scalings
+    ``c_l D_l b_l D_l`` (positive c_l, positive diagonal D_l) whose entries
+    span up to about +-150 decades.  Diagonal entries may be zero; matrices
+    are ``A A^T``, and in half the stacks one of them is rank-deficient."""
+    variant = draw(st.sampled_from([sb.SCALAR, sb.FOURIER_DIAGONAL, sb.MATRIX]))
+    n = draw(st.integers(1, 5))
+    width = 1 if variant == sb.SCALAR else draw(st.integers(1, 4))
+    span = draw(st.sampled_from([0.0, 10.0, 70.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if variant == sb.MATRIX:
+        ranks = [width] * n
+        if draw(st.booleans()):
+            ranks[draw(st.integers(0, n - 1))] = draw(st.integers(0, width - 1))
+        stack = np.array([a @ a.T for a in (rng.standard_normal((width, r))
+                                            for r in ranks)])
+        stack = 0.5 * (stack + stack.swapaxes(1, 2))
+    else:
+        stack = 10.0 ** rng.uniform(-20.0, 20.0, (n, width))
+        stack[rng.random((n, width)) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    c = 10.0 ** rng.uniform(-span / 7, span / 7, n)
+    d = 10.0 ** rng.uniform(-span, span, (n, width))
+    if variant == sb.MATRIX:
+        scaled = c[:, None, None] * d[:, :, None] * stack * d[:, None, :]
+    else:
+        scaled = c[:, None] * d * d * stack
+    if variant == sb.SCALAR:
+        stack, scaled = stack[:, 0], scaled[:, 0]
+    return (sb.SchoenbergSequence(2, variant, stack),
+            sb.SchoenbergSequence(2, variant, scaled))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(pair=scaled_stacks())
+def test_strict_positivity_one_definition_on_scaled_stacks(pair):
+    seq, scaled = pair
+    # validate and equiv agree, and a positive diagonal scaling (which keeps
+    # strict positivity) does not move the verdict
+    assert _assert_one_definition(scaled) == _assert_one_definition(seq)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 4), a11=st.floats(0.05, 0.95), a22=st.floats(0.05, 0.95),
+       cross=st.floats(0.05, 1.0), rho=st.floats(0.05, 0.95),
+       sigma=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       l_max=st.integers(0, 400))
+def test_strict_positivity_one_definition_on_multiquadratic(d, a11, a22, cross, rho,
+                                                            sigma, l_max):
+    # the closed-form valid region: a12 <= sqrt(a11 a22), rho12 below its bound
+    a12 = cross * math.sqrt(a11 * a22)
+    bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((d - 1) / 2.0)
+    p = md.MultiquadraticParams(d=d, sigma=tuple(10.0 ** s for s in sigma),
+                                rho12=rho * min(bound, 1.0), alpha=(a11, a22, a12))
+    assume(md.multiquadratic_validity(p).valid)
+    _assert_one_definition(md.build_sequence(p, l_max))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(-3.0, 3.0), alpha=st.floats(-3.0, 3.0),
+       nu=st.floats(0.05, 40.0), l_max=st.integers(1, 400), k_max=st.integers(1, 400))
+def test_strict_positivity_one_definition_on_legendre_matern(sigma, alpha, nu,
+                                                             l_max, k_max):
+    # every gamma is positive here (the smallest is above 1e-240), so the
+    # model validates however many decades its spectrum spans
+    p = md.LegendreMaternParams(10.0 ** sigma, 10.0 ** alpha, nu, l_max, k_max)
+    assert _assert_one_definition(md.build_sequence(p))
