@@ -57,6 +57,7 @@ from .models import (
 from .schoenberg import (
     TRACE_NOT_FINITE,
     IsotropicKernel,
+    check_compatible,
     entry_labels,
     has_finite_variance,
     sequence_to_dict,
@@ -138,9 +139,9 @@ def _load_params(path: str):
     obj = _load_config(path)
     try:
         return params_from_dict(obj)
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:   # not a block of model.schema.json
         raise UsageError(f"{path}: {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidModelError(f"{path}: {exc}") from exc
 
 
@@ -531,7 +532,12 @@ def cmd_mc_check(args) -> int:
         pairs = _axis_pairs(seq.d, thetas)
     analytic = None
     if args.analytic_config:
-        analytic = _build_finite_sequence(_load_params(args.analytic_config), args.l_max)
+        # built at the sampled truncation, so a shorter one is extended
+        analytic = _build_finite_sequence(_load_params(args.analytic_config), seq.l_max)
+        try:
+            check_compatible(seq, analytic)
+        except ValueError as exc:
+            raise UsageError(f"--analytic-config {args.analytic_config}: {exc}") from exc
     report = monte_carlo_kernel_check(
         seq, pairs, n_samples=args.n_samples, seed=args.seed,
         stream=args.stream, z_threshold=args.z_threshold, analytic_seq=analytic)

@@ -38,6 +38,7 @@ from .schoenberg import (
     SchoenbergSequence,
     _quadratic_forms,
     _reject,
+    check_compatible,
     fold_multiplicities,
     one_degree_stack,
     strict_positivity,
@@ -178,19 +179,6 @@ def _degree_dims(d: int, l_max: int) -> np.ndarray:
     return np.array([h_dim(d, l) for l in range(l_max + 1)], dtype=float)
 
 
-def _check_compatible(seq1: SchoenbergSequence, seq2: SchoenbergSequence, l_max):
-    if seq1.d != seq2.d:
-        raise ValueError(f"sphere dimensions differ: {seq1.d} vs {seq2.d}")
-    if seq1.variant != seq2.variant or seq1.dim != seq2.dim:
-        raise ValueError("sequences must share variant and coefficient size")
-    limit = min(seq1.l_max, seq2.l_max)
-    if l_max is None:
-        return limit
-    if l_max > limit:
-        raise ValueError(f"l_max={l_max} exceeds available degrees ({limit})")
-    return l_max
-
-
 def fit_decay_exponent(degrees: np.ndarray, terms: np.ndarray, window: tuple) -> float:
     """Least-squares slope of log t_l against log l over the window.
 
@@ -223,7 +211,7 @@ def functional_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
     """Terms ``t_l = h(l) ||(b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I||^2``
     for ``l = 0 .. l_max``, with partial sums and a log-log decay fit over
     the top half of the window (or an explicit ``fit_window``)."""
-    L = _check_compatible(seq1, seq2, l_max)
+    L = check_compatible(seq1, seq2, l_max)
     dist = _conjugated_distances(seq1.coeffs[:L + 1], seq2.coeffs[:L + 1])
     return _make_series(seq1.d, _degree_dims(seq1.d, L) * dist, fit_window)
 
@@ -245,7 +233,7 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u
     Requires ``<b_l^(2) u, u> > 0`` up to l_max.  Each term is dominated by
     the matching functional term (tested invariant).
     """
-    L = _check_compatible(seq1, seq2, l_max)
+    L = check_compatible(seq1, seq2, l_max)
     q1, q2 = (seq.quadratic_forms(u)[:L + 1] for seq in (seq1, seq2))
     terms = _degree_dims(seq1.d, L) * _conjugated_distances(q1, q2)
     return _make_series(seq1.d, terms, fit_window)

@@ -276,26 +276,64 @@ def build_sequence(params, l_max: int | None = None) -> SchoenbergSequence:
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 
+# The fields of each model block of docs/schemas/model.schema.json, key ->
+# int, float, or (float, n) for an array of n numbers; each is passed as the
+# keyword ``key.lower()``.  The parameter classes check the values and
+# default the optional L_max and K_max.
+_MODEL_BLOCKS = {
+    "multiquadratic": (MultiquadraticParams, {
+        "d": int, "sigma": (float, 2), "rho12": float, "alpha": (float, 3)}),
+    "legendre_matern": (LegendreMaternParams, {
+        "sigma": float, "alpha": float, "nu": float, "L_max": int, "K_max": int}),
+}
+
+
+def _number(key: str, value, kind):
+    """``value`` as a float, or as an int when ``kind`` is int (an integral
+    float such as 1e12 counts, as in JSON Schema); a bool, a string or a
+    non-integral (or non-finite) integer is a ``TypeError`` naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"field {key!r} must be a number, got {value!r}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:   # an int beyond float64
+            return math.inf if value > 0 else -math.inf
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise TypeError(f"field {key!r} must be an integer, got {value!r}")
+        return int(value)
+    return value
+
+
+def _field(key: str, value, kind):
+    if not isinstance(kind, tuple):
+        return _number(key, value, kind)
+    kind, n = kind
+    if not isinstance(value, list) or len(value) != n:
+        raise TypeError(f"field {key!r} must be an array of {n} numbers, got {value!r}")
+    return tuple(_number(f"{key}[{i}]", v, kind) for i, v in enumerate(value))
+
+
 def params_from_dict(obj: dict):
-    """Parse a model block (see docs/formats.md) into a parameter object."""
+    """Parse a model block (see docs/formats.md) into a parameter object.
+
+    A missing field is a ``KeyError``; an unknown field, or one of the wrong
+    type or length, a ``TypeError``; an unknown model, or a value the
+    parameter class rejects, a ``ValueError``.
+    """
     try:
         model = obj["model"]
     except KeyError:
         raise KeyError("missing field 'model'") from None
-    if model == "multiquadratic":
-        required = ("d", "sigma", "rho12", "alpha")
-        missing = [k for k in required if k not in obj]
-        if missing:
-            raise KeyError(f"missing field '{missing[0]}'")
-        return MultiquadraticParams(d=int(obj["d"]), sigma=tuple(obj["sigma"]),
-                                    rho12=float(obj["rho12"]), alpha=tuple(obj["alpha"]))
-    if model == "legendre_matern":
-        required = ("sigma", "alpha", "nu")
-        missing = [k for k in required if k not in obj]
-        if missing:
-            raise KeyError(f"missing field '{missing[0]}'")
-        return LegendreMaternParams(
-            sigma=float(obj["sigma"]), alpha=float(obj["alpha"]), nu=float(obj["nu"]),
-            l_max=int(obj.get("L_max", DEFAULT_L_MAX)),
-            k_max=int(obj.get("K_max", DEFAULT_K_MAX)))
-    raise ValueError(f"unknown model {model!r}")
+    if not isinstance(model, str) or model not in _MODEL_BLOCKS:
+        raise ValueError(f"unknown model {model!r}")
+    cls, fields = _MODEL_BLOCKS[model]
+    for key in obj:
+        if key != "model" and key not in fields:
+            raise TypeError(f"unknown field {key!r} in a {model} block")
+    for key in fields:
+        if key not in obj and key not in ("L_max", "K_max"):
+            raise KeyError(f"missing field '{key}'")
+    return cls(**{key.lower(): _field(key, obj[key], kind)
+                  for key, kind in fields.items() if key in obj})

@@ -522,12 +522,33 @@ def entry_labels(seq: SchoenbergSequence) -> list:
     return ["R"]
 
 
+def check_l_max(seq: SchoenbergSequence, l_max: int | None = None) -> int:
+    """The last degree kept by a truncation at ``l_max`` (None: all of ``seq``)."""
+    if l_max is None:
+        return seq.l_max
+    if not 0 <= l_max <= seq.l_max:
+        raise ValueError(f"l_max must lie in [0, {seq.l_max}], got {l_max}")
+    return l_max
+
+
+def check_compatible(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
+                     l_max: int | None = None) -> int:
+    """The last degree at which two sequences with the same ``d``, variant and
+    coefficient size are compared (None: the shorter sequence's)."""
+    if seq1.d != seq2.d:
+        raise ValueError(f"sphere dimensions differ: {seq1.d} vs {seq2.d}")
+    if seq1.variant != seq2.variant or seq1.dim != seq2.dim:
+        raise ValueError("sequences must share variant and coefficient size, got "
+                         f"{seq1.variant} of size {seq1.dim} and {seq2.variant} "
+                         f"of size {seq2.dim}")
+    return check_l_max(min(seq1, seq2, key=lambda s: s.l_max), l_max)
+
+
 def truncate_sequence(seq: SchoenbergSequence, l_max: int) -> SchoenbergSequence:
     """Drop degrees above l_max; the tail descriptor (a bound valid for any
     starting degree) is carried over."""
-    if not 0 <= l_max <= seq.l_max:
-        raise ValueError(f"l_max must lie in [0, {seq.l_max}], got {l_max}")
-    return SchoenbergSequence(seq.d, seq.variant, seq.coeffs[:l_max + 1], seq.tail)
+    L = check_l_max(seq, l_max)
+    return SchoenbergSequence(seq.d, seq.variant, seq.coeffs[:L + 1], seq.tail)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ from .schoenberg import (
     MATRIX,
     IsotropicKernel,
     SchoenbergSequence,
+    check_compatible,
+    check_l_max,
     entry_labels,
     operator_sqrt,
     truncate_sequence,
@@ -179,14 +181,6 @@ def _scale_factor(seq: SchoenbergSequence, l: int) -> np.ndarray:
     return np.sqrt(bhat)
 
 
-def _check_l_max(seq: SchoenbergSequence, l_max) -> int:
-    if l_max is None:
-        return seq.l_max
-    if not 0 <= l_max <= seq.l_max:
-        raise ValueError(f"l_max must lie in [0, {seq.l_max}], got {l_max}")
-    return l_max
-
-
 def sample_coefficients(seq: SchoenbergSequence, l: int,
                         rng: np.random.Generator, root=None) -> np.ndarray:
     """Draw the ``h(l)`` degree-l coefficient vectors, shape (h(l), dim).
@@ -227,7 +221,7 @@ def synthesize_fields(seq: SchoenbergSequence, grid: SampleGrid, streams,
     """
     if grid.d != seq.d:
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
-    L = _check_l_max(seq, l_max)
+    L = check_l_max(seq, l_max)
     rngs = [make_generator(seed, stream) for stream in streams]
     values = np.zeros((len(rngs), grid.n_points, unfolded_dim(seq)))
     for l, block in enumerate(iter_degree_blocks(seq.d, L, grid.points)):
@@ -273,47 +267,31 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     sequence.
 
     Memory: one batch buffer (the scaled draws, laid out as the rows of the
-    contraction) and a ring of two draw slots are allocated once per call,
-    about ``_BATCH_ELEMS * 8 * 1.25`` bytes whatever ``n_fields`` is, plus
-    the output and the ``(n_points, H)`` harmonic basis, built once per
-    call.  A slot holds at most half a batch and at most
-    ``_BATCH_ELEMS // 8`` elements, but at least one field.  When every
-    batch holds one field (a field of more than half of ``_BATCH_ELEMS``
-    elements, H * dim), each field is drawn, scaled and contracted in one
-    slot of its own size, and no batch buffer is needed.  Each degree's draws
-    are scaled by that degree's factor alone (a matrix product, or an
-    entrywise product for the diagonal variants).  Philox fills a request
-    sequentially, so drawing a batch slot by slot gives the same normals in
-    the same order, and how a batch is split into slots changes no bit.
-    The batch partition is a pure function of ``(n_fields, H, dim)``,
-    balanced so that sizes differ by at most one: BLAS picks its kernel, and
-    so the rounding of the contraction, from the batch's shape, and a tiny
-    remainder batch would round differently from the rest.  On a one-point
-    grid the basis is a single row, and numpy's ``dot`` sends the
-    ``(nb * dim, H) . (H, 1)`` contraction to BLAS dgemv rather than dgemm;
-    OpenBLAS's dgemv computes the rows of a block of four with one kernel
-    and the last ``nb * dim mod 4`` rows with a remainder kernel whose
-    rounding can differ, so there the last bits of a field also depend on
-    its position in its batch, and so on the batch partition.
+    contraction) and a ring of two draw slots, about ``_BATCH_ELEMS * 8 *
+    1.25`` bytes whatever ``n_fields`` is, plus the output and the
+    ``(n_points, H)`` harmonic basis.  A slot holds at most half a batch and
+    at most ``_BATCH_ELEMS // 8`` elements, but at least one field.  Philox
+    fills a request sequentially, so how a batch is split into slots changes
+    no bit.  The batch partition is a pure function of ``(n_fields, H,
+    dim)``, balanced so that sizes differ by at most one: BLAS picks its
+    kernel, and so the rounding of the contraction, from the batch's shape.
+    On a one-point grid numpy's ``dot`` sends the contraction to BLAS dgemv,
+    whose last ``nb * dim mod 4`` rows take a remainder kernel, so there a
+    field's last bits also depend on its position in its batch.
 
-    Threads: one worker thread fills the next slot while the caller scales
-    the current one into the batch buffer and contracts each finished batch.
-    The worker signals when it has started a draw, and the caller waits for
-    that signal before it scales: the scaling loop would otherwise hold the
-    GIL until the interpreter forces a switch, leaving the worker idle for
-    milliseconds per slot.  Only the caller calls BLAS.  The loop runs at
-    one OpenBLAS thread (:func:`one_blas_thread`), so its bits do not depend
-    on ``OPENBLAS_NUM_THREADS`` and idle BLAS threads do not compete with
-    the draws.  The worker has exited when this function returns or raises.
+    Threads: one worker thread draws the next slot while the caller scales
+    the current one and contracts each finished batch; only the caller calls
+    BLAS, at one OpenBLAS thread (:func:`one_blas_thread`), so the bits do
+    not depend on ``OPENBLAS_NUM_THREADS``.  The worker has exited when this
+    function returns or raises.
     """
-    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     if grid.d != seq.d:
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
     if n_fields < 1:
         raise ValueError(f"n_fields must be >= 1, got {n_fields}")
-    L = _check_l_max(seq, l_max)
+    L = check_l_max(seq, l_max)
     rng = make_generator(seed, stream)
     basis = harmonic_basis(seq.d, L, grid.points)        # (npts, H)
     slices = degree_slices(seq.d, L)
@@ -328,13 +306,10 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     # z[0].T, through BLAS's transposed-operand kernel, which rounds
     # differently from the batch buffer's rows: this keeps one-field batches
     # bit-identical to earlier versions of this function.  When every batch
-    # has one field, one slot and no batch buffer suffice.
+    # has one field, one slot and no batch buffer suffice.  Larger batches
+    # are scaled straight into zt, laid out as the (nb*dim, H) rows of the
+    # contraction.
     ring = [np.empty((cap, H, dim)) for _ in range(1 if sizes[0] == 1 else 2)]
-    # Scaled draws go to zt, laid out as the (nb*dim, H) rows of the
-    # contraction.  The entrywise products of the diagonal variants are
-    # exact wherever they are stored, so those are scaled in place (contiguous
-    # inner loops) and reach zt with one transposed copy per slot; the matrix
-    # variant's products are written straight into zt.
     zt = np.empty((sizes[0], dim, H)) if sizes[0] > 1 else None
     out = np.empty((n_fields, grid.n_points, dim))
     # (first field of the batch, batch size, slot start, slot end) in draw order
@@ -347,58 +322,33 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
             f1 += n
         done += nb
 
-    views = {}
-
-    def by_degree(key, a):
-        """Per-degree views of ``a`` (fields, H, dim), made once per key."""
-        if key not in views:
-            views[key] = [a[:, s, :] for s in slices]
-        return views[key]
-
-    entered = threading.Event()
-
-    def draw(z):
-        entered.set()
+    def draw(k):
+        f0, f1 = slots[k][2:]
+        z = ring[k % len(ring)][:f1 - f0]
         # the size is redundant with out=, but wrappers that count draws read it
         rng.standard_normal(z.shape, out=z)
-
-    def slot(k):
-        """The ring slot that draw ``k`` fills, cut to its fields."""
-        f0, f1 = slots[k][2:]
-        return ring[k % len(ring)][:f1 - f0]
-
-    def submit(k):
-        entered.clear()
-        future = pool.submit(draw, slot(k))
-        entered.wait()
-        return future
+        return z
 
     # A draw may start while the caller works only on memory it does not
     # write: with two slots the next draw fills the slot the caller is not
     # reading, and a finished batch of two or more fields is contracted from
     # zt.  With one slot the next draw waits for the contraction.
     with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        pending = submit(0)
+        pending = pool.submit(draw, 0)
         for k, (first, nb, f0, f1) in enumerate(slots):
-            pending.result()
+            z = pending.result()
             following = k + 1 < len(slots)
             if following and len(ring) == 2:
-                pending = submit(k + 1)
-            z = slot(k)
-            zs = by_degree((k % len(ring), f1 - f0), z)
-            in_place = nb == 1 or seq.variant != MATRIX
-            scaled = zs if in_place else by_degree(
-                ("zt", f0, f1), zt[f0:f1].transpose(0, 2, 1))
-            for zl, factor, sl in zip(zs, factors, scaled):
-                scale(zl, factor, out=sl)
-            if in_place and nb > 1:
-                zt[f0:f1] = z.transpose(0, 2, 1)
+                pending = pool.submit(draw, k + 1)
+            scaled = z if nb == 1 else zt[f0:f1].transpose(0, 2, 1)
+            for sl, factor in zip(slices, factors):
+                scale(z[:, sl], factor, out=scaled[:, sl])
             if f1 == nb:
                 rows = z[0].T if nb == 1 else zt[:nb].reshape(nb * dim, H)
                 vals = np.dot(rows, basis.T)             # (nb*dim, npts)
                 out[first:first + nb] = vals.reshape(nb, dim, -1).transpose(0, 2, 1)
             if following and len(ring) == 1:
-                pending = submit(k + 1)
+                pending = pool.submit(draw, k + 1)
     return out
 
 
@@ -482,18 +432,13 @@ def _zscores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
     return z
 
 
-def _pair_statistics(seq, values, idx_x, idx_y):
+def _pair_statistics(seq, values, ix, iy):
     """(labels, empirical, se) of the operator-representation entries."""
-    vx = values[:, idx_x, :]
-    vy = values[:, idx_y, :]
-    n = values.shape[0]
     labels = entry_labels(seq)
     if seq.variant == MATRIX:
-        prod = vx[:, :, None] * vy[:, None, :]          # (n, p, p)
-        emp = prod.mean(axis=0)
-        se = prod.std(axis=0, ddof=1) / math.sqrt(n)
+        emp, se = empirical_covariance(values, ix, iy)  # (p, p) each
         return labels, emp.ravel(), se.ravel()
-    prod = vx * vy                                      # (n, 2K+1)
+    prod = values[:, ix, :] * values[:, iy, :]          # (n, 2K+1)
     idx = unfolded_index(seq.dim)
     emp, se = [], []
     for k in range(seq.dim):
@@ -511,19 +456,21 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
                              analytic_seq: SchoenbergSequence | None = None) -> CheckReport:
     """Compare sampled covariances against the analytic kernel at point pairs.
 
-    The analytic side is truncated at the sampling ``l_max`` so sampling
-    error is not conflated with truncation error; the kernel tail bound is
-    reported separately.  Entries are compared in the operator
-    representation (p x p for matrices, folded frequencies for the fourier
-    variant, pooling the cos/sin coordinate pairs).  Passes when every
-    entrywise ``|z| < z_threshold``.
+    The analytic side (``analytic_seq``, by default ``seq``, compatible with
+    it) is truncated at the sampling ``l_max`` so sampling error is not
+    conflated with truncation error; the tail bound is reported separately.
+    Entries are compared in the operator representation (p x p for matrices,
+    folded frequencies pooling the fourier cos/sin pairs).  Passes when
+    every entrywise ``|z| < z_threshold``.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (n_pairs, 2, d+1)")
-    L = _check_l_max(seq, l_max)
+    L = check_l_max(seq, l_max)
+    ref = seq if analytic_seq is None else analytic_seq
+    check_compatible(seq, ref, L)
 
     # deduplicate points so each field is synthesized once per location
     flat = pairs.reshape(-1, pairs.shape[2])
@@ -532,8 +479,7 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
     values = synthesize_ensemble(seq, grid, n_samples, l_max=L,
                                  seed=seed, stream=stream)
 
-    ref = truncate_sequence(analytic_seq if analytic_seq is not None else seq, L)
-    kernel = IsotropicKernel(ref)
+    kernel = IsotropicKernel(truncate_sequence(ref, L))
 
     results = []
     for p_idx in range(pairs.shape[0]):

@@ -123,6 +123,20 @@ class TestValidate:
         assert code == 1
         assert "nu" in err
 
+    @pytest.mark.parametrize("model, field, value", [
+        (MQ, "d", True), (MQ, "d", 2.5), (MQ, "d", math.inf),
+        (LM, "L_max", 1.5), (LM, "L_max", math.inf), (LM, "K_max", "7"),
+        (MQ, "sigma", ["1", "1"]), (MQ, "sigma", 1), (MQ, "sigma", [1, 1, 1]),
+        (LM, "Lmax", 5), (MQ, "L_max", 5),
+    ])
+    def test_off_schema_model_field_usage_error(self, capsys, tmp_json, model, field,
+                                                value):
+        # model.schema.json types, array lengths and keys
+        path = tmp_json("m.json", dict(model, **{field: value}))
+        code, out, err = run(capsys, ["validate", "--config", path, "--l-max", "4"])
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert path in err and f"field '{field}" in err
+
     def test_malformed_json_diagnostics(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"model": "legendre_matern",')
@@ -688,6 +702,28 @@ class TestMcCheck:
                                     "--l-max", "10"])
         assert code == 3
         assert not json.loads(out)["passed"]
+
+    def test_shorter_analytic_truncation_extended(self, capsys, tmp_json):
+        # the analytic model is built at the sampled L_max, 20 here, so it
+        # is the sampled model itself
+        sampled = dict(LM, L_max=20, K_max=4)
+        argv = ["mc-check", "--config", tmp_json("m.json", sampled),
+                "--thetas", "0,1.0", "--n-samples", "50", "--seed", "3"]
+        expected = run(capsys, argv)
+        code, out, err = run(capsys, argv + [
+            "--analytic-config", tmp_json("a.json", dict(sampled, L_max=10))])
+        assert (code, out, err) == expected
+        assert json.loads(out)["L_max"] == 20
+
+    @pytest.mark.parametrize("analytic", [dict(LM, L_max=20, K_max=6), MQ],
+                             ids=["lm_k_max", "mq"])
+    def test_incompatible_analytic_config_usage_error(self, capsys, tmp_json, analytic):
+        sampled = dict(LM, L_max=20, K_max=4)
+        code, out, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", sampled),
+                                      "--analytic-config", tmp_json("a.json", analytic),
+                                      "--thetas", "0,1.0", "--n-samples", "50"])
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert "--analytic-config" in err and "coefficient size" in err
 
     def test_zero_samples_usage_error(self, capsys, tmp_json):
         code, _, _ = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),

@@ -1,5 +1,6 @@
-"""Property tests: every CLI flag input maps to a documented exit code, and
-``validate`` and ``equiv`` share one definition of strict positivity."""
+"""Property tests: every CLI flag input maps to a documented exit code, every
+model block the parser accepts obeys its schema, and ``validate`` and
+``equiv`` share one definition of strict positivity."""
 
 import json
 import math
@@ -11,6 +12,7 @@ from spherefield import cli
 from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
+from conftest import validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -65,6 +67,37 @@ def test_l_max_flag_gives_documented_exit_code(tmp_path_factory, command, family
                  "--out", str(tmp_path_factory.getbasetemp() / "samples")]
     code = cli.main(argv)
     assert code == 1 if l_max < 0 else code in {0, 2, 3, 4}
+
+
+# any value a JSON or TOML config may hold
+CONFIG_SCALARS = (st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
+                  | st.sampled_from([0.4, 2.0, 2.5, 1e12, 10 ** 400]) | st.text(max_size=2))
+CONFIG_VALUES = CONFIG_SCALARS | st.lists(CONFIG_SCALARS, max_size=4)
+BLOCK_KEYS = sorted(set(MQ) | set(LM) | {"L_max", "K_max", "Lmax"})
+
+
+@st.composite
+def model_blocks(draw):
+    """A valid model block with a few fields dropped or replaced."""
+    block = dict(draw(st.sampled_from([MQ, LM, dict(LM, L_max=20, K_max=4)])))
+    for key in draw(st.lists(st.sampled_from(BLOCK_KEYS), max_size=3)):
+        if draw(st.booleans()):
+            block.pop(key, None)
+        else:
+            block[key] = draw(CONFIG_VALUES)
+    return block
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block=model_blocks())
+def test_accepted_model_blocks_obey_the_schema(block):
+    # a rejected block is a KeyError, TypeError or ValueError; any other
+    # exception fails the test
+    try:
+        md.params_from_dict(block)
+    except (KeyError, TypeError, ValueError):
+        return
+    validate_schema("model.schema.json", block)
 
 
 def _equiv_accepts(seq) -> bool:

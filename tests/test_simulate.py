@@ -535,32 +535,6 @@ class TestEnsembleRing:
         out, basis = 96 * 3 * 2 * 8, 3 * field // 2 * 8
         assert peak <= batch + slots + out + basis + batch // 20
 
-    def test_next_draw_starts_before_the_caller_scales(self, monkeypatch):
-        # with a long switch interval the caller would keep the GIL through
-        # its scaling loop unless it waits for the draw thread to start
-        seq = mq_sequence(20)
-        grid = sim.SampleGrid.uniform_random(2, 3, seed=1)
-        degrees = seq.l_max + 1
-        monkeypatch.setattr(sim, "_BATCH_ELEMS", 8 * sh.harmonic_count(2, 20) * 2)
-        scaled, seen = [], []
-        real = np.matmul
-
-        def matmul(*args, **kwargs):   # the matrix variant's scaling, per degree
-            scaled.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", matmul)
-        patch_draws(monkeypatch, lambda call: seen.append(len(scaled)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1.0)
-        try:
-            vals = sim.synthesize_ensemble(seq, grid, 16, seed=4)
-        finally:
-            sys.setswitchinterval(interval)
-        # draw k enters standard_normal before slot k - 1 is scaled
-        assert seen == [max(0, k - 2) * degrees for k in range(1, 17)]
-        assert np.array_equal(vals, reference_ensemble(seq, grid, 16, 4, 0))
-
 
 class TestEmpiricalCovariance:
     def test_zero_samples_give_zero(self):
