@@ -23,7 +23,6 @@ The default output directory for ``sample`` is taken from the
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -195,11 +194,15 @@ def _require_synthesis_dim(d: int) -> None:
 
 
 def _model_hash(params) -> str:
+    import hashlib  # deferred: only ``sample`` hashes (see _file_hash)
     canonical = json.dumps(params.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def _file_hash(path: str) -> str:
+    # deferred: importing hashlib maps OpenSSL's libcrypto, about 3.5 MB of
+    # peak RSS that the subcommands which hash nothing need not pay
+    import hashlib
     with open(path, "rb") as fh:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
@@ -225,6 +228,7 @@ def _axis_pairs(d: int, thetas) -> np.ndarray:
 
 def cmd_validate(args) -> int:
     params = _load_params(args.config)
+    check = None
     if isinstance(params, MultiquadraticParams):
         check = multiquadratic_validity(params)
         if not check.valid:
@@ -235,8 +239,8 @@ def cmd_validate(args) -> int:
     seq = _build_sequence(params, args.l_max)
     report = validate_sequence(seq)
     obj = report.to_dict()
-    if isinstance(params, MultiquadraticParams):
-        obj["margin"] = multiquadratic_validity(params).margin
+    if check is not None:
+        obj["margin"] = check.margin
     _emit_json(obj, args.out)
     if not report.passed:
         _info("sequence validation failed: " + "; ".join(report.flags))

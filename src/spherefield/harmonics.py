@@ -69,10 +69,24 @@ def h_dim(d: int, l: int) -> int:
 
 
 def surface_measure(d: int) -> float:
-    """Total surface measure ``omega_d = 2 pi^{(d+1)/2} / Gamma((d+1)/2)``."""
+    """Total surface measure ``omega_d = 2 pi^{(d+1)/2} / Gamma((d+1)/2)``.
+
+    The direct expression overflows from d = 343 on, although omega_d itself
+    only shrinks (omega_343 is about 5e-224); there it is taken in log-Gamma
+    form, which gives 0 once omega_d is below the float64 range (from
+    d = 455 on).
+    """
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    s = (d + 1) / 2.0
+    try:
+        return 2.0 * math.pi ** s / math.gamma(s)
+    except OverflowError:
+        pass
+    try:
+        return 2.0 * math.exp(s * math.log(math.pi) - math.lgamma(s))
+    except OverflowError:   # log Gamma(s) itself is beyond float64
+        return 0.0
 
 
 def _check_t(t):
@@ -124,8 +138,9 @@ def gegenbauer_at_one(lam: float, l: int) -> float:
     """Normalization value ``C_l^lam(1) = binom(l + 2 lam - 1, l)``.
 
     Evaluated in log-Gamma space so large degrees neither overflow nor lose
-    the leading digits to factorial cancellation.  The Chebyshev limit gives
-    1 for every degree.
+    the leading digits to factorial cancellation; ``inf`` where that form is
+    beyond float64 (large ``l`` and ``lam`` together).  The Chebyshev limit
+    gives 1 for every degree.
     """
     if lam < 0:
         raise ValueError(f"Gegenbauer order must be >= 0, got {lam}")
@@ -136,8 +151,11 @@ def gegenbauer_at_one(lam: float, l: int) -> float:
     two_lam = 2.0 * lam
     if two_lam == int(two_lam) and two_lam <= 64:
         return float(math.comb(l + int(two_lam) - 1, l))
-    return math.exp(math.lgamma(l + 2.0 * lam) - math.lgamma(l + 1.0)
-                    - math.lgamma(2.0 * lam))
+    try:
+        return math.exp(math.lgamma(l + 2.0 * lam) - math.lgamma(l + 1.0)
+                        - math.lgamma(2.0 * lam))
+    except OverflowError:
+        return math.inf
 
 
 def gegenbauer_at_one_all(lam: float, l_max: int) -> np.ndarray:

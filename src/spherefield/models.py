@@ -48,6 +48,8 @@ DEFAULT_K_MAX = 200
 # rounds above it.
 THETA_SLACK = 1e-9
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class MultiquadraticParams:
@@ -66,6 +68,9 @@ class MultiquadraticParams:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {self.d}")
+        if self.d > _FLOAT_MAX:
+            raise ValueError(f"sphere dimension d must lie within float64 (below "
+                             f"about 1.8e308), got {len(str(self.d))} digits")
         sigma = tuple(float(s) for s in self.sigma)
         alpha = tuple(float(a) for a in self.alpha)
         if len(sigma) != 2 or any(s <= 0 for s in sigma):
@@ -98,7 +103,10 @@ def multiquadratic_validity(p: MultiquadraticParams) -> MultiquadraticValidity:
     """
     a11, a22, a12 = p.alpha
     root = math.sqrt(a11 * a22)
-    bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((p.d - 1) / 2.0)
+    try:
+        bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((p.d - 1) / 2.0)
+    except OverflowError:   # a base above 1, so a12 > root fails first
+        bound = math.inf
     margin = min(root - a12, bound - p.rho12)
     failing = None
     if a12 > root:
@@ -249,14 +257,21 @@ def legendre_matern_gamma(p: LegendreMaternParams, l: int, k: int) -> float:
 def legendre_matern_gamma_grid(p: LegendreMaternParams,
                                l_max: int | None = None,
                                k_max: int | None = None) -> np.ndarray:
-    """Grid ``gamma_{l,k}`` for ``l <= l_max``, ``k <= k_max``, shape (L+1, K+1)."""
+    """Grid ``gamma_{l,k}`` for ``l <= l_max``, ``k <= k_max``, shape (L+1, K+1).
+
+    For large ``nu`` (from about 62 at L = K = 200) the denominator overflows
+    to ``inf``, and for small ``alpha`` at large ``nu`` its first entry
+    underflows to 0.  Both pass silently: the quotient is then 0 or ``inf``,
+    which is what float64 holds for such a gamma.
+    """
     L = p.l_max if l_max is None else l_max
     K = p.k_max if k_max is None else k_max
     require_fit(8 * (L + 1) * (K + 1),
                 f"the degree-{L}, frequency-{K} coefficient stack")
     l = np.arange(L + 1, dtype=float)[:, None]
     k = np.arange(K + 1, dtype=float)[None, :]
-    return p.sigma ** 2 / ((2 * l + 1) * (p.alpha + k * k + l * l) ** (p.nu + 0.5))
+    with np.errstate(over="ignore", divide="ignore"):
+        return p.sigma ** 2 / ((2 * l + 1) * (p.alpha + k * k + l * l) ** (p.nu + 0.5))
 
 
 def legendre_matern_sequence(p: LegendreMaternParams,

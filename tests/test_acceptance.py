@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from spherefield import cli
 from spherefield import equivalence as eq
@@ -222,6 +223,7 @@ def _mc_pairs():
                      for k in range(10)])
 
 
+@pytest.mark.slow
 def test_criterion_7_monte_carlo_covariance():
     with criterion(7, "sampled covariance reproduces the kernel (|z| < 4, "
                       "calibrated >= 95%)", 300.0):

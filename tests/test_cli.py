@@ -117,6 +117,52 @@ class TestValidate:
         assert err == "invalid model: weighted trace not finite\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("d, validate_code", [(343, 0), (100000, 2)])
+    def test_large_multiquadratic_d_no_traceback(self, capsys, tmp_json, d,
+                                                 validate_code):
+        # omega_d overflowed in its direct form from d = 343 on; at d = 100000
+        # every coefficient underflows to 0, which validate flags
+        cfg = tmp_json("m.json", dict(MQ, d=d, alpha=[0.5, 0.5, 0.5]))
+        code, out, err = run(capsys, ["kernel", "--config", cfg, "--l-max", "10",
+                                      "--thetas", "0,1"])
+        assert code == 0 and len(out.splitlines()) == 3 and "Traceback" not in err
+        code, out, err = run(capsys, ["validate", "--config", cfg, "--l-max", "10"])
+        assert code == validate_code and "Traceback" not in err
+        report = json.loads(out)
+        validate_schema("validity_report.schema.json", report)
+        assert all(map(math.isfinite, report["weighted_partial_sums"]))
+        if d == 343:
+            assert report["weighted_partial_sums"][-1] > 0
+
+    @pytest.mark.parametrize("command", [
+        ["validate", "--config", "{m}"], ["kernel", "--config", "{m}", "--thetas", "0,1"],
+        ["schoenberg-export", "--config", "{m}"], ["equiv", "{m}", "{m}"]])
+    def test_dimension_beyond_float64_invalid_model(self, capsys, tmp_path, command):
+        # a 309-digit integer is schema-valid JSON but not a float64
+        m = tmp_path / "m.json"
+        m.write_text('{"model": "multiquadratic", "d": 2' + "0" * 308 + ', '
+                     '"sigma": [1, 1], "rho12": 0.4, "alpha": [0.5, 0.5, 0.5]}')
+        code, out, err = run(capsys, [arg.format(m=m) for arg in command])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "sphere dimension d must lie within float64" in err
+
+    @pytest.mark.parametrize("command, expected", [
+        (["validate", "--config", "{m}"], 2),
+        (["kernel", "--config", "{m}", "--thetas", "0,1"], 0),
+        (["equiv", "{m}", "{m}", "--l-max", "200"], 2)])
+    def test_large_nu_grid_prints_no_warning(self, capsys, tmp_json, command, expected):
+        # from nu ~ 62 at L = K = 200 the smallest gammas underflow to 0, which
+        # is reported as not strictly positive, without numpy's warnings
+        m = tmp_json("m.json", dict(LM, nu=100.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, [arg.format(m=m) for arg in command])
+        assert code == expected and "Traceback" not in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if expected:
+            assert "strictly positive" in err
+
     def test_missing_field_usage_error(self, capsys, tmp_json):
         blob = {"model": "legendre_matern", "sigma": 1.0, "alpha": 1.0}
         code, _, err = run(capsys, ["validate", "--config", tmp_json("m.json", blob)])
@@ -552,6 +598,7 @@ for fmt in ("csv", "json"):
 """
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
 def test_fan_out_leaves_bytes_unchanged(tmp_json, tmp_path, blas_threads):
     cfg = tmp_json("m.json", dict(LM, L_max=12, K_max=3))
@@ -581,6 +628,34 @@ def test_cli_import_loads_no_pool_machinery():
     loaded = json.loads(proc.stdout)
     assert not [m for m in loaded
                 if m.split(".")[0] in ("multiprocessing", "concurrent")]
+
+
+ALGEBRA_FOOTPRINT_SCRIPT = """
+import json, sys
+from spherefield import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in ("_hashlib", "numpy.random")
+                               if m in sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--config", "{m}"],
+    ["kernel", "--config", "{m}", "--thetas", "0,1"],
+    ["equiv", "{m}", "{m}", "--l-max", "64"],
+    ["schoenberg-export", "--config", "{m}"],
+], ids=lambda c: c[0])
+def test_algebra_commands_load_neither_openssl_nor_numpy_random(tmp_json, command):
+    # only sample hashes; these short runs must not map libcrypto
+    m = tmp_json("m.json", MQ)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", ALGEBRA_FOOTPRINT_SCRIPT,
+         *(arg.format(m=m) for arg in command)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert loaded == []
 
 
 class TestEquiv:

@@ -301,6 +301,7 @@ def test_mc_check_fourier_stdout_matches_golden(tmp_path, capsys):
         _mismatch("fourier `mc-check` stdout")
 
 
+@pytest.mark.slow
 def test_mc_check_stdout_independent_of_blas_threads(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     outs = [subprocess.run([sys.executable, "-m", "spherefield.cli",

@@ -1,9 +1,11 @@
 """Property tests: every CLI flag input maps to a documented exit code, every
-model block the parser accepts obeys its schema, and ``validate`` and
+model block the parser accepts obeys its schema, extreme model parameters
+end in a documented exit code without a numpy warning, and ``validate`` and
 ``equiv`` share one definition of strict positivity."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -98,6 +100,45 @@ def test_accepted_model_blocks_obey_the_schema(block):
     except (KeyError, TypeError, ValueError):
         return
     validate_schema("model.schema.json", block)
+
+
+@st.composite
+def extreme_model_blocks(draw):
+    """Multiquadratic blocks on S^d up to d = 10^6 inside the closed-form
+    valid region, and Legendre-Matern blocks with nu up to 170, at small
+    truncations."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 10 ** 6) | st.sampled_from([342, 343, 454, 455]))
+        a11, a22 = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
+        a12 = draw(st.floats(0.05, 1.0)) * math.sqrt(a11 * a22)
+        bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((d - 1) / 2.0)
+        if not bound > 0.0:   # underflows at large d unless the rates are equal
+            a22 = a12 = a11
+            bound = 1.0
+        rho12 = draw(st.floats(0.05, 0.95)) * min(bound, 1.0)
+        return {"model": "multiquadratic", "d": d, "sigma": [1.0, 2.0],
+                "rho12": rho12, "alpha": [a11, a22, a12]}, draw(st.integers(0, 40))
+    return {"model": "legendre_matern", "sigma": 10.0 ** draw(st.floats(-3.0, 3.0)),
+            "alpha": 10.0 ** draw(st.floats(-3.0, 3.0)), "nu": draw(st.floats(0.05, 170.0)),
+            "L_max": draw(st.integers(1, 30)), "K_max": draw(st.integers(1, 30))}, None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(model=extreme_model_blocks())
+def test_extreme_models_give_documented_exit_code(tmp_path_factory, model):
+    # a valid model of the right type is accepted (0) or an invalid model
+    # (2, e.g. coefficients underflowed to 0); an escaping exception or a
+    # numpy RuntimeWarning fails the test
+    block, l_max = model
+    config = _write(tmp_path_factory, "extreme.json", block)
+    l_max_args = [] if l_max is None else ["--l-max", str(l_max)]
+    for command in ("validate", "kernel", "schoenberg-export"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", config, *l_max_args,
+                             *SINGLE_MODEL[command]])
+        assert code in {0, 2}, (command, block)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _equiv_accepts(seq) -> bool:

@@ -460,6 +460,7 @@ def ensemble_with_batches_of_two(monkeypatch):
 
 
 class TestEnsembleThreads:
+    @pytest.mark.slow
     @pytest.mark.parametrize("openblas_threads", ["1", "2"])
     def test_overlapped_ensemble_keeps_bits(self, openblas_threads):
         # the cases where a draw may not start early: one-field batches,
