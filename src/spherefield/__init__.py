@@ -8,16 +8,12 @@ Hilbert-Schmidt summability criterion.
 
 from .harmonics import (
     addition_constant,
-    gegenbauer,
     gegenbauer_all,
     gegenbauer_at_one,
     gegenbauer_order,
     h_dim,
     harmonic_basis,
-    real_harmonic,
-    sphere_quadrature,
     surface_measure,
-    zonal_sum,
 )
 from .schoenberg import (
     FOURIER_DIAGONAL,
@@ -27,9 +23,7 @@ from .schoenberg import (
     KernelValue,
     SchoenbergSequence,
     ValidityReport,
-    load_sequence,
     operator_sqrt,
-    save_sequence,
     sequence_from_dict,
     sequence_to_dict,
     truncate_sequence,
@@ -39,9 +33,7 @@ from .models import (
     LegendreMaternParams,
     MultiquadraticParams,
     build_sequence,
-    legendre_matern_gamma,
     legendre_matern_gamma_grid,
-    multiquadratic_coeff,
     multiquadratic_kernel_closed_form,
     multiquadratic_validity,
     params_from_dict,

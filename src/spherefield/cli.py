@@ -395,7 +395,7 @@ def cmd_sample(args) -> int:
     try:
         grid = SampleGrid.from_spec(grid_spec)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad grid spec {args.grid}: {exc}") from exc
+        raise UsageError(f"bad grid spec {args.grid}: {exc.args[0]}") from exc
     if grid.d != seq.d:
         raise UsageError(f"grid dimension {grid.d} does not match model d={seq.d}")
 

@@ -196,7 +196,7 @@ def fit_decay_exponent(degrees: np.ndarray, terms: np.ndarray, window: tuple) ->
     return float(slope)
 
 
-def _make_series(d: int, terms: np.ndarray, fit_window) -> EquivalenceTermSeries:
+def _make_series(terms: np.ndarray, fit_window) -> EquivalenceTermSeries:
     degrees = np.arange(terms.shape[0])
     l_max = terms.shape[0] - 1
     window = (l_max // 2, l_max) if fit_window is None else tuple(fit_window)
@@ -213,7 +213,7 @@ def functional_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
     the top half of the window (or an explicit ``fit_window``)."""
     L = check_compatible(seq1, seq2, l_max)
     dist = _conjugated_distances(seq1.coeffs[:L + 1], seq2.coeffs[:L + 1])
-    return _make_series(seq1.d, _degree_dims(seq1.d, L) * dist, fit_window)
+    return _make_series(_degree_dims(seq1.d, L) * dist, fit_window)
 
 
 def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
@@ -236,7 +236,7 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u
     L = check_compatible(seq1, seq2, l_max)
     q1, q2 = (seq.quadratic_forms(u)[:L + 1] for seq in (seq1, seq2))
     terms = _degree_dims(seq1.d, L) * _conjugated_distances(q1, q2)
-    return _make_series(seq1.d, terms, fit_window)
+    return _make_series(terms, fit_window)
 
 
 def marginal_bound_check(b1, b2, u):

@@ -128,39 +128,51 @@ def gegenbauer_all(lam: float, l_max: int, t) -> np.ndarray:
     return out
 
 
-def gegenbauer(lam: float, l: int, t):
-    """Gegenbauer polynomial ``C_l^lam(t)`` (Chebyshev limit at ``lam = 0``)."""
-    vals = gegenbauer_all(lam, l, t)
-    return vals[l] if np.ndim(t) else float(vals[l])
+def _binomial_top(lam: float) -> int:
+    """``2 lam`` as an integer: the order of every caller is ``(d - 1) / 2``."""
+    if lam < 0 or 2 * lam != int(2 * lam):
+        raise ValueError(f"Gegenbauer order must be a half-integer >= 0, got {lam}")
+    return int(2 * lam)
 
 
 def gegenbauer_at_one(lam: float, l: int) -> float:
     """Normalization value ``C_l^lam(1) = binom(l + 2 lam - 1, l)``.
 
-    Evaluated in log-Gamma space so large degrees neither overflow nor lose
-    the leading digits to factorial cancellation; ``inf`` where that form is
-    beyond float64 (large ``l`` and ``lam`` together).  The Chebyshev limit
-    gives 1 for every degree.
+    Exact in integer arithmetic and rounded once; ``inf`` where the integer
+    is beyond float64.  The Chebyshev limit ``lam = 0`` gives 1 for every
+    degree.  ``lam`` must be a half-integer ``(d - 1) / 2``.
     """
-    if lam < 0:
-        raise ValueError(f"Gegenbauer order must be >= 0, got {lam}")
+    n = _binomial_top(lam)
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
-    if lam == 0.0 or l == 0:
+    if n == 0:
         return 1.0
-    two_lam = 2.0 * lam
-    if two_lam == int(two_lam) and two_lam <= 64:
-        return float(math.comb(l + int(two_lam) - 1, l))
     try:
-        return math.exp(math.lgamma(l + 2.0 * lam) - math.lgamma(l + 1.0)
-                        - math.lgamma(2.0 * lam))
+        return float(math.comb(l + n - 1, l))
     except OverflowError:
         return math.inf
 
 
 def gegenbauer_at_one_all(lam: float, l_max: int) -> np.ndarray:
-    """``C_l^lam(1)`` for ``l = 0 .. l_max``."""
-    return np.array([gegenbauer_at_one(lam, l) for l in range(l_max + 1)])
+    """:func:`gegenbauer_at_one` for ``l = 0 .. l_max``.
+
+    Walks ``C_l = C_{l-1} (l + 2 lam - 1) / l`` on Python integers.  For
+    ``2 lam >= 1`` the values do not decrease in l, so every degree from the
+    first one beyond float64 on is ``inf``.
+    """
+    n = _binomial_top(lam)
+    if n == 0:
+        return np.ones(l_max + 1)
+    out = np.full(l_max + 1, math.inf)
+    c = 1
+    for l in range(l_max + 1):
+        if l:
+            c = c * (l + n - 1) // l
+        try:
+            out[l] = float(c)
+        except OverflowError:
+            break
+    return out
 
 
 def addition_constant(d: int, l: int) -> float:
@@ -339,67 +351,3 @@ def _sphere_blocks(l_max: int, pts: np.ndarray):
         out.T[...] = block[:2 * l + 1]
         yield _readonly(out)
         p_prev, p = p, p_prev
-
-
-def harmonic_degree_block(d: int, l: int, points) -> np.ndarray:
-    """Values of the ``h(l)`` degree-``l`` harmonics at the given points."""
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    for block in iter_degree_blocks(d, l, points):
-        pass
-    return np.array(block)
-
-
-def real_harmonic(d: int, l: int, m: int, x) -> float:
-    """Real orthonormal spherical harmonic ``Y_{l,m}(x)``, ``1 <= m <= h(l)``."""
-    require_synthesis_dim(d)
-    if not 1 <= m <= h_dim(d, l):
-        raise ValueError(f"harmonic index m={m} outside [1, h({l})={h_dim(d, l)}]")
-    block = harmonic_degree_block(d, l, np.asarray(x, dtype=float)[None, :])
-    return float(block[0, m - 1])
-
-
-def zonal_sum(d: int, l: int, x, y) -> float:
-    """Degree-l zonal sum ``sum_m Y_{l,m}(x) Y_{l,m}(y)``.
-
-    Equals ``addition_constant(d, l) * C_l^lam(x . y)`` (tested property).
-    """
-    require_synthesis_dim(d)
-    pts = check_points(d, np.stack([np.asarray(x, float), np.asarray(y, float)]))
-    block = harmonic_degree_block(d, l, pts)
-    return float(np.dot(block[0], block[1]))
-
-
-def sphere_quadrature(d: int, max_degree: int):
-    """Quadrature on S^d exact for harmonic products up to ``max_degree``.
-
-    ``d = 2``: Gauss-Legendre nodes in the polar cosine crossed with a uniform
-    trapezoid rule in azimuth; ``d = 1``: uniform trapezoid on the circle.
-    Orders are chosen so polynomial integrands of total degree ``max_degree``
-    integrate exactly, which makes the orthonormality tests sharp.
-
-    Returns ``(points, weights)`` with ``points`` of shape ``(n, d+1)`` and
-    ``sum(weights) = omega_d``.
-    """
-    require_synthesis_dim(d)
-    if d == 1:
-        n = max_degree + 2
-        phi = 2.0 * math.pi * np.arange(n) / n
-        pts = np.column_stack([np.cos(phi), np.sin(phi)])
-        w = np.full(n, 2.0 * math.pi / n)
-        return pts, w
-    n_polar = max_degree // 2 + 2
-    n_az = max_degree + 2
-    u, w_u = np.polynomial.legendre.leggauss(n_polar)
-    phi = 2.0 * math.pi * np.arange(n_az) / n_az
-    uu, pp = np.meshgrid(u, phi, indexing="ij")
-    ss = np.sqrt(np.clip(1.0 - uu ** 2, 0.0, None))
-    pts = np.column_stack([
-        (ss * np.cos(pp)).ravel(),
-        (ss * np.sin(pp)).ravel(),
-        uu.ravel(),
-    ])
-    # renormalize rounding dust so check_points accepts the nodes
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    w = np.repeat(w_u * (2.0 * math.pi / n_az), n_az)
-    return pts, w

@@ -38,7 +38,6 @@ from .schoenberg import (
     GeometricTail,
     PowerLawTail,
     SchoenbergSequence,
-    one_degree_stack,
 )
 
 DEFAULT_L_MAX = 200
@@ -143,18 +142,6 @@ def multiquadratic_coeff_entries(p: MultiquadraticParams, degrees) -> np.ndarray
     return np.exp(logs)
 
 
-def multiquadratic_coeff(p: MultiquadraticParams, n: int) -> np.ndarray:
-    """Degree-n coefficient of the published normalized-basis expansion, a
-    read-only 2 x 2 matrix checked by :func:`one_degree_stack`,
-
-        b_n(i,j) = rho_ij sigma_i sigma_j binom(d+n-2, n) alpha_ij^n (1-alpha_ij)^{d-1}.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    e11, e22, e12 = multiquadratic_coeff_entries(p, [n])[:, 0]
-    return one_degree_stack([[e11, e12], [e12, e22]])[0]
-
-
 class ClosedFormValue(NamedTuple):
     matrix: np.ndarray
     series_consistent: bool
@@ -246,14 +233,6 @@ class LegendreMaternParams:
                 "L_max": self.l_max, "K_max": self.k_max}
 
 
-def legendre_matern_gamma(p: LegendreMaternParams, l: int, k: int) -> float:
-    """Spectral value ``gamma_{l,k} = sigma^2 / ((2l+1)(alpha + k^2 + l^2)^{nu+1/2})``."""
-    if l < 0 or k < 0:
-        raise ValueError("degree and frequency must be >= 0")
-    return (p.sigma ** 2
-            / ((2 * l + 1) * (p.alpha + k * k + l * l) ** (p.nu + 0.5)))
-
-
 def legendre_matern_gamma_grid(p: LegendreMaternParams,
                                l_max: int | None = None,
                                k_max: int | None = None) -> np.ndarray:
@@ -322,12 +301,31 @@ def _number(key: str, value, kind):
 
 
 def _field(key: str, value, kind):
+    """``value`` parsed as ``kind``: a number kind of :func:`_number`, or
+    ``(kind, n)`` for an array of n items of that kind (any length when n is
+    None), returned as a tuple."""
     if not isinstance(kind, tuple):
         return _number(key, value, kind)
     kind, n = kind
-    if not isinstance(value, list) or len(value) != n:
-        raise TypeError(f"field {key!r} must be an array of {n} numbers, got {value!r}")
-    return tuple(_number(f"{key}[{i}]", v, kind) for i, v in enumerate(value))
+    if not isinstance(value, list) or n is not None and len(value) != n:
+        what = "an array" if n is None else f"an array of {n} numbers"
+        raise TypeError(f"field {key!r} must be {what}, got {value!r}")
+    return tuple(_field(f"{key}[{i}]", v, kind) for i, v in enumerate(value))
+
+
+def parse_fields(obj: dict, tag: str, fields: dict, optional=()) -> dict:
+    """The fields of a block whose kind is named by its ``tag`` field, parsed
+    by :func:`_field` into keywords ``key.lower()``.  An unknown field, or
+    one of the wrong type or length, is a ``TypeError``; a missing field
+    that is not ``optional`` a ``KeyError``."""
+    for key in obj:
+        if key != tag and key not in fields:
+            raise TypeError(f"unknown field {key!r} in a {obj[tag]} block")
+    for key in fields:
+        if key not in obj and key not in optional:
+            raise KeyError(f"missing field '{key}'")
+    return {key.lower(): _field(key, obj[key], kind)
+            for key, kind in fields.items() if key in obj}
 
 
 def params_from_dict(obj: dict):
@@ -344,11 +342,4 @@ def params_from_dict(obj: dict):
     if not isinstance(model, str) or model not in _MODEL_BLOCKS:
         raise ValueError(f"unknown model {model!r}")
     cls, fields = _MODEL_BLOCKS[model]
-    for key in obj:
-        if key != "model" and key not in fields:
-            raise TypeError(f"unknown field {key!r} in a {model} block")
-    for key in fields:
-        if key not in obj and key not in ("L_max", "K_max"):
-            raise KeyError(f"missing field '{key}'")
-    return cls(**{key.lower(): _field(key, obj[key], kind)
-                  for key, kind in fields.items() if key in obj})
+    return cls(**parse_fields(obj, "model", fields, ("L_max", "K_max")))

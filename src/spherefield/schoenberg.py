@@ -31,7 +31,6 @@ finite (:func:`has_finite_variance`), as kernels and sampling need.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -200,24 +199,13 @@ def operator_sqrt(b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tail descriptors
+# Tail descriptors: closed-form upper bounds ``trace_tail_bound(L)`` on
+# ``sum_{l > L} trace(b_l) C_l^lam(1)``
 # ---------------------------------------------------------------------------
 
 
-class TailDescriptor:
-    """Closed-form upper bound on ``sum_{l > L} trace(b_l) C_l^lam(1)``."""
-
-    kind: str = "base"
-
-    def trace_tail_bound(self, l_from: int) -> float:
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class GeometricTail(TailDescriptor):
+class GeometricTail:
     """Tail of terms ``c_i * binom(n + d - 2, n) * ratio_i^n`` summed over i.
 
     The term ratio ``ratio * (n + d - 1) / (n + 1)`` is decreasing in n, so
@@ -257,7 +245,7 @@ class GeometricTail(TailDescriptor):
 
 
 @dataclass(frozen=True)
-class PowerLawTail(TailDescriptor):
+class PowerLawTail:
     """Integral tail bound for spectra ``sigma^2 / (h(l) (alpha + k^2 + l^2)^{nu + 1/2})``.
 
     Uses ``sum_{k>=1} (alpha + k^2 + l^2)^{-nu-1/2} <= c_nu/2 (alpha + l^2)^{-nu}``
@@ -287,7 +275,7 @@ class PowerLawTail(TailDescriptor):
                 "params": {"sigma": self.sigma, "alpha": self.alpha, "nu": self.nu}}
 
 
-def tail_from_dict(obj) -> TailDescriptor | None:
+def tail_from_dict(obj) -> GeometricTail | PowerLawTail | None:
     if obj is None:
         return None
     kind = obj["kind"]
@@ -318,7 +306,7 @@ class SchoenbergSequence:
     d: int
     variant: str
     coeffs: np.ndarray
-    tail: TailDescriptor | None = None
+    tail: GeometricTail | PowerLawTail | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _checked_stack(self.variant, self.coeffs))
@@ -396,13 +384,13 @@ class ValidityReport:
 TRACE_NOT_FINITE = "weighted trace not finite"
 
 
-def _weighted_partial_sums(seq: SchoenbergSequence) -> np.ndarray:
-    """Partial sums of ``omega_d trace(b_l) C_l^lam(1)`` over l = 0 .. L_max;
-    the last one is the truncated field variance integrated over S^d.  An
-    overflow gives ``inf`` without a warning: :func:`has_finite_variance`
-    reports it."""
+def _weighted_partial_sums(seq: SchoenbergSequence):
+    """``seq.trace_terms()`` and the partial sums of ``omega_d`` times them
+    over l = 0 .. L_max; the last sum is the truncated field variance
+    integrated over S^d.  An overflow gives ``inf`` without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumsum(surface_measure(seq.d) * seq.trace_terms())
+        terms = seq.trace_terms()
+        return terms, np.cumsum(surface_measure(seq.d) * terms)
 
 
 def has_finite_variance(seq: SchoenbergSequence) -> bool:
@@ -412,7 +400,24 @@ def has_finite_variance(seq: SchoenbergSequence) -> bool:
     :data:`TRACE_NOT_FINITE`; its kernel and samples would hold ``inf`` or
     ``nan``.
     """
-    return bool(np.all(np.isfinite(_weighted_partial_sums(seq))))
+    return bool(np.all(np.isfinite(_weighted_partial_sums(seq)[1])))
+
+
+def tail_bound(seq: SchoenbergSequence, terms: np.ndarray | None = None):
+    """The one truncation-tail rule: ``(bound, heuristic)``.
+
+    ``bound`` dominates ``sum_{l > L_max} trace(b_l) C_l^lam(1)``: the tail
+    descriptor's closed form when there is one, else the last computed term
+    ``trace(b_L) C_L^lam(1)`` (``heuristic`` true), else ``None`` at
+    ``L_max = 0``.  ``terms`` are ``seq.trace_terms()``, if already computed.
+    """
+    if seq.tail is not None:
+        return seq.tail.trace_tail_bound(seq.l_max), False
+    if seq.l_max == 0:
+        return None, True
+    if terms is None:
+        terms = seq.trace_terms()
+    return float(terms[-1]), True
 
 
 def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
@@ -427,8 +432,8 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
         mins = _min_eigenvalues(seq.coeffs)
         ratios = np.where(traces > 0, mins / np.where(traces > 0, traces, 1.0), 0.0)
     strictly_positive = not np.any(strict_positivity(seq.coeffs)[0])
-    partial = _weighted_partial_sums(seq)
-    finite = has_finite_variance(seq)
+    terms, partial = _weighted_partial_sums(seq)
+    finite = bool(np.all(np.isfinite(partial)))
 
     flags = []
     if not strictly_positive:
@@ -436,17 +441,11 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
     if not finite:
         flags.append(TRACE_NOT_FINITE)
 
-    omega = surface_measure(seq.d)
-    if seq.tail is not None:
-        tail_estimate = omega * seq.tail.trace_tail_bound(seq.l_max)
-        heuristic = False
-    elif seq.l_max >= 1:
-        tail_estimate = float(omega * seq.trace_terms()[-1])
-        heuristic = True
-        flags.append("tail estimate is a last-term heuristic")
-    else:
-        tail_estimate = None
-        heuristic = True
+    tail_estimate, heuristic = tail_bound(seq, terms)
+    if tail_estimate is not None:
+        tail_estimate *= surface_measure(seq.d)
+        if heuristic:
+            flags.append("tail estimate is a last-term heuristic")
 
     return ValidityReport(
         d=seq.d, variant=seq.variant, l_max=seq.l_max,
@@ -468,30 +467,16 @@ class KernelValue:
 class IsotropicKernel:
     """Evaluator for ``R(t) = sum_{l <= L_max} b_l C_l^lam(t)``.
 
-    The reported tail bound dominates ``sum_{l > L_max} trace(b_l) C_l^lam(1)``
+    ``tail_bound`` and ``tail_is_heuristic`` are those of :func:`tail_bound`
     (an upper bound on the dropped terms in trace norm, uniform in t since
-    ``|C_l(t)| <= C_l(1)``).  Without a tail descriptor the last computed
-    term is reported instead and flagged as heuristic.
+    ``|C_l(t)| <= C_l(1)``), with 0.0 for a sequence of degree 0 alone.
     """
 
     def __init__(self, seq: SchoenbergSequence):
         self.seq = seq
         self._order = seq.order
-        if seq.tail is not None:
-            self._tail_bound = seq.tail.trace_tail_bound(seq.l_max)
-            self._tail_heuristic = False
-        else:
-            terms = seq.trace_terms()
-            self._tail_bound = float(terms[-1]) if seq.l_max >= 1 else 0.0
-            self._tail_heuristic = True
-
-    @property
-    def tail_bound(self) -> float:
-        return self._tail_bound
-
-    @property
-    def tail_is_heuristic(self) -> bool:
-        return self._tail_heuristic
+        bound, self.tail_is_heuristic = tail_bound(seq)
+        self.tail_bound = 0.0 if bound is None else bound
 
     def evaluate_stack(self, ts) -> np.ndarray:
         """Raw kernel values for an array of ts, shape ``(len(ts),) + coeff shape``."""
@@ -505,7 +490,7 @@ class IsotropicKernel:
             vals = 0.5 * (vals + vals.T)
         vals = np.array(vals)   # a 0-d array for scalars; a copy to freeze
         vals.setflags(write=False)
-        return KernelValue(vals, self._tail_bound, self._tail_heuristic)
+        return KernelValue(vals, self.tail_bound, self.tail_is_heuristic)
 
     def trace_at_one(self) -> float:
         """Field variance ``trace R(x, x) = sum_l trace(b_l) C_l^lam(1)`` (truncated)."""
@@ -572,13 +557,3 @@ def sequence_from_dict(obj: dict) -> SchoenbergSequence:
     if seq.l_max != obj["L_max"]:
         raise ValueError("coefficient count does not match L_max")
     return seq
-
-
-def save_sequence(seq: SchoenbergSequence, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(sequence_to_dict(seq), fh, indent=1)
-
-
-def load_sequence(path) -> SchoenbergSequence:
-    with open(path) as fh:
-        return sequence_from_dict(json.load(fh))

@@ -44,6 +44,7 @@ from .harmonics import (
     iter_degree_blocks,
     require_synthesis_dim,
 )
+from .models import parse_fields
 from .schoenberg import (
     MATRIX,
     IsotropicKernel,
@@ -64,7 +65,8 @@ def check_key(name: str, value: int) -> None:
     """Raise ``ValueError`` unless ``value`` is one word of a Philox key, an
     integer in [0, 2^64); no two valid ``(seed, stream)`` keys alias."""
     if not 0 <= value < 2 ** 64:
-        raise ValueError(f"{name} must lie in [0, 2^64), got {value}")
+        shown = value if abs(value) < 2 ** 128 else f"a {value.bit_length()}-bit integer"
+        raise ValueError(f"{name} must lie in [0, 2^64), got {shown}")
 
 
 def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -100,7 +102,7 @@ class SampleGrid:
         return cls(d=d, points=np.asarray(points, dtype=float))
 
     @classmethod
-    def uniform_random(cls, d: int, n: int, seed: int, stream: int = 0) -> "SampleGrid":
+    def uniform_random(cls, d: int, n: int, seed: int = 0, stream: int = 0) -> "SampleGrid":
         """n points drawn uniformly (normalized Gaussians), reproducible."""
         rng = make_generator(seed, stream)
         v = rng.standard_normal((n, d + 1))
@@ -127,18 +129,26 @@ class SampleGrid:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "SampleGrid":
+        """The grid of a spec of docs/schemas/grid.schema.json.  A missing
+        field is a ``KeyError``; an unknown field, or one of the wrong type,
+        a ``TypeError``; an unknown kind, or a value the constructor
+        rejects, a ``ValueError``."""
         kind = spec.get("kind")
-        if kind == "points":
-            return cls.from_points(int(spec["d"]), spec["points"])
-        if kind == "uniform":
-            return cls.uniform_random(int(spec["d"]), int(spec["n"]),
-                                      int(spec.get("seed", 0)),
-                                      int(spec.get("stream", 0)))
-        if kind == "equiangular":
-            return cls.equiangular(int(spec["n_polar"]), int(spec["n_azimuth"]))
-        if kind == "equispaced":
-            return cls.equispaced_circle(int(spec["n"]))
-        raise ValueError(f"unknown grid kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _GRID_KINDS:
+            raise ValueError(f"unknown grid kind {kind!r}")
+        make, fields = _GRID_KINDS[kind]
+        return getattr(cls, make)(**parse_fields(spec, "kind", fields, ("seed", "stream")))
+
+
+# The fields of each grid kind of docs/schemas/grid.schema.json, key -> kind
+# as in models._MODEL_BLOCKS, and the SampleGrid constructor they are the
+# keywords of; only a uniform grid has the optional seed and stream.
+_GRID_KINDS = {
+    "points": ("from_points", {"d": int, "points": ((float, None), None)}),
+    "uniform": ("uniform_random", {"d": int, "n": int, "seed": int, "stream": int}),
+    "equiangular": ("equiangular", {"n_polar": int, "n_azimuth": int}),
+    "equispaced": ("equispaced_circle", {"n": int}),
+}
 
 
 @dataclass(frozen=True)

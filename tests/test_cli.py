@@ -18,7 +18,7 @@ import pytest
 from spherefield import cli
 from spherefield import simulate as sim
 from spherefield.equivalence import VerdictPolicy
-from conftest import patch_draws, validate_schema
+from _reference import patch_draws, validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -302,6 +302,44 @@ class TestSample:
             assert code == 0
         for name in ("sample_0000.csv", "sample_0001.csv", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("model, spec", [
+        (MQ, {"kind": "points", "d": 2, "points": [[0, 0, 1], [0.6, 0.8, 0.0]]}),
+        (MQ, {"kind": "uniform", "d": 2, "n": 3, "seed": 4.0, "stream": 2}),
+        (MQ, {"kind": "equiangular", "n_polar": 2, "n_azimuth": 3}),
+        (dict(MQ, d=1), {"kind": "equispaced", "n": 5}),
+    ], ids=["points", "uniform", "equiangular", "equispaced"])
+    def test_manifest_obeys_schema_for_every_grid_kind(self, capsys, tmp_json,
+                                                       tmp_path, model, spec):
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, ["sample", "--config", tmp_json("m.json", model),
+                                  "--grid", tmp_json("g.json", spec), "--n-samples", "1",
+                                  "--l-max", "3", "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        validate_schema("manifest.schema.json", manifest)
+        assert manifest["grid"] == spec
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "equiangular", "n_polar": 2.5, "n_azimuth": 3}, "'n_polar'"),
+        ({"kind": "equiangular", "n_polar": True, "n_azimuth": 3}, "'n_polar'"),
+        ({"kind": "equispaced", "n": "5"}, "'n'"),
+        ({"kind": "uniform", "d": 2, "n": 3, "spacing": 1}, "'spacing'"),
+        ({"kind": "uniform", "d": 2, "n": 3, "seed": 1e300}, "seed"),
+        ({"kind": "points", "d": 2, "points": [[0, 0, "1"]]}, "'points[0][2]'"),
+        ({"kind": "equiangular", "n_polar": 2}, "'n_azimuth'"),
+    ], ids=["float", "bool", "string", "unknown_key", "huge_seed", "string_point",
+            "missing_key"])
+    def test_off_schema_grid_spec_names_the_key(self, capsys, tmp_json, tmp_path,
+                                                spec, key):
+        grid = tmp_json("g.json", spec)
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, ["sample", "--config", tmp_json("m.json", MQ),
+                                         "--grid", grid, "--n-samples", "1",
+                                         "--l-max", "3", "--out", str(out)])
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"usage error: bad grid spec {grid}: ") and key in err
+        assert len(err) < 200 and not (out / "manifest.json").exists()
 
     def test_manifest_schema_and_streams(self, capsys, tmp_json, tmp_path):
         cfg = tmp_json("m.json", MQ)

@@ -9,7 +9,7 @@ from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield.harmonics import h_dim
-from conftest import validate_schema
+from _reference import validate_schema
 
 
 def random_spd(rng, p, jitter=0.05):

@@ -6,6 +6,12 @@ from scipy.special import eval_gegenbauer, eval_legendre
 
 from spherefield import _memory
 from spherefield import harmonics as sh
+from _reference import sphere_quadrature, zonal_sum
+
+
+def gegenbauer(lam, l, t):
+    """``C_l^lam(t)``, the last row of :func:`gegenbauer_all`."""
+    return sh.gegenbauer_all(lam, l, t)[l]
 
 
 def generating_function_residual(lam, alpha, t_grid, n_terms):
@@ -19,12 +25,12 @@ def generating_function_residual(lam, alpha, t_grid, n_terms):
 
 class TestGegenbauer:
     def test_degree_zero_is_one(self):
-        assert sh.gegenbauer(1.0, 0, 0.37) == 1.0
+        assert gegenbauer(1.0, 0, 0.37) == 1.0
 
     def test_degree_one_linear(self):
         # C_1^lam(t) = 2 lam t from the recurrence
-        assert sh.gegenbauer(0.5, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
-        assert sh.gegenbauer(1.5, 1, -0.2) == pytest.approx(-0.6, abs=1e-15)
+        assert gegenbauer(0.5, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert gegenbauer(1.5, 1, -0.2) == pytest.approx(-0.6, abs=1e-15)
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.5])
     def test_generating_function_identity(self, lam):
@@ -35,19 +41,19 @@ class TestGegenbauer:
     @pytest.mark.parametrize("l", [0, 1, 2, 5, 17, 40])
     def test_against_scipy(self, lam, l):
         t = np.linspace(-1.0, 1.0, 23)
-        ours = sh.gegenbauer(lam, l, t)
+        ours = gegenbauer(lam, l, t)
         ref = eval_gegenbauer(l, lam, t)
         scale = np.max(np.abs(ref)) + 1.0
         assert np.max(np.abs(ours - ref)) < 1e-10 * scale
 
     def test_high_degree_value(self):
         # frozen from scipy.special.eval_gegenbauer(40, 1.5, -0.8)
-        assert sh.gegenbauer(1.5, 40, -0.8) == pytest.approx(7.929262495110367, rel=1e-9)
+        assert gegenbauer(1.5, 40, -0.8) == pytest.approx(7.929262495110367, rel=1e-9)
 
     def test_chebyshev_limit(self):
         t = np.linspace(-1.0, 1.0, 41)
         for l in (0, 1, 3, 10):
-            assert np.allclose(sh.gegenbauer(0.0, l, t), np.cos(l * np.arccos(t)),
+            assert np.allclose(gegenbauer(0.0, l, t), np.cos(l * np.arccos(t)),
                                atol=1e-13)
 
     def test_bounded_by_value_at_one(self):
@@ -59,9 +65,9 @@ class TestGegenbauer:
 
     def test_t_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            sh.gegenbauer(1.0, 3, 1.1)
+            gegenbauer(1.0, 3, 1.1)
         # values within the clamp tolerance are accepted
-        sh.gegenbauer(1.0, 3, 1.0 + 5e-13)
+        gegenbauer(1.0, 3, 1.0 + 5e-13)
 
 
 class TestGegenbauerAtOne:
@@ -84,6 +90,32 @@ class TestGegenbauerAtOne:
     def test_large_degree_no_overflow(self):
         v = sh.gegenbauer_at_one(2.5, 100_000)
         assert math.isfinite(v) and v > 0
+
+    def test_large_order_exact(self):
+        # C_3(1) = (2 lam)(2 lam + 1)(2 lam + 2) / 6 at lam = 5e14, rounded
+        # once; a log-Gamma form would lose digits to cancellation here, and
+        # all of them (1.0) from lam ~ 5e17 on
+        assert sh.gegenbauer_at_one(5e14, 3) == 1.6666666666666718e44
+        assert sh.gegenbauer_at_one(5e17, 1) == 1e18
+        assert sh.gegenbauer_at_one_all(5e17, 2)[1] == 1e18
+
+    def test_beyond_float64_is_inf_from_then_on(self):
+        # binom(l + 999, l) first leaves float64 at l = 308 (d = 1001)
+        at_one = sh.gegenbauer_at_one_all(500.0, 400)
+        assert np.all(np.isfinite(at_one[:308])) and np.all(at_one[308:] == math.inf)
+        assert at_one[307] == sh.gegenbauer_at_one(500.0, 307)
+        assert sh.gegenbauer_at_one(500.0, 308) == math.inf
+
+    def test_chebyshev_limit_is_one(self):
+        assert sh.gegenbauer_at_one(0.0, 9) == 1.0
+        assert np.array_equal(sh.gegenbauer_at_one_all(0.0, 9), np.ones(10))
+
+    @pytest.mark.parametrize("lam", [-0.5, 0.25, 1.3])
+    def test_order_must_be_a_half_integer(self, lam):
+        for call in (lambda: sh.gegenbauer_at_one(lam, 2),
+                     lambda: sh.gegenbauer_at_one_all(lam, 2)):
+            with pytest.raises(ValueError, match="half-integer"):
+                call()
 
 
 class TestEigenspaceDims:
@@ -133,38 +165,34 @@ class TestSurfaceMeasure:
 
 class TestRealHarmonics:
     def test_constant_harmonic(self):
-        for x in ([0, 0, 1.0], [1.0, 0, 0], [0.6, 0.8, 0.0]):
-            assert sh.real_harmonic(2, 0, 1, x) == pytest.approx(
-                1.0 / math.sqrt(4 * math.pi), rel=1e-14)
+        pts = [[0, 0, 1.0], [1.0, 0, 0], [0.6, 0.8, 0.0]]
+        assert sh.harmonic_basis(2, 0, pts)[:, 0] == pytest.approx(
+            np.full(3, 1.0 / math.sqrt(4 * math.pi)), rel=1e-14)
 
     def test_circle_degree_one(self):
-        assert sh.real_harmonic(1, 1, 1, [1.0, 0.0]) == pytest.approx(
-            1.0 / math.sqrt(math.pi), rel=1e-14)
-        assert sh.real_harmonic(1, 1, 2, [1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+        cos1, sin1 = sh.harmonic_basis(1, 1, [[1.0, 0.0]])[0, 1:]
+        assert cos1 == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
+        assert sin1 == pytest.approx(0.0, abs=1e-15)
 
     def test_unsupported_dimension_message(self):
         with pytest.raises(ValueError, match="d in \\{1, 2\\}"):
-            sh.real_harmonic(3, 1, 1, [1.0, 0, 0, 0])
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            sh.real_harmonic(2, 1, 4, [0, 0, 1.0])
+            sh.harmonic_basis(3, 1, [[1.0, 0, 0, 0]])
 
     def test_non_unit_point_rejected(self):
         with pytest.raises(ValueError, match="unit vectors"):
-            sh.real_harmonic(2, 1, 1, [0, 0, 1.5])
+            sh.harmonic_basis(2, 1, [[0, 0, 1.5]])
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_orthonormality_under_quadrature(self, d):
         l_max = 10
-        pts, w = sh.sphere_quadrature(d, 2 * l_max)
+        pts, w = sphere_quadrature(d, 2 * l_max)
         basis = sh.harmonic_basis(d, l_max, pts)
         gram = basis.T @ (w[:, None] * basis)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
     def test_quadrature_total_mass(self):
         for d in (1, 2):
-            _, w = sh.sphere_quadrature(d, 8)
+            _, w = sphere_quadrature(d, 8)
             assert w.sum() == pytest.approx(sh.surface_measure(d), rel=1e-13)
 
 
@@ -180,8 +208,8 @@ class TestAdditionIdentity:
             y /= np.linalg.norm(y)
             t = float(np.clip(x @ y, -1, 1))
             for l in range(11):
-                expect = sh.addition_constant(d, l) * sh.gegenbauer(lam, l, t)
-                assert sh.zonal_sum(d, l, x, y) == pytest.approx(expect, abs=1e-10)
+                expect = sh.addition_constant(d, l) * gegenbauer(lam, l, t)
+                assert zonal_sum(d, l, x, y) == pytest.approx(expect, abs=1e-10)
 
     def test_s2_zonal_against_legendre(self):
         # independent associated-Legendre route: sum_m Y Y = (2l+1)/(4pi) P_l(x.y)
@@ -194,15 +222,15 @@ class TestAdditionIdentity:
             t = float(np.clip(x @ y, -1, 1))
             for l in (0, 1, 3, 8):
                 expect = (2 * l + 1) / (4 * math.pi) * eval_legendre(l, t)
-                assert sh.zonal_sum(2, l, x, y) == pytest.approx(expect, abs=1e-10)
+                assert zonal_sum(2, l, x, y) == pytest.approx(expect, abs=1e-10)
 
     def test_constant_degree(self):
-        assert sh.zonal_sum(2, 0, [0, 0, 1.0], [1.0, 0, 0]) == pytest.approx(
+        assert zonal_sum(2, 0, [0, 0, 1.0], [1.0, 0, 0]) == pytest.approx(
             1.0 / (4 * math.pi), rel=1e-13)
 
     def test_circle_norm_collapse(self):
         # x = y collapses the degree-2 zonal sum to h(2)/omega_1 = 2/(2 pi)
-        assert sh.zonal_sum(1, 2, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(
+        assert zonal_sum(1, 2, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(
             1.0 / math.pi, rel=1e-13)
 
 
@@ -212,20 +240,6 @@ class TestBasisLayout:
         assert sh.harmonic_count(1, 3) == 7
         slices = sh.degree_slices(2, 2)
         assert [s.start for s in slices] == [0, 1, 4]
-
-    def test_basis_matches_pointwise_evaluation(self):
-        rng = np.random.default_rng(5)
-        for d in (1, 2):
-            pts = rng.standard_normal((6, d + 1))
-            pts /= np.linalg.norm(pts, axis=1)[:, None]
-            basis = sh.harmonic_basis(d, 4, pts)
-            slices = sh.degree_slices(d, 4)
-            for l in range(5):
-                for m in range(1, sh.h_dim(d, l) + 1):
-                    col = basis[:, slices[l]][:, m - 1]
-                    for i in range(6):
-                        assert col[i] == pytest.approx(
-                            sh.real_harmonic(d, l, m, pts[i]), rel=1e-12, abs=1e-13)
 
 
 def scalar_recurrence_basis(l_max, pts):
@@ -300,7 +314,6 @@ class TestBasisArithmetic:
         for l, block in enumerate(sh.iter_degree_blocks(d, l_max, pts)):
             assert block.flags.c_contiguous and not block.flags.writeable
             assert np.array_equal(block, basis[:, slices[l]])
-            assert np.array_equal(sh.harmonic_degree_block(d, l, pts), block)
             n_blocks += 1
         assert n_blocks == l_max + 1
 

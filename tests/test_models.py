@@ -54,11 +54,11 @@ class TestMultiquadraticValidity:
 class TestMultiquadraticCoefficients:
     def test_degree_zero_formula(self):
         p = mq()
-        b0 = md.multiquadratic_coeff(p, 0)
+        e11, e22, e12 = md.multiquadratic_coeff_entries(p, [0])[:, 0]
         # binom(0, 0) = 1: b_0(i,j) = rho_ij sigma_i sigma_j (1 - alpha_ij)
-        assert b0[0, 0] == pytest.approx(0.5, rel=1e-14)
-        assert b0[1, 1] == pytest.approx(0.5, rel=1e-14)
-        assert b0[0, 1] == pytest.approx(0.4 * 0.55, rel=1e-14)
+        assert e11 == pytest.approx(0.5, rel=1e-14)
+        assert e22 == pytest.approx(0.5, rel=1e-14)
+        assert e12 == pytest.approx(0.4 * 0.55, rel=1e-14)
 
     def test_validity_implies_psd(self):
         rng = np.random.default_rng(99)
@@ -138,24 +138,24 @@ class TestMultiquadraticClosedForm:
 class TestLegendreMaternGamma:
     def test_unit_parameters(self):
         p = md.LegendreMaternParams(1.0, 1.0, 0.5, 4, 4)
-        assert md.legendre_matern_gamma(p, 0, 0) == pytest.approx(1.0)
+        assert md.legendre_matern_gamma_grid(p)[0, 0] == pytest.approx(1.0)
 
     def test_sigma_scaling(self):
         p = md.LegendreMaternParams(2.0, 1.0, 0.5, 4, 4)
-        assert md.legendre_matern_gamma(p, 0, 0) == pytest.approx(4.0)
+        assert md.legendre_matern_gamma_grid(p)[0, 0] == pytest.approx(4.0)
 
     def test_formula_value(self):
         # gamma_{1,0} = sigma^2 / ((2l+1)(alpha + l^2)^{nu+1/2}) at l=1
         p = md.LegendreMaternParams(1.0, 1.0, 0.5, 4, 4)
-        assert md.legendre_matern_gamma(p, 1, 0) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert md.legendre_matern_gamma_grid(p)[1, 0] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_grid_matches_pointwise(self):
         p = md.LegendreMaternParams(1.3, 0.7, 0.9, 6, 5)
         grid = md.legendre_matern_gamma_grid(p)
         for l in range(7):
             for k in range(6):
-                assert grid[l, k] == pytest.approx(md.legendre_matern_gamma(p, l, k),
-                                                   rel=1e-15)
+                gamma = 1.3 ** 2 / ((2 * l + 1) * (0.7 + k * k + l * l) ** 1.4)
+                assert grid[l, k] == pytest.approx(gamma, rel=1e-15)
 
     def test_monotone_decreasing(self):
         p = md.LegendreMaternParams(1.0, 1.0, 1.0, 50, 50)
@@ -191,7 +191,8 @@ class TestBuildSequence:
         seq = md.build_sequence(p, 12)
         lam = (p.d - 1) / 2
         for n in (0, 1, 5, 12):
-            published = md.multiquadratic_coeff(p, n)
+            e11, e22, e12 = md.multiquadratic_coeff_entries(p, [n])[:, 0]
+            published = np.array([[e11, e12], [e12, e22]])
             stored = seq.coeffs[n]
             assert np.allclose(stored * gegenbauer_at_one(lam, n), published,
                                rtol=1e-12)

@@ -1,7 +1,8 @@
 """Property tests: every CLI flag input maps to a documented exit code, every
-model block the parser accepts obeys its schema, extreme model parameters
-end in a documented exit code without a numpy warning, and ``validate`` and
-``equiv`` share one definition of strict positivity."""
+model block and grid spec the parsers accept obeys its schema, extreme model
+parameters end in a documented exit code without a numpy warning,
+``validate`` and ``equiv`` share one definition of strict positivity, and
+``C_l^lam(1)`` is the exact binomial rounded once."""
 
 import json
 import math
@@ -9,12 +10,15 @@ import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from jsonschema import ValidationError
 
 from spherefield import cli
 from spherefield import equivalence as eq
+from spherefield import harmonics as sh
 from spherefield import models as md
 from spherefield import schoenberg as sb
-from conftest import validate_schema
+from spherefield import simulate as sim
+from _reference import validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -100,6 +104,69 @@ def test_accepted_model_blocks_obey_the_schema(block):
     except (KeyError, TypeError, ValueError):
         return
     validate_schema("model.schema.json", block)
+
+
+GRID_SPECS = [
+    {"kind": "points", "d": 2, "points": [[0.0, 0.0, 1.0], [1, 0, 0]]},
+    {"kind": "uniform", "d": 2, "n": 3, "seed": 7, "stream": 1},
+    {"kind": "equiangular", "n_polar": 2, "n_azimuth": 3},
+    {"kind": "equispaced", "n": 4},
+]
+GRID_KEYS = sorted({key for spec in GRID_SPECS for key in spec} | {"N"})
+# sizes stay small, or beyond what numpy allocates at all
+GRID_SCALARS = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats()
+                | st.sampled_from([1, 2, 2.0, 2.5, 1e300, 2 ** 64, "5", "uniform",
+                                   "equispaced"]))
+GRID_VALUES = (GRID_SCALARS | st.lists(GRID_SCALARS, max_size=3)
+               | st.lists(st.lists(st.floats(-1.0, 1.0) | st.integers(-1, 1),
+                                   max_size=4), max_size=3))
+
+
+@st.composite
+def grid_specs(draw):
+    """A valid grid spec with a few fields dropped or replaced."""
+    spec = dict(draw(st.sampled_from(GRID_SPECS)))
+    for key in draw(st.lists(st.sampled_from(GRID_KEYS), max_size=3)):
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(GRID_VALUES)
+    return spec
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spec=grid_specs())
+def test_grid_specs_are_parsed_by_their_schema(spec):
+    # an accepted spec obeys grid.schema.json, and a spec that obeys it is
+    # accepted or fails only on a value (a ValueError: a point off the
+    # sphere, no points, a key word beyond 64 bits); a missing or unknown
+    # field or a wrong type is a KeyError or TypeError
+    try:
+        validate_schema("grid.schema.json", spec)
+        obeys = True
+    except ValidationError:
+        obeys = False
+    try:
+        sim.SampleGrid.from_spec(spec)
+    except (KeyError, TypeError):
+        assert not obeys, spec
+    except ValueError:
+        pass
+    else:
+        assert obeys, spec
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 10 ** 6) | st.integers(1, 70), l=st.integers(0, 3000))
+def test_gegenbauer_at_one_is_the_exact_binomial(d, l):
+    # C_l^lam(1) = binom(l + d - 2, l) on S^d, rounded once, inf beyond
+    # float64; 1 on the circle
+    try:
+        exact = 1.0 if d == 1 else float(math.comb(l + d - 2, l))
+    except OverflowError:
+        exact = math.inf
+    lam = sh.gegenbauer_order(d)
+    assert sh.gegenbauer_at_one_all(lam, l)[l] == sh.gegenbauer_at_one(lam, l) == exact
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from scipy.special import eval_legendre
 from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
-from conftest import validate_schema
+from _reference import validate_schema
 
 
 def random_spd(rng, p, jitter=0.05):
@@ -73,9 +74,13 @@ class TestOperatorConstruction:
         # alpha_12 > sqrt(alpha_11 alpha_22): b_n is indefinite at high n
         p = md.MultiquadraticParams(d=2, sigma=(1.0, 1.0), rho12=0.5,
                                     alpha=(0.2, 0.2, 0.9))
-        assert not md.multiquadratic_coeff(p, 0).flags.writeable
+        def coeff(n):
+            e11, e22, e12 = md.multiquadratic_coeff_entries(p, [n])[:, 0]
+            return sb.one_degree_stack([[e11, e12], [e12, e22]])[0]
+
+        assert not coeff(0).flags.writeable
         with pytest.raises(ValueError, match="PSD"):
-            md.multiquadratic_coeff(p, 10)
+            coeff(10)
 
     def test_fourier_trace_uses_multiplicities(self):
         seq = sb.SchoenbergSequence(2, sb.FOURIER_DIAGONAL, [[1.0, 0.5, 0.25]])
@@ -251,6 +256,34 @@ class TestTailBounds:
                      sb.PowerLawTail(1.0, 2.0, 0.8)):
             assert sb.tail_from_dict(tail.to_dict()) == tail
 
+    # tail_bound(seq), then validate's tail_estimate (times omega_d) and the
+    # kernel's tail_bound; the values are pinned as the two computed them
+    # before they shared tail_bound
+    @pytest.mark.parametrize("make, bound, heuristic, estimate, kernel_bound", [
+        pytest.param(lambda: md.build_sequence(md.MultiquadraticParams(
+            d=3, sigma=(1, 1.2), rho12=.4, alpha=(.5, .5, .45)), 10),
+            0.007798295454545433, False, 0.15393218227835348, 0.007798295454545433,
+            id="geometric"),
+        pytest.param(lambda: md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 8, 8)),
+                     0.008138020833333332, False, 0.10226538585904273,
+                     0.008138020833333332, id="power_law"),
+        # the last term trace(b_2) C_2^1(1) = 0.25 * 3, times omega_3 = 2 pi^2
+        pytest.param(lambda: scalar_sequence([1.0, 0.5, 0.25], d=3),
+                     0.75, True, 14.804406601634037, 0.75, id="heuristic"),
+        pytest.param(lambda: scalar_sequence([1.0], d=3),
+                     None, True, None, 0.0, id="degree_zero"),
+    ])
+    def test_one_tail_bound(self, make, bound, heuristic, estimate, kernel_bound):
+        seq = make()
+        assert sb.tail_bound(seq) == (bound, heuristic)
+        report = sb.validate_sequence(seq)
+        assert (report.tail_estimate, report.tail_is_heuristic) == (estimate, heuristic)
+        assert (("tail estimate is a last-term heuristic" in report.flags)
+                == (heuristic and bound is not None))
+        kernel = sb.IsotropicKernel(seq)
+        assert (kernel.tail_bound, kernel.tail_is_heuristic) == (kernel_bound, heuristic)
+        assert kernel(0.3).tail_bound == kernel_bound
+
 
 class TestValidateSequence:
     def test_multiquadratic_valid_passes(self):
@@ -288,7 +321,7 @@ class TestSequenceSerialization:
                                     alpha=(.5, .5, .45)), 10),
         lambda: md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 8, 8)),
     ])
-    def test_roundtrip(self, make, tmp_path):
+    def test_roundtrip(self, make):
         seq = make()
         obj = sb.sequence_to_dict(seq)
         validate_schema("sequence.schema.json", obj)
@@ -296,6 +329,5 @@ class TestSequenceSerialization:
         assert back.d == seq.d and back.variant == seq.variant
         assert np.allclose(back.coeffs, seq.coeffs)
         assert back.tail == seq.tail
-        path = tmp_path / "seq.json"
-        sb.save_sequence(seq, path)
-        assert np.allclose(sb.load_sequence(path).coeffs, seq.coeffs)
+        text = json.dumps(obj, indent=1)
+        assert np.allclose(sb.sequence_from_dict(json.loads(text)).coeffs, seq.coeffs)

@@ -18,7 +18,7 @@ from spherefield import schoenberg as sb
 from spherefield import simulate as sim
 from spherefield import _blas
 from spherefield._blas import one_blas_thread
-from conftest import patch_draws, validate_schema
+from _reference import patch_draws, validate_schema
 
 
 def mq_sequence(l_max=20, d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)):
