@@ -5,12 +5,12 @@ Subcommands: ``validate``, ``kernel``, ``sample``, ``equiv``, ``mc-check``,
 human-readable summaries go to stderr.  Model configs are JSON or TOML v1.0
 (``tomllib``) by extension; formats and schemas are documented under docs/.
 
-Exit codes: 0 success / equivalent, 1 usage or malformed config (or stdout
-closed early), 2 invalid model or unsupported operation (also closed-form vs
-numeric verdict disagreement, which indicates an undersized truncation or a
-bug, a run that cannot allocate its arrays, and a ``sample`` worker process
-that dies), 3 negative verdict or failed check, 4 inconclusive numeric
-verdict.
+Exit codes: 0 success / equivalent, 1 usage or malformed config (or an
+output that cannot be written, or stdout closed early), 2 invalid model or
+unsupported operation (also closed-form vs numeric verdict disagreement,
+which indicates an undersized truncation or a bug, a run that cannot
+allocate its arrays, and a ``sample`` worker process that dies), 3 negative
+verdict or failed check, 4 inconclusive numeric verdict.
 
 ``sample`` synthesizes its fields in this process and writes each group of
 them from one process per available CPU (see :func:`_worker_count`); the
@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,11 @@ class InvalidModelError(Exception):
     pass
 
 
+class OutOfMemory(Exception):
+    """An allocation that cannot fit, sized by the input that the message
+    names."""
+
+
 class WorkerError(Exception):
     """A ``sample`` worker process that could not start or died without
     reporting (e.g. killed by a signal)."""
@@ -99,11 +105,26 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+@contextmanager
+def _writing(path):
+    """Turn an ``OSError`` raised while writing ``path`` (or a file in it)
+    into a usage error naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename or path}: "
+                         f"{exc.strerror or exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    with _writing(path), open(path, "w") as fh:
+        fh.write(text)
+
+
 def _emit_json(obj, out_path=None) -> None:
     text = json.dumps(obj, indent=1)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, text + "\n")
     print(text)
 
 
@@ -276,8 +297,7 @@ def cmd_kernel(args) -> int:
     lines = [",".join(header)] + [",".join(r) for r in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     if is_mq and params.d != 3:
@@ -396,11 +416,14 @@ def cmd_sample(args) -> int:
         grid = SampleGrid.from_spec(grid_spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad grid spec {args.grid}: {exc.args[0]}") from exc
+    except MemoryError as exc:
+        raise OutOfMemory(f"grid spec {args.grid}: {exc}") from exc
     if grid.d != seq.d:
         raise UsageError(f"grid dimension {grid.d} does not match model d={seq.d}")
 
     outdir = args.out or os.environ.get(OUTDIR_ENV, ".")
-    os.makedirs(outdir, exist_ok=True)
+    with _writing(outdir):
+        os.makedirs(outdir, exist_ok=True)
     ext = args.format
     writer = write_field_csv if ext == "csv" else write_field_json
 
@@ -423,14 +446,14 @@ def cmd_sample(args) -> int:
     # and call no BLAS, so they add neither synthesis memory nor BLAS threads.
     files = []
     for group in field_groups(seq, grid, streams):
-        samples = synthesize_fields(seq, grid, group, l_max=seq.l_max,
-                                    seed=args.seed)
+        samples = synthesize_fields(seq, grid, group, seed=args.seed)
         n_workers = _worker_count(len(samples))
         shares = [samples[i * len(samples) // n_workers:
                           (i + 1) * len(samples) // n_workers]
                   for i in range(n_workers)]
-        files += [entry for entries in _run_shares(write_share, shares)
-                  for entry in entries]
+        with _writing(outdir):   # also an OSError that a worker re-raises
+            files += [entry for entries in _run_shares(write_share, shares)
+                      for entry in entries]
 
     manifest = {
         "seed": args.seed,
@@ -443,9 +466,7 @@ def cmd_sample(args) -> int:
         "files": files,
     }
     manifest_path = os.path.join(outdir, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_text(manifest_path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     _info(f"wrote {args.n_samples} samples and manifest to {outdir}")
     print(json.dumps({"manifest": manifest_path, "files": [f["name"] for f in files]},
                      indent=1))
@@ -480,10 +501,10 @@ def cmd_equiv(args) -> int:
 
     if isinstance(p1, LegendreMaternParams):
         k_max = args.k_max if args.k_max is not None else max(p1.k_max, p2.k_max)
-        p1, p2 = (replace(p, l_max=args.l_max, k_max=k_max) for p in (p1, p2))
+        p1, p2 = (replace(p, k_max=k_max) for p in (p1, p2))
     s1, s2 = (_build_sequence(p, args.l_max) for p in (p1, p2))
     try:
-        series = functional_series(s1, s2, l_max=args.l_max)
+        series = functional_series(s1, s2)
     except ValueError as exc:  # e.g. a reference coefficient not strictly positive
         raise InvalidModelError(str(exc)) from exc
     numeric = classify_numeric(series, policy)
@@ -493,7 +514,9 @@ def cmd_equiv(args) -> int:
     obj = report_to_dict(series, verdicts, policy)
     _emit_json(obj, out_json)
     if args.out:
-        write_series_csv(f"{args.out}.csv", series)
+        csv_path = f"{args.out}.csv"
+        with _writing(csv_path):
+            write_series_csv(csv_path, series)
 
     for v in verdicts:
         _info(f"{v.provenance}: {v.verdict} ({v.diagnostics})")
@@ -577,8 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Gaussian-measure equivalence diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, l_max_default=None):
-        p.add_argument("--l-max", type=int, default=l_max_default,
+    def add_common(p):
+        p.add_argument("--l-max", type=int,
                        help="degree truncation (default: model default)")
         p.add_argument("--out", help="output path (default: stdout)")
 
@@ -664,6 +687,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except WorkerError as exc:
         _info(f"error: {exc}")
+        return EXIT_INVALID
+    except OutOfMemory as exc:
+        _info(f"out of memory: {exc}")
         return EXIT_INVALID
     except MemoryError as exc:  # e.g. the draws of one field at a huge --l-max
         _info(f"out of memory: {str(exc) or 'an allocation failed'}; try a lower "

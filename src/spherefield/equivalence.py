@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .harmonics import h_dim
 from .models import (
     LegendreMaternParams,
     MultiquadraticParams,
-    legendre_matern_sequence,
     multiquadratic_validity,
 )
 from .schoenberg import (
@@ -42,6 +41,7 @@ from .schoenberg import (
     fold_multiplicities,
     one_degree_stack,
     strict_positivity,
+    truncate_sequence,
 )
 
 EQUIVALENT = "equivalent"
@@ -174,9 +174,16 @@ def hs_term(b1, b2, hl: int) -> float:
     return hl * float(_conjugated_distances(s1, s2)[0])
 
 
-def _degree_dims(d: int, l_max: int) -> np.ndarray:
-    """Eigenspace dimensions ``h(l)`` for ``l = 0 .. l_max`` as floats."""
-    return np.array([h_dim(d, l) for l in range(l_max + 1)], dtype=float)
+def _common_length(seq1: SchoenbergSequence, seq2: SchoenbergSequence) -> tuple:
+    """Two compatible sequences truncated to the shorter one's length."""
+    check_compatible(seq1, seq2)
+    L = min(seq1.l_max, seq2.l_max)
+    return truncate_sequence(seq1, L), truncate_sequence(seq2, L)
+
+
+def _degree_dims(seq: SchoenbergSequence) -> np.ndarray:
+    """Eigenspace dimensions ``h(l)`` for ``l = 0 .. seq.l_max`` as floats."""
+    return np.array([h_dim(seq.d, l) for l in range(seq.l_max + 1)], dtype=float)
 
 
 def fit_decay_exponent(degrees: np.ndarray, terms: np.ndarray, window: tuple) -> float:
@@ -206,14 +213,14 @@ def _make_series(terms: np.ndarray, fit_window) -> EquivalenceTermSeries:
 
 
 def functional_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
-                      l_max: int | None = None,
                       fit_window: tuple | None = None) -> EquivalenceTermSeries:
     """Terms ``t_l = h(l) ||(b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I||^2``
-    for ``l = 0 .. l_max``, with partial sums and a log-log decay fit over
-    the top half of the window (or an explicit ``fit_window``)."""
-    L = check_compatible(seq1, seq2, l_max)
-    dist = _conjugated_distances(seq1.coeffs[:L + 1], seq2.coeffs[:L + 1])
-    return _make_series(_degree_dims(seq1.d, L) * dist, fit_window)
+    up to the shorter sequence's ``l_max``, with partial sums and a log-log
+    decay fit over the top half of the degrees (or an explicit
+    ``fit_window``)."""
+    seq1, seq2 = _common_length(seq1, seq2)
+    dist = _conjugated_distances(seq1.coeffs, seq2.coeffs)
+    return _make_series(_degree_dims(seq1) * dist, fit_window)
 
 
 def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
@@ -225,17 +232,17 @@ def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
 
 
 def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u,
-                           l_max: int | None = None,
                            fit_window: tuple | None = None) -> EquivalenceTermSeries:
     """Terms ``h(l) (<b_l^(1) u, u> / <b_l^(2) u, u> - 1)^2`` of the projected
     scalar fields (see :func:`project_sequence` for the projected sequences).
 
-    Requires ``<b_l^(2) u, u> > 0`` up to l_max.  Each term is dominated by
-    the matching functional term (tested invariant).
+    Requires ``<b_l^(2) u, u> > 0`` up to the shorter sequence's ``l_max``.
+    Each term is dominated by the matching functional term (tested
+    invariant).
     """
-    L = check_compatible(seq1, seq2, l_max)
-    q1, q2 = (seq.quadratic_forms(u)[:L + 1] for seq in (seq1, seq2))
-    terms = _degree_dims(seq1.d, L) * _conjugated_distances(q1, q2)
+    seq1, seq2 = _common_length(seq1, seq2)
+    q1, q2 = (seq.quadratic_forms(u) for seq in (seq1, seq2))
+    terms = _degree_dims(seq1) * _conjugated_distances(q1, q2)
     return _make_series(terms, fit_window)
 
 
@@ -351,15 +358,6 @@ def classify_legendre_matern(p1: LegendreMaternParams,
     return EquivalenceVerdict(
         ORTHOGONAL, CLOSED_FORM,
         f"{which} parameters differ; the spectral ratio does not tend to 1")
-
-
-def legendre_matern_series(p1: LegendreMaternParams, p2: LegendreMaternParams,
-                           l_max: int, k_max: int,
-                           fit_window: tuple | None = None) -> EquivalenceTermSeries:
-    """Functional series for two Legendre-Matern models at explicit truncations."""
-    s1, s2 = (legendre_matern_sequence(replace(p, l_max=l_max, k_max=k_max))
-              for p in (p1, p2))
-    return functional_series(s1, s2, fit_window=fit_window)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
+from ._memory import require_fit
 from .harmonics import (
     addition_constant,
     check_points,
@@ -50,7 +51,6 @@ from .schoenberg import (
     IsotropicKernel,
     SchoenbergSequence,
     check_compatible,
-    check_l_max,
     entry_labels,
     operator_sqrt,
     truncate_sequence,
@@ -58,6 +58,7 @@ from .schoenberg import (
 )
 
 _BATCH_ELEMS = 4_000_000   # float64 elements per ensemble batch buffer or field group
+_MAX_POINTS = int(np.iinfo(np.intp).max)   # the largest size of a numpy array
 _CSV_CHUNK_ROWS = 256      # rows converted to Python floats at a time
 
 
@@ -105,6 +106,7 @@ class SampleGrid:
     def uniform_random(cls, d: int, n: int, seed: int = 0, stream: int = 0) -> "SampleGrid":
         """n points drawn uniformly (normalized Gaussians), reproducible."""
         rng = make_generator(seed, stream)
+        _require_grid_fit(d, n)
         v = rng.standard_normal((n, d + 1))
         v /= np.linalg.norm(v, axis=1)[:, None]
         return cls(d=d, points=v)
@@ -112,6 +114,7 @@ class SampleGrid:
     @classmethod
     def equiangular(cls, n_polar: int, n_azimuth: int) -> "SampleGrid":
         """Latitude-longitude product grid on S^2 (pole-free midpoints)."""
+        _require_grid_fit(2, max(n_polar, 0) * max(n_azimuth, 0))
         theta = (np.arange(n_polar) + 0.5) * math.pi / n_polar
         phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
         tt, pp = np.meshgrid(theta, phi, indexing="ij")
@@ -124,6 +127,7 @@ class SampleGrid:
 
     @classmethod
     def equispaced_circle(cls, n: int) -> "SampleGrid":
+        _require_grid_fit(1, n)
         phi = 2.0 * math.pi * np.arange(n) / n
         return cls(d=1, points=np.column_stack([np.cos(phi), np.sin(phi)]))
 
@@ -138,6 +142,17 @@ class SampleGrid:
             raise ValueError(f"unknown grid kind {kind!r}")
         make, fields = _GRID_KINDS[kind]
         return getattr(cls, make)(**parse_fields(spec, "kind", fields, ("seed", "stream")))
+
+
+def _require_grid_fit(d: int, n: int) -> None:
+    """Refuse a grid of n points on S^d before it is built: ``ValueError``
+    beyond the size of any numpy array, ``MemoryError`` beyond physical
+    memory.  Its points, their copy in :class:`SampleGrid` and the
+    temporaries that build them are about three arrays of ``n * (d+1)``
+    floats."""
+    if n > _MAX_POINTS:
+        raise ValueError(f"a grid may have at most {_MAX_POINTS} points")
+    require_fit(3 * 8 * (d + 1) * n, f"a grid of {n} points on S^{d}")
 
 
 # The fields of each grid kind of docs/schemas/grid.schema.json, key -> kind
@@ -210,15 +225,14 @@ def sample_coefficients(seq: SchoenbergSequence, l: int,
     return z @ root if seq.variant == MATRIX else z * root[None, :]
 
 
-def synthesize_field(seq: SchoenbergSequence, grid: SampleGrid,
-                     l_max: int | None = None, seed: int = 0,
+def synthesize_field(seq: SchoenbergSequence, grid: SampleGrid, seed: int = 0,
                      stream: int = 0) -> FieldSample:
     """Synthesize one field realization; deterministic given (seed, stream)."""
-    return synthesize_fields(seq, grid, [stream], l_max=l_max, seed=seed)[0]
+    return synthesize_fields(seq, grid, [stream], seed=seed)[0]
 
 
 def synthesize_fields(seq: SchoenbergSequence, grid: SampleGrid, streams,
-                      l_max: int | None = None, seed: int = 0) -> list:
+                      seed: int = 0) -> list:
     """Synthesize one field realization per stream id in ``streams``.
 
     Field ``i`` is :func:`synthesize_field` of ``(seed, streams[i])``, bit
@@ -231,15 +245,14 @@ def synthesize_fields(seq: SchoenbergSequence, grid: SampleGrid, streams,
     """
     if grid.d != seq.d:
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
-    L = check_l_max(seq, l_max)
     rngs = [make_generator(seed, stream) for stream in streams]
     values = np.zeros((len(rngs), grid.n_points, unfolded_dim(seq)))
-    for l, block in enumerate(iter_degree_blocks(seq.d, L, grid.points)):
+    for l, block in enumerate(iter_degree_blocks(seq.d, seq.l_max, grid.points)):
         root = _scale_factor(seq, l)                        # once per group
         for v, rng in zip(values, rngs):
             v += block @ sample_coefficients(seq, l, rng, root)   # (h(l), dim)
-    return [FieldSample(grid=grid, values=v, l_max=L, seed=seed, stream=stream)
-            for v, stream in zip(values, streams)]
+    return [FieldSample(grid=grid, values=v, l_max=seq.l_max, seed=seed,
+                        stream=stream) for v, stream in zip(values, streams)]
 
 
 def field_groups(seq: SchoenbergSequence, grid: SampleGrid, streams) -> list:
@@ -268,8 +281,7 @@ def _batch_sizes(n_fields: int, field_elems: int) -> list:
 
 
 def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int,
-                        l_max: int | None = None, seed: int = 0,
-                        stream: int = 0) -> np.ndarray:
+                        seed: int = 0, stream: int = 0) -> np.ndarray:
     """Synthesize ``n_fields`` independent realizations from one stream.
 
     Returns values of shape (n_fields, n_points, dim).  Deterministic given
@@ -301,7 +313,7 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
     if n_fields < 1:
         raise ValueError(f"n_fields must be >= 1, got {n_fields}")
-    L = check_l_max(seq, l_max)
+    L = seq.l_max
     rng = make_generator(seed, stream)
     basis = harmonic_basis(seq.d, L, grid.points)        # (npts, H)
     slices = degree_slices(seq.d, L)
@@ -461,14 +473,14 @@ def _pair_statistics(seq, values, ix, iy):
 
 def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
                              seed: int = 0, stream: int = 0,
-                             l_max: int | None = None,
                              z_threshold: float = 4.0,
                              analytic_seq: SchoenbergSequence | None = None) -> CheckReport:
     """Compare sampled covariances against the analytic kernel at point pairs.
 
     The analytic side (``analytic_seq``, by default ``seq``, compatible with
-    it) is truncated at the sampling ``l_max`` so sampling error is not
-    conflated with truncation error; the tail bound is reported separately.
+    it and at least as long) is truncated at ``seq.l_max``, the sampled
+    degrees, so sampling error is not conflated with truncation error; the
+    tail bound is reported separately.
     Entries are compared in the operator representation (p x p for matrices,
     folded frequencies pooling the fourier cos/sin pairs).  Passes when
     every entrywise ``|z| < z_threshold``.
@@ -478,18 +490,17 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1] != 2:
         raise ValueError("pairs must have shape (n_pairs, 2, d+1)")
-    L = check_l_max(seq, l_max)
     ref = seq if analytic_seq is None else analytic_seq
-    check_compatible(seq, ref, L)
+    check_compatible(seq, ref)
+    ref = truncate_sequence(ref, seq.l_max)
 
     # deduplicate points so each field is synthesized once per location
     flat = pairs.reshape(-1, pairs.shape[2])
     uniq, inverse = np.unique(flat.round(decimals=15), axis=0, return_inverse=True)
     grid = SampleGrid.from_points(seq.d, uniq)
-    values = synthesize_ensemble(seq, grid, n_samples, l_max=L,
-                                 seed=seed, stream=stream)
+    values = synthesize_ensemble(seq, grid, n_samples, seed=seed, stream=stream)
 
-    kernel = IsotropicKernel(truncate_sequence(ref, L))
+    kernel = IsotropicKernel(ref)
 
     results = []
     for p_idx in range(pairs.shape[0]):
@@ -504,8 +515,8 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
                                  analytic=analytic, se=se, z=z))
     z_max = max((r.z_max for r in results), default=0.0)
     return CheckReport(passed=bool(z_max < z_threshold), z_max=z_max,
-                       z_threshold=z_threshold, n_samples=n_samples, l_max=L,
-                       tail_bound=kernel.tail_bound, pairs=results)
+                       z_threshold=z_threshold, n_samples=n_samples,
+                       l_max=seq.l_max, tail_bound=kernel.tail_bound, pairs=results)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -583,6 +584,21 @@ def test_failed_parent_share_kills_workers(capsys, tmp_json, tmp_path, monkeypat
     assert_reaped(forked)
 
 
+def test_worker_write_error_names_the_output(capsys, tmp_json, tmp_path, monkeypatch,
+                                            forked):
+    def write_of(in_child, sample):
+        if in_child:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    code, out, err = sample_in_two_workers(capsys, tmp_json, tmp_path, monkeypatch,
+                                           write_of)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"cannot write {tmp_path / 'run'}: No space left on device" in err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
 def test_workers_only_write(capsys, tmp_json, tmp_path, monkeypatch, forked):
     # a forked worker holds no recurrence state or group values and calls no
     # BLAS: every field is synthesized in the CLI process
@@ -956,6 +972,11 @@ def test_huge_config_truncation_out_of_memory(tmp_json):
     pytest.param("pairs", "bad.json", b'{"pairs": [[1, 2, 3]]}', id="pairs_bad_shape"),
     pytest.param("pairs", "bad.json", b'{"pairs": [[[0, 0, 2], [0, 1, 0]]]}',
                  id="pairs_not_unit"),
+    pytest.param("grid", "bad.json",
+                 b'{"kind": "points", "d": 2, "points": [[0, 0, 1], [NaN, 0, 0]]}',
+                 id="grid_nan_point"),
+    pytest.param("pairs", "bad.json", b'{"pairs": [[[0, 0, 1], [NaN, 1, 0]]]}',
+                 id="pairs_nan_point"),
 ])
 def test_bad_input_file_usage_error(capsys, tmp_json, tmp_path, role, name, content):
     bad = tmp_path / name
@@ -974,6 +995,50 @@ def test_bad_input_file_usage_error(capsys, tmp_json, tmp_path, role, name, cont
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("grid", [
+    {"kind": "equispaced", "n": 1e12},
+    {"kind": "uniform", "d": 2, "n": 1e12},
+    {"kind": "equiangular", "n_polar": 10 ** 6, "n_azimuth": 10 ** 6},
+], ids=lambda grid: grid["kind"])
+def test_grid_beyond_memory_names_the_grid_spec(capsys, tmp_json, tmp_path, grid):
+    config = dict(MQ, d=1) if grid["kind"] == "equispaced" else MQ
+    spec = tmp_json("g.json", grid)
+    code, out, err = run(capsys, ["sample", "--config", tmp_json("m.json", config),
+                                  "--grid", spec, "--n-samples", "1", "--l-max", "2",
+                                  "--out", str(tmp_path / "run")])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert f"out of memory: grid spec {spec}: a grid of 1000000000000 points" in err
+    assert "--l-max" not in err
+
+
+@pytest.mark.parametrize("command, target", [
+    (["validate"], "missing/x"),
+    (["kernel", "--thetas", "0,1"], "missing/x"),
+    (["schoenberg-export"], "missing/x"),
+    (["mc-check", "--thetas", "0,1", "--n-samples", "10"], "missing/x"),
+    (["sample", "--grid", "{grid}", "--n-samples", "1"], "file"),
+    (["sample", "--grid", "{grid}", "--n-samples", "1"], "file/x"),
+], ids=["validate", "kernel", "export", "mc-check", "sample-file", "sample-in-file"])
+def test_unwritable_out_names_the_path(capsys, tmp_json, tmp_path, command, target):
+    (tmp_path / "file").write_text("")
+    grid = tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3})
+    out_path = tmp_path / target
+    argv = [arg.format(grid=grid) for arg in command]
+    code, out, err = run(capsys, argv[:1] + ["--config", tmp_json("m.json", MQ),
+                                             "--l-max", "3", "--out", str(out_path)]
+                         + argv[1:])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"cannot write {out_path}: " in err
+
+
+def test_unwritable_equiv_report_names_the_path(capsys, tmp_json, tmp_path):
+    prefix = tmp_path / "missing" / "report"
+    code, out, err = run(capsys, ["equiv", tmp_json("a.json", MQ), tmp_json("b.json", MQ),
+                                  "--l-max", "40", "--out", str(prefix)])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"cannot write {prefix}.json: No such file or directory" in err
 
 
 def test_closed_stdout_pipe_exits_quietly(tmp_json):

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,7 +355,8 @@ class TestClosedFormNumericAgreement:
                     q = md.LegendreMaternParams(sigma, alpha, nu + 0.3)
             p = md.LegendreMaternParams(sigma, alpha, nu)
             closed = eq.classify_legendre_matern(p, q)
-            series = eq.legendre_matern_series(p, q, 512, 512)
+            series = eq.functional_series(
+                *(md.build_sequence(replace(r, k_max=512), 512) for r in (p, q)))
             self._check(closed, eq.classify_numeric(series))
 
     def test_multiquadratic_sweep(self):

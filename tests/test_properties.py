@@ -6,6 +6,7 @@ parameters end in a documented exit code without a numpy warning,
 
 import json
 import math
+import shutil
 import warnings
 
 import numpy as np
@@ -61,18 +62,30 @@ def test_equiv_flags_give_documented_exit_code(tmp_path_factory, family, l_max, 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(sorted(SINGLE_MODEL)),
        family=st.sampled_from(sorted(PAIRS)),
-       l_max=st.integers(-5, 24))
-def test_l_max_flag_gives_documented_exit_code(tmp_path_factory, command, family, l_max):
-    # a negative --l-max is a usage error (exit 1) in every subcommand
+       l_max=st.integers(-5, 24),
+       out=st.sampled_from(["none", "missing directory", "existing file"]))
+def test_l_max_flag_gives_documented_exit_code(tmp_path_factory, command, family,
+                                               l_max, out):
+    # a negative --l-max is a usage error (exit 1) in every subcommand, and so
+    # is an --out that cannot be written: a path in a missing directory, or
+    # for `sample`, whose --out is a directory, an existing file
+    base = tmp_path_factory.getbasetemp()
     argv = [command, "--config", _write(tmp_path_factory, f"{family}.json",
                                         PAIRS[family][0]),
             "--l-max", str(l_max), *SINGLE_MODEL[command]]
     if command == "sample":
         grid = {"kind": "uniform", "d": 2, "n": 3}
-        argv += ["--grid", _write(tmp_path_factory, "grid.json", grid),
-                 "--out", str(tmp_path_factory.getbasetemp() / "samples")]
+        argv += ["--grid", _write(tmp_path_factory, "grid.json", grid)]
+    out_path = {"none": base / "samples" if command == "sample" else None,
+                "missing directory": base / "missing" / "out",
+                "existing file": base / "file"}[out]
+    (base / "file").write_text("")
+    if out_path is not None:
+        argv += ["--out", str(out_path)]
+    unwritable = out == ("existing file" if command == "sample" else "missing directory")
     code = cli.main(argv)
-    assert code == 1 if l_max < 0 else code in {0, 2, 3, 4}
+    shutil.rmtree(base / "missing", ignore_errors=True)   # `sample` makes it
+    assert code == 1 if l_max < 0 or unwritable else code in {0, 2, 3, 4}
 
 
 # any value a JSON or TOML config may hold

@@ -1,11 +1,15 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+import spherefield
 from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
@@ -154,6 +158,45 @@ class TestSequence:
         assert short.l_max == 1 and short.coeffs.tolist() == seq.coeffs[:2].tolist()
         with pytest.raises(ValueError):
             sb.truncate_sequence(seq, 5)
+
+    def test_truncation_dropping_no_degree_is_the_sequence(self):
+        mq = md.MultiquadraticParams(d=2, sigma=(1.0, 1.0), rho12=0.4,
+                                     alpha=(0.5, 0.5, 0.45))
+        for seq in (scalar_sequence([1, .5, .25]), md.build_sequence(mq, 12),
+                    md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 6, 3))):
+            assert sb.truncate_sequence(seq, seq.l_max) is seq
+
+    def test_only_builders_and_truncation_take_l_max(self):
+        # A sequence is truncated where it is built, and truncate_sequence is
+        # the one way to shorten it: no consumer takes a second truncation.
+        # harmonics' functions take the top degree of a polynomial family or
+        # basis that they build from no sequence.
+        harmonic_degrees = {"gegenbauer_all", "gegenbauer_at_one_all",
+                            "harmonic_count", "degree_slices", "harmonic_basis",
+                            "iter_degree_blocks"}
+        builders = {"build_sequence", "multiquadratic_sequence",
+                    "legendre_matern_sequence", "legendre_matern_gamma_grid"}
+        takers = {name for info in pkgutil.iter_modules(spherefield.__path__)
+                  if not info.name.startswith("_")
+                  for name, fn in public_callables(
+                      importlib.import_module(f"spherefield.{info.name}"))
+                  if "l_max" in inspect.signature(fn).parameters}
+        assert takers == harmonic_degrees | builders | {"truncate_sequence"}
+
+
+def public_callables(module):
+    """(name, callable) of each public function that ``module`` defines and
+    of each public method of its public classes."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj):
+                method = getattr(obj, attr)
+                if not attr.startswith("_") and callable(method):
+                    yield f"{name}.{attr}", method
 
 
 class TestKernelEval:

@@ -57,10 +57,10 @@ def reference_ensemble(seq, grid, n_fields, seed, stream):
     return out
 
 
-def reference_field(seq, grid, seed, stream, l_max=None):
+def reference_field(seq, grid, seed, stream):
     """The field loop as it was before degree streaming: one slice of the
     full basis per degree."""
-    L = seq.l_max if l_max is None else l_max
+    L = seq.l_max
     rng = sim.make_generator(seed, stream)
     basis = sh.harmonic_basis(seq.d, L, grid.points)
     slices = sh.degree_slices(seq.d, L)
@@ -115,6 +115,22 @@ class TestSampleGrid:
         b = sim.SampleGrid.uniform_random(1, 5, seed=9)
         assert np.array_equal(a.points, b.points)
 
+    @pytest.mark.parametrize("points", [[[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0]],
+                                        [[0.0, math.inf, 1.0]]], ids=["nan", "inf"])
+    def test_non_finite_point_rejected(self, points):
+        with pytest.raises(ValueError, match="must be finite"):
+            sim.SampleGrid.from_points(2, points)
+
+    @pytest.mark.parametrize("build, d", [
+        (lambda: sim.SampleGrid.equispaced_circle(10 ** 12), 1),
+        (lambda: sim.SampleGrid.uniform_random(2, 10 ** 12), 2),
+        (lambda: sim.SampleGrid.equiangular(10 ** 6, 10 ** 6), 2),
+    ], ids=["equispaced", "uniform", "equiangular"])
+    def test_grid_beyond_memory_refused_before_allocation(self, build, d):
+        with pytest.raises(MemoryError,
+                           match=f"a grid of 1000000000000 points on S\\^{d} needs"):
+            build()
+
     def test_unsupported_dimension_message(self):
         with pytest.raises(ValueError, match="restricted to d in \\{1, 2\\}"):
             sim.SampleGrid.from_points(3, np.eye(4))
@@ -143,7 +159,7 @@ class TestSampleGrid:
             sim.synthesize_field(seq, grid, seed=1, stream=stream)
         sim.synthesize_fields(seq, grid, [3, 4], seed=1)
         assert basis_calls == []
-        sim.synthesize_ensemble(seq, grid, 4, l_max=5, seed=1)
+        sim.synthesize_ensemble(sb.truncate_sequence(seq, 5), grid, 4, seed=1)
         assert basis_calls == [5]
 
 
@@ -235,8 +251,9 @@ class TestSynthesizeField:
         assert [f.stream for f in fields] == streams
         for f in fields:
             assert np.array_equal(f.values, reference_field(seq, grid, 8, f.stream))
-        low = sim.synthesize_field(seq, grid, l_max=7, seed=8, stream=2)
-        assert np.array_equal(low.values, reference_field(seq, grid, 8, 2, l_max=7))
+        short = sb.truncate_sequence(seq, 7)
+        low = sim.synthesize_field(short, grid, seed=8, stream=2)
+        assert np.array_equal(low.values, reference_field(short, grid, 8, 2))
 
     def test_field_groups_do_not_change_bits(self, monkeypatch):
         seq = mq_sequence(12)
@@ -321,8 +338,8 @@ class TestSynthesizeField:
         # added degrees contribute nonnegative variance
         seq = mq_sequence(30)
         grid = sim.SampleGrid.uniform_random(2, 4, seed=4)
-        v10 = sim.synthesize_ensemble(seq, grid, 4000, seed=6, l_max=10)
-        v30 = sim.synthesize_ensemble(seq, grid, 4000, seed=6, l_max=30)
+        v10 = sim.synthesize_ensemble(sb.truncate_sequence(seq, 10), grid, 4000, seed=6)
+        v30 = sim.synthesize_ensemble(sb.truncate_sequence(seq, 30), grid, 4000, seed=6)
         m10 = (v10 ** 2).sum(axis=2).mean()
         m30 = (v30 ** 2).sum(axis=2).mean()
         analytic = sb.IsotropicKernel(seq).trace_at_one()
@@ -602,6 +619,16 @@ class TestMonteCarloKernelCheck:
         report = sim.monte_carlo_kernel_check(
             seq, theta_pairs([0.0, 2.0]), 500, seed=2)
         validate_schema("check_report.schema.json", report.to_dict())
+
+    def test_analytic_side_truncated_to_sampled_degrees(self):
+        seq = mq_sequence(6)
+        pairs = theta_pairs([0.0, 1.0])
+        same = sim.monte_carlo_kernel_check(seq, pairs, 200, seed=5)
+        longer = sim.monte_carlo_kernel_check(seq, pairs, 200, seed=5,
+                                              analytic_seq=mq_sequence(9))
+        assert longer.to_dict() == same.to_dict()
+        with pytest.raises(ValueError, match=r"l_max must lie in \[0, 4\], got 6"):
+            sim.monte_carlo_kernel_check(seq, pairs, 200, analytic_seq=mq_sequence(4))
 
     def test_bad_pair_shape_rejected(self):
         seq = mq_sequence(8)
