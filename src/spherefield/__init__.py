@@ -20,7 +20,6 @@ from .schoenberg import (
     MATRIX,
     SCALAR,
     IsotropicKernel,
-    KernelValue,
     SchoenbergSequence,
     ValidityReport,
     operator_sqrt,

@@ -22,6 +22,11 @@ def physical_memory() -> int | None:
 def require_fit(n_bytes: int, what: str) -> None:
     """Raise ``MemoryError`` when ``n_bytes`` exceed physical memory."""
     total = physical_memory()
-    if total is not None and n_bytes > total:
-        raise MemoryError(f"{what} needs {n_bytes / 2**30:.1f} GiB, more than "
-                          f"the {total / 2**30:.1f} GiB of physical memory")
+    if total is None or n_bytes <= total:
+        return
+    try:
+        need = f"{n_bytes / 2**30:.1f} GiB"
+    except OverflowError:   # a GiB count beyond float64
+        need = f"a {n_bytes.bit_length()}-bit number of bytes"
+    raise MemoryError(f"{what} needs {need}, more than "
+                      f"the {total / 2**30:.1f} GiB of physical memory")

@@ -6,8 +6,9 @@ human-readable summaries go to stderr.  Model configs are JSON or TOML v1.0
 (``tomllib``) by extension; formats and schemas are documented under docs/.
 
 Exit codes: 0 success / equivalent, 1 usage or malformed config (or an
-output that cannot be written, or stdout closed early), 2 invalid model or
-unsupported operation (also closed-form vs numeric verdict disagreement,
+output that cannot be written, or stdout closed early), 2 invalid model (a
+value the library refuses with ``ValueError``, mapped in :func:`main` alone)
+or unsupported operation (also closed-form vs numeric verdict disagreement,
 which indicates an undersized truncation or a bug, a run that cannot
 allocate its arrays, and a ``sample`` worker process that dies), 3 negative
 verdict or failed check, 4 inconclusive numeric verdict.
@@ -87,10 +88,6 @@ class UsageError(Exception):
     pass
 
 
-class InvalidModelError(Exception):
-    pass
-
-
 class OutOfMemory(Exception):
     """An allocation that cannot fit, sized by the input that the message
     names."""
@@ -161,17 +158,14 @@ def _load_params(path: str):
         return params_from_dict(obj)
     except (KeyError, TypeError) as exc:   # not a block of model.schema.json
         raise UsageError(f"{path}: {exc.args[0]}") from exc
-    except ValueError as exc:
-        raise InvalidModelError(f"{path}: {exc}") from exc
+    except ValueError as exc:   # a value the model refuses: exit 2 in main
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _build_sequence(params, l_max):
     if l_max is not None and l_max < 0:
         raise UsageError(f"--l-max must be >= 0, got {l_max}")
-    try:
-        return build_sequence(params, l_max=l_max)
-    except ValueError as exc:
-        raise InvalidModelError(str(exc)) from exc
+    return build_sequence(params, l_max=l_max)
 
 
 def _build_finite_sequence(params, l_max):
@@ -180,7 +174,7 @@ def _build_finite_sequence(params, l_max):
     (its kernel and samples would be ``inf`` or ``nan``) is an invalid model."""
     seq = _build_sequence(params, l_max)
     if not has_finite_variance(seq):
-        raise InvalidModelError(TRACE_NOT_FINITE)
+        raise ValueError(TRACE_NOT_FINITE)
     return seq
 
 
@@ -205,13 +199,6 @@ def _check_key(name: str, value: int) -> None:
         check_key(name, value)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _require_synthesis_dim(d: int) -> None:
-    try:
-        require_synthesis_dim(d)
-    except ValueError as exc:
-        raise InvalidModelError(str(exc)) from exc
 
 
 def _model_hash(params) -> str:
@@ -410,7 +397,7 @@ def cmd_sample(args) -> int:
     _check_key("the last stream (--stream + --n-samples - 1)",
                args.stream + args.n_samples - 1)
     seq = _build_finite_sequence(params, args.l_max)
-    _require_synthesis_dim(seq.d)
+    require_synthesis_dim(seq.d)
     grid_spec = _load_config(args.grid)
     try:
         grid = SampleGrid.from_spec(grid_spec)
@@ -490,10 +477,7 @@ def cmd_equiv(args) -> int:
 
     closed = None
     if isinstance(p1, MultiquadraticParams) and isinstance(p2, MultiquadraticParams):
-        try:
-            closed = classify_multiquadratic(p1, p2)
-        except ValueError as exc:
-            raise InvalidModelError(str(exc)) from exc
+        closed = classify_multiquadratic(p1, p2)
     elif isinstance(p1, LegendreMaternParams) and isinstance(p2, LegendreMaternParams):
         closed = classify_legendre_matern(p1, p2)
     elif type(p1) is not type(p2):
@@ -503,10 +487,7 @@ def cmd_equiv(args) -> int:
         k_max = args.k_max if args.k_max is not None else max(p1.k_max, p2.k_max)
         p1, p2 = (replace(p, k_max=k_max) for p in (p1, p2))
     s1, s2 = (_build_sequence(p, args.l_max) for p in (p1, p2))
-    try:
-        series = functional_series(s1, s2)
-    except ValueError as exc:  # e.g. a reference coefficient not strictly positive
-        raise InvalidModelError(str(exc)) from exc
+    series = functional_series(s1, s2)
     numeric = classify_numeric(series, policy)
 
     verdicts = [numeric] if closed is None else [closed, numeric]
@@ -541,7 +522,7 @@ def cmd_mc_check(args) -> int:
     _check_key("--seed", args.seed)
     _check_key("--stream", args.stream)   # every field draws from this one stream
     seq = _build_finite_sequence(params, args.l_max)
-    _require_synthesis_dim(seq.d)
+    require_synthesis_dim(seq.d)
     if args.pairs:
         spec = _load_config(args.pairs)
         try:
@@ -682,7 +663,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _info(f"usage error: {exc}")
         return EXIT_USAGE
-    except InvalidModelError as exc:
+    except ValueError as exc:   # a value the library refuses
         _info(f"invalid model: {exc}")
         return EXIT_INVALID
     except WorkerError as exc:

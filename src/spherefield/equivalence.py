@@ -181,9 +181,28 @@ def _common_length(seq1: SchoenbergSequence, seq2: SchoenbergSequence) -> tuple:
     return truncate_sequence(seq1, L), truncate_sequence(seq2, L)
 
 
-def _degree_dims(seq: SchoenbergSequence) -> np.ndarray:
-    """Eigenspace dimensions ``h(l)`` for ``l = 0 .. seq.l_max`` as floats."""
-    return np.array([h_dim(seq.d, l) for l in range(seq.l_max + 1)], dtype=float)
+def _degree_terms(seq: SchoenbergSequence, dist: np.ndarray) -> np.ndarray:
+    """Series terms ``h(l) * dist[l]`` for ``l = 0 .. seq.l_max``.
+
+    Where the integer ``h(l)`` is beyond float64 (large d) the term is
+    ``exp(log h(l) + log dist[l])``, so it overflows only where its value
+    does, and a zero distance gives 0; elsewhere it is the plain product.
+    An overflow gives ``inf`` without a warning.
+    """
+    h = np.zeros_like(dist)
+    beyond = {}                            # degree -> h(l) beyond float64
+    for l in range(seq.l_max + 1):
+        n = h_dim(seq.d, l)
+        try:
+            h[l] = n
+        except OverflowError:
+            beyond[l] = n
+    with np.errstate(over="ignore"):
+        terms = np.multiply(h, dist, out=np.zeros_like(dist), where=h > 0.0)
+        for l, n in beyond.items():
+            if dist[l] != 0.0:
+                terms[l] = np.exp(math.log(n) + np.log(dist[l]))
+    return terms
 
 
 def fit_decay_exponent(degrees: np.ndarray, terms: np.ndarray, window: tuple) -> float:
@@ -207,8 +226,10 @@ def _make_series(terms: np.ndarray, fit_window) -> EquivalenceTermSeries:
     degrees = np.arange(terms.shape[0])
     l_max = terms.shape[0] - 1
     window = (l_max // 2, l_max) if fit_window is None else tuple(fit_window)
+    with np.errstate(over="ignore"):   # partial sums beyond float64 are inf
+        partial_sums = np.cumsum(terms)
     return EquivalenceTermSeries(
-        degrees=degrees, terms=terms, partial_sums=np.cumsum(terms),
+        degrees=degrees, terms=terms, partial_sums=partial_sums,
         decay_fit=fit_decay_exponent(degrees, terms, window), window=window)
 
 
@@ -220,7 +241,7 @@ def functional_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
     ``fit_window``)."""
     seq1, seq2 = _common_length(seq1, seq2)
     dist = _conjugated_distances(seq1.coeffs, seq2.coeffs)
-    return _make_series(_degree_dims(seq1) * dist, fit_window)
+    return _make_series(_degree_terms(seq1, dist), fit_window)
 
 
 def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
@@ -242,7 +263,7 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u
     """
     seq1, seq2 = _common_length(seq1, seq2)
     q1, q2 = (seq.quadratic_forms(u) for seq in (seq1, seq2))
-    terms = _degree_dims(seq1) * _conjugated_distances(q1, q2)
+    terms = _degree_terms(seq1, _conjugated_distances(q1, q2))
     return _make_series(terms, fit_window)
 
 

@@ -190,7 +190,8 @@ def check_points(d: int, points) -> np.ndarray:
             f"points on S^{d} must have {d + 1} coordinates, got {pts.shape[1]}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite numbers")
-    norms = np.linalg.norm(pts, axis=1)
+    with np.errstate(over="ignore"):   # a huge coordinate: norm inf, refused below
+        norms = np.linalg.norm(pts, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         worst = float(np.max(np.abs(norms - 1.0)))
         raise ValueError(

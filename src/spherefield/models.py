@@ -234,9 +234,9 @@ class LegendreMaternParams:
 
 
 def legendre_matern_gamma_grid(p: LegendreMaternParams,
-                               l_max: int | None = None,
-                               k_max: int | None = None) -> np.ndarray:
-    """Grid ``gamma_{l,k}`` for ``l <= l_max``, ``k <= k_max``, shape (L+1, K+1).
+                               l_max: int | None = None) -> np.ndarray:
+    """Grid ``gamma_{l,k}`` for ``l <= l_max`` (default ``p.l_max``) and
+    ``k <= p.k_max``, shape (L+1, K+1).
 
     For large ``nu`` (from about 62 at L = K = 200) the denominator overflows
     to ``inf``, and for small ``alpha`` at large ``nu`` its first entry
@@ -244,7 +244,7 @@ def legendre_matern_gamma_grid(p: LegendreMaternParams,
     which is what float64 holds for such a gamma.
     """
     L = p.l_max if l_max is None else l_max
-    K = p.k_max if k_max is None else k_max
+    K = p.k_max
     require_fit(8 * (L + 1) * (K + 1),
                 f"the degree-{L}, frequency-{K} coefficient stack")
     l = np.arange(L + 1, dtype=float)[:, None]
@@ -253,20 +253,16 @@ def legendre_matern_gamma_grid(p: LegendreMaternParams,
         return p.sigma ** 2 / ((2 * l + 1) * (p.alpha + k * k + l * l) ** (p.nu + 0.5))
 
 
-def legendre_matern_sequence(p: LegendreMaternParams,
-                             l_max: int | None = None) -> SchoenbergSequence:
-    """Materialize the family on S^2 (h(l) = 2l+1 is baked into the spectrum)."""
-    return SchoenbergSequence(2, FOURIER_DIAGONAL,
-                              legendre_matern_gamma_grid(p, l_max=l_max),
-                              PowerLawTail(p.sigma, p.alpha, p.nu))
-
-
 def build_sequence(params, l_max: int | None = None) -> SchoenbergSequence:
-    """Materialize either family with its closed-form tail descriptor."""
+    """Materialize either family with its closed-form tail descriptor; the
+    Legendre-Matern family lives on S^2, with h(l) = 2l+1 baked into its
+    spectrum."""
     if isinstance(params, MultiquadraticParams):
         return multiquadratic_sequence(params, DEFAULT_L_MAX if l_max is None else l_max)
     if isinstance(params, LegendreMaternParams):
-        return legendre_matern_sequence(params, l_max=l_max)
+        return SchoenbergSequence(2, FOURIER_DIAGONAL,
+                                  legendre_matern_gamma_grid(params, l_max),
+                                  PowerLawTail(params.sigma, params.alpha, params.nu))
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 

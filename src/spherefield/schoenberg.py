@@ -455,15 +455,6 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
         flags=tuple(flags), passed=strictly_positive and finite)
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    """One kernel evaluation with its truncation-error bound."""
-
-    value: np.ndarray   # read-only, the shape of one coefficient
-    tail_bound: float
-    tail_is_heuristic: bool
-
-
 class IsotropicKernel:
     """Evaluator for ``R(t) = sum_{l <= L_max} b_l C_l^lam(t)``.
 
@@ -484,17 +475,15 @@ class IsotropicKernel:
         c = gegenbauer_all(self._order, self.seq.l_max, ts)  # (L+1, nt)
         return np.tensordot(np.moveaxis(c, 0, -1), self.seq.coeffs, axes=([-1], [0]))
 
-    def __call__(self, t: float) -> KernelValue:
+    def __call__(self, t: float) -> np.ndarray:
+        """``R(t)`` as a read-only array of the shape of one coefficient: 0-d
+        for scalars, symmetrized for matrices."""
         vals = self.evaluate_stack([float(t)])[0]
         if self.seq.variant == MATRIX:
             vals = 0.5 * (vals + vals.T)
         vals = np.array(vals)   # a 0-d array for scalars; a copy to freeze
         vals.setflags(write=False)
-        return KernelValue(vals, self.tail_bound, self.tail_is_heuristic)
-
-    def trace_at_one(self) -> float:
-        """Field variance ``trace R(x, x) = sum_l trace(b_l) C_l^lam(1)`` (truncated)."""
-        return float(np.sum(self.seq.trace_terms()))
+        return vals
 
 
 def entry_labels(seq: SchoenbergSequence) -> list:

@@ -374,23 +374,11 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     return out
 
 
-def empirical_covariance(samples, i: int, j: int):
-    """Entrywise mean and standard error of ``Z(x_i) (x) Z(x_j)`` over samples.
-
-    ``samples`` is a list of FieldSample on a common grid (or an ensemble
-    array).  Returns ``(estimate, se)``, both of shape (dim, dim).
+def empirical_covariance(values: np.ndarray, i: int, j: int):
+    """Entrywise mean and standard error of ``Z(x_i) (x) Z(x_j)`` over the
+    fields of an ensemble array ``values`` of shape (n_fields, n_points, dim).
+    Returns ``(estimate, se)``, both of shape (dim, dim).
     """
-    if isinstance(samples, np.ndarray):
-        values = samples
-    else:
-        samples = list(samples)
-        if len(samples) < 2:
-            raise ValueError("need at least 2 samples")
-        g0 = samples[0].grid
-        for s in samples[1:]:
-            if s.grid.d != g0.d or not np.array_equal(s.grid.points, g0.points):
-                raise ValueError("samples must share one grid")
-        values = np.stack([s.values for s in samples])
     n = values.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -508,7 +496,7 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
         iy = int(inverse[2 * p_idx + 1])
         t = float(np.clip(np.dot(pairs[p_idx, 0], pairs[p_idx, 1]), -1.0, 1.0))
         labels, emp, se = _pair_statistics(seq, values, ix, iy)
-        analytic = np.atleast_1d(kernel(t).value).ravel()
+        analytic = np.atleast_1d(kernel(t)).ravel()
         z = _zscores(emp - analytic, se)
         results.append(PairCheck(x=pairs[p_idx, 0], y=pairs[p_idx, 1], t=t,
                                  labels=labels, empirical=emp,

@@ -795,6 +795,23 @@ class TestEquiv:
         assert out == ""
         assert "strictly positive" in err and "degree 1075" in err
 
+    @pytest.mark.parametrize("l_max", [500, 535])
+    def test_eigenspace_dimension_beyond_float64(self, capsys, tmp_json, l_max):
+        # at d = 535, h(l) is beyond float64 from degree 496 on while the
+        # terms of these pairs are not
+        mq = dict(MQ, d=535, alpha=[0.5, 0.5, 0.5])
+        a, b = tmp_json("a.json", mq), tmp_json("b.json", dict(mq, rho12=0.3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["equiv", a, b, "--l-max", str(l_max)])
+            same_code, _, same_err = run(capsys, ["equiv", a, a, "--l-max", str(l_max)])
+        assert (code, same_code) == (3, 0)
+        assert "Traceback" not in err + same_err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        report = json.loads(out)
+        validate_schema("equivalence_report.schema.json", report)
+        assert [v["verdict"] for v in report["verdicts"]] == ["orthogonal"] * 2
+
     def test_verdict_disagreement_is_loud(self, capsys, tmp_json, monkeypatch):
         # a numeric verdict contradicting the closed form signals an
         # undersized truncation or a bug; the command must not pick a side
@@ -961,6 +978,19 @@ def test_huge_config_truncation_out_of_memory(tmp_json):
     assert "physical memory" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["--l-max", "1" + "0" * 400], MQ),
+    ([], dict(LM, L_max=10 ** 400)),
+], ids=["l_max_flag", "config_L_max"])
+def test_truncation_beyond_float64_out_of_memory(capsys, tmp_json, argv, config):
+    # the byte count of such a stack is beyond float64, so is its GiB figure
+    code, out, err = run(capsys, ["validate", "--config", tmp_json("m.json", config)]
+                         + argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("out of memory: the degree-1" + "0" * 400)
+    assert "-bit number of bytes, more than the" in err
+
+
 @pytest.mark.parametrize("role, name, content", [
     pytest.param("config", "bad.json", None, id="config_is_directory"),
     pytest.param("config", "bad.json", b"\xff\xfe{}", id="config_not_utf8"),
@@ -977,6 +1007,8 @@ def test_huge_config_truncation_out_of_memory(tmp_json):
                  id="grid_nan_point"),
     pytest.param("pairs", "bad.json", b'{"pairs": [[[0, 0, 1], [NaN, 1, 0]]]}',
                  id="pairs_nan_point"),
+    pytest.param("grid", "bad.json", b'{"kind": "points", "d": 2, "points": [[1e200, 0, 0]]}',
+                 id="grid_huge_coordinate"),
 ])
 def test_bad_input_file_usage_error(capsys, tmp_json, tmp_path, role, name, content):
     bad = tmp_path / name
@@ -992,9 +1024,12 @@ def test_bad_input_file_usage_error(capsys, tmp_json, tmp_path, role, name, cont
         "pairs": ["mc-check", "--config", config, "--pairs", str(bad),
                   "--n-samples", "10", "--l-max", "2"],
     }[role]
-    code, out, err = run(capsys, argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert str(bad) in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("grid", [
