@@ -43,7 +43,6 @@ from .equivalence import (
     ORTHOGONAL,
     EquivalenceTermSeries,
     EquivalenceVerdict,
-    VerdictPolicy,
     classify_legendre_matern,
     classify_multiquadratic,
     classify_numeric,

@@ -36,8 +36,8 @@ import numpy as np
 from .equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
+    MIN_TERMS,
     ORTHOGONAL,
-    VerdictPolicy,
     classify_legendre_matern,
     classify_multiquadratic,
     classify_numeric,
@@ -65,6 +65,8 @@ from .schoenberg import (
     validate_sequence,
 )
 from .simulate import (
+    Z_THRESHOLD,
+    EnsembleTooLarge,
     SampleGrid,
     check_key,
     field_groups,
@@ -463,15 +465,11 @@ def cmd_sample(args) -> int:
 def cmd_equiv(args) -> int:
     p1 = _load_params(args.config1)
     p2 = _load_params(args.config2)
-    policy = VerdictPolicy(decay_margin=args.policy_decay_margin,
-                           cauchy_eps=args.policy_cauchy_eps,
-                           nonvanishing_floor=args.policy_floor)
     n_terms = args.l_max + 1  # one series term per degree 0 .. l_max
-    if n_terms < policy.min_terms:
+    if n_terms < MIN_TERMS:
         raise UsageError(
             f"--l-max {args.l_max} gives {n_terms} series terms; the numeric "
-            f"classifier needs at least {policy.min_terms} "
-            f"(--l-max >= {policy.min_terms - 1})")
+            f"classifier needs at least {MIN_TERMS} (--l-max >= {MIN_TERMS - 1})")
     if args.k_max is not None and args.k_max < 1:
         raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
 
@@ -488,11 +486,11 @@ def cmd_equiv(args) -> int:
         p1, p2 = (replace(p, k_max=k_max) for p in (p1, p2))
     s1, s2 = (_build_sequence(p, args.l_max) for p in (p1, p2))
     series = functional_series(s1, s2)
-    numeric = classify_numeric(series, policy)
+    numeric = classify_numeric(series)
 
     verdicts = [numeric] if closed is None else [closed, numeric]
     out_json = f"{args.out}.json" if args.out else None
-    obj = report_to_dict(series, verdicts, policy)
+    obj = report_to_dict(series, verdicts)
     _emit_json(obj, out_json)
     if args.out:
         csv_path = f"{args.out}.csv"
@@ -546,12 +544,15 @@ def cmd_mc_check(args) -> int:
             check_compatible(seq, analytic)
         except ValueError as exc:
             raise UsageError(f"--analytic-config {args.analytic_config}: {exc}") from exc
-    report = monte_carlo_kernel_check(
-        seq, pairs, n_samples=args.n_samples, seed=args.seed,
-        stream=args.stream, z_threshold=args.z_threshold, analytic_seq=analytic)
+    try:
+        report = monte_carlo_kernel_check(
+            seq, pairs, n_samples=args.n_samples, seed=args.seed,
+            stream=args.stream, analytic_seq=analytic)
+    except EnsembleTooLarge as exc:
+        raise OutOfMemory(f"{exc}; try a lower --n-samples") from exc
     _emit_json(report.to_dict(), args.out)
     _info(f"max |z| = {report.z_max:.3f} over {len(report.pairs)} pairs "
-          f"(threshold {report.z_threshold})")
+          f"(threshold {Z_THRESHOLD})")
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
@@ -614,10 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config2")
     p.add_argument("--l-max", type=int, default=512)
     p.add_argument("--k-max", type=int, default=None)
-    policy = VerdictPolicy()
-    p.add_argument("--policy-decay-margin", type=float, default=policy.decay_margin)
-    p.add_argument("--policy-cauchy-eps", type=float, default=policy.cauchy_eps)
-    p.add_argument("--policy-floor", type=float, default=policy.nonvanishing_floor)
     p.add_argument("--out", help="report path prefix (.json and .csv)")
     p.set_defaults(func=cmd_equiv)
 
@@ -630,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--l-max", type=int, default=None)
-    p.add_argument("--z-threshold", type=float, default=4.0)
     p.add_argument("--analytic-config", default=None,
                    help="compare samples against this model instead "
                         "(sensitivity runs)")

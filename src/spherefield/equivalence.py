@@ -53,24 +53,13 @@ NUMERIC = "numeric"
 
 _MIN_FIT_POINTS = 8
 
-
-@dataclass(frozen=True)
-class VerdictPolicy:
-    """Thresholds for the numeric classifier.
-
-    The classifier is a heuristic probe of a truncated series; it is
-    three-valued on purpose and never overrides a closed-form verdict.
-    """
-
-    decay_margin: float = 0.2
-    cauchy_eps: float = 1e-6
-    nonvanishing_floor: float = 1e-8
-    min_terms: int = 32
-
-    def to_dict(self) -> dict:
-        return {"decay_margin": self.decay_margin, "cauchy_eps": self.cauchy_eps,
-                "nonvanishing_floor": self.nonvanishing_floor,
-                "min_terms": self.min_terms}
+# Thresholds of the numeric classifier, a heuristic probe of a truncated
+# series: it is three-valued on purpose and never overrides a closed-form
+# verdict.
+DECAY_MARGIN = 0.2
+CAUCHY_EPS = 1e-6
+NONVANISHING_FLOOR = 1e-8
+MIN_TERMS = 32
 
 
 @dataclass(frozen=True)
@@ -276,19 +265,19 @@ def marginal_bound_check(b1, b2, u):
     return math.sqrt(_conjugated_distances(qa, qb)[0]), math.sqrt(hs_term(b2, b1, 1))
 
 
-def classify_numeric(series: EquivalenceTermSeries,
-                     policy: VerdictPolicy = VerdictPolicy()) -> EquivalenceVerdict:
+def classify_numeric(series: EquivalenceTermSeries) -> EquivalenceVerdict:
     """Three-valued verdict from a truncated term series.
 
-    Equivalent requires a decay fit steeper than ``-1 - margin`` together
-    with Cauchy partial sums; a fit shallower than ``-1 + margin`` (terms not
-    vanishing fast enough, or not at all) is Orthogonal; anything in between
-    or statistically unsettled is Inconclusive.  The non-vanishing floor is
-    consulted only when no decay fit is available.
+    Equivalent requires a decay fit steeper than ``-1 - DECAY_MARGIN``
+    together with Cauchy partial sums; a fit shallower than
+    ``-1 + DECAY_MARGIN`` (terms not vanishing fast enough, or not at all)
+    is Orthogonal; anything in between or statistically unsettled is
+    Inconclusive.  The non-vanishing floor is consulted only when no decay
+    fit is available.
     """
     n = series.terms.shape[0]
-    if n < policy.min_terms:
-        raise ValueError(f"series has {n} terms; classifier needs >= {policy.min_terms}")
+    if n < MIN_TERMS:
+        raise ValueError(f"series has {n} terms; classifier needs >= {MIN_TERMS}")
     lo, hi = series.window
     lo = max(0, min(lo, n - 1))
     hi = max(lo, min(hi, n - 1))
@@ -299,11 +288,13 @@ def classify_numeric(series: EquivalenceTermSeries,
             f"terms overflow the floating range inside window [{lo},{hi}]")
     s_hi = float(series.partial_sums[hi])
     s_lo = float(series.partial_sums[lo])
-    rel_growth = (s_hi - s_lo) / s_hi if s_hi > 0.0 else 0.0
-    cauchy_ok = rel_growth <= policy.cauchy_eps
+    if not math.isfinite(s_hi):   # partial sums beyond float64
+        rel_growth = math.inf
+    else:
+        rel_growth = (s_hi - s_lo) / s_hi if s_hi > 0.0 else 0.0
+    cauchy_ok = rel_growth <= CAUCHY_EPS
     fit = series.decay_fit
     has_fit = math.isfinite(fit)
-    floor = policy.nonvanishing_floor
 
     detail = (f"window=[{lo},{hi}] decay_fit="
               f"{fit:.4g} " if has_fit else f"window=[{lo},{hi}] decay_fit=n/a ")
@@ -312,16 +303,16 @@ def classify_numeric(series: EquivalenceTermSeries,
     if s_hi == 0.0 or float(np.max(tail)) == 0.0:
         return EquivalenceVerdict(EQUIVALENT, NUMERIC,
                                   "all window terms vanish; " + detail)
-    if has_fit and fit > -1.0 + policy.decay_margin:
+    if has_fit and fit > -1.0 + DECAY_MARGIN:
         return EquivalenceVerdict(
             ORTHOGONAL, NUMERIC,
             f"terms decay like l^{fit:.3g}, too slow for summability; " + detail)
-    if not has_fit and float(np.min(tail)) > floor:
+    if not has_fit and float(np.min(tail)) > NONVANISHING_FLOOR:
         return EquivalenceVerdict(
             ORTHOGONAL, NUMERIC,
             "terms stay above the non-vanishing floor with no decay fit; " + detail)
-    if cauchy_ok and ((has_fit and fit < -1.0 - policy.decay_margin)
-                      or (not has_fit and float(np.max(tail)) <= floor)):
+    if cauchy_ok and ((has_fit and fit < -1.0 - DECAY_MARGIN)
+                      or (not has_fit and float(np.max(tail)) <= NONVANISHING_FLOOR)):
         return EquivalenceVerdict(
             EQUIVALENT, NUMERIC,
             "steep decay with Cauchy partial sums; " + detail)
@@ -386,11 +377,13 @@ def classify_legendre_matern(p1: LegendreMaternParams,
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(series: EquivalenceTermSeries, verdicts: list[EquivalenceVerdict],
-                   policy: VerdictPolicy) -> dict:
+def report_to_dict(series: EquivalenceTermSeries,
+                   verdicts: list[EquivalenceVerdict]) -> dict:
     out = series.to_dict()
     out["verdicts"] = [v.to_dict() for v in verdicts]
-    out["policy"] = policy.to_dict()
+    out["policy"] = {"decay_margin": DECAY_MARGIN, "cauchy_eps": CAUCHY_EPS,
+                     "nonvanishing_floor": NONVANISHING_FLOOR,
+                     "min_terms": MIN_TERMS}
     return out
 
 

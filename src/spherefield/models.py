@@ -116,8 +116,14 @@ def multiquadratic_validity(p: MultiquadraticParams) -> MultiquadraticValidity:
     return MultiquadraticValidity(failing is None, margin, failing)
 
 
-def _mq_entry_logs(p: MultiquadraticParams, n, with_binom: bool) -> np.ndarray:
-    """log of the three distinct coefficient entries (11, 22, 12) at degrees n."""
+def _mq_entry_logs(p: MultiquadraticParams, n) -> np.ndarray:
+    """log of the three distinct stored coefficient entries (11, 22, 12) at
+    degrees n: the published entries divided by ``C_n^lam(1)``.
+
+    For d >= 2 the division cancels the binomial; on the circle C_n(1) = 1
+    (Chebyshev convention) while the binomial itself vanishes for n >= 1, so
+    there the entries beyond degree 0 are 0.
+    """
     n = np.asarray(n, dtype=float)
     s1, s2 = p.sigma
     a11, a22, a12 = p.alpha
@@ -125,21 +131,9 @@ def _mq_entry_logs(p: MultiquadraticParams, n, with_binom: bool) -> np.ndarray:
     alphas = np.array([a11, a22, a12])
     logs = (pref[:, None] + n[None, :] * np.log(alphas)[:, None]
             + (p.d - 1) * np.log1p(-alphas)[:, None])
-    if with_binom:
-        if p.d >= 2:
-            lg = np.vectorize(math.lgamma)
-            lbinom = lg(n + p.d - 1.0) - lg(n + 1.0) - math.lgamma(p.d - 1.0)
-        else:
-            lbinom = np.where(n == 0, 0.0, -np.inf)
-        logs = logs + lbinom[None, :]
+    if p.d == 1:
+        logs = logs + np.where(n == 0, 0.0, -np.inf)[None, :]
     return logs
-
-
-def multiquadratic_coeff_entries(p: MultiquadraticParams, degrees) -> np.ndarray:
-    """Entries (b_n(1,1), b_n(2,2), b_n(1,2)) of the published formula,
-    evaluated in log space, for an array of degrees.  Shape (3, len(degrees))."""
-    logs = _mq_entry_logs(p, degrees, with_binom=True)
-    return np.exp(logs)
 
 
 class ClosedFormValue(NamedTuple):
@@ -170,18 +164,14 @@ def multiquadratic_kernel_closed_form(p: MultiquadraticParams, theta: float) -> 
     return ClosedFormValue(m, p.d == 3)
 
 
-def multiquadratic_sequence(p: MultiquadraticParams, l_max: int = DEFAULT_L_MAX) -> SchoenbergSequence:
+def multiquadratic_sequence(p: MultiquadraticParams, l_max: int) -> SchoenbergSequence:
     """Materialize the family as a SchoenbergSequence in the unnormalized
     Gegenbauer basis (published entries divided by ``C_n^lam(1)``)."""
     check = multiquadratic_validity(p)
     if not check.valid:
         raise ValueError(f"invalid multiquadratic parameters: {check.failing_condition}")
     require_fit(8 * 4 * (l_max + 1), f"the degree-{l_max} coefficient stack")
-    degrees = np.arange(l_max + 1)
-    # dividing the published entries by C_n^lam(1) cancels the binomial for
-    # d >= 2; on the circle C_n(1) = 1 (Chebyshev convention) while the
-    # binomial itself vanishes for n >= 1, so keep it
-    e11, e22, e12 = np.exp(_mq_entry_logs(p, degrees, with_binom=(p.d == 1)))
+    e11, e22, e12 = np.exp(_mq_entry_logs(p, np.arange(l_max + 1)))
     stack = np.stack([np.stack([e11, e12], axis=1),
                       np.stack([e12, e22], axis=1)], axis=1)  # (L+1, 2, 2)
     s1, s2 = p.sigma

@@ -60,6 +60,7 @@ from .schoenberg import (
 _BATCH_ELEMS = 4_000_000   # float64 elements per ensemble batch buffer or field group
 _MAX_POINTS = int(np.iinfo(np.intp).max)   # the largest size of a numpy array
 _CSV_CHUNK_ROWS = 256      # rows converted to Python floats at a time
+Z_THRESHOLD = 4.0          # a kernel check passes when every |z| is below it
 
 
 def check_key(name: str, value: int) -> None:
@@ -280,6 +281,11 @@ def _batch_sizes(n_fields: int, field_elems: int) -> list:
     return _balanced_sizes(n_fields, max(1, _BATCH_ELEMS // max(1, field_elems)))
 
 
+class EnsembleTooLarge(MemoryError):
+    """The ``(n_fields, n_points, dim)`` output of :func:`synthesize_ensemble`
+    needs more than physical memory."""
+
+
 def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int,
                         seed: int = 0, stream: int = 0) -> np.ndarray:
     """Synthesize ``n_fields`` independent realizations from one stream.
@@ -291,10 +297,11 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     Memory: one batch buffer (the scaled draws, laid out as the rows of the
     contraction) and a ring of two draw slots, about ``_BATCH_ELEMS * 8 *
     1.25`` bytes whatever ``n_fields`` is, plus the output and the
-    ``(n_points, H)`` harmonic basis.  A slot holds at most half a batch and
-    at most ``_BATCH_ELEMS // 8`` elements, but at least one field.  Philox
-    fills a request sequentially, so how a batch is split into slots changes
-    no bit.  The batch partition is a pure function of ``(n_fields, H,
+    ``(n_points, H)`` harmonic basis.  An output beyond physical memory is
+    refused first, with :class:`EnsembleTooLarge`.  A slot holds at most
+    half a batch and at most ``_BATCH_ELEMS // 8`` elements, but at least
+    one field.  Philox fills a request sequentially, so how a batch is split
+    into slots changes no bit.  The batch partition is a pure function of ``(n_fields, H,
     dim)``, balanced so that sizes differ by at most one: BLAS picks its
     kernel, and so the rounding of the contraction, from the batch's shape.
     On a one-point grid numpy's ``dot`` sends the contraction to BLAS dgemv,
@@ -313,12 +320,17 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
     if n_fields < 1:
         raise ValueError(f"n_fields must be >= 1, got {n_fields}")
+    dim = unfolded_dim(seq)
+    try:   # before anything else that grows with n_fields
+        require_fit(8 * n_fields * grid.n_points * dim,
+                    f"an ensemble of {n_fields} fields on {grid.n_points} points")
+    except MemoryError as exc:
+        raise EnsembleTooLarge(str(exc)) from None
     L = seq.l_max
     rng = make_generator(seed, stream)
     basis = harmonic_basis(seq.d, L, grid.points)        # (npts, H)
     slices = degree_slices(seq.d, L)
     H = harmonic_count(seq.d, L)
-    dim = unfolded_dim(seq)
     factors = [_scale_factor(seq, l) for l in range(L + 1)]
     scale = np.matmul if seq.variant == MATRIX else np.multiply
 
@@ -421,7 +433,6 @@ class PairCheck:
 class CheckReport:
     passed: bool
     z_max: float
-    z_threshold: float
     n_samples: int
     l_max: int
     tail_bound: float
@@ -429,7 +440,7 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "z_max": self.z_max,
-                "z_threshold": self.z_threshold, "n_samples": self.n_samples,
+                "z_threshold": Z_THRESHOLD, "n_samples": self.n_samples,
                 "L_max": self.l_max, "tail_bound": self.tail_bound,
                 "pairs": [p.to_dict() for p in self.pairs]}
 
@@ -461,7 +472,6 @@ def _pair_statistics(seq, values, ix, iy):
 
 def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
                              seed: int = 0, stream: int = 0,
-                             z_threshold: float = 4.0,
                              analytic_seq: SchoenbergSequence | None = None) -> CheckReport:
     """Compare sampled covariances against the analytic kernel at point pairs.
 
@@ -471,7 +481,7 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
     tail bound is reported separately.
     Entries are compared in the operator representation (p x p for matrices,
     folded frequencies pooling the fourier cos/sin pairs).  Passes when
-    every entrywise ``|z| < z_threshold``.
+    every entrywise ``|z| < Z_THRESHOLD``.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -502,9 +512,9 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
                                  labels=labels, empirical=emp,
                                  analytic=analytic, se=se, z=z))
     z_max = max((r.z_max for r in results), default=0.0)
-    return CheckReport(passed=bool(z_max < z_threshold), z_max=z_max,
-                       z_threshold=z_threshold, n_samples=n_samples,
-                       l_max=seq.l_max, tail_bound=kernel.tail_bound, pairs=results)
+    return CheckReport(passed=bool(z_max < Z_THRESHOLD), z_max=z_max,
+                       n_samples=n_samples, l_max=seq.l_max,
+                       tail_bound=kernel.tail_bound, pairs=results)
 
 
 # ---------------------------------------------------------------------------

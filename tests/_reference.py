@@ -104,3 +104,31 @@ def zonal_sum(d: int, l: int, x, y) -> float:
     pts = np.stack([np.asarray(x, float), np.asarray(y, float)])
     block = sh.harmonic_basis(d, l, pts)[:, sh.degree_slices(d, l)[l]]
     return float(np.dot(block[0], block[1]))
+
+
+def multiquadratic_coeff_logs(p, n) -> np.ndarray:
+    """log of the published multiquadratic entries (b_n(1,1), b_n(2,2),
+    b_n(1,2)) at degrees n, shape (3, len(n)):
+
+        b_n(i, j) = rho_ij sigma_i sigma_j binom(d+n-2, n) alpha_ij^n (1-alpha_ij)^{d-1}
+
+    in the Gegenbauer basis normalized at 1.  The stored sequence divides
+    them by ``C_n(1)``; the log form stays finite long after the entries
+    underflow."""
+    n = np.asarray(n, dtype=float)
+    s1, s2 = p.sigma
+    pref = np.log([s1 * s1, s2 * s2, p.rho12 * s1 * s2])
+    alphas = np.array(p.alpha)
+    logs = (pref[:, None] + n[None, :] * np.log(alphas)[:, None]
+            + (p.d - 1) * np.log1p(-alphas)[:, None])
+    if p.d >= 2:
+        lg = np.vectorize(math.lgamma)
+        lbinom = lg(n + p.d - 1.0) - lg(n + 1.0) - math.lgamma(p.d - 1.0)
+    else:
+        lbinom = np.where(n == 0, 0.0, -np.inf)
+    return logs + lbinom[None, :]
+
+
+def multiquadratic_coeff_entries(p, n) -> np.ndarray:
+    """The published entries of :func:`multiquadratic_coeff_logs`."""
+    return np.exp(multiquadratic_coeff_logs(p, n))

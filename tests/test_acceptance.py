@@ -19,7 +19,7 @@ from spherefield import harmonics as sh
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from _reference import zonal_sum
+from _reference import multiquadratic_coeff_entries, zonal_sum
 
 
 @contextlib.contextmanager
@@ -85,7 +85,7 @@ def test_criterion_3_multiquadratic_validity_sweep():
             d = 2 if checked % 2 == 0 else 3
             p = _valid_multiquadratic(rng, d)
             assert md.multiquadratic_validity(p).valid
-            e11, e22, e12 = md.multiquadratic_coeff_entries(p, n)
+            e11, e22, e12 = multiquadratic_coeff_entries(p, n)
             tr = e11 + e22
             live = tr > 0.0  # beyond ~degree 450 small-alpha entries underflow
             # min-eig >= -1e-14 * trace is scale-free: check it on the
@@ -108,7 +108,7 @@ def test_criterion_3_multiquadratic_validity_sweep():
                 continue
             bad = md.MultiquadraticParams(d=p.d, sigma=p.sigma,
                                           rho12=bound * 1.05, alpha=p.alpha)
-            e11, e22, e12 = md.multiquadratic_coeff_entries(bad, [0])[:, 0]
+            e11, e22, e12 = multiquadratic_coeff_entries(bad, [0])[:, 0]
             assert e11 * e22 - e12 ** 2 < 0.0
             broken += 1
 

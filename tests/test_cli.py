@@ -1,9 +1,11 @@
+import argparse
 import csv
 import errno
 import json
 import math
 import os
 import pathlib
+import re
 import resource
 import signal
 import subprocess
@@ -16,10 +18,9 @@ import warnings
 import numpy as np
 import pytest
 
-from spherefield import cli
+from spherefield import _memory, cli
 from spherefield import simulate as sim
-from spherefield.equivalence import VerdictPolicy
-from _reference import patch_draws, validate_schema
+from _reference import ROOT, patch_draws, validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -750,11 +751,6 @@ class TestEquiv:
         with open(tmp_path / "rep.csv") as fh:
             assert fh.readline().strip() == "l,term,partial_sum"
 
-    def test_policy_flag_defaults(self):
-        args = cli.build_parser().parse_args(["equiv", "a.json", "b.json"])
-        assert VerdictPolicy(args.policy_decay_margin, args.policy_cauchy_eps,
-                             args.policy_floor) == VerdictPolicy()
-
     def test_mixed_families_rejected(self, capsys, tmp_json):
         code, _, err = run(capsys, ["equiv", tmp_json("a.json", MQ),
                                     tmp_json("b.json", LM)])
@@ -811,13 +807,15 @@ class TestEquiv:
         report = json.loads(out)
         validate_schema("equivalence_report.schema.json", report)
         assert [v["verdict"] for v in report["verdicts"]] == ["orthogonal"] * 2
+        # at 500 the window's partial sums overflow; at 535 its terms do
+        assert ("tail_rel_growth=inf" in err) == (l_max == 500)
 
     def test_verdict_disagreement_is_loud(self, capsys, tmp_json, monkeypatch):
         # a numeric verdict contradicting the closed form signals an
         # undersized truncation or a bug; the command must not pick a side
         from spherefield import equivalence as eq
 
-        def fake_numeric(series, policy):
+        def fake_numeric(series):
             return eq.EquivalenceVerdict(eq.ORTHOGONAL, eq.NUMERIC, "forced")
 
         monkeypatch.setattr(cli, "classify_numeric", fake_numeric)
@@ -1048,6 +1046,19 @@ def test_grid_beyond_memory_names_the_grid_spec(capsys, tmp_json, tmp_path, grid
     assert "--l-max" not in err
 
 
+def test_ensemble_beyond_memory_names_n_samples(capsys, tmp_json, monkeypatch):
+    # the ensemble's (n_samples, n_points, dim) output is refused before it
+    # is allocated: 1e10 fields on 2 points of 2 entries need 298 GiB
+    monkeypatch.setattr(_memory, "physical_memory", lambda: 8 * 2 ** 30)
+    code, out, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
+                                  "--thetas", "0,1", "--n-samples", "10000000000",
+                                  "--l-max", "5"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert ("out of memory: an ensemble of 10000000000 fields on 2 points "
+            "needs 298.0 GiB") in err
+    assert "--n-samples" in err and "--l-max" not in err
+
+
 @pytest.mark.parametrize("command, target", [
     (["validate"], "missing/x"),
     (["kernel", "--thetas", "0,1"], "missing/x"),
@@ -1087,6 +1098,33 @@ def test_closed_stdout_pipe_exits_quietly(tmp_json):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == cli.EXIT_USAGE
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["equiv", "{m}", "{m}", "--l-max", "40", "--policy-decay-margin", "0.2"],
+    ["equiv", "{m}", "{m}", "--l-max", "40", "--policy-cauchy-eps", "1e-6"],
+    ["equiv", "{m}", "{m}", "--l-max", "40", "--policy-floor", "1e-8"],
+    ["mc-check", "--config", "{m}", "--thetas", "0", "--n-samples", "10",
+     "--l-max", "4", "--z-threshold", "4"],
+], ids=lambda argv: argv[-2])
+def test_removed_flag_is_unrecognized(capsys, tmp_json, argv):
+    m = tmp_json("m.json", MQ)
+    code, out, err = run(capsys, [arg.format(m=m) for arg in argv])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+def test_every_option_is_documented():
+    docs = (ROOT / "README.md").read_text() + (ROOT / "docs" / "formats.md").read_text()
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    undocumented = sorted({
+        (name, opt) for name, command in commands.items()
+        for action in command._actions if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+        if not re.search(re.escape(opt) + r"(?![\w-])", docs)})
+    assert undocumented == []
 
 
 class TestExportAndUsage:

@@ -388,12 +388,11 @@ class TestReportOutput:
         s1 = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 64, 16))
         s2 = md.build_sequence(md.LegendreMaternParams(1.0, 2.0, 1.0, 64, 16))
         series = eq.functional_series(s1, s2)
-        policy = eq.VerdictPolicy()
         verdicts = [eq.classify_legendre_matern(
             md.LegendreMaternParams(1.0, 1.0, 1.0),
             md.LegendreMaternParams(1.0, 2.0, 1.0)),
-            eq.classify_numeric(series, policy)]
-        obj = eq.report_to_dict(series, verdicts, policy)
+            eq.classify_numeric(series)]
+        obj = eq.report_to_dict(series, verdicts)
         validate_schema("equivalence_report.schema.json", obj)
 
         path = tmp_path / "series.csv"

@@ -6,6 +6,7 @@ import pytest
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield.harmonics import gegenbauer_at_one
+from _reference import multiquadratic_coeff_entries, multiquadratic_coeff_logs
 
 
 def mq(d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.45)):
@@ -54,7 +55,7 @@ class TestMultiquadraticValidity:
 class TestMultiquadraticCoefficients:
     def test_degree_zero_formula(self):
         p = mq()
-        e11, e22, e12 = md.multiquadratic_coeff_entries(p, [0])[:, 0]
+        e11, e22, e12 = multiquadratic_coeff_entries(p, [0])[:, 0]
         # binom(0, 0) = 1: b_0(i,j) = rho_ij sigma_i sigma_j (1 - alpha_ij)
         assert e11 == pytest.approx(0.5, rel=1e-14)
         assert e22 == pytest.approx(0.5, rel=1e-14)
@@ -74,7 +75,7 @@ class TestMultiquadraticCoefficients:
             assert md.multiquadratic_validity(p).valid
             # det(b_n) > 0 iff log e11 + log e22 > 2 log e12; the log-space
             # entries stay finite long after the entries themselves underflow
-            logs = md._mq_entry_logs(p, n, with_binom=True)
+            logs = multiquadratic_coeff_logs(p, n)
             assert np.all(np.isfinite(logs[0]))
             assert np.all(logs[0] + logs[1] > 2.0 * logs[2])
 
@@ -85,7 +86,7 @@ class TestMultiquadraticCoefficients:
         bound = ((1 - a11) * (1 - a22) / (1 - a12) ** 2) ** ((d - 1) / 2)
         p = md.MultiquadraticParams(d=d, sigma=(1.0, 1.0), rho12=min(bound * 1.05, 0.999),
                                     alpha=(a11, a22, a12))
-        b0 = md.multiquadratic_coeff_entries(p, [0])[:, 0]
+        b0 = multiquadratic_coeff_entries(p, [0])[:, 0]
         assert b0[0] * b0[1] - b0[2] ** 2 < 0
 
     def test_det_threshold_monotone_in_degree(self):
@@ -100,7 +101,7 @@ class TestMultiquadraticCoefficients:
 
     def test_log_space_stability_large_degree(self):
         p = mq(d=3, alpha=(0.9, 0.9, 0.85), rho12=0.3)
-        vals = md.multiquadratic_coeff_entries(p, [5000])
+        vals = multiquadratic_coeff_entries(p, [5000])
         assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
 
 
@@ -191,7 +192,7 @@ class TestBuildSequence:
         seq = md.build_sequence(p, 12)
         lam = (p.d - 1) / 2
         for n in (0, 1, 5, 12):
-            e11, e22, e12 = md.multiquadratic_coeff_entries(p, [n])[:, 0]
+            e11, e22, e12 = multiquadratic_coeff_entries(p, [n])[:, 0]
             published = np.array([[e11, e12], [e12, e22]])
             stored = seq.coeffs[n]
             assert np.allclose(stored * gegenbauer_at_one(lam, n), published,

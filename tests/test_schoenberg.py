@@ -13,7 +13,7 @@ import spherefield
 from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
-from _reference import validate_schema
+from _reference import multiquadratic_coeff_entries, validate_schema
 
 
 def random_spd(rng, p, jitter=0.05):
@@ -79,7 +79,7 @@ class TestOperatorConstruction:
         p = md.MultiquadraticParams(d=2, sigma=(1.0, 1.0), rho12=0.5,
                                     alpha=(0.2, 0.2, 0.9))
         def coeff(n):
-            e11, e22, e12 = md.multiquadratic_coeff_entries(p, [n])[:, 0]
+            e11, e22, e12 = multiquadratic_coeff_entries(p, [n])[:, 0]
             return sb.one_degree_stack([[e11, e12], [e12, e22]])[0]
 
         assert not coeff(0).flags.writeable
