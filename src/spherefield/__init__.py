@@ -48,7 +48,6 @@ from .equivalence import (
     classify_numeric,
     functional_series,
     hs_term,
-    marginal_bound_check,
     project_sequence,
     scalar_marginal_series,
 )

@@ -33,6 +33,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from ._memory import require_fit
 from .equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -85,6 +86,10 @@ EXIT_INCONCLUSIVE = 4
 
 OUTDIR_ENV = "SPHEREFIELD_OUTDIR"
 
+# Peak bytes that ``sample`` holds per sample for its stream id, file entry
+# and manifest text: an upper bound on the ~1.4 kB that tracemalloc measures
+_SAMPLE_BOOKKEEPING_BYTES = 2048
+
 
 class UsageError(Exception):
     pass
@@ -121,7 +126,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _emit_json(obj, out_path=None) -> None:
-    text = json.dumps(obj, indent=1)
+    # reports write non-finite floats as null; one that slips through fails
+    # here rather than printing Infinity or NaN, which are not JSON
+    text = json.dumps(obj, indent=1, allow_nan=False)
     if out_path:
         _write_text(out_path, text + "\n")
     print(text)
@@ -238,19 +245,11 @@ def _axis_pairs(d: int, thetas) -> np.ndarray:
 
 def cmd_validate(args) -> int:
     params = _load_params(args.config)
-    check = None
-    if isinstance(params, MultiquadraticParams):
-        check = multiquadratic_validity(params)
-        if not check.valid:
-            _emit_json({"valid": False, "violated_condition": check.failing_condition,
-                        "margin": check.margin}, args.out)
-            _info(f"invalid model: {check.failing_condition}")
-            return EXIT_INVALID
     seq = _build_sequence(params, args.l_max)
     report = validate_sequence(seq)
     obj = report.to_dict()
-    if check is not None:
-        obj["margin"] = check.margin
+    if isinstance(params, MultiquadraticParams):
+        obj["margin"] = multiquadratic_validity(params).margin
     _emit_json(obj, args.out)
     if not report.passed:
         _info("sequence validation failed: " + "; ".join(report.flags))
@@ -394,6 +393,11 @@ def cmd_sample(args) -> int:
     params = _load_params(args.config)
     if args.n_samples < 1:
         raise UsageError(f"--n-samples must be >= 1, got {args.n_samples}")
+    try:
+        require_fit(_SAMPLE_BOOKKEEPING_BYTES * args.n_samples,
+                    f"the manifest of {args.n_samples} samples")
+    except MemoryError as exc:
+        raise OutOfMemory(f"{exc}; try a lower --n-samples") from None
     _check_key("--seed", args.seed)
     _check_key("--stream", args.stream)
     _check_key("the last stream (--stream + --n-samples - 1)",
@@ -416,7 +420,7 @@ def cmd_sample(args) -> int:
     ext = args.format
     writer = write_field_csv if ext == "csv" else write_field_json
 
-    streams = [args.stream + i for i in range(args.n_samples)]
+    streams = range(args.stream, args.stream + args.n_samples)
 
     def write_share(samples: list) -> list:
         """Write and hash ``samples``; files are named by their index in
@@ -446,7 +450,7 @@ def cmd_sample(args) -> int:
 
     manifest = {
         "seed": args.seed,
-        "streams": streams,
+        "streams": list(streams),
         "L_max": seq.l_max,
         "model": params.to_dict(),
         "model_hash": _model_hash(params),

@@ -35,10 +35,9 @@ from .models import (
 from .schoenberg import (
     SCALAR,
     SchoenbergSequence,
-    _quadratic_forms,
-    _reject,
     check_compatible,
     fold_multiplicities,
+    json_finite,
     one_degree_stack,
     strict_positivity,
     truncate_sequence,
@@ -92,16 +91,11 @@ class EquivalenceTermSeries:
     window: tuple
 
     def to_dict(self) -> dict:
-        fit = self.decay_fit
-
-        def clean(values):
-            return [v if math.isfinite(v) else None for v in values.tolist()]
-
         return {
             "degrees": self.degrees.tolist(),
-            "terms": clean(self.terms),
-            "partial_sums": clean(self.partial_sums),
-            "decay_fit": fit if math.isfinite(fit) else None,
+            "terms": json_finite(self.terms),
+            "partial_sums": json_finite(self.partial_sums),
+            "decay_fit": json_finite(self.decay_fit),
             "window": list(self.window),
         }
 
@@ -127,8 +121,10 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     first degree whose reference fails :func:`schoenberg.strict_positivity`.
     """
     bad, why = strict_positivity(v2)
-    _reject(bad, lambda l: f"second coefficient must be strictly positive "
-                           f"(degree {l}: {why(l)})")
+    if np.any(bad):
+        l = int(np.argmax(bad))
+        raise ValueError(f"second coefficient must be strictly positive "
+                         f"(degree {l}: {why(l)})")
     if v2.ndim < 3:
         g1 = v1.reshape(v1.shape[0], -1)
         g2 = v2.reshape(v2.shape[0], -1)
@@ -211,10 +207,15 @@ def fit_decay_exponent(degrees: np.ndarray, terms: np.ndarray, window: tuple) ->
     return float(slope)
 
 
-def _make_series(terms: np.ndarray, fit_window) -> EquivalenceTermSeries:
+def functional_series(seq1: SchoenbergSequence,
+                      seq2: SchoenbergSequence) -> EquivalenceTermSeries:
+    """Terms ``t_l = h(l) ||(b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I||^2``
+    up to the shorter sequence's ``l_max = L``, with partial sums and a
+    log-log decay fit over the window ``(L // 2, L)``."""
+    seq1, seq2 = _common_length(seq1, seq2)
+    terms = _degree_terms(seq1, _conjugated_distances(seq1.coeffs, seq2.coeffs))
     degrees = np.arange(terms.shape[0])
-    l_max = terms.shape[0] - 1
-    window = (l_max // 2, l_max) if fit_window is None else tuple(fit_window)
+    window = (seq1.l_max // 2, seq1.l_max)
     with np.errstate(over="ignore"):   # partial sums beyond float64 are inf
         partial_sums = np.cumsum(terms)
     return EquivalenceTermSeries(
@@ -222,47 +223,28 @@ def _make_series(terms: np.ndarray, fit_window) -> EquivalenceTermSeries:
         decay_fit=fit_decay_exponent(degrees, terms, window), window=window)
 
 
-def functional_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
-                      fit_window: tuple | None = None) -> EquivalenceTermSeries:
-    """Terms ``t_l = h(l) ||(b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I||^2``
-    up to the shorter sequence's ``l_max``, with partial sums and a log-log
-    decay fit over the top half of the degrees (or an explicit
-    ``fit_window``)."""
-    seq1, seq2 = _common_length(seq1, seq2)
-    dist = _conjugated_distances(seq1.coeffs, seq2.coeffs)
-    return _make_series(_degree_terms(seq1, dist), fit_window)
-
-
 def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
-    """Scalar Schoenberg sequence ``<b_l u, u>`` of the field projected on u."""
+    """Scalar Schoenberg sequence ``<b_l u, u>`` of the field projected on u.
+
+    A form below 0, eigenvalue dust that the PSD tolerance of a matrix
+    coefficient admits, is 0."""
     u = np.asarray(u, dtype=float)
     if not np.linalg.norm(u) > 0.0:
         raise ValueError("direction u must be nonzero")
-    return SchoenbergSequence(seq.d, SCALAR, seq.quadratic_forms(u))
+    return SchoenbergSequence(seq.d, SCALAR, np.maximum(seq.quadratic_forms(u), 0.0))
 
 
-def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence, u,
-                           fit_window: tuple | None = None) -> EquivalenceTermSeries:
+def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
+                           u) -> EquivalenceTermSeries:
     """Terms ``h(l) (<b_l^(1) u, u> / <b_l^(2) u, u> - 1)^2`` of the projected
-    scalar fields (see :func:`project_sequence` for the projected sequences).
+    scalar fields: the :func:`functional_series` of the two
+    :func:`project_sequence` sequences, up to the shorter one's ``l_max``.
 
-    Requires ``<b_l^(2) u, u> > 0`` up to the shorter sequence's ``l_max``.
-    Each term is dominated by the matching functional term (tested
-    invariant).
+    Requires ``<b_l^(2) u, u> > 0`` there.  Each term is dominated by the
+    matching functional term (tested invariant).
     """
     seq1, seq2 = _common_length(seq1, seq2)
-    q1, q2 = (seq.quadratic_forms(u) for seq in (seq1, seq2))
-    terms = _degree_terms(seq1, _conjugated_distances(q1, q2))
-    return _make_series(terms, fit_window)
-
-
-def marginal_bound_check(b1, b2, u):
-    """Both sides of ``|<(A - B) u, u>| / <B u, u>  <=  ||B^{-1/2} A B^{-1/2} - I||_HS``
-    with ``B = b1`` (strictly positive) and ``A = b2``, two coefficients given
-    as arrays (see :func:`one_degree_stack`).  Returns (lhs, rhs); the lhs
-    is a scalar term, so ``<B u, u>`` must be > 0."""
-    qb, qa = (_quadratic_forms(one_degree_stack(b), u) for b in (b1, b2))
-    return math.sqrt(_conjugated_distances(qa, qb)[0]), math.sqrt(hs_term(b2, b1, 1))
+    return functional_series(project_sequence(seq1, u), project_sequence(seq2, u))
 
 
 def classify_numeric(series: EquivalenceTermSeries) -> EquivalenceVerdict:

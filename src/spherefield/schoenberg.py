@@ -101,19 +101,6 @@ def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(stack.shape[0], -1).min(axis=1)
 
 
-def _quadratic_forms(stack: np.ndarray, u) -> np.ndarray:
-    """``<b_l u, u>`` per degree; diagonal stacks take a folded ``u`` and
-    carry the fold multiplicities."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    width = _width(stack)
-    if u.shape != (width,):
-        raise ValueError(f"direction must have length {width}, got shape {u.shape}")
-    if stack.ndim == 3:
-        return _rowdot(u @ stack, u)
-    v = stack.reshape(stack.shape[0], -1)
-    return _rowdot(v * fold_multiplicities(width), u ** 2)
-
-
 def _reject(bad: np.ndarray, message) -> None:
     """Raise ``ValueError(message(l))`` for the first degree l flagged in bad."""
     if np.any(bad):
@@ -339,12 +326,28 @@ class SchoenbergSequence:
         For the fourier variant ``u`` is folded (length K_max + 1) and the
         forms carry the fold multiplicities.
         """
-        return _quadratic_forms(self.coeffs, u)
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.shape != (self.dim,):
+            raise ValueError(f"direction must have length {self.dim}, "
+                             f"got shape {u.shape}")
+        if self.variant == MATRIX:
+            return _rowdot(u @ self.coeffs, u)
+        v = self.coeffs.reshape(self.coeffs.shape[0], -1)
+        return _rowdot(v * fold_multiplicities(self.dim), u ** 2)
 
     def trace_terms(self) -> np.ndarray:
         """Per-degree variance contributions ``trace(b_l) C_l^lam(1)``."""
         c1 = gegenbauer_at_one_all(self.order, self.l_max)
         return _traces(self.coeffs) * c1
+
+
+def json_finite(x):
+    """A float, or a 1-d array as a list, with ``None`` (JSON ``null``) in
+    place of every value that is not finite, as JSON has no infinity or NaN.
+    Reports write their computed floats through this in ``to_dict``."""
+    if isinstance(x, np.ndarray):
+        return [v if math.isfinite(v) else None for v in x.tolist()]
+    return x if x is None or math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -369,10 +372,10 @@ class ValidityReport:
             "d": self.d,
             "variant": self.variant,
             "L_max": self.l_max,
-            "traces": self.traces.tolist(),
-            "min_eig_ratios": self.min_eig_ratios.tolist(),
-            "weighted_partial_sums": self.weighted_partial_sums.tolist(),
-            "tail_estimate": self.tail_estimate,
+            "traces": json_finite(self.traces),
+            "min_eig_ratios": json_finite(self.min_eig_ratios),
+            "weighted_partial_sums": json_finite(self.weighted_partial_sums),
+            "tail_estimate": json_finite(self.tail_estimate),
             "tail_is_heuristic": self.tail_is_heuristic,
             "psd_valid": self.psd_valid,
             "strictly_positive": self.strictly_positive,

@@ -52,6 +52,7 @@ from .schoenberg import (
     SchoenbergSequence,
     check_compatible,
     entry_labels,
+    json_finite,
     operator_sqrt,
     truncate_sequence,
     unfolded_index,
@@ -425,8 +426,8 @@ class PairCheck:
                 "labels": self.labels,
                 "empirical": self.empirical.tolist(),
                 "analytic": self.analytic.tolist(),
-                "se": self.se.tolist(), "z": self.z.tolist(),
-                "z_max": self.z_max}
+                "se": self.se.tolist(), "z": json_finite(self.z),
+                "z_max": json_finite(self.z_max)}
 
 
 @dataclass
@@ -439,7 +440,7 @@ class CheckReport:
     pairs: list
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "z_max": self.z_max,
+        return {"passed": self.passed, "z_max": json_finite(self.z_max),
                 "z_threshold": Z_THRESHOLD, "n_samples": self.n_samples,
                 "L_max": self.l_max, "tail_bound": self.tail_bound,
                 "pairs": [p.to_dict() for p in self.pairs]}

@@ -131,8 +131,7 @@ def test_criterion_5_equivalence_classifications():
         # (a) equal sigma/nu, alpha 1 vs 2: summable terms decaying like l^-2
         p1 = md.LegendreMaternParams(1.0, 1.0, 1.0, 512, 512)
         p2 = md.LegendreMaternParams(1.0, 2.0, 1.0, 512, 512)
-        series = eq.functional_series(md.build_sequence(p1), md.build_sequence(p2),
-                                      fit_window=(64, 512))
+        series = eq.functional_series(md.build_sequence(p1), md.build_sequence(p2))
         assert -2.5 <= series.decay_fit <= -1.5
         s = series.partial_sums
         assert (s[512] - s[256]) / s[512] < 0.05          # converging

@@ -68,8 +68,9 @@ class TestValidate:
     def test_violated_inequality_named(self, capsys, tmp_json):
         code, out, err = run(capsys, ["validate", "--config",
                                       tmp_json("m.json", MQ_BAD)])
-        assert code == 2
-        assert "alpha_12" in json.loads(out)["violated_condition"]
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == ("invalid model: invalid multiquadratic parameters: "
+                       "alpha_12 = 0.5 exceeds sqrt(alpha_11 alpha_22) = 0.489898\n")
 
     @pytest.mark.parametrize("command", [["validate"], ["schoenberg-export"],
                                          ["kernel", "--thetas", "0,1"]])
@@ -1059,6 +1060,21 @@ def test_ensemble_beyond_memory_names_n_samples(capsys, tmp_json, monkeypatch):
     assert "--n-samples" in err and "--l-max" not in err
 
 
+def test_manifest_beyond_memory_names_n_samples(capsys, tmp_json, tmp_path,
+                                               monkeypatch):
+    # the stream ids, file entries and manifest of 1e10 samples are refused
+    # before any of them is built, and before the output directory is made
+    monkeypatch.setattr(_memory, "physical_memory", lambda: 8 * 2 ** 30)
+    grid = tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3})
+    code, out, err = run(capsys, ["sample", "--config", tmp_json("m.json", MQ),
+                                  "--grid", grid, "--n-samples", "10000000000",
+                                  "--l-max", "5", "--out", str(tmp_path / "out")])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "out of memory: the manifest of 10000000000 samples needs" in err
+    assert "--n-samples" in err and "--l-max" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, target", [
     (["validate"], "missing/x"),
     (["kernel", "--thetas", "0,1"], "missing/x"),
@@ -1125,6 +1141,51 @@ def test_every_option_is_documented():
         for opt in action.option_strings
         if not re.search(re.escape(opt) + r"(?![\w-])", docs)})
     assert undocumented == []
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+# name -> (arguments, "{a}" and "{b}" naming the two configs; the models;
+# the schema of stdout, None for an empty stdout; the exit code)
+STRICT_JSON_CASES = {
+    "validate-invalid-multiquadratic": (
+        ["validate", "--config", "{a}"], [dict(MQ, alpha=[0.5, 0.5, 0.9])], None, 2),
+    "validate-trace-overflow": (
+        ["validate", "--config", "{a}"], [dict(LM, sigma=1.3e154, L_max=20, K_max=4)],
+        "validity_report", 2),
+    "validate-partial-sums-nan": (
+        ["validate", "--config", "{a}"], [dict(MQ, d=100000, alpha=[0.5, 0.5, 0.5])],
+        "validity_report", 2),
+    "validate-infinite-tail": (
+        ["validate", "--config", "{a}", "--l-max", "3"],
+        [dict(MQ, d=10, rho12=1e-7, alpha=[0.9, 0.9, 0.5])], "validity_report", 0),
+    "equiv": (["equiv", "{a}", "{b}", "--l-max", "64"], [LM, LM_ALPHA],
+              "equivalence_report", 0),
+    "equiv-partial-sums-overflow": (
+        ["equiv", "{a}", "{b}", "--l-max", "500"],
+        [dict(MQ, d=535, alpha=[0.5, 0.5, 0.5]),
+         dict(MQ, d=535, rho12=0.3, alpha=[0.5, 0.5, 0.5])], "equivalence_report", 3),
+    "mc-check": (["mc-check", "--config", "{a}", "--thetas", "0,1", "--n-samples", "50",
+                  "--l-max", "5"], [MQ], "check_report", 0),
+    "schoenberg-export": (["schoenberg-export", "--config", "{a}"],
+                          [dict(LM, L_max=5, K_max=4)], "sequence", 0),
+}
+
+
+@pytest.mark.parametrize("name", STRICT_JSON_CASES)
+def test_stdout_is_strict_json(capsys, tmp_json, name):
+    # RFC 8259 has no Infinity or NaN: every non-finite report value is null
+    argv, models, schema, expected = STRICT_JSON_CASES[name]
+    paths = {key: tmp_json(f"{key}.json", model) for key, model in zip("ab", models)}
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == expected and "Traceback" not in err
+    if schema is None:
+        assert out == ""
+    else:
+        validate_schema(f"{schema}.schema.json",
+                        json.loads(out, parse_constant=_reject_constant))
 
 
 class TestExportAndUsage:

@@ -1,9 +1,10 @@
-"""Every name a ``spherefield`` module imports is used there.
+"""Every name a ``spherefield`` module imports is used there, and none is a
+private (underscore) name of another ``spherefield`` module.
 
-The one exception is a name that ``bench/tracing.py``'s ``TARGETS`` wraps
-in that module (such as ``cli.synthesize_field``): the traced benchmark run
-looks it up there.  The package ``__init__`` is not checked, as its imports
-are the package's exports.
+The one exception to the first rule is a name that ``bench/tracing.py``'s
+``TARGETS`` wraps in that module (such as ``cli.synthesize_field``): the
+traced benchmark run looks it up there.  The package ``__init__`` is not
+checked, as its imports are the package's exports.
 """
 
 import ast
@@ -55,3 +56,22 @@ def test_every_import_is_used(path, traced_names):
     module = f"spherefield.{path.stem}"
     assert [name for name in unused_imports(path.read_text())
             if (module, name) not in traced_names] == []
+
+
+def private_imports(source: str) -> list:
+    """Underscore names that ``source`` imports from a ``spherefield`` module."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "spherefield")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_finds_a_private_import():
+    source = ("from ._memory import require_fit\nfrom .schoenberg import _reject, SCALAR\n"
+              "from spherefield.models import _helper\nfrom os import _exit\n")
+    assert private_imports(source) == ["_reject", "_helper"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_private_name_is_imported(path):
+    assert private_imports(path.read_text()) == []

@@ -61,12 +61,9 @@ class TestOperatorConstruction:
         ([[1.0, 2.0], [2.0, 1.0]], np.eye(2), "PSD"),
     ])
     def test_per_degree_helpers_keep_the_checks(self, bad, good, match):
-        u = np.ones(len(np.atleast_1d(good)))
         for call in (lambda: sb.one_degree_stack(bad),
                      lambda: eq.hs_term(bad, good, 1),
-                     lambda: eq.hs_term(good, bad, 1),
-                     lambda: eq.marginal_bound_check(good, bad, u),
-                     lambda: eq.marginal_bound_check(bad, good, u)):
+                     lambda: eq.hs_term(good, bad, 1)):
             with pytest.raises(ValueError, match=match):
                 call()
 

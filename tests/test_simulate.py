@@ -611,6 +611,18 @@ class TestMonteCarloKernelCheck:
             seq, theta_pairs([0.0, 2.0]), 500, seed=2)
         validate_schema("check_report.schema.json", report.to_dict())
 
+    def test_infinite_z_written_as_null(self):
+        # zero samples against a nonzero kernel: se = 0, so every z is inf
+        seq = sb.SchoenbergSequence(2, sb.SCALAR, np.zeros(4))
+        report = sim.monte_carlo_kernel_check(
+            seq, theta_pairs([0.0, 2.0]), 500, seed=2,
+            analytic_seq=sb.SchoenbergSequence(2, sb.SCALAR, np.ones(4)))
+        assert report.z_max == math.inf and not report.passed
+        obj = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        validate_schema("check_report.schema.json", obj)
+        assert obj["z_max"] is None and obj["pairs"][0]["z"] == [None]
+        assert obj["pairs"][0]["z_max"] is None
+
     def test_analytic_side_truncated_to_sampled_degrees(self):
         seq = mq_sequence(6)
         pairs = theta_pairs([0.0, 1.0])
