@@ -23,7 +23,6 @@ from .schoenberg import (
     SchoenbergSequence,
     ValidityReport,
     operator_sqrt,
-    sequence_from_dict,
     sequence_to_dict,
     truncate_sequence,
     validate_sequence,
@@ -41,7 +40,6 @@ from .equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
     ORTHOGONAL,
-    EquivalenceTermSeries,
     EquivalenceVerdict,
     classify_legendre_matern,
     classify_multiquadratic,
@@ -56,7 +54,6 @@ from .simulate import (
     FieldSample,
     SampleGrid,
     empirical_covariance,
-    fourier_function_values,
     make_generator,
     monte_carlo_kernel_check,
     sample_coefficients,

@@ -15,6 +15,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 
 import numpy as np
 
@@ -36,17 +37,33 @@ def _thread_api():
     return None
 
 
+_lock = threading.Lock()
+_depth = 0        # blocks inside one_blas_thread, over all threads
+_saved = None     # the count before the first of them entered
+
+
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the block at one OpenBLAS thread and restore the count after it."""
+    """Run the block at one OpenBLAS thread and restore the count after it.
+
+    Overlapping blocks, in one thread or several, share the pin: the first
+    to enter saves the count and sets 1, and the last to exit restores it.
+    """
+    global _depth, _saved
     api = _thread_api()
     if api is None:
         yield
         return
     get, set_ = api
-    before = get()
-    set_(1)
+    with _lock:
+        if _depth == 0:
+            _saved = get()
+            set_(1)
+        _depth += 1
     try:
         yield
     finally:
-        set_(before)
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                set_(_saved)

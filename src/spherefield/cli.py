@@ -467,6 +467,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    """Compare two models: the closed-form verdict of their family, and the
+    numeric verdict from the series terms ``t_0 .. t_L`` (``L = --l-max``),
+    which the report and the ``--out`` CSV list with their partial sums."""
     p1 = _load_params(args.config1)
     p2 = _load_params(args.config2)
     n_terms = args.l_max + 1  # one series term per degree 0 .. l_max
@@ -484,22 +487,24 @@ def cmd_equiv(args) -> int:
         closed = classify_legendre_matern(p1, p2)
     elif type(p1) is not type(p2):
         raise UsageError("model families differ; no common coefficient space")
+    if args.k_max is not None and not isinstance(p1, LegendreMaternParams):
+        raise UsageError("--k-max is for Legendre-Matern configs only")
 
     if isinstance(p1, LegendreMaternParams):
         k_max = args.k_max if args.k_max is not None else max(p1.k_max, p2.k_max)
         p1, p2 = (replace(p, k_max=k_max) for p in (p1, p2))
     s1, s2 = (_build_sequence(p, args.l_max) for p in (p1, p2))
-    series = functional_series(s1, s2)
-    numeric = classify_numeric(series)
+    terms = functional_series(s1, s2)
+    numeric = classify_numeric(terms)
 
     verdicts = [numeric] if closed is None else [closed, numeric]
     out_json = f"{args.out}.json" if args.out else None
-    obj = report_to_dict(series, verdicts)
+    obj = report_to_dict(terms, verdicts)
     _emit_json(obj, out_json)
     if args.out:
         csv_path = f"{args.out}.csv"
         with _writing(csv_path):
-            write_series_csv(csv_path, series)
+            write_series_csv(csv_path, terms)
 
     for v in verdicts:
         _info(f"{v.provenance}: {v.verdict} ({v.diagnostics})")

@@ -6,9 +6,11 @@ sequences ``{b_l^(1)}`` and ``{b_l^(2)}`` induce equivalent measures iff
     sum_l h(l) || (b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I ||_HS^2 < inf,
 
 and orthogonal measures otherwise (Gaussian dichotomy); the reference must
-pass :func:`schoenberg.strict_positivity`.  This module computes the terms,
-scalar marginalizations along u, a three-valued numeric classifier for
-truncated series, and closed-form classifiers for the two model families.
+pass :func:`schoenberg.strict_positivity`.  This module computes the terms
+``t_0 .. t_L`` of a truncated series as one float64 array, scalar
+marginalizations along u, a three-valued numeric classifier that reads the
+terms over the window ``(L // 2, L)``, and closed-form classifiers for the
+two model families.
 
 Orientation: sequence 2 is the reference throughout -- functional terms
 conjugate by ``(b_l^(2))^{-1/2}`` and scalar terms use the ratio
@@ -80,26 +82,6 @@ class EquivalenceVerdict:
                 "diagnostics": self.diagnostics}
 
 
-@dataclass
-class EquivalenceTermSeries:
-    """Per-degree terms t_l, partial sums, and a tail decay-exponent fit."""
-
-    degrees: np.ndarray
-    terms: np.ndarray
-    partial_sums: np.ndarray
-    decay_fit: float
-    window: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "degrees": self.degrees.tolist(),
-            "terms": json_finite(self.terms),
-            "partial_sums": json_finite(self.partial_sums),
-            "decay_fit": json_finite(self.decay_fit),
-            "window": list(self.window),
-        }
-
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -159,13 +141,6 @@ def hs_term(b1, b2, hl: int) -> float:
     return hl * float(_conjugated_distances(s1, s2)[0])
 
 
-def _common_length(seq1: SchoenbergSequence, seq2: SchoenbergSequence) -> tuple:
-    """Two compatible sequences truncated to the shorter one's length."""
-    check_compatible(seq1, seq2)
-    L = min(seq1.l_max, seq2.l_max)
-    return truncate_sequence(seq1, L), truncate_sequence(seq2, L)
-
-
 def _degree_terms(seq: SchoenbergSequence, dist: np.ndarray) -> np.ndarray:
     """Series terms ``h(l) * dist[l]`` for ``l = 0 .. seq.l_max``.
 
@@ -190,37 +165,45 @@ def _degree_terms(seq: SchoenbergSequence, dist: np.ndarray) -> np.ndarray:
     return terms
 
 
-def fit_decay_exponent(degrees: np.ndarray, terms: np.ndarray, window: tuple) -> float:
-    """Least-squares slope of log t_l against log l over the window.
+def _window(terms: np.ndarray) -> tuple:
+    """The degrees ``(L // 2, L)`` of the tail of terms ``t_0 .. t_L``."""
+    l_max = terms.shape[0] - 1
+    return l_max // 2, l_max
 
-    Degrees below 1 and nonpositive terms are excluded; returns NaN when
-    fewer than ``_MIN_FIT_POINTS`` usable points remain.
+
+def _partial_sums(terms: np.ndarray) -> np.ndarray:
+    """Cumulative sums of the terms; a sum beyond float64 is ``inf``, without
+    a warning."""
+    with np.errstate(over="ignore"):
+        return np.cumsum(terms)
+
+
+def fit_decay_exponent(terms: np.ndarray) -> float:
+    """Least-squares slope of log t_l against log l over the window
+    ``(L // 2, L)`` of the terms ``t_0 .. t_L``.
+
+    Degree 0, nonpositive and non-finite terms are excluded; returns NaN
+    when fewer than ``_MIN_FIT_POINTS`` usable points remain.
     """
-    lo, hi = window
-    mask = ((degrees >= max(lo, 1)) & (degrees <= hi) & (terms > 0.0)
-            & np.isfinite(terms))
+    lo = max(_window(terms)[0], 1)
+    tail = terms[lo:]
+    mask = (tail > 0.0) & np.isfinite(tail)
     if np.count_nonzero(mask) < _MIN_FIT_POINTS:
         return math.nan
-    x = np.log(degrees[mask].astype(float))
-    y = np.log(terms[mask])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    x = np.log(np.arange(lo, terms.shape[0], dtype=float)[mask])
+    y = np.log(tail[mask])
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def functional_series(seq1: SchoenbergSequence,
-                      seq2: SchoenbergSequence) -> EquivalenceTermSeries:
+                      seq2: SchoenbergSequence) -> np.ndarray:
     """Terms ``t_l = h(l) ||(b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I||^2``
-    up to the shorter sequence's ``l_max = L``, with partial sums and a
-    log-log decay fit over the window ``(L // 2, L)``."""
-    seq1, seq2 = _common_length(seq1, seq2)
-    terms = _degree_terms(seq1, _conjugated_distances(seq1.coeffs, seq2.coeffs))
-    degrees = np.arange(terms.shape[0])
-    window = (seq1.l_max // 2, seq1.l_max)
-    with np.errstate(over="ignore"):   # partial sums beyond float64 are inf
-        partial_sums = np.cumsum(terms)
-    return EquivalenceTermSeries(
-        degrees=degrees, terms=terms, partial_sums=partial_sums,
-        decay_fit=fit_decay_exponent(degrees, terms, window), window=window)
+    for ``l = 0 .. L``, ``L`` the shorter sequence's ``l_max``, as one
+    float64 array."""
+    check_compatible(seq1, seq2)
+    L = min(seq1.l_max, seq2.l_max)
+    seq1, seq2 = truncate_sequence(seq1, L), truncate_sequence(seq2, L)
+    return _degree_terms(seq1, _conjugated_distances(seq1.coeffs, seq2.coeffs))
 
 
 def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
@@ -235,7 +218,7 @@ def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
 
 
 def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
-                           u) -> EquivalenceTermSeries:
+                           u) -> np.ndarray:
     """Terms ``h(l) (<b_l^(1) u, u> / <b_l^(2) u, u> - 1)^2`` of the projected
     scalar fields: the :func:`functional_series` of the two
     :func:`project_sequence` sequences, up to the shorter one's ``l_max``.
@@ -243,12 +226,13 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
     Requires ``<b_l^(2) u, u> > 0`` there.  Each term is dominated by the
     matching functional term (tested invariant).
     """
-    seq1, seq2 = _common_length(seq1, seq2)
+    check_compatible(seq1, seq2)
     return functional_series(project_sequence(seq1, u), project_sequence(seq2, u))
 
 
-def classify_numeric(series: EquivalenceTermSeries) -> EquivalenceVerdict:
-    """Three-valued verdict from a truncated term series.
+def classify_numeric(terms: np.ndarray) -> EquivalenceVerdict:
+    """Three-valued verdict from the terms ``t_0 .. t_L`` of a truncated
+    series, read over the window ``(L // 2, L)``.
 
     Equivalent requires a decay fit steeper than ``-1 - DECAY_MARGIN``
     together with Cauchy partial sums; a fit shallower than
@@ -257,25 +241,24 @@ def classify_numeric(series: EquivalenceTermSeries) -> EquivalenceVerdict:
     Inconclusive.  The non-vanishing floor is consulted only when no decay
     fit is available.
     """
-    n = series.terms.shape[0]
+    n = terms.shape[0]
     if n < MIN_TERMS:
         raise ValueError(f"series has {n} terms; classifier needs >= {MIN_TERMS}")
-    lo, hi = series.window
-    lo = max(0, min(lo, n - 1))
-    hi = max(lo, min(hi, n - 1))
-    tail = series.terms[lo:hi + 1]
+    lo, hi = _window(terms)
+    tail = terms[lo:hi + 1]
     if not np.all(np.isfinite(tail)):
         return EquivalenceVerdict(
             ORTHOGONAL, NUMERIC,
             f"terms overflow the floating range inside window [{lo},{hi}]")
-    s_hi = float(series.partial_sums[hi])
-    s_lo = float(series.partial_sums[lo])
+    partial_sums = _partial_sums(terms)
+    s_hi = float(partial_sums[hi])
+    s_lo = float(partial_sums[lo])
     if not math.isfinite(s_hi):   # partial sums beyond float64
         rel_growth = math.inf
     else:
         rel_growth = (s_hi - s_lo) / s_hi if s_hi > 0.0 else 0.0
     cauchy_ok = rel_growth <= CAUCHY_EPS
-    fit = series.decay_fit
+    fit = fit_decay_exponent(terms)
     has_fit = math.isfinite(fit)
 
     detail = (f"window=[{lo},{hi}] decay_fit="
@@ -359,20 +342,26 @@ def classify_legendre_matern(p1: LegendreMaternParams,
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(series: EquivalenceTermSeries,
+def report_to_dict(terms: np.ndarray,
                    verdicts: list[EquivalenceVerdict]) -> dict:
-    out = series.to_dict()
-    out["verdicts"] = [v.to_dict() for v in verdicts]
-    out["policy"] = {"decay_margin": DECAY_MARGIN, "cauchy_eps": CAUCHY_EPS,
-                     "nonvanishing_floor": NONVANISHING_FLOOR,
-                     "min_terms": MIN_TERMS}
-    return out
+    """The equivalence report of the terms ``t_0 .. t_L`` and their verdicts."""
+    return {
+        "degrees": list(range(terms.shape[0])),
+        "terms": json_finite(terms),
+        "partial_sums": json_finite(_partial_sums(terms)),
+        "decay_fit": json_finite(fit_decay_exponent(terms)),
+        "window": list(_window(terms)),
+        "verdicts": [v.to_dict() for v in verdicts],
+        "policy": {"decay_margin": DECAY_MARGIN, "cauchy_eps": CAUCHY_EPS,
+                   "nonvanishing_floor": NONVANISHING_FLOOR,
+                   "min_terms": MIN_TERMS},
+    }
 
 
-def write_series_csv(path, series: EquivalenceTermSeries) -> None:
+def write_series_csv(path, terms: np.ndarray) -> None:
     """CSV with fixed column order (l, term, partial_sum)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["l", "term", "partial_sum"])
-        for l, t, s in zip(series.degrees, series.terms, series.partial_sums):
-            w.writerow([int(l), repr(float(t)), repr(float(s))])
+        for l, (t, s) in enumerate(zip(terms, _partial_sums(terms))):
+            w.writerow([l, repr(float(t)), repr(float(s))])

@@ -262,18 +262,6 @@ class PowerLawTail:
                 "params": {"sigma": self.sigma, "alpha": self.alpha, "nu": self.nu}}
 
 
-def tail_from_dict(obj) -> GeometricTail | PowerLawTail | None:
-    if obj is None:
-        return None
-    kind = obj["kind"]
-    p = obj["params"]
-    if kind == "geometric":
-        return GeometricTail(tuple(p["coefficients"]), tuple(p["ratios"]), int(p["d"]))
-    if kind == "power_law":
-        return PowerLawTail(float(p["sigma"]), float(p["alpha"]), float(p["nu"]))
-    raise ValueError(f"unknown tail descriptor kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Sequences
 # ---------------------------------------------------------------------------
@@ -536,10 +524,3 @@ def sequence_to_dict(seq: SchoenbergSequence) -> dict:
         "tail": seq.tail.to_dict() if seq.tail is not None else None,
     }
 
-
-def sequence_from_dict(obj: dict) -> SchoenbergSequence:
-    seq = SchoenbergSequence(int(obj["d"]), obj["variant"], obj["coeffs"],
-                             tail_from_dict(obj.get("tail")))
-    if seq.l_max != obj["L_max"]:
-        raise ValueError("coefficient count does not match L_max")
-    return seq

@@ -519,27 +519,8 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
 
 
 # ---------------------------------------------------------------------------
-# Function-space reconstruction and export
+# Export
 # ---------------------------------------------------------------------------
-
-
-def fourier_function_values(coefficients: np.ndarray, taus) -> np.ndarray:
-    """Evaluate a fourier-variant field value as a function on [0, 1].
-
-    The coefficient vector is expressed in the orthonormal basis
-    ``(1, sqrt(2) cos(2 pi k t), sqrt(2) sin(2 pi k t))_{k>=1}``:
-
-        f(tau) = v_0 + sqrt(2) sum_k (v_{2k-1} cos(2 pi k tau)
-                                      + v_{2k} sin(2 pi k tau)).
-    """
-    v = np.asarray(coefficients, dtype=float)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    k_max = (v.shape[-1] - 1) // 2
-    out = np.full(taus.shape, v[0], dtype=float)
-    for k in range(1, k_max + 1):
-        out += math.sqrt(2.0) * (v[2 * k - 1] * np.cos(2 * math.pi * k * taus)
-                                 + v[2 * k] * np.sin(2 * math.pi * k * taus))
-    return out
 
 
 def write_field_csv(sample: FieldSample, path) -> None:

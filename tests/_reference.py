@@ -132,3 +132,19 @@ def multiquadratic_coeff_logs(p, n) -> np.ndarray:
 def multiquadratic_coeff_entries(p, n) -> np.ndarray:
     """The published entries of :func:`multiquadratic_coeff_logs`."""
     return np.exp(multiquadratic_coeff_logs(p, n))
+
+
+def fourier_function_values(coefficients, taus) -> np.ndarray:
+    """A fourier-variant field value as a function on [0, 1]: the
+    coefficient vector in the orthonormal basis
+    ``(1, sqrt(2) cos(2 pi k t), sqrt(2) sin(2 pi k t))_{k>=1}``,
+
+        f(tau) = v_0 + sqrt(2) sum_k (v_{2k-1} cos(2 pi k tau)
+                                      + v_{2k} sin(2 pi k tau)).
+    """
+    v = np.asarray(coefficients, dtype=float)
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    k = np.arange(1, (v.shape[-1] - 1) // 2 + 1)
+    phase = 2.0 * math.pi * k[:, None] * taus[None, :]
+    return v[0] + math.sqrt(2.0) * (v[2 * k - 1] @ np.cos(phase)
+                                    + v[2 * k] @ np.sin(phase))

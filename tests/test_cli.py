@@ -775,6 +775,19 @@ class TestEquiv:
         assert out == ""
         assert "--k-max" in err and "Traceback" not in err
 
+    def test_k_max_with_multiquadratic_usage_error(self, capsys, tmp_json):
+        mq, lm = tmp_json("mq.json", MQ), tmp_json("lm.json", LM)
+        code, out, err = run(capsys, ["equiv", mq, mq, "--l-max", "40",
+                                      "--k-max", "5"])
+        assert code == 1
+        assert out == ""
+        assert "--k-max is for Legendre-Matern configs only" in err
+        assert "Traceback" not in err
+        # the family check comes first
+        code, out, err = run(capsys, ["equiv", mq, lm, "--l-max", "40",
+                                      "--k-max", "5"])
+        assert code == 1 and out == "" and "families differ" in err
+
     def test_wide_spectrum_reference_accepted(self, capsys, tmp_json):
         # the model validate accepts at 200 is an admissible reference too
         a = tmp_json("a.json", MQ_WIDE)

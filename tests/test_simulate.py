@@ -18,7 +18,7 @@ from spherefield import schoenberg as sb
 from spherefield import simulate as sim
 from spherefield import _blas
 from spherefield._blas import one_blas_thread
-from _reference import patch_draws, validate_schema
+from _reference import fourier_function_values, patch_draws, validate_schema
 
 
 def mq_sequence(l_max=20, d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)):
@@ -476,6 +476,68 @@ def ensemble_with_batches_of_two(monkeypatch):
     return lambda: sim.synthesize_ensemble(seq, grid, 5, seed=1)
 
 
+class TestOneBlasThread:
+    def test_overlapping_threads_share_the_pin(self, two_blas_threads):
+        # A enters, B enters, A exits, B exits: both run at one thread
+        # throughout, and the count they found comes back after both
+        if _blas._thread_api() is None:
+            pytest.skip("numpy's OpenBLAS thread API is not available")
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def first():
+            with one_blas_thread():
+                a_in.set()
+                assert b_in.wait(30)
+                seen["a"] = blas_threads()
+            a_out.set()
+
+        def second():
+            assert a_in.wait(30)
+            with one_blas_thread():
+                b_in.set()
+                seen["b"] = blas_threads()
+                assert a_out.wait(30)
+                seen["b after a"] = blas_threads()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a": 1, "b": 1, "b after a": 1}
+        assert blas_threads() == 2
+
+    def test_many_threads_keep_the_count(self, two_blas_threads):
+        # more threads than cores entering and leaving at a short switch
+        # interval: a lost update of the shared depth would leave a block
+        # above one thread or the process at the wrong count afterwards
+        if _blas._thread_api() is None:
+            pytest.skip("numpy's OpenBLAS thread API is not available")
+        inside = []
+
+        def enter_often():
+            for _ in range(200):
+                with one_blas_thread():
+                    time.sleep(0)     # let another thread in
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter_often) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert inside == [1] * 1600
+        assert blas_threads() == 2
+
+
 class TestEnsembleThreads:
     @pytest.mark.slow
     @pytest.mark.parametrize("openblas_threads", ["1", "2"])
@@ -640,22 +702,12 @@ class TestMonteCarloKernelCheck:
 
 
 class TestFunctionReconstruction:
-    def test_matches_manual_basis_sum(self):
-        v = np.array([1.0, 0.5, -0.25, 0.1, 0.0])
-        taus = np.array([0.0, 0.3, 0.75])
-        expect = (v[0]
-                  + math.sqrt(2) * (v[1] * np.cos(2 * np.pi * taus)
-                                    + v[2] * np.sin(2 * np.pi * taus))
-                  + math.sqrt(2) * (v[3] * np.cos(4 * np.pi * taus)
-                                    + v[4] * np.sin(4 * np.pi * taus)))
-        assert np.allclose(sim.fourier_function_values(v, taus), expect, atol=1e-14)
-
     def test_pointwise_variance_is_trace(self):
         # stationarity on [0,1]: E f(tau)^2 equals the operator trace
         seq = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 8, 6))
         grid = sim.SampleGrid.from_points(2, [[0.0, 0.0, 1.0]])
         vals = sim.synthesize_ensemble(seq, grid, 6000, seed=19)
-        f = np.stack([sim.fourier_function_values(vals[i, 0], [0.2, 0.6])
+        f = np.stack([fourier_function_values(vals[i, 0], [0.2, 0.6])
                       for i in range(vals.shape[0])])
         analytic = float(np.sum(seq.trace_terms()))
         emp = (f ** 2).mean(axis=0)
