@@ -11,7 +11,7 @@ value the library refuses with ``ValueError``, mapped in :func:`main` alone)
 or unsupported operation (also closed-form vs numeric verdict disagreement,
 which indicates an undersized truncation or a bug, a run that cannot
 allocate its arrays, and a ``sample`` worker process that dies), 3 negative
-verdict or failed check, 4 inconclusive numeric verdict.
+verdict or failed check.
 
 ``sample`` synthesizes its fields in this process and writes each group of
 them from one process per available CPU (see :func:`_worker_count`); the
@@ -38,7 +38,6 @@ from .equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
     MIN_TERMS,
-    ORTHOGONAL,
     classify_legendre_matern,
     classify_multiquadratic,
     classify_numeric,
@@ -49,7 +48,6 @@ from .equivalence import (
 from .harmonics import check_points, require_synthesis_dim
 from .models import (
     THETA_SLACK,
-    LegendreMaternParams,
     MultiquadraticParams,
     build_sequence,
     multiquadratic_kernel_closed_form,
@@ -82,7 +80,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_FAIL = 3
-EXIT_INCONCLUSIVE = 4
 
 OUTDIR_ENV = "SPHEREFIELD_OUTDIR"
 
@@ -290,8 +287,6 @@ def cmd_kernel(args) -> int:
         sys.stdout.write(text)
     if is_mq and params.d != 3:
         _info("closed-form columns are not series-consistent for d != 3")
-    if kernel.tail_is_heuristic:
-        _info("tail bound is a last-term heuristic (no tail descriptor)")
     return EXIT_OK
 
 
@@ -469,7 +464,10 @@ def cmd_sample(args) -> int:
 def cmd_equiv(args) -> int:
     """Compare two models: the closed-form verdict of their family, and the
     numeric verdict from the series terms ``t_0 .. t_L`` (``L = --l-max``),
-    which the report and the ``--out`` CSV list with their partial sums."""
+    which the report and the ``--out`` CSV list with their partial sums.
+
+    The exit code is the closed-form verdict's; a numeric verdict that is
+    not inconclusive and disagrees with it makes it 2."""
     p1 = _load_params(args.config1)
     p2 = _load_params(args.config2)
     n_terms = args.l_max + 1  # one series term per degree 0 .. l_max
@@ -480,24 +478,21 @@ def cmd_equiv(args) -> int:
     if args.k_max is not None and args.k_max < 1:
         raise UsageError(f"--k-max must be >= 1, got {args.k_max}")
 
-    closed = None
-    if isinstance(p1, MultiquadraticParams) and isinstance(p2, MultiquadraticParams):
-        closed = classify_multiquadratic(p1, p2)
-    elif isinstance(p1, LegendreMaternParams) and isinstance(p2, LegendreMaternParams):
-        closed = classify_legendre_matern(p1, p2)
-    elif type(p1) is not type(p2):
+    if type(p1) is not type(p2):
         raise UsageError("model families differ; no common coefficient space")
-    if args.k_max is not None and not isinstance(p1, LegendreMaternParams):
-        raise UsageError("--k-max is for Legendre-Matern configs only")
-
-    if isinstance(p1, LegendreMaternParams):
+    if isinstance(p1, MultiquadraticParams):
+        closed = classify_multiquadratic(p1, p2)
+        if args.k_max is not None:
+            raise UsageError("--k-max is for Legendre-Matern configs only")
+    else:   # Legendre-Matern, the other family that params_from_dict builds
+        closed = classify_legendre_matern(p1, p2)
         k_max = args.k_max if args.k_max is not None else max(p1.k_max, p2.k_max)
         p1, p2 = (replace(p, k_max=k_max) for p in (p1, p2))
     s1, s2 = (_build_sequence(p, args.l_max) for p in (p1, p2))
     terms = functional_series(s1, s2)
     numeric = classify_numeric(terms)
 
-    verdicts = [numeric] if closed is None else [closed, numeric]
+    verdicts = [closed, numeric]
     out_json = f"{args.out}.json" if args.out else None
     obj = report_to_dict(terms, verdicts)
     _emit_json(obj, out_json)
@@ -509,17 +504,11 @@ def cmd_equiv(args) -> int:
     for v in verdicts:
         _info(f"{v.provenance}: {v.verdict} ({v.diagnostics})")
 
-    if closed is not None and numeric.verdict != INCONCLUSIVE \
-            and numeric.verdict != closed.verdict:
+    if numeric.verdict not in (INCONCLUSIVE, closed.verdict):
         _info("ERROR: closed-form and numeric verdicts disagree; the "
               "truncation is undersized or there is a bug")
         return EXIT_INVALID
-    final = closed if closed is not None else numeric
-    if final.verdict == EQUIVALENT:
-        return EXIT_OK
-    if final.verdict == ORTHOGONAL:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return EXIT_OK if closed.verdict == EQUIVALENT else EXIT_FAIL
 
 
 def cmd_mc_check(args) -> int:

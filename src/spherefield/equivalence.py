@@ -239,7 +239,8 @@ def classify_numeric(terms: np.ndarray) -> EquivalenceVerdict:
     ``-1 + DECAY_MARGIN`` (terms not vanishing fast enough, or not at all)
     is Orthogonal; anything in between or statistically unsettled is
     Inconclusive.  The non-vanishing floor is consulted only when no decay
-    fit is available.
+    fit is available, which takes a window term that is not positive (a
+    window of positive finite terms always has one).
     """
     n = terms.shape[0]
     if n < MIN_TERMS:
@@ -272,10 +273,6 @@ def classify_numeric(terms: np.ndarray) -> EquivalenceVerdict:
         return EquivalenceVerdict(
             ORTHOGONAL, NUMERIC,
             f"terms decay like l^{fit:.3g}, too slow for summability; " + detail)
-    if not has_fit and float(np.min(tail)) > NONVANISHING_FLOOR:
-        return EquivalenceVerdict(
-            ORTHOGONAL, NUMERIC,
-            "terms stay above the non-vanishing floor with no decay fit; " + detail)
     if cauchy_ok and ((has_fit and fit < -1.0 - DECAY_MARGIN)
                       or (not has_fit and float(np.max(tail)) <= NONVANISHING_FLOOR)):
         return EquivalenceVerdict(

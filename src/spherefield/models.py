@@ -54,9 +54,9 @@ _FLOAT_MAX = float(np.finfo(float).max)
 class MultiquadraticParams:
     """Parameters of the bivariate multiquadratic family on S^d.
 
-    ``sigma = (sigma_1, sigma_2)`` are the marginal scales, ``rho12`` the
-    cross-correlation in (0, 1), and ``alpha = (a_11, a_22, a_12)`` the
-    geodesic decay rates, each in (0, 1).
+    ``sigma = (sigma_1, sigma_2)`` are the marginal scales (each with a
+    finite float64 square), ``rho12`` the cross-correlation in (0, 1), and
+    ``alpha = (a_11, a_22, a_12)`` the geodesic decay rates, each in (0, 1).
     """
 
     d: int
@@ -72,8 +72,11 @@ class MultiquadraticParams:
                              f"about 1.8e308), got {len(str(self.d))} digits")
         sigma = tuple(float(s) for s in self.sigma)
         alpha = tuple(float(a) for a in self.alpha)
-        if len(sigma) != 2 or any(s <= 0 for s in sigma):
+        if len(sigma) != 2 or not all(s > 0.0 for s in sigma):
             raise ValueError(f"sigma must be two positive scales, got {self.sigma}")
+        if not all(math.isfinite(s * s) for s in sigma):
+            raise ValueError("sigma^2 must be a finite float64 (each sigma below "
+                             f"about 1.34e154), got sigma = {self.sigma}")
         if len(alpha) != 3 or any(not 0.0 < a < 1.0 for a in alpha):
             raise ValueError(
                 f"alpha must be (a11, a22, a12) each in (0, 1), got {self.alpha}")

@@ -350,7 +350,6 @@ class ValidityReport:
     weighted_partial_sums: np.ndarray
     tail_estimate: float | None
     tail_is_heuristic: bool
-    psd_valid: bool
     strictly_positive: bool
     flags: tuple
     passed: bool
@@ -365,7 +364,7 @@ class ValidityReport:
             "weighted_partial_sums": json_finite(self.weighted_partial_sums),
             "tail_estimate": json_finite(self.tail_estimate),
             "tail_is_heuristic": self.tail_is_heuristic,
-            "psd_valid": self.psd_valid,
+            "psd_valid": True,   # construction checks PSD
             "strictly_positive": self.strictly_positive,
             "flags": list(self.flags),
             "passed": self.passed,
@@ -415,9 +414,8 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
     """Traces, eigenvalue margins, weighted-trace partial sums, and tail estimate.
 
     ``passed`` requires a finite weighted trace and every coefficient strictly
-    positive (:func:`strict_positivity`).  ``psd_valid`` is always true, as
-    construction checks it; ``min_eig_ratios`` (raw ``min eig / trace``) is
-    a diagnostic only."""
+    positive (:func:`strict_positivity`); ``min_eig_ratios`` (raw
+    ``min eig / trace``) is a diagnostic only."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         traces = _traces(seq.coeffs)
         mins = _min_eigenvalues(seq.coeffs)
@@ -442,7 +440,7 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
         d=seq.d, variant=seq.variant, l_max=seq.l_max,
         traces=traces, min_eig_ratios=ratios, weighted_partial_sums=partial,
         tail_estimate=tail_estimate, tail_is_heuristic=heuristic,
-        psd_valid=True, strictly_positive=strictly_positive,
+        strictly_positive=strictly_positive,
         flags=tuple(flags), passed=strictly_positive and finite)
 
 

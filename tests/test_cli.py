@@ -83,6 +83,27 @@ class TestValidate:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "sigma^2 must be a finite float64" in err
 
+    @pytest.mark.parametrize("command", ["validate", "schoenberg-export", "kernel",
+                                         "equiv"])
+    @pytest.mark.parametrize("sigma, message", [
+        (math.nan, "sigma must be two positive scales"),
+        (math.inf, "sigma^2 must be a finite float64 (each sigma below about 1.34e154)"),
+        (1e200, "sigma^2 must be a finite float64 (each sigma below about 1.34e154)"),
+        (1.35e154, "sigma^2 must be a finite float64 (each sigma below about 1.34e154)"),
+    ], ids=["nan", "inf", "1e200", "1.35e154"])
+    def test_overflowing_mq_sigma_invalid_model(self, capsys, tmp_json, command,
+                                                sigma, message):
+        # the model is refused before any coefficient is built, and the
+        # message names sigma rather than an infinite coefficient
+        config = tmp_json("m.json", dict(MQ, sigma=[sigma, 1]))
+        argv = {"validate": ["validate", "--config", config],
+                "schoenberg-export": ["schoenberg-export", "--config", config],
+                "kernel": ["kernel", "--config", config, "--thetas", "0,1"],
+                "equiv": ["equiv", config, tmp_json("b.json", MQ)]}[command]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(f"invalid model: {config}: {message}")
+
     @pytest.mark.parametrize("command", [["validate"], ["schoenberg-export"],
                                          ["kernel", "--thetas", "0,1"]])
     @pytest.mark.parametrize("nu", [172.0, 1e300, math.inf, 1e-310])
@@ -284,6 +305,15 @@ class TestKernel:
         assert code == 1 and out == ""
         assert "thetas must be finite" in err
 
+    @pytest.mark.parametrize("thetas, message", [
+        ("abc", "cannot parse theta list"), (",", "empty theta list"),
+        ("-0.1", "thetas must lie in [0, pi]"), ("3.2", "thetas must lie in [0, pi]")])
+    def test_bad_theta_list_usage_error(self, capsys, tmp_json, thetas, message):
+        code, out, err = run(capsys, ["kernel", "--config", tmp_json("m.json", MQ),
+                                      "--thetas", thetas, "--l-max", "10"])
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: {message}")
+
     def test_fourier_labels(self, capsys, tmp_json):
         lm = dict(LM, L_max=10, K_max=4)
         code, out, _ = run(capsys, ["kernel", "--config", tmp_json("m.json", lm),
@@ -331,8 +361,9 @@ class TestSample:
         ({"kind": "uniform", "d": 2, "n": 3, "seed": 1e300}, "seed"),
         ({"kind": "points", "d": 2, "points": [[0, 0, "1"]]}, "'points[0][2]'"),
         ({"kind": "equiangular", "n_polar": 2}, "'n_azimuth'"),
+        ({"kind": "uniform", "d": 2, "n": 0}, "grid must contain at least one point"),
     ], ids=["float", "bool", "string", "unknown_key", "huge_seed", "string_point",
-            "missing_key"])
+            "missing_key", "no_points"])
     def test_off_schema_grid_spec_names_the_key(self, capsys, tmp_json, tmp_path,
                                                 spec, key):
         grid = tmp_json("g.json", spec)
@@ -343,6 +374,16 @@ class TestSample:
         assert code == 1 and stdout == ""
         assert err.startswith(f"usage error: bad grid spec {grid}: ") and key in err
         assert len(err) < 200 and not (out / "manifest.json").exists()
+
+    def test_grid_dimension_mismatch_usage_error(self, capsys, tmp_json, tmp_path):
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, [
+            "sample", "--config", tmp_json("m.json", MQ),
+            "--grid", tmp_json("g.json", {"kind": "equispaced", "n": 5}),
+            "--n-samples", "1", "--l-max", "3", "--out", str(out)])
+        assert code == 1 and stdout == ""
+        assert err == "usage error: grid dimension 1 does not match model d=2\n"
+        assert not out.exists()
 
     def test_manifest_schema_and_streams(self, capsys, tmp_json, tmp_path):
         cfg = tmp_json("m.json", MQ)
@@ -746,7 +787,7 @@ class TestEquiv:
                                   tmp_json("b.json", LM_ALPHA),
                                   "--l-max", "64", "--k-max", "32",
                                   "--out", prefix])
-        assert code in (0, 4)  # equivalent or inconclusive, never orthogonal
+        assert code == 0  # the closed form says equivalent
         report = json.loads((tmp_path / "rep.json").read_text())
         validate_schema("equivalence_report.schema.json", report)
         with open(tmp_path / "rep.csv") as fh:
@@ -892,6 +933,19 @@ class TestMcCheck:
         code, _, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
                                     "--n-samples", "100"])
         assert code == 1
+
+    def test_circle_thetas(self, capsys, tmp_json):
+        # on S^1 the pairs are (1, 0) against (cos t, sin t)
+        code, out, _ = run(capsys, ["mc-check", "--config",
+                                    tmp_json("m.json", dict(MQ, d=1)),
+                                    "--thetas", "0,1,3", "--n-samples", "200",
+                                    "--l-max", "10"])
+        assert code == 0
+        report = json.loads(out)
+        validate_schema("check_report.schema.json", report)
+        assert [p["x"] for p in report["pairs"]] == [[1.0, 0.0]] * 3
+        assert [p["y"] for p in report["pairs"]] == [
+            [math.cos(t), math.sin(t)] for t in (0.0, 1.0, 3.0)]
 
     def test_pairs_file(self, capsys, tmp_json):
         pairs = {"pairs": [[[0, 0, 1], [0, 1, 0]]]}
@@ -1154,6 +1208,15 @@ def test_every_option_is_documented():
         for opt in action.option_strings
         if not re.search(re.escape(opt) + r"(?![\w-])", docs)})
     assert undocumented == []
+
+
+def test_exit_code_table_matches_the_code():
+    # the rows of docs/formats.md's "Exit codes" table, against cli's EXIT_*
+    text = (ROOT / "docs" / "formats.md").read_text()
+    section = text.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    documented = [int(code) for code in re.findall(r"^\| (\d+) \|", section, re.M)]
+    constants = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
+    assert documented and sorted(documented) == sorted(constants)
 
 
 def _reject_constant(token):

@@ -24,6 +24,19 @@ class TestMultiquadraticParams:
         with pytest.raises(ValueError, match="dimension"):
             mq(d=0)
 
+    @pytest.mark.parametrize("sigma, message", [
+        ((math.nan, 1.0), "two positive scales"),
+        ((1.0, math.nan), "two positive scales"),
+        ((math.inf, 1.0), "1.34e154"),
+        ((1.0, 1e200), "1.34e154"),
+        ((1.35e154, 1.0), "1.34e154")])
+    def test_non_finite_sigma_rejected(self, sigma, message):
+        # NaN fails every comparison, so it must fail "s > 0" rather than
+        # pass "s <= 0"; a scale whose square overflows makes b_0 infinite
+        with pytest.raises(ValueError, match=message):
+            mq(sigma=sigma)
+        mq(sigma=(1.3e154, 1.0))   # sigma^2 about 1.7e308 is still finite
+
     def test_dict_roundtrip(self):
         p = mq(d=3, sigma=(1.0, 1.3), rho12=0.2, alpha=(0.3, 0.4, 0.3))
         assert md.params_from_dict(p.to_dict()) == p
@@ -238,7 +251,7 @@ class TestBuildSequence:
         assert float(seq.coeffs[0, 0, 0]) > 0.0
         assert np.all(seq.coeffs[1:] == 0.0)
         report = sb.validate_sequence(seq)
-        assert report.psd_valid and not report.strictly_positive
+        assert report.to_dict()["psd_valid"] is True and not report.strictly_positive
 
     def test_unknown_params_type(self):
         with pytest.raises(TypeError):

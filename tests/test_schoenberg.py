@@ -330,14 +330,15 @@ class TestValidateSequence:
         p = md.MultiquadraticParams(d=2, sigma=(1.0, 1.0), rho12=0.5,
                                     alpha=(0.5, 0.5, 0.5))
         report = sb.validate_sequence(md.build_sequence(p, 100))
-        assert report.passed and report.psd_valid and report.strictly_positive
+        assert report.passed and report.strictly_positive
+        assert report.to_dict()["psd_valid"] is True
         assert not report.flags
 
     def test_zero_coefficient_flagged(self):
         seq = sb.SchoenbergSequence(2, sb.MATRIX, [np.eye(2), np.zeros((2, 2))])
         report = sb.validate_sequence(seq)
         assert not report.passed
-        assert report.psd_valid
+        assert report.to_dict()["psd_valid"] is True
         assert "not strictly positive" in report.flags
 
     def test_legendre_matern_tail_small(self):
