@@ -21,7 +21,6 @@ from .schoenberg import (
     SCALAR,
     IsotropicKernel,
     SchoenbergSequence,
-    ValidityReport,
     operator_sqrt,
     sequence_to_dict,
     truncate_sequence,
@@ -50,7 +49,6 @@ from .equivalence import (
     scalar_marginal_series,
 )
 from .simulate import (
-    CheckReport,
     FieldSample,
     SampleGrid,
     empirical_covariance,

@@ -244,12 +244,11 @@ def cmd_validate(args) -> int:
     params = _load_params(args.config)
     seq = _build_sequence(params, args.l_max)
     report = validate_sequence(seq)
-    obj = report.to_dict()
     if isinstance(params, MultiquadraticParams):
-        obj["margin"] = multiquadratic_validity(params).margin
-    _emit_json(obj, args.out)
-    if not report.passed:
-        _info("sequence validation failed: " + "; ".join(report.flags))
+        report["margin"] = multiquadratic_validity(params).margin
+    _emit_json(report, args.out)
+    if not report["passed"]:
+        _info("sequence validation failed: " + "; ".join(report["flags"]))
         return EXIT_INVALID
     _info(f"valid {seq.variant} sequence on S^{seq.d}, L_max={seq.l_max}")
     return EXIT_OK
@@ -548,10 +547,11 @@ def cmd_mc_check(args) -> int:
             stream=args.stream, analytic_seq=analytic)
     except EnsembleTooLarge as exc:
         raise OutOfMemory(f"{exc}; try a lower --n-samples") from exc
-    _emit_json(report.to_dict(), args.out)
-    _info(f"max |z| = {report.z_max:.3f} over {len(report.pairs)} pairs "
+    _emit_json(report, args.out)
+    z_max = math.inf if report["z_max"] is None else report["z_max"]
+    _info(f"max |z| = {z_max:.3f} over {len(report['pairs'])} pairs "
           f"(threshold {Z_THRESHOLD})")
-    return EXIT_OK if report.passed else EXIT_FAIL
+    return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def cmd_export(args) -> int:

@@ -210,6 +210,8 @@ class LegendreMaternParams:
             if not v > 0.0:
                 raise ValueError(f"{name} must be > 0, got {v}")
             object.__setattr__(self, name, v)
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be a finite float64, got alpha = {self.alpha}")
         if not math.isfinite(self.sigma * self.sigma):
             raise ValueError("sigma^2 must be a finite float64 (sigma below about "
                              f"1.34e154), got sigma = {self.sigma}")

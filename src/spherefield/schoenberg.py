@@ -332,43 +332,10 @@ class SchoenbergSequence:
 def json_finite(x):
     """A float, or a 1-d array as a list, with ``None`` (JSON ``null``) in
     place of every value that is not finite, as JSON has no infinity or NaN.
-    Reports write their computed floats through this in ``to_dict``."""
+    The report builders write their computed floats through this."""
     if isinstance(x, np.ndarray):
         return [v if math.isfinite(v) else None for v in x.tolist()]
     return x if x is None or math.isfinite(x) else None
-
-
-@dataclass(frozen=True)
-class ValidityReport:
-    """Per-degree diagnostics from :func:`validate_sequence`."""
-
-    d: int
-    variant: str
-    l_max: int
-    traces: np.ndarray
-    min_eig_ratios: np.ndarray
-    weighted_partial_sums: np.ndarray
-    tail_estimate: float | None
-    tail_is_heuristic: bool
-    strictly_positive: bool
-    flags: tuple
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "variant": self.variant,
-            "L_max": self.l_max,
-            "traces": json_finite(self.traces),
-            "min_eig_ratios": json_finite(self.min_eig_ratios),
-            "weighted_partial_sums": json_finite(self.weighted_partial_sums),
-            "tail_estimate": json_finite(self.tail_estimate),
-            "tail_is_heuristic": self.tail_is_heuristic,
-            "psd_valid": True,   # construction checks PSD
-            "strictly_positive": self.strictly_positive,
-            "flags": list(self.flags),
-            "passed": self.passed,
-        }
 
 
 TRACE_NOT_FINITE = "weighted trace not finite"
@@ -410,8 +377,12 @@ def tail_bound(seq: SchoenbergSequence, terms: np.ndarray | None = None):
     return float(terms[-1]), True
 
 
-def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
-    """Traces, eigenvalue margins, weighted-trace partial sums, and tail estimate.
+def validate_sequence(seq: SchoenbergSequence) -> dict:
+    """The validity report of docs/schemas/validity_report.schema.json, the
+    object that ``spherefield validate`` prints (which adds ``margin`` for
+    multiquadratic models): traces, eigenvalue margins, weighted-trace
+    partial sums, and tail estimate, with ``None`` for a value that is not
+    finite.
 
     ``passed`` requires a finite weighted trace and every coefficient strictly
     positive (:func:`strict_positivity`); ``min_eig_ratios`` (raw
@@ -436,12 +407,20 @@ def validate_sequence(seq: SchoenbergSequence) -> ValidityReport:
         if heuristic:
             flags.append("tail estimate is a last-term heuristic")
 
-    return ValidityReport(
-        d=seq.d, variant=seq.variant, l_max=seq.l_max,
-        traces=traces, min_eig_ratios=ratios, weighted_partial_sums=partial,
-        tail_estimate=tail_estimate, tail_is_heuristic=heuristic,
-        strictly_positive=strictly_positive,
-        flags=tuple(flags), passed=strictly_positive and finite)
+    return {
+        "d": seq.d,
+        "variant": seq.variant,
+        "L_max": seq.l_max,
+        "traces": json_finite(traces),
+        "min_eig_ratios": json_finite(ratios),
+        "weighted_partial_sums": json_finite(partial),
+        "tail_estimate": json_finite(tail_estimate),
+        "tail_is_heuristic": heuristic,
+        "psd_valid": True,   # construction checks PSD
+        "strictly_positive": strictly_positive,
+        "flags": flags,
+        "passed": strictly_positive and finite,
+    }
 
 
 class IsotropicKernel:

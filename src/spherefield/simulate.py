@@ -406,46 +406,6 @@ def empirical_covariance(values: np.ndarray, i: int, j: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PairCheck:
-    x: np.ndarray
-    y: np.ndarray
-    t: float
-    labels: list
-    empirical: np.ndarray
-    analytic: np.ndarray
-    se: np.ndarray
-    z: np.ndarray
-
-    @property
-    def z_max(self) -> float:
-        return float(np.max(np.abs(self.z))) if self.z.size else 0.0
-
-    def to_dict(self) -> dict:
-        return {"x": self.x.tolist(), "y": self.y.tolist(), "t": self.t,
-                "labels": self.labels,
-                "empirical": self.empirical.tolist(),
-                "analytic": self.analytic.tolist(),
-                "se": self.se.tolist(), "z": json_finite(self.z),
-                "z_max": json_finite(self.z_max)}
-
-
-@dataclass
-class CheckReport:
-    passed: bool
-    z_max: float
-    n_samples: int
-    l_max: int
-    tail_bound: float
-    pairs: list
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "z_max": json_finite(self.z_max),
-                "z_threshold": Z_THRESHOLD, "n_samples": self.n_samples,
-                "L_max": self.l_max, "tail_bound": self.tail_bound,
-                "pairs": [p.to_dict() for p in self.pairs]}
-
-
 def _zscores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
     z = np.zeros_like(diff)
     nz = se > 0.0
@@ -473,8 +433,11 @@ def _pair_statistics(seq, values, ix, iy):
 
 def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
                              seed: int = 0, stream: int = 0,
-                             analytic_seq: SchoenbergSequence | None = None) -> CheckReport:
-    """Compare sampled covariances against the analytic kernel at point pairs.
+                             analytic_seq: SchoenbergSequence | None = None) -> dict:
+    """Compare sampled covariances against the analytic kernel at point pairs,
+    and return the check report of docs/schemas/check_report.schema.json,
+    the object that ``spherefield mc-check`` prints (a z-score that is not
+    finite is ``None``).
 
     The analytic side (``analytic_seq``, by default ``seq``, compatible with
     it and at least as long) is truncated at ``seq.l_max``, the sampled
@@ -501,7 +464,7 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
 
     kernel = IsotropicKernel(ref)
 
-    results = []
+    results, pair_z_max = [], []
     for p_idx in range(pairs.shape[0]):
         ix = int(inverse[2 * p_idx])
         iy = int(inverse[2 * p_idx + 1])
@@ -509,13 +472,15 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
         labels, emp, se = _pair_statistics(seq, values, ix, iy)
         analytic = np.atleast_1d(kernel(t)).ravel()
         z = _zscores(emp - analytic, se)
-        results.append(PairCheck(x=pairs[p_idx, 0], y=pairs[p_idx, 1], t=t,
-                                 labels=labels, empirical=emp,
-                                 analytic=analytic, se=se, z=z))
-    z_max = max((r.z_max for r in results), default=0.0)
-    return CheckReport(passed=bool(z_max < Z_THRESHOLD), z_max=z_max,
-                       n_samples=n_samples, l_max=seq.l_max,
-                       tail_bound=kernel.tail_bound, pairs=results)
+        pair_z_max.append(float(np.max(np.abs(z))) if z.size else 0.0)
+        results.append({"x": pairs[p_idx, 0].tolist(), "y": pairs[p_idx, 1].tolist(),
+                        "t": t, "labels": labels, "empirical": emp.tolist(),
+                        "analytic": analytic.tolist(), "se": se.tolist(),
+                        "z": json_finite(z), "z_max": json_finite(pair_z_max[-1])})
+    z_max = max(pair_z_max, default=0.0)
+    return {"passed": bool(z_max < Z_THRESHOLD), "z_max": json_finite(z_max),
+            "z_threshold": Z_THRESHOLD, "n_samples": n_samples,
+            "L_max": seq.l_max, "tail_bound": kernel.tail_bound, "pairs": results}
 
 
 # ---------------------------------------------------------------------------

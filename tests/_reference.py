@@ -42,6 +42,12 @@ def validate_schema(name: str, obj) -> None:
     validator.validate(obj)
 
 
+def reject_constant(token):
+    """``parse_constant`` for ``json.loads`` that refuses ``Infinity``,
+    ``-Infinity`` and ``NaN``, which RFC 8259 JSON does not have."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def patch_draws(monkeypatch, on_draw):
     """Make every generator of the simulate module call ``on_draw(call
     index)`` before each ``standard_normal``."""

@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 from spherefield import _memory, cli
+from spherefield import models as md
+from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from _reference import ROOT, patch_draws, validate_schema
+from _reference import ROOT, patch_draws, reject_constant, validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -44,6 +46,20 @@ def run(capsys, argv):
 
 
 class TestValidate:
+    @pytest.mark.parametrize("model, l_max", [
+        (MQ, 40), (dict(LM, L_max=20, K_max=4), None)], ids=["mq", "lm"])
+    def test_library_report_is_stdout(self, capsys, tmp_json, model, l_max):
+        # validate prints the object that validate_sequence returns, with a
+        # margin for multiquadratic models only
+        params = md.params_from_dict(model)
+        report = sb.validate_sequence(md.build_sequence(params, l_max))
+        if isinstance(params, md.MultiquadraticParams):
+            report["margin"] = md.multiquadratic_validity(params).margin
+        argv = ["validate", "--config", tmp_json("m.json", model)]
+        code, out, _ = run(capsys, argv + ([] if l_max is None else
+                                           ["--l-max", str(l_max)]))
+        assert code == 0 and json.loads(out) == report
+
     def test_valid_model_exit_zero(self, capsys, tmp_json):
         code, out, _ = run(capsys, ["validate", "--config", tmp_json("m.json", MQ),
                                     "--l-max", "50"])
@@ -82,6 +98,29 @@ class TestValidate:
             "--config", tmp_json("m.json", blob)] + command[1:])
         assert code == 2 and out == "" and "Traceback" not in err
         assert "sigma^2 must be a finite float64" in err
+
+    @pytest.mark.parametrize("command", ["validate", "schoenberg-export", "kernel",
+                                         "mc-check", "equiv"])
+    @pytest.mark.parametrize("alpha", ["1e400", "Infinity"])
+    def test_infinite_lm_alpha_invalid_model(self, capsys, tmp_path, tmp_json,
+                                             command, alpha):
+        # an infinite alpha made every gamma 0: kernel and mc-check exited 0,
+        # schoenberg-export failed on an infinite tail parameter, and equiv
+        # against alpha = 1 reported disagreeing verdicts
+        config = tmp_path / "m.json"
+        config.write_text('{"model": "legendre_matern", "sigma": 1, "alpha": '
+                          f'{alpha}, "nu": 1, "L_max": 5, "K_max": 4}}')
+        config = str(config)
+        argv = {"validate": ["validate", "--config", config],
+                "schoenberg-export": ["schoenberg-export", "--config", config],
+                "kernel": ["kernel", "--config", config, "--thetas", "0,1"],
+                "mc-check": ["mc-check", "--config", config, "--thetas", "0,1",
+                             "--n-samples", "10"],
+                "equiv": ["equiv", config, tmp_json("b.json", LM)]}[command]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == (f"invalid model: {config}: alpha must be a finite "
+                       "float64, got alpha = inf\n")
 
     @pytest.mark.parametrize("command", ["validate", "schoenberg-export", "kernel",
                                          "equiv"])
@@ -882,6 +921,27 @@ class TestEquiv:
 
 
 class TestMcCheck:
+    def test_library_report_is_stdout(self, capsys, tmp_json):
+        # mc-check prints the object that monte_carlo_kernel_check returns
+        seq = md.build_sequence(md.params_from_dict(MQ), 5)
+        report = sim.monte_carlo_kernel_check(seq, cli._axis_pairs(2, [0.0, 1.0]), 50)
+        code, out, _ = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
+                                    "--thetas", "0,1", "--n-samples", "50",
+                                    "--l-max", "5"])
+        assert code == 0 and json.loads(out) == report
+
+    def test_infinite_z_is_null_and_inf_on_stderr(self, capsys, tmp_json):
+        # alpha = 1e300 samples a zero field; against alpha = 1 every standard
+        # error is 0 and every difference nonzero, so every z-score is infinite
+        sampled = dict(LM, alpha=1e300, L_max=5, K_max=4)
+        code, out, err = run(capsys, [
+            "mc-check", "--config", tmp_json("m.json", sampled),
+            "--analytic-config", tmp_json("a.json", dict(sampled, alpha=1.0)),
+            "--thetas", "0,1", "--n-samples", "10"])
+        assert code == 3
+        assert json.loads(out)["z_max"] is None
+        assert err == "max |z| = inf over 2 pairs (threshold 4.0)\n"
+
     def test_self_consistent_passes(self, capsys, tmp_json):
         code, out, _ = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
                                     "--thetas", "0,1.0,2.5",
@@ -1219,10 +1279,6 @@ def test_exit_code_table_matches_the_code():
     assert documented and sorted(documented) == sorted(constants)
 
 
-def _reject_constant(token):
-    raise ValueError(f"{token} is not a JSON number")
-
-
 # name -> (arguments, "{a}" and "{b}" naming the two configs; the models;
 # the schema of stdout, None for an empty stdout; the exit code)
 STRICT_JSON_CASES = {
@@ -1261,7 +1317,7 @@ def test_stdout_is_strict_json(capsys, tmp_json, name):
         assert out == ""
     else:
         validate_schema(f"{schema}.schema.json",
-                        json.loads(out, parse_constant=_reject_constant))
+                        json.loads(out, parse_constant=reject_constant))
 
 
 class TestExportAndUsage:

@@ -187,12 +187,26 @@ class TestLegendreMaternGamma:
         with pytest.raises(ValueError, match="truncations"):
             md.LegendreMaternParams(1.0, 1.0, 1.0, 0, 10)
 
+    @pytest.mark.parametrize("alpha", [math.inf, 10 ** 400])
+    def test_infinite_alpha_rejected(self, alpha):
+        # alpha = inf made every gamma 0, a model outside the family whose
+        # closed-form and numeric equivalence verdicts disagree
+        block = {"model": "legendre_matern", "sigma": 1, "alpha": alpha, "nu": 1}
+        with pytest.raises(ValueError, match="alpha must be a finite float64, "
+                                             "got alpha = inf"):
+            md.params_from_dict(block)
+
+    def test_huge_finite_alpha_underflows_to_zero(self):
+        # every gamma is below float64, and 0 is its correctly rounded value
+        p = md.LegendreMaternParams(1.0, 1e300, 1.0, 5, 4)
+        assert np.all(md.legendre_matern_gamma_grid(p) == 0.0)
+
 
 class TestBuildSequence:
     def test_multiquadratic_composes_with_validation(self):
         seq = md.build_sequence(mq(), 150)
         report = sb.validate_sequence(seq)
-        assert report.passed
+        assert report["passed"]
 
     def test_invalid_parameters_rejected_by_name(self):
         p = mq(alpha=(0.6, 0.4, 0.5))
@@ -234,13 +248,13 @@ class TestBuildSequence:
         assert h_weighted == pytest.approx(brute_h_weighted, rel=1e-12)
         # module's reported weighted trace is omega_2 * sum_l trace(b_l)
         report = sb.validate_sequence(seq)
-        assert report.weighted_partial_sums[-1] == pytest.approx(
+        assert report["weighted_partial_sums"][-1] == pytest.approx(
             4 * math.pi * float(np.sum(grid @ mult)), rel=1e-12)
 
     def test_legendre_matern_partial_sums_cauchy(self):
         p = md.LegendreMaternParams(1.0, 1.0, 1.0, 2000, 2000)
         report = sb.validate_sequence(md.build_sequence(p))
-        sums = report.weighted_partial_sums
+        sums = report["weighted_partial_sums"]
         assert (sums[-1] - sums[1000]) / sums[-1] < 1e-3
 
     def test_circle_family_degenerates(self):
@@ -251,7 +265,7 @@ class TestBuildSequence:
         assert float(seq.coeffs[0, 0, 0]) > 0.0
         assert np.all(seq.coeffs[1:] == 0.0)
         report = sb.validate_sequence(seq)
-        assert report.to_dict()["psd_valid"] is True and not report.strictly_positive
+        assert report["psd_valid"] is True and not report["strictly_positive"]
 
     def test_unknown_params_type(self):
         with pytest.raises(TypeError):

@@ -1,10 +1,13 @@
-"""Property tests: every CLI flag input maps to a documented exit code, every
-model block and grid spec the parsers accept obeys its schema, extreme model
-parameters end in a documented exit code without a numpy warning,
-``validate`` and ``equiv`` share one definition of strict positivity,
-``C_l^lam(1)`` is the exact binomial rounded once, and a window of positive
-finite series terms always has a decay fit."""
+"""Property tests: every CLI flag input maps to a documented exit code and
+any JSON it prints obeys its schema, every model block and grid spec the
+parsers accept obeys its schema, every model block of the schema is parsed
+or an invalid model, extreme model parameters end in a documented exit code
+without a numpy warning, ``validate`` and ``equiv`` share one definition of
+strict positivity, ``C_l^lam(1)`` is the exact binomial rounded once, and a
+window of positive finite series terms always has a decay fit."""
 
+import contextlib
+import io
 import json
 import math
 import shutil
@@ -20,7 +23,7 @@ from spherefield import harmonics as sh
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from _reference import validate_schema
+from _reference import reject_constant, validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -40,10 +43,28 @@ SINGLE_MODEL = {
 }
 
 
+# subcommand -> the schema of the JSON object it prints
+JSON_STDOUT = {"validate": "validity_report", "schoenberg-export": "sequence",
+               "mc-check": "check_report"}
+
+
 def _write(tmp_path_factory, name, obj) -> str:
     path = tmp_path_factory.getbasetemp() / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _main(argv) -> int:
+    """``cli.main(argv)``, checking that whatever a subcommand of
+    ``JSON_STDOUT`` prints is strict JSON (no Infinity or NaN) that obeys its
+    schema.  stdout is redirected rather than read from ``capsys``, which
+    hypothesis does not allow in a test it runs many times."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    if out.getvalue() and argv[0] in JSON_STDOUT:
+        validate_schema(f"{JSON_STDOUT[argv[0]]}.schema.json",
+                        json.loads(out.getvalue(), parse_constant=reject_constant))
+    return code
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -84,7 +105,7 @@ def test_l_max_flag_gives_documented_exit_code(tmp_path_factory, command, family
     if out_path is not None:
         argv += ["--out", str(out_path)]
     unwritable = out == ("existing file" if command == "sample" else "missing directory")
-    code = cli.main(argv)
+    code = _main(argv)
     shutil.rmtree(base / "missing", ignore_errors=True)   # `sample` makes it
     assert code == 1 if l_max < 0 or unwritable else code in {0, 2, 3}
 
@@ -118,6 +139,53 @@ def test_accepted_model_blocks_obey_the_schema(block):
     except (KeyError, TypeError, ValueError):
         return
     validate_schema("model.schema.json", block)
+
+
+def _positive(draw, top=None):
+    """A number > 0 up to ``top`` (any, infinity included, by default): a
+    float, or an integer as large as 10^400."""
+    if draw(st.booleans()):
+        return draw(st.integers(1, 10 ** 400 if top is None else int(top)))
+    return draw(st.floats(0.0, top, exclude_min=True))
+
+
+def _integer(draw, top):
+    """An integer in [1, top], sometimes written as the integral float that
+    draft 7 also counts as an integer."""
+    n = draw(st.integers(1, top) | st.sampled_from([1, 2, top]))
+    return float(n) if n < 1e308 and draw(st.booleans()) else n
+
+
+@st.composite
+def schema_model_blocks(draw):
+    """A block that model.schema.json accepts, the optional L_max and K_max
+    of a Legendre-Matern block present or omitted."""
+    if draw(st.booleans()):
+        unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        block = {"model": "multiquadratic", "d": _integer(draw, 10 ** 400),
+                 "sigma": [_positive(draw, 1e300) for _ in range(2)],
+                 "rho12": draw(unit), "alpha": draw(st.lists(unit, min_size=3,
+                                                             max_size=3))}
+    else:
+        block = {"model": "legendre_matern", "sigma": _positive(draw, 1e300),
+                 "alpha": _positive(draw), "nu": _positive(draw)}
+        for key in ("L_max", "K_max"):
+            if draw(st.booleans()):
+                block[key] = _integer(draw, 10 ** 6)
+    validate_schema("model.schema.json", block)
+    return block
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block=schema_model_blocks())
+def test_schema_model_blocks_are_never_malformed(block):
+    # the converse of the property above: a block of the schema is accepted,
+    # or refused as an invalid model (ValueError, exit 2), and never as
+    # malformed (KeyError or TypeError, exit 1)
+    try:
+        md.params_from_dict(block)
+    except ValueError:
+        pass
 
 
 GRID_SPECS = [
@@ -216,8 +284,8 @@ def test_extreme_models_give_documented_exit_code(tmp_path_factory, model):
     for command in ("validate", "kernel", "schoenberg-export"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = cli.main([command, "--config", config, *l_max_args,
-                             *SINGLE_MODEL[command]])
+            code = _main([command, "--config", config, *l_max_args,
+                          *SINGLE_MODEL[command]])
         assert code in {0, 2}, (command, block)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -233,7 +301,7 @@ def _equiv_accepts(seq) -> bool:
 
 
 def _assert_one_definition(seq) -> bool:
-    positive = sb.validate_sequence(seq).strictly_positive
+    positive = sb.validate_sequence(seq)["strictly_positive"]
     assert positive == _equiv_accepts(seq)
     return positive
 

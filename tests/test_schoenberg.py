@@ -318,8 +318,8 @@ class TestTailBounds:
         seq = make()
         assert sb.tail_bound(seq) == (bound, heuristic)
         report = sb.validate_sequence(seq)
-        assert (report.tail_estimate, report.tail_is_heuristic) == (estimate, heuristic)
-        assert (("tail estimate is a last-term heuristic" in report.flags)
+        assert (report["tail_estimate"], report["tail_is_heuristic"]) == (estimate, heuristic)
+        assert (("tail estimate is a last-term heuristic" in report["flags"])
                 == (heuristic and bound is not None))
         kernel = sb.IsotropicKernel(seq)
         assert (kernel.tail_bound, kernel.tail_is_heuristic) == (kernel_bound, heuristic)
@@ -330,28 +330,28 @@ class TestValidateSequence:
         p = md.MultiquadraticParams(d=2, sigma=(1.0, 1.0), rho12=0.5,
                                     alpha=(0.5, 0.5, 0.5))
         report = sb.validate_sequence(md.build_sequence(p, 100))
-        assert report.passed and report.strictly_positive
-        assert report.to_dict()["psd_valid"] is True
-        assert not report.flags
+        assert report["passed"] and report["strictly_positive"]
+        assert report["psd_valid"] is True
+        assert not report["flags"]
 
     def test_zero_coefficient_flagged(self):
         seq = sb.SchoenbergSequence(2, sb.MATRIX, [np.eye(2), np.zeros((2, 2))])
         report = sb.validate_sequence(seq)
-        assert not report.passed
-        assert report.to_dict()["psd_valid"] is True
-        assert "not strictly positive" in report.flags
+        assert not report["passed"]
+        assert report["psd_valid"] is True
+        assert "not strictly positive" in report["flags"]
 
     def test_legendre_matern_tail_small(self):
         p = md.LegendreMaternParams(1.0, 1.0, 1.0, 200, 200)
         report = sb.validate_sequence(md.build_sequence(p))
-        total = report.weighted_partial_sums[-1]
-        assert report.tail_estimate is not None and not report.tail_is_heuristic
-        assert report.tail_estimate < 1e-3 * total
+        total = report["weighted_partial_sums"][-1]
+        assert report["tail_estimate"] is not None and not report["tail_is_heuristic"]
+        assert report["tail_estimate"] < 1e-3 * total
 
     def test_report_serializes_against_schema(self):
         p = md.LegendreMaternParams(1.0, 1.0, 1.0, 20, 20)
         report = sb.validate_sequence(md.build_sequence(p))
-        validate_schema("validity_report.schema.json", report.to_dict())
+        validate_schema("validity_report.schema.json", report)
 
 
 class TestSequenceSerialization:
