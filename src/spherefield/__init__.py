@@ -39,7 +39,6 @@ from .equivalence import (
     EQUIVALENT,
     INCONCLUSIVE,
     ORTHOGONAL,
-    EquivalenceVerdict,
     classify_legendre_matern,
     classify_multiquadratic,
     classify_numeric,

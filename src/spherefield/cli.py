@@ -245,7 +245,7 @@ def cmd_validate(args) -> int:
     seq = _build_sequence(params, args.l_max)
     report = validate_sequence(seq)
     if isinstance(params, MultiquadraticParams):
-        report["margin"] = multiquadratic_validity(params).margin
+        report["margin"] = multiquadratic_validity(params)
     _emit_json(report, args.out)
     if not report["passed"]:
         _info("sequence validation failed: " + "; ".join(report["flags"]))
@@ -263,6 +263,7 @@ def cmd_kernel(args) -> int:
     values = kernel.evaluate_stack([math.cos(t) for t in thetas])
 
     is_mq = isinstance(params, MultiquadraticParams)
+    series_consistent = is_mq and params.d == 3
     header = ["theta"] + labels + ["tail_bound"]
     if is_mq:
         header += [f"cf[{i}][{j}]" for i in range(2) for j in range(2)]
@@ -274,8 +275,8 @@ def cmd_kernel(args) -> int:
         row.append(repr(kernel.tail_bound))
         if is_mq:
             cf = multiquadratic_kernel_closed_form(params, theta)
-            row += [repr(float(v)) for v in cf.matrix.ravel()]
-            row.append(str(int(cf.series_consistent)))
+            row += [repr(float(v)) for v in cf.ravel()]
+            row.append(str(int(series_consistent)))
         rows.append(row)
 
     lines = [",".join(header)] + [",".join(r) for r in rows]
@@ -284,7 +285,7 @@ def cmd_kernel(args) -> int:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    if is_mq and params.d != 3:
+    if is_mq and not series_consistent:
         _info("closed-form columns are not series-consistent for d != 3")
     return EXIT_OK
 
@@ -501,13 +502,13 @@ def cmd_equiv(args) -> int:
             write_series_csv(csv_path, terms)
 
     for v in verdicts:
-        _info(f"{v.provenance}: {v.verdict} ({v.diagnostics})")
+        _info(f"{v['provenance']}: {v['verdict']} ({v['diagnostics']})")
 
-    if numeric.verdict not in (INCONCLUSIVE, closed.verdict):
+    if numeric["verdict"] not in (INCONCLUSIVE, closed["verdict"]):
         _info("ERROR: closed-form and numeric verdicts disagree; the "
               "truncation is undersized or there is a bug")
         return EXIT_INVALID
-    return EXIT_OK if closed.verdict == EQUIVALENT else EXIT_FAIL
+    return EXIT_OK if closed["verdict"] == EQUIVALENT else EXIT_FAIL
 
 
 def cmd_mc_check(args) -> int:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,23 +62,10 @@ NONVANISHING_FLOOR = 1e-8
 MIN_TERMS = 32
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    verdict: str
-    provenance: str
-    diagnostics: str = ""
-
-    def __post_init__(self):
-        if self.verdict not in (EQUIVALENT, ORTHOGONAL, INCONCLUSIVE):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.provenance not in (CLOSED_FORM, NUMERIC):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.provenance == CLOSED_FORM and self.verdict == INCONCLUSIVE:
-            raise ValueError("closed-form verdicts are never inconclusive")
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "provenance": self.provenance,
-                "diagnostics": self.diagnostics}
+def _verdict(verdict: str, provenance: str, diagnostics: str) -> dict:
+    """A verdict as the ``verdicts`` item of the equivalence report."""
+    return {"verdict": verdict, "provenance": provenance,
+            "diagnostics": diagnostics}
 
 
 _EPS = float(np.finfo(float).eps)
@@ -230,7 +216,7 @@ def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,
     return functional_series(project_sequence(seq1, u), project_sequence(seq2, u))
 
 
-def classify_numeric(terms: np.ndarray) -> EquivalenceVerdict:
+def classify_numeric(terms: np.ndarray) -> dict:
     """Three-valued verdict from the terms ``t_0 .. t_L`` of a truncated
     series, read over the window ``(L // 2, L)``.
 
@@ -248,7 +234,7 @@ def classify_numeric(terms: np.ndarray) -> EquivalenceVerdict:
     lo, hi = _window(terms)
     tail = terms[lo:hi + 1]
     if not np.all(np.isfinite(tail)):
-        return EquivalenceVerdict(
+        return _verdict(
             ORTHOGONAL, NUMERIC,
             f"terms overflow the floating range inside window [{lo},{hi}]")
     partial_sums = _partial_sums(terms)
@@ -267,24 +253,22 @@ def classify_numeric(terms: np.ndarray) -> EquivalenceVerdict:
     detail += f"tail_rel_growth={rel_growth:.3e} tail_max={float(np.max(tail)):.3e}"
 
     if s_hi == 0.0 or float(np.max(tail)) == 0.0:
-        return EquivalenceVerdict(EQUIVALENT, NUMERIC,
-                                  "all window terms vanish; " + detail)
+        return _verdict(EQUIVALENT, NUMERIC, "all window terms vanish; " + detail)
     if has_fit and fit > -1.0 + DECAY_MARGIN:
-        return EquivalenceVerdict(
+        return _verdict(
             ORTHOGONAL, NUMERIC,
             f"terms decay like l^{fit:.3g}, too slow for summability; " + detail)
     if cauchy_ok and ((has_fit and fit < -1.0 - DECAY_MARGIN)
                       or (not has_fit and float(np.max(tail)) <= NONVANISHING_FLOOR)):
-        return EquivalenceVerdict(
-            EQUIVALENT, NUMERIC,
-            "steep decay with Cauchy partial sums; " + detail)
-    return EquivalenceVerdict(
+        return _verdict(EQUIVALENT, NUMERIC,
+                        "steep decay with Cauchy partial sums; " + detail)
+    return _verdict(
         INCONCLUSIVE, NUMERIC,
         "decay near the summability boundary or partial sums unsettled; " + detail)
 
 
 def classify_multiquadratic(p1: MultiquadraticParams,
-                            p2: MultiquadraticParams) -> EquivalenceVerdict:
+                            p2: MultiquadraticParams) -> dict:
     """Closed-form classification of the multiquadratic family.
 
     Equivalent iff the marginal scales and marginal decay rates agree and
@@ -293,43 +277,41 @@ def classify_multiquadratic(p1: MultiquadraticParams,
     ``a12 = sqrt(a11 a22)`` with identical parameters); Orthogonal otherwise.
     """
     for p in (p1, p2):
-        check = multiquadratic_validity(p)
-        if not check.valid:
-            raise ValueError(f"invalid multiquadratic parameters: {check.failing_condition}")
+        multiquadratic_validity(p)
     if p1.d != p2.d:
         raise ValueError(f"sphere dimensions differ: {p1.d} vs {p2.d}")
     if p1.sigma != p2.sigma:
-        return EquivalenceVerdict(ORTHOGONAL, CLOSED_FORM,
-                                  "marginal scales differ (marginal criterion fails)")
+        return _verdict(ORTHOGONAL, CLOSED_FORM,
+                        "marginal scales differ (marginal criterion fails)")
     if p1.alpha[0] != p2.alpha[0] or p1.alpha[1] != p2.alpha[1]:
-        return EquivalenceVerdict(ORTHOGONAL, CLOSED_FORM,
-                                  "marginal decay rates differ (marginal criterion fails)")
+        return _verdict(ORTHOGONAL, CLOSED_FORM,
+                        "marginal decay rates differ (marginal criterion fails)")
     root = math.sqrt(p1.alpha[0] * p1.alpha[1])
     a12_1, a12_2 = p1.alpha[2], p2.alpha[2]
     if a12_1 < root and a12_2 < root:
-        return EquivalenceVerdict(
+        return _verdict(
             EQUIVALENT, CLOSED_FORM,
             "cross rates strictly below sqrt(a11 a22): cross terms decay "
             "geometrically and the series converges")
     if a12_1 == a12_2 and p1.rho12 == p2.rho12:
-        return EquivalenceVerdict(EQUIVALENT, CLOSED_FORM,
-                                  "identical parameters on the boundary case")
-    return EquivalenceVerdict(
+        return _verdict(EQUIVALENT, CLOSED_FORM,
+                        "identical parameters on the boundary case")
+    return _verdict(
         ORTHOGONAL, CLOSED_FORM,
         "a cross rate sits on sqrt(a11 a22) with differing cross parameters; "
         "cross terms do not vanish")
 
 
 def classify_legendre_matern(p1: LegendreMaternParams,
-                             p2: LegendreMaternParams) -> EquivalenceVerdict:
+                             p2: LegendreMaternParams) -> dict:
     """Closed-form classification: Equivalent iff sigma and nu agree (alpha free)."""
     if p1.sigma == p2.sigma and p1.nu == p2.nu:
-        return EquivalenceVerdict(
+        return _verdict(
             EQUIVALENT, CLOSED_FORM,
             "equal scale and smoothness; the spectral ratio tends to 1 fast "
             "enough for summability regardless of alpha")
     which = "scale" if p1.sigma != p2.sigma else "smoothness"
-    return EquivalenceVerdict(
+    return _verdict(
         ORTHOGONAL, CLOSED_FORM,
         f"{which} parameters differ; the spectral ratio does not tend to 1")
 
@@ -339,16 +321,16 @@ def classify_legendre_matern(p1: LegendreMaternParams,
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(terms: np.ndarray,
-                   verdicts: list[EquivalenceVerdict]) -> dict:
-    """The equivalence report of the terms ``t_0 .. t_L`` and their verdicts."""
+def report_to_dict(terms: np.ndarray, verdicts: list[dict]) -> dict:
+    """The equivalence report of the terms ``t_0 .. t_L`` and their verdicts,
+    listed as given."""
     return {
         "degrees": list(range(terms.shape[0])),
         "terms": json_finite(terms),
         "partial_sums": json_finite(_partial_sums(terms)),
         "decay_fit": json_finite(fit_decay_exponent(terms)),
         "window": list(_window(terms)),
-        "verdicts": [v.to_dict() for v in verdicts],
+        "verdicts": verdicts,
         "policy": {"decay_margin": DECAY_MARGIN, "cauchy_eps": CAUCHY_EPS,
                    "nonvanishing_floor": NONVANISHING_FLOOR,
                    "min_terms": MIN_TERMS},

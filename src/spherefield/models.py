@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,18 +89,13 @@ class MultiquadraticParams:
                 "rho12": self.rho12, "alpha": list(self.alpha)}
 
 
-class MultiquadraticValidity(NamedTuple):
-    valid: bool
-    margin: float
-    failing_condition: str | None
-
-
-def multiquadratic_validity(p: MultiquadraticParams) -> MultiquadraticValidity:
-    """Check the two PSD conditions of the family.
+def multiquadratic_validity(p: MultiquadraticParams) -> float:
+    """The margin of the two PSD conditions of the family, the smaller of
+    their two slacks.
 
     Valid iff ``a12 <= sqrt(a11 a22)`` and
-    ``rho12 < ((1-a11)(1-a22)/(1-a12)^2)^{(d-1)/2}``.  The margin is the
-    smaller of the two slacks.
+    ``rho12 < ((1-a11)(1-a22)/(1-a12)^2)^{(d-1)/2}``; otherwise a
+    ``ValueError`` names the first condition that fails.
     """
     a11, a22, a12 = p.alpha
     root = math.sqrt(a11 * a22)
@@ -109,14 +103,14 @@ def multiquadratic_validity(p: MultiquadraticParams) -> MultiquadraticValidity:
         bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((p.d - 1) / 2.0)
     except OverflowError:   # a base above 1, so a12 > root fails first
         bound = math.inf
-    margin = min(root - a12, bound - p.rho12)
-    failing = None
     if a12 > root:
-        failing = (f"alpha_12 = {a12:g} exceeds sqrt(alpha_11 alpha_22) = {root:g}")
+        failing = f"alpha_12 = {a12:g} exceeds sqrt(alpha_11 alpha_22) = {root:g}"
     elif p.rho12 >= bound:
         failing = (f"rho12 = {p.rho12:g} is not below the cross-correlation "
                    f"bound {bound:g}")
-    return MultiquadraticValidity(failing is None, margin, failing)
+    else:
+        return min(root - a12, bound - p.rho12)
+    raise ValueError(f"invalid multiquadratic parameters: {failing}")
 
 
 def _mq_entry_logs(p: MultiquadraticParams, n) -> np.ndarray:
@@ -139,17 +133,12 @@ def _mq_entry_logs(p: MultiquadraticParams, n) -> np.ndarray:
     return logs
 
 
-class ClosedFormValue(NamedTuple):
-    matrix: np.ndarray
-    series_consistent: bool
-
-
-def multiquadratic_kernel_closed_form(p: MultiquadraticParams, theta: float) -> ClosedFormValue:
-    """Closed-form kernel matrix with entries
+def multiquadratic_kernel_closed_form(p: MultiquadraticParams, theta: float) -> np.ndarray:
+    """The 2 x 2 closed-form kernel matrix with entries
     ``rho_ij sigma_i sigma_j (1-a_ij)^2 / (1 + a_ij^2 - 2 a_ij cos(theta))``.
 
     The denominator exponent matches the coefficient expansion exactly at
-    d = 3; for other d the value is returned with ``series_consistent=False``.
+    d = 3 only; for other d the matrix is not the kernel of the series.
     """
     if not 0.0 <= theta <= math.pi + THETA_SLACK:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
@@ -160,19 +149,16 @@ def multiquadratic_kernel_closed_form(p: MultiquadraticParams, theta: float) -> 
     def entry(rho, si, sj, a):
         return rho * si * sj * (1.0 - a) ** 2 / (1.0 + a * a - 2.0 * a * ct)
 
-    m = np.array([
+    return np.array([
         [entry(1.0, s1, s1, a11), entry(p.rho12, s1, s2, a12)],
         [entry(p.rho12, s1, s2, a12), entry(1.0, s2, s2, a22)],
     ])
-    return ClosedFormValue(m, p.d == 3)
 
 
 def multiquadratic_sequence(p: MultiquadraticParams, l_max: int) -> SchoenbergSequence:
     """Materialize the family as a SchoenbergSequence in the unnormalized
     Gegenbauer basis (published entries divided by ``C_n^lam(1)``)."""
-    check = multiquadratic_validity(p)
-    if not check.valid:
-        raise ValueError(f"invalid multiquadratic parameters: {check.failing_condition}")
+    multiquadratic_validity(p)
     require_fit(8 * 4 * (l_max + 1), f"the degree-{l_max} coefficient stack")
     e11, e22, e12 = np.exp(_mq_entry_logs(p, np.arange(l_max + 1)))
     stack = np.stack([np.stack([e11, e12], axis=1),

@@ -480,7 +480,8 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
     z_max = max(pair_z_max, default=0.0)
     return {"passed": bool(z_max < Z_THRESHOLD), "z_max": json_finite(z_max),
             "z_threshold": Z_THRESHOLD, "n_samples": n_samples,
-            "L_max": seq.l_max, "tail_bound": kernel.tail_bound, "pairs": results}
+            "L_max": seq.l_max, "tail_bound": json_finite(kernel.tail_bound),
+            "pairs": results}
 
 
 # ---------------------------------------------------------------------------

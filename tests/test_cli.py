@@ -54,7 +54,7 @@ class TestValidate:
         params = md.params_from_dict(model)
         report = sb.validate_sequence(md.build_sequence(params, l_max))
         if isinstance(params, md.MultiquadraticParams):
-            report["margin"] = md.multiquadratic_validity(params).margin
+            report["margin"] = md.multiquadratic_validity(params)
         argv = ["validate", "--config", tmp_json("m.json", model)]
         code, out, _ = run(capsys, argv + ([] if l_max is None else
                                            ["--l-max", str(l_max)]))
@@ -910,7 +910,8 @@ class TestEquiv:
         from spherefield import equivalence as eq
 
         def fake_numeric(series):
-            return eq.EquivalenceVerdict(eq.ORTHOGONAL, eq.NUMERIC, "forced")
+            return {"verdict": eq.ORTHOGONAL, "provenance": eq.NUMERIC,
+                    "diagnostics": "forced"}
 
         monkeypatch.setattr(cli, "classify_numeric", fake_numeric)
         code, _, err = run(capsys, ["equiv", tmp_json("a.json", LM),
@@ -1301,6 +1302,10 @@ STRICT_JSON_CASES = {
          dict(MQ, d=535, rho12=0.3, alpha=[0.5, 0.5, 0.5])], "equivalence_report", 3),
     "mc-check": (["mc-check", "--config", "{a}", "--thetas", "0,1", "--n-samples", "50",
                   "--l-max", "5"], [MQ], "check_report", 0),
+    # the power-law tail bound scales like 1 / nu^2: beyond float64 here
+    "mc-check-infinite-tail": (
+        ["mc-check", "--config", "{a}", "--thetas", "0,1", "--n-samples", "10"],
+        [dict(LM, nu=1e-300, L_max=5, K_max=4)], "check_report", 3),
     "schoenberg-export": (["schoenberg-export", "--config", "{a}"],
                           [dict(LM, L_max=5, K_max=4)], "sequence", 0),
 }

@@ -46,23 +46,20 @@ class TestMultiquadraticValidity:
     def test_equal_alphas_bound_is_one(self):
         # equal alphas give rho bound 1, and alpha_12 sits exactly on
         # sqrt(a11 a22), so the configuration is valid with zero slack there
-        check = md.multiquadratic_validity(mq(alpha=(0.5, 0.5, 0.5), rho12=0.5))
-        assert check.valid
-        assert check.margin == pytest.approx(0.0, abs=1e-15)
+        margin = md.multiquadratic_validity(mq(alpha=(0.5, 0.5, 0.5), rho12=0.5))
+        assert margin == pytest.approx(0.0, abs=1e-15)
 
     def test_cross_rate_violation(self):
         # alpha_12 = 0.5 > sqrt(0.6 * 0.4) ~ 0.4899
-        check = md.multiquadratic_validity(mq(alpha=(0.6, 0.4, 0.5)))
-        assert not check.valid
-        assert "alpha_12" in check.failing_condition
+        with pytest.raises(ValueError, match="invalid multiquadratic parameters: alpha_12"):
+            md.multiquadratic_validity(mq(alpha=(0.6, 0.4, 0.5)))
 
     def test_rho_bound_d3(self):
         # bound = ((0.7)(0.7)/(0.8)^2)^1 = 0.765625
         base = dict(d=3, sigma=(1.0, 1.0), alpha=(0.3, 0.3, 0.2))
-        good = md.multiquadratic_validity(mq(rho12=0.76, **base))
-        bad = md.multiquadratic_validity(mq(rho12=0.77, **base))
-        assert good.valid and not bad.valid
-        assert bad.failing_condition and "rho12" in bad.failing_condition
+        md.multiquadratic_validity(mq(rho12=0.76, **base))
+        with pytest.raises(ValueError, match="invalid multiquadratic parameters: rho12"):
+            md.multiquadratic_validity(mq(rho12=0.77, **base))
 
 
 class TestMultiquadraticCoefficients:
@@ -85,7 +82,7 @@ class TestMultiquadraticCoefficients:
             rho = rng.uniform(0.05, 0.999) * min(bound, 0.999)
             p = mq(d=d, sigma=tuple(rng.uniform(0.5, 2.0, 2)), rho12=rho,
                    alpha=(a11, a22, a12))
-            assert md.multiquadratic_validity(p).valid
+            md.multiquadratic_validity(p)
             # det(b_n) > 0 iff log e11 + log e22 > 2 log e12; the log-space
             # entries stay finite long after the entries themselves underflow
             logs = multiquadratic_coeff_logs(p, n)
@@ -123,14 +120,13 @@ class TestMultiquadraticClosedForm:
         p = mq(sigma=(1.0, 2.0))
         cf = md.multiquadratic_kernel_closed_form(p, 0.0)
         expect = np.array([[1.0, 0.4 * 2.0], [0.4 * 2.0, 4.0]])
-        assert np.allclose(cf.matrix, expect, rtol=1e-14)
-        assert not cf.series_consistent  # d = 2
+        assert np.allclose(cf, expect, rtol=1e-14)
 
     def test_antipodal_angle(self):
         p = mq()
         cf = md.multiquadratic_kernel_closed_form(p, math.pi)
         a = 0.5
-        assert cf.matrix[0, 0] == pytest.approx((1 - a) ** 2 / (1 + a) ** 2, rel=1e-14)
+        assert cf[0, 0] == pytest.approx((1 - a) ** 2 / (1 + a) ** 2, rel=1e-14)
 
     def test_d3_series_consistency(self):
         # generating-function oracle at lam = 1: the truncated coefficient
@@ -140,9 +136,8 @@ class TestMultiquadraticClosedForm:
         kernel = sb.IsotropicKernel(seq)
         for theta in np.arange(0.0, math.pi + 1e-9, math.pi / 8):
             cf = md.multiquadratic_kernel_closed_form(p, theta)
-            assert cf.series_consistent
             val = kernel(math.cos(theta))
-            assert np.max(np.abs(val - cf.matrix)) < 1e-8
+            assert np.max(np.abs(val - cf)) < 1e-8
 
     def test_rejects_bad_angle(self):
         with pytest.raises(ValueError):

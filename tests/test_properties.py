@@ -2,9 +2,10 @@
 any JSON it prints obeys its schema, every model block and grid spec the
 parsers accept obeys its schema, every model block of the schema is parsed
 or an invalid model, extreme model parameters end in a documented exit code
-without a numpy warning, ``validate`` and ``equiv`` share one definition of
-strict positivity, ``C_l^lam(1)`` is the exact binomial rounded once, and a
-window of positive finite series terms always has a decay fit."""
+without a numpy warning (also as an ``equiv`` pair), ``validate`` and
+``equiv`` share one definition of strict positivity, closed-form verdicts
+are decisive and symmetric, ``C_l^lam(1)`` is the exact binomial rounded
+once, and a window of positive finite series terms always has a decay fit."""
 
 import contextlib
 import io
@@ -14,8 +15,8 @@ import shutil
 import warnings
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
-from jsonschema import ValidationError
+from hypothesis import given, reject, settings, strategies as st
+from jsonschema import Draft7Validator, ValidationError
 
 from spherefield import cli
 from spherefield import equivalence as eq
@@ -23,7 +24,7 @@ from spherefield import harmonics as sh
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from _reference import reject_constant, validate_schema
+from _reference import load_schema, reject_constant, validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -45,7 +46,7 @@ SINGLE_MODEL = {
 
 # subcommand -> the schema of the JSON object it prints
 JSON_STDOUT = {"validate": "validity_report", "schoenberg-export": "sequence",
-               "mc-check": "check_report"}
+               "mc-check": "check_report", "equiv": "equivalence_report"}
 
 
 def _write(tmp_path_factory, name, obj) -> str:
@@ -57,13 +58,22 @@ def _write(tmp_path_factory, name, obj) -> str:
 def _main(argv) -> int:
     """``cli.main(argv)``, checking that whatever a subcommand of
     ``JSON_STDOUT`` prints is strict JSON (no Infinity or NaN) that obeys its
-    schema.  stdout is redirected rather than read from ``capsys``, which
-    hypothesis does not allow in a test it runs many times."""
+    schema, and that ``sample`` prints strict JSON listing the files of a
+    manifest that obeys its schema.  stdout is redirected rather than read
+    from ``capsys``, which hypothesis does not allow in a test it runs many
+    times."""
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
-    if out.getvalue() and argv[0] in JSON_STDOUT:
-        validate_schema(f"{JSON_STDOUT[argv[0]]}.schema.json",
-                        json.loads(out.getvalue(), parse_constant=reject_constant))
+    if not out.getvalue() or argv[0] not in (*JSON_STDOUT, "sample"):
+        return code
+    printed = json.loads(out.getvalue(), parse_constant=reject_constant)
+    if argv[0] in JSON_STDOUT:
+        validate_schema(f"{JSON_STDOUT[argv[0]]}.schema.json", printed)
+    else:
+        with open(printed["manifest"]) as fh:
+            manifest = json.load(fh, parse_constant=reject_constant)
+        validate_schema("manifest.schema.json", manifest)
+        assert printed["files"] == [f["name"] for f in manifest["files"]]
     return code
 
 
@@ -78,7 +88,7 @@ def test_equiv_flags_give_documented_exit_code(tmp_path_factory, family, l_max, 
     argv = ["equiv", *paths, "--l-max", str(l_max)]
     if k_max is not None:
         argv += ["--k-max", str(k_max)]
-    assert cli.main(argv) in {0, 1, 2, 3}
+    assert _main(argv) in {0, 1, 2, 3}
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -254,8 +264,8 @@ def test_gegenbauer_at_one_is_the_exact_binomial(d, l):
 @st.composite
 def extreme_model_blocks(draw):
     """Multiquadratic blocks on S^d up to d = 10^6 inside the closed-form
-    valid region, and Legendre-Matern blocks with nu up to 170, at small
-    truncations."""
+    valid region, and Legendre-Matern blocks with nu up to 170 (or drawn
+    log-uniformly down to 1e-300), at small truncations."""
     if draw(st.booleans()):
         d = draw(st.integers(1, 10 ** 6) | st.sampled_from([342, 343, 454, 455]))
         a11, a22 = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
@@ -268,7 +278,9 @@ def extreme_model_blocks(draw):
         return {"model": "multiquadratic", "d": d, "sigma": [1.0, 2.0],
                 "rho12": rho12, "alpha": [a11, a22, a12]}, draw(st.integers(0, 40))
     return {"model": "legendre_matern", "sigma": 10.0 ** draw(st.floats(-3.0, 3.0)),
-            "alpha": 10.0 ** draw(st.floats(-3.0, 3.0)), "nu": draw(st.floats(0.05, 170.0)),
+            "alpha": 10.0 ** draw(st.floats(-3.0, 3.0)),
+            "nu": draw(st.floats(0.05, 170.0) | st.just(1e-300)
+                       | st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e)),
             "L_max": draw(st.integers(1, 30)), "K_max": draw(st.integers(1, 30))}, None
 
 
@@ -276,17 +288,52 @@ def extreme_model_blocks(draw):
 @given(model=extreme_model_blocks())
 def test_extreme_models_give_documented_exit_code(tmp_path_factory, model):
     # a valid model of the right type is accepted (0) or an invalid model
-    # (2, e.g. coefficients underflowed to 0); an escaping exception or a
-    # numpy RuntimeWarning fails the test
+    # (2, e.g. coefficients underflowed to 0); mc-check, run on the
+    # Legendre-Matern blocks, may also fail its check (3), but a model that
+    # validates is never invalid there; an escaping exception or a numpy
+    # RuntimeWarning fails the test
     block, l_max = model
     config = _write(tmp_path_factory, "extreme.json", block)
     l_max_args = [] if l_max is None else ["--l-max", str(l_max)]
-    for command in ("validate", "kernel", "schoenberg-export"):
+    commands = ["validate", "kernel", "schoenberg-export"]
+    if block["model"] == "legendre_matern":
+        commands.append("mc-check")
+    codes = {}
+    for command in commands:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = _main([command, "--config", config, *l_max_args,
-                          *SINGLE_MODEL[command]])
-        assert code in {0, 2}, (command, block)
+            codes[command] = _main([command, "--config", config, *l_max_args,
+                                    *SINGLE_MODEL[command]])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert all(codes[c] in {0, 2} for c in commands if c != "mc-check"), (codes, block)
+    if "mc-check" in codes:
+        allowed = {0, 3} if codes["validate"] == 0 else {0, 2, 3}
+        assert codes["mc-check"] in allowed, (codes, block)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(model=extreme_model_blocks(), data=st.data())
+def test_extreme_model_pairs_give_documented_exit_code(tmp_path_factory, model, data):
+    # equiv on an extreme block against itself and against a copy with one
+    # parameter scaled down ends in 0, 2 or 3 without a numpy RuntimeWarning
+    block, _ = model
+    keys = [k for k in block if k not in ("model", "d", "L_max", "K_max")]
+    key = data.draw(st.sampled_from(keys))
+    factor = data.draw(st.floats(0.5, 1.0, exclude_max=True))
+    other = dict(block)
+    if isinstance(block[key], list):
+        i = data.draw(st.integers(0, len(block[key]) - 1))
+        other[key] = [v * factor if j == i else v for j, v in enumerate(block[key])]
+    else:
+        other[key] = block[key] * factor
+    l_max = data.draw(st.integers(31, 64))
+    config = _write(tmp_path_factory, "extreme.json", block)
+    for i, partner in enumerate((block, other)):
+        path = _write(tmp_path_factory, f"partner_{i}.json", partner)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _main(["equiv", config, path, "--l-max", str(l_max)])
+        assert code in {0, 2, 3}, (block, partner)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -304,6 +351,59 @@ def _assert_one_definition(seq) -> bool:
     positive = sb.validate_sequence(seq)["strictly_positive"]
     assert positive == _equiv_accepts(seq)
     return positive
+
+
+@st.composite
+def closed_form_pairs(draw):
+    """Two multiquadratic models inside the closed-form valid region on one
+    S^d (d from 1 to 10), sharing their marginals or not and sometimes equal,
+    or two Legendre-Matern models sharing sigma, nu, both or neither."""
+    positive = st.floats(0.1, 10.0)
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 10))
+
+        def marginals():
+            return (draw(st.tuples(positive, positive)),
+                    draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95)))
+
+        first = marginals()
+        pair = []
+        for _ in range(2):
+            sigma, a11, a22 = first if pair and draw(st.booleans()) else marginals()
+            a12 = draw(st.floats(0.05, 1.0) | st.just(1.0)) * math.sqrt(a11 * a22)
+            bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((d - 1) / 2.0)
+            pair.append(md.MultiquadraticParams(
+                d=d, sigma=sigma, rho12=draw(st.floats(0.05, 0.95)) * min(bound, 1.0),
+                alpha=(a11, a22, a12)))
+            if draw(st.booleans()):
+                pair.append(pair[0])
+                break
+        return eq.classify_multiquadratic, pair[:2]
+    sigma, alpha, nu = (draw(positive) for _ in range(3))
+    p1 = md.LegendreMaternParams(sigma, alpha, nu)
+    p2 = md.LegendreMaternParams(sigma if draw(st.booleans()) else draw(positive),
+                                 draw(positive),
+                                 nu if draw(st.booleans()) else draw(positive))
+    return eq.classify_legendre_matern, [p1, p2]
+
+
+VERDICT_ITEM = Draft7Validator(
+    load_schema("equivalence_report.schema.json")["properties"]["verdicts"]["items"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=closed_form_pairs())
+def test_closed_form_verdicts_are_decisive_and_symmetric(case):
+    # a closed-form verdict is never inconclusive, does not depend on the
+    # order of the pair, and is the verdicts item of the equivalence report
+    classify, (p1, p2) = case
+    forward, backward = classify(p1, p2), classify(p2, p1)
+    for v in (forward, backward):
+        VERDICT_ITEM.validate(v)
+        assert list(v) == ["verdict", "provenance", "diagnostics"]
+        assert v["verdict"] in (eq.EQUIVALENT, eq.ORTHOGONAL)
+        assert v["provenance"] == eq.CLOSED_FORM
+    assert forward["verdict"] == backward["verdict"]
 
 
 @st.composite
@@ -360,7 +460,10 @@ def test_strict_positivity_one_definition_on_multiquadratic(d, a11, a22, cross, 
     bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((d - 1) / 2.0)
     p = md.MultiquadraticParams(d=d, sigma=tuple(10.0 ** s for s in sigma),
                                 rho12=rho * min(bound, 1.0), alpha=(a11, a22, a12))
-    assume(md.multiquadratic_validity(p).valid)
+    try:
+        md.multiquadratic_validity(p)
+    except ValueError:
+        reject()
     _assert_one_definition(md.build_sequence(p, l_max))
 
 
