@@ -61,6 +61,7 @@ from .schoenberg import (
     entry_labels,
     has_finite_variance,
     sequence_to_dict,
+    tail_bound,
     validate_sequence,
 )
 from .simulate import (
@@ -258,9 +259,9 @@ def cmd_kernel(args) -> int:
     params = _load_params(args.config)
     thetas = _parse_thetas(args.thetas)
     seq = _build_finite_sequence(params, args.l_max)
-    kernel = IsotropicKernel(seq)
     labels = entry_labels(seq)
-    values = kernel.evaluate_stack([math.cos(t) for t in thetas])
+    values = IsotropicKernel(seq).evaluate_stack([math.cos(t) for t in thetas])
+    bound = repr(tail_bound(seq)[0])
 
     is_mq = isinstance(params, MultiquadraticParams)
     series_consistent = is_mq and params.d == 3
@@ -272,7 +273,7 @@ def cmd_kernel(args) -> int:
     for idx, theta in enumerate(thetas):
         entries = np.atleast_1d(values[idx]).ravel()
         row = [repr(theta)] + [repr(float(v)) for v in entries]
-        row.append(repr(kernel.tail_bound))
+        row.append(bound)
         if is_mq:
             cf = multiquadratic_kernel_closed_form(params, theta)
             row += [repr(float(v)) for v in cf.ravel()]
@@ -522,6 +523,9 @@ def cmd_mc_check(args) -> int:
     if args.pairs:
         spec = _load_config(args.pairs)
         try:
+            for key in spec:
+                if key != "pairs":
+                    raise TypeError(f"unknown field {key!r}")
             pairs = np.array(spec["pairs"], dtype=float)
             if pairs.ndim != 3 or pairs.shape[1:] != (2, seq.d + 1):
                 raise ValueError(f"pairs must have shape (n_pairs, 2, {seq.d + 1}), "

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._memory import require_fit
-from .schoenberg import (
-    FOURIER_DIAGONAL,
-    MATRIX,
-    GeometricTail,
-    PowerLawTail,
-    SchoenbergSequence,
-)
+from .schoenberg import FOURIER_DIAGONAL, MATRIX, SchoenbergSequence
 
 DEFAULT_L_MAX = 200
 DEFAULT_K_MAX = 200
@@ -87,6 +81,42 @@ class MultiquadraticParams:
     def to_dict(self) -> dict:
         return {"model": "multiquadratic", "d": self.d, "sigma": list(self.sigma),
                 "rho12": self.rho12, "alpha": list(self.alpha)}
+
+    def _tail_terms(self):
+        """``(c_i, a_ii)`` of the diagonal tails ``c_i binom(n + d - 2, n) a_ii^n``,
+        with ``c_i = sigma_i^2 (1 - a_ii)^(d-1)``."""
+        return [(s * s * (1.0 - a) ** (self.d - 1), a)
+                for s, a in zip(self.sigma, self.alpha[:2])]
+
+    def trace_tail_bound(self, l_from: int) -> float:
+        """Upper bound on ``sum_{n > l_from} trace(b_n) C_n^lam(1)``.
+
+        The term ratio ``a (n + d - 1) / (n + 1)`` is decreasing in n, so the
+        tail is bounded by its first term times the geometric closure at that
+        ratio (``inf`` when the ratio is not below 1).
+        """
+        total = 0.0
+        n = l_from + 1
+        for c, a in self._tail_terms():
+            if c == 0.0:
+                continue
+            r = a * (n + self.d - 1.0) / (n + 1.0)
+            if r >= 1.0:
+                return math.inf
+            if self.d >= 2:
+                log_binom = (math.lgamma(n + self.d - 1.0) - math.lgamma(n + 1.0)
+                             - math.lgamma(self.d - 1.0))
+            else:
+                log_binom = -math.inf  # family degenerates on the circle
+            log_term = math.log(c) + log_binom + n * math.log(a)
+            total += math.exp(log_term) / (1.0 - r)
+        return total
+
+    def tail_to_dict(self) -> dict:
+        """The ``tail`` object of docs/schemas/sequence.schema.json."""
+        c, a = zip(*self._tail_terms())
+        return {"kind": "geometric",
+                "params": {"coefficients": list(c), "ratios": list(a), "d": self.d}}
 
 
 def multiquadratic_validity(p: MultiquadraticParams) -> float:
@@ -163,13 +193,7 @@ def multiquadratic_sequence(p: MultiquadraticParams, l_max: int) -> SchoenbergSe
     e11, e22, e12 = np.exp(_mq_entry_logs(p, np.arange(l_max + 1)))
     stack = np.stack([np.stack([e11, e12], axis=1),
                       np.stack([e12, e22], axis=1)], axis=1)  # (L+1, 2, 2)
-    s1, s2 = p.sigma
-    a11, a22, _ = p.alpha
-    tail = GeometricTail(
-        coefficients=(s1 * s1 * (1.0 - a11) ** (p.d - 1),
-                      s2 * s2 * (1.0 - a22) ** (p.d - 1)),
-        ratios=(a11, a22), d=p.d)
-    return SchoenbergSequence(p.d, MATRIX, stack, tail)
+    return SchoenbergSequence(p.d, MATRIX, stack, p)
 
 
 def _finite_gammas(*xs) -> bool:
@@ -213,6 +237,29 @@ class LegendreMaternParams:
                 "alpha": self.alpha, "nu": self.nu,
                 "L_max": self.l_max, "K_max": self.k_max}
 
+    def trace_tail_bound(self, l_from: int) -> float:
+        """Integral upper bound on ``sum_{l > l_from} trace(b_l)``.
+
+        Uses ``sum_{k>=1} (alpha + k^2 + l^2)^{-nu-1/2} <= c_nu/2 (alpha + l^2)^{-nu}``
+        with ``c_nu = sqrt(pi) Gamma(nu) / Gamma(nu + 1/2)`` and then the
+        integral comparison in l, giving decay exponent ``2 nu + 1`` per degree.
+        """
+        s2 = self.sigma ** 2
+        nu = self.nu
+        c_nu = math.sqrt(math.pi) * math.gamma(nu) / math.gamma(nu + 0.5)
+        L = max(l_from, 1)
+        bound = 0.5 * s2 * (L ** -(2 * nu + 1) / (2 * nu + 1)
+                            + c_nu * L ** -(2 * nu) / (2 * nu))
+        if l_from < 1:
+            # add a majorant of the l = 1 term itself
+            bound += 0.5 * s2 * (1.0 + c_nu)
+        return bound
+
+    def tail_to_dict(self) -> dict:
+        """The ``tail`` object of docs/schemas/sequence.schema.json."""
+        return {"kind": "power_law",
+                "params": {"sigma": self.sigma, "alpha": self.alpha, "nu": self.nu}}
+
 
 def legendre_matern_gamma_grid(p: LegendreMaternParams,
                                l_max: int | None = None) -> np.ndarray:
@@ -235,15 +282,14 @@ def legendre_matern_gamma_grid(p: LegendreMaternParams,
 
 
 def build_sequence(params, l_max: int | None = None) -> SchoenbergSequence:
-    """Materialize either family with its closed-form tail descriptor; the
-    Legendre-Matern family lives on S^2, with h(l) = 2l+1 baked into its
-    spectrum."""
+    """Materialize either family, with ``params`` as the sequence's ``tail``
+    (its closed-form ``trace_tail_bound``); the Legendre-Matern family lives
+    on S^2, with h(l) = 2l+1 baked into its spectrum."""
     if isinstance(params, MultiquadraticParams):
         return multiquadratic_sequence(params, DEFAULT_L_MAX if l_max is None else l_max)
     if isinstance(params, LegendreMaternParams):
         return SchoenbergSequence(2, FOURIER_DIAGONAL,
-                                  legendre_matern_gamma_grid(params, l_max),
-                                  PowerLawTail(params.sigma, params.alpha, params.nu))
+                                  legendre_matern_gamma_grid(params, l_max), params)
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 

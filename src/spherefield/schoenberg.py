@@ -32,7 +32,7 @@ finite (:func:`has_finite_variance`), as kernels and sampling need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,83 +186,6 @@ def operator_sqrt(b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tail descriptors: closed-form upper bounds ``trace_tail_bound(L)`` on
-# ``sum_{l > L} trace(b_l) C_l^lam(1)``
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeometricTail:
-    """Tail of terms ``c_i * binom(n + d - 2, n) * ratio_i^n`` summed over i.
-
-    The term ratio ``ratio * (n + d - 1) / (n + 1)`` is decreasing in n, so
-    the tail beyond L is bounded by the (L+1)-th term times the geometric
-    closure at that ratio.
-    """
-
-    coefficients: tuple
-    ratios: tuple
-    d: int
-    kind: str = field(default="geometric", init=False)
-
-    def trace_tail_bound(self, l_from: int) -> float:
-        total = 0.0
-        n = l_from + 1
-        for c, a in zip(self.coefficients, self.ratios):
-            if c == 0.0:
-                continue
-            if not 0.0 < a < 1.0:
-                return math.inf
-            r = a * (n + self.d - 1.0) / (n + 1.0)
-            if r >= 1.0:
-                return math.inf
-            if self.d >= 2:
-                log_binom = (math.lgamma(n + self.d - 1.0) - math.lgamma(n + 1.0)
-                             - math.lgamma(self.d - 1.0))
-            else:
-                log_binom = -math.inf  # family degenerates on the circle
-            log_term = math.log(c) + log_binom + n * math.log(a)
-            total += math.exp(log_term) / (1.0 - r)
-        return total
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind,
-                "params": {"coefficients": list(self.coefficients),
-                           "ratios": list(self.ratios), "d": self.d}}
-
-
-@dataclass(frozen=True)
-class PowerLawTail:
-    """Integral tail bound for spectra ``sigma^2 / (h(l) (alpha + k^2 + l^2)^{nu + 1/2})``.
-
-    Uses ``sum_{k>=1} (alpha + k^2 + l^2)^{-nu-1/2} <= c_nu/2 (alpha + l^2)^{-nu}``
-    with ``c_nu = sqrt(pi) Gamma(nu) / Gamma(nu + 1/2)`` and then the integral
-    comparison in l, giving decay exponent ``2 nu + 1`` per degree.
-    """
-
-    sigma: float
-    alpha: float
-    nu: float
-    kind: str = field(default="power_law", init=False)
-
-    def trace_tail_bound(self, l_from: int) -> float:
-        s2 = self.sigma ** 2
-        nu = self.nu
-        c_nu = math.sqrt(math.pi) * math.gamma(nu) / math.gamma(nu + 0.5)
-        L = max(l_from, 1)
-        bound = 0.5 * s2 * (L ** -(2 * nu + 1) / (2 * nu + 1)
-                            + c_nu * L ** -(2 * nu) / (2 * nu))
-        if l_from < 1:
-            # add a majorant of the l = 1 term itself
-            bound += 0.5 * s2 * (1.0 + c_nu)
-        return bound
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind,
-                "params": {"sigma": self.sigma, "alpha": self.alpha, "nu": self.nu}}
-
-
-# ---------------------------------------------------------------------------
 # Sequences
 # ---------------------------------------------------------------------------
 
@@ -274,14 +197,18 @@ class SchoenbergSequence:
     ``coeffs`` is a read-only stack with the degree axis first: ``(L+1,)``
     scalar, ``(L+1, p, p)`` matrix, ``(L+1, K+1)`` fourier.  The input is
     checked in one batched pass (finite, symmetric and PSD; errors name the
-    first failing degree) and stored as a new array.  ``==`` compares values
-    (d, variant, tail and every entry); sequences are unhashable.
+    first failing degree) and stored as a new array.  ``tail`` is ``None`` or
+    an object with ``trace_tail_bound(l_from)``, an upper bound on
+    ``sum_{l > l_from} trace(b_l) C_l^lam(1)``, and ``tail_to_dict()``, its
+    JSON object; the model builders pass their parameter object.  ``==``
+    compares values (d, variant, tail and every entry); sequences are
+    unhashable.
     """
 
     d: int
     variant: str
     coeffs: np.ndarray
-    tail: GeometricTail | PowerLawTail | None = None
+    tail: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _checked_stack(self.variant, self.coeffs))
@@ -341,13 +268,12 @@ def json_finite(x):
 TRACE_NOT_FINITE = "weighted trace not finite"
 
 
-def _weighted_partial_sums(seq: SchoenbergSequence):
-    """``seq.trace_terms()`` and the partial sums of ``omega_d`` times them
-    over l = 0 .. L_max; the last sum is the truncated field variance
-    integrated over S^d.  An overflow gives ``inf`` without a warning."""
+def _weighted_partial_sums(seq: SchoenbergSequence) -> np.ndarray:
+    """The partial sums of ``omega_d`` times ``seq.trace_terms()`` over
+    l = 0 .. L_max; the last sum is the truncated field variance integrated
+    over S^d.  An overflow gives ``inf`` without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = seq.trace_terms()
-        return terms, np.cumsum(surface_measure(seq.d) * terms)
+        return np.cumsum(surface_measure(seq.d) * seq.trace_terms())
 
 
 def has_finite_variance(seq: SchoenbergSequence) -> bool:
@@ -357,24 +283,25 @@ def has_finite_variance(seq: SchoenbergSequence) -> bool:
     :data:`TRACE_NOT_FINITE`; its kernel and samples would hold ``inf`` or
     ``nan``.
     """
-    return bool(np.all(np.isfinite(_weighted_partial_sums(seq)[1])))
+    return bool(np.all(np.isfinite(_weighted_partial_sums(seq))))
 
 
-def tail_bound(seq: SchoenbergSequence, terms: np.ndarray | None = None):
+def tail_bound(seq: SchoenbergSequence):
     """The one truncation-tail rule: ``(bound, heuristic)``.
 
-    ``bound`` dominates ``sum_{l > L_max} trace(b_l) C_l^lam(1)``: the tail
-    descriptor's closed form when there is one, else the last computed term
-    ``trace(b_L) C_L^lam(1)`` (``heuristic`` true), else ``None`` at
-    ``L_max = 0``.  ``terms`` are ``seq.trace_terms()``, if already computed.
+    ``bound`` dominates ``sum_{l > L_max} trace(b_l) C_l^lam(1)``, and so the
+    dropped kernel terms in trace norm, uniformly in t since
+    ``|C_l(t)| <= C_l(1)``: the closed form of the sequence's ``tail`` when
+    it has one, else the last term ``trace(b_L) C_L^lam(1)`` (``heuristic``
+    true; ``inf`` without a warning where it overflows), else ``None`` at
+    ``L_max = 0``.
     """
     if seq.tail is not None:
         return seq.tail.trace_tail_bound(seq.l_max), False
     if seq.l_max == 0:
         return None, True
-    if terms is None:
-        terms = seq.trace_terms()
-    return float(terms[-1]), True
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(seq.trace_terms()[-1]), True
 
 
 def validate_sequence(seq: SchoenbergSequence) -> dict:
@@ -392,7 +319,7 @@ def validate_sequence(seq: SchoenbergSequence) -> dict:
         mins = _min_eigenvalues(seq.coeffs)
         ratios = np.where(traces > 0, mins / np.where(traces > 0, traces, 1.0), 0.0)
     strictly_positive = not np.any(strict_positivity(seq.coeffs)[0])
-    terms, partial = _weighted_partial_sums(seq)
+    partial = _weighted_partial_sums(seq)
     finite = bool(np.all(np.isfinite(partial)))
 
     flags = []
@@ -401,7 +328,7 @@ def validate_sequence(seq: SchoenbergSequence) -> dict:
     if not finite:
         flags.append(TRACE_NOT_FINITE)
 
-    tail_estimate, heuristic = tail_bound(seq, terms)
+    tail_estimate, heuristic = tail_bound(seq)
     if tail_estimate is not None:
         tail_estimate *= surface_measure(seq.d)
         if heuristic:
@@ -424,18 +351,12 @@ def validate_sequence(seq: SchoenbergSequence) -> dict:
 
 
 class IsotropicKernel:
-    """Evaluator for ``R(t) = sum_{l <= L_max} b_l C_l^lam(t)``.
-
-    ``tail_bound`` and ``tail_is_heuristic`` are those of :func:`tail_bound`
-    (an upper bound on the dropped terms in trace norm, uniform in t since
-    ``|C_l(t)| <= C_l(1)``), with 0.0 for a sequence of degree 0 alone.
-    """
+    """Evaluator for ``R(t) = sum_{l <= L_max} b_l C_l^lam(t)``; the
+    truncation tail is :func:`tail_bound`'s."""
 
     def __init__(self, seq: SchoenbergSequence):
         self.seq = seq
         self._order = seq.order
-        bound, self.tail_is_heuristic = tail_bound(seq)
-        self.tail_bound = 0.0 if bound is None else bound
 
     def evaluate_stack(self, ts) -> np.ndarray:
         """Raw kernel values for an array of ts, shape ``(len(ts),) + coeff shape``."""
@@ -478,8 +399,8 @@ def check_compatible(seq1: SchoenbergSequence, seq2: SchoenbergSequence) -> None
 def truncate_sequence(seq: SchoenbergSequence, l_max: int) -> SchoenbergSequence:
     """The one way to shorten a sequence, whose length is otherwise fixed where
     it is built: drop degrees above ``l_max`` (in ``[0, seq.l_max]``), and
-    return ``seq`` itself when none is dropped.  The tail descriptor (a bound
-    valid for any starting degree) is carried over."""
+    return ``seq`` itself when none is dropped.  The ``tail`` (a bound valid
+    for any starting degree) is carried over."""
     if not 0 <= l_max <= seq.l_max:
         raise ValueError(f"l_max must lie in [0, {seq.l_max}], got {l_max}")
     if l_max == seq.l_max:
@@ -498,6 +419,6 @@ def sequence_to_dict(seq: SchoenbergSequence) -> dict:
         "variant": seq.variant,
         "L_max": seq.l_max,
         "coeffs": seq.coeffs.tolist(),  # row-major nested lists
-        "tail": seq.tail.to_dict() if seq.tail is not None else None,
+        "tail": seq.tail.tail_to_dict() if seq.tail is not None else None,
     }
 

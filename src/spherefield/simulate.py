@@ -54,6 +54,7 @@ from .schoenberg import (
     entry_labels,
     json_finite,
     operator_sqrt,
+    tail_bound,
     truncate_sequence,
     unfolded_index,
 )
@@ -480,7 +481,7 @@ def monte_carlo_kernel_check(seq: SchoenbergSequence, pairs, n_samples: int,
     z_max = max(pair_z_max, default=0.0)
     return {"passed": bool(z_max < Z_THRESHOLD), "z_max": json_finite(z_max),
             "z_threshold": Z_THRESHOLD, "n_samples": n_samples,
-            "L_max": seq.l_max, "tail_bound": json_finite(kernel.tail_bound),
+            "L_max": seq.l_max, "tail_bound": json_finite(tail_bound(ref)[0]),
             "pairs": results}
 
 

@@ -681,6 +681,48 @@ def test_worker_write_error_names_the_output(capsys, tmp_json, tmp_path, monkeyp
     assert_reaped(forked)
 
 
+def _fork_fails(capsys, tmp_json, tmp_path, monkeypatch):
+    """A 2-field `sample` whose worker cannot be forked: its stderr."""
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_worker_count", lambda n: min(2, n))
+    code, out, err = run(capsys, ["sample", "--config", tmp_json("m.json", MQ), "--grid",
+                                  tmp_json("g.json", {"kind": "uniform", "d": 2, "n": 3}),
+                                  "--n-samples", "2", "--l-max", "3",
+                                  "--out", str(tmp_path / "run")])
+    assert code == 2 and out == ""
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    return err
+
+
+def _child_exits(capsys, tmp_json, tmp_path, monkeypatch):
+    """``_run_shares`` with a child that leaves with status 5: the error."""
+    parent = os.getpid()
+
+    def run_share(share):
+        if os.getpid() != parent:
+            os._exit(5)
+        return share
+
+    shares = [[argparse.Namespace(stream=0)],
+              [argparse.Namespace(stream=1), argparse.Namespace(stream=2)]]
+    with pytest.raises(cli.WorkerError) as info:
+        cli._run_shares(run_share, shares)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case, message", [
+    (_fork_fails, "error: cannot start a sample worker: "
+                  f"{os.strerror(errno.EAGAIN)}\n"),
+    (_child_exits, "the sample worker for streams 1..2 exited with status 5 and no result"),
+], ids=["fork_fails", "child_exits_without_result"])
+def test_worker_failures(capsys, tmp_json, tmp_path, monkeypatch, forked, case, message):
+    assert case(capsys, tmp_json, tmp_path, monkeypatch) == message
+    assert_reaped(forked)
+
+
 def test_workers_only_write(capsys, tmp_json, tmp_path, monkeypatch, forked):
     # a forked worker holds no recurrence state or group values and calls no
     # BLAS: every field is synthesized in the CLI process
@@ -1015,6 +1057,15 @@ class TestMcCheck:
                                     "--n-samples", "500", "--seed", "1",
                                     "--l-max", "6"])
         assert code == 0
+
+    def test_pairs_file_unknown_field_usage_error(self, capsys, tmp_json):
+        # a pairs file holds `pairs` alone, as a model block holds its fields
+        path = tmp_json("p.json", {"pairs": [[[0, 0, 1], [0, 1, 0]]], "extra": 1})
+        code, out, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),
+                                      "--pairs", path, "--n-samples", "10",
+                                      "--l-max", "2"])
+        assert code == 1 and out == ""
+        assert err == f"usage error: bad pairs file {path}: unknown field 'extra'\n"
 
     def test_nan_theta_usage_error(self, capsys, tmp_json):
         code, out, err = run(capsys, ["mc-check", "--config", tmp_json("m.json", MQ),

@@ -439,3 +439,13 @@ class TestReportOutput:
     def test_nonfinite_fit_serializes_null(self):
         assert math.isnan(eq.fit_decay_exponent(np.zeros(40)))
         assert eq.report_to_dict(np.zeros(40), [])["decay_fit"] is None
+
+
+@pytest.mark.parametrize("b1, b2, hl, message", [
+    (np.eye(2), np.eye(3), 1, "coefficients must share variant and size"),
+    (np.eye(2), np.eye(2), 0, "eigenspace dimension must be positive, got 0"),
+], ids=["shapes_differ", "hl_zero"])
+def test_hs_term_checks(b1, b2, hl, message):
+    with pytest.raises(ValueError) as info:
+        eq.hs_term(b1, b2, hl)
+    assert str(info.value) == message

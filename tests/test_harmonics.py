@@ -329,3 +329,22 @@ class TestBasisArithmetic:
         with pytest.raises(MemoryError, match="physical memory"):
             sh.iter_degree_blocks(2, 100, random_points(2, 200, seed=1))
         sh.iter_degree_blocks(2, 10, random_points(2, 200, seed=1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sh.gegenbauer_order(0), "sphere dimension must be >= 1, got 0"),
+    (lambda: sh.gegenbauer_all(-0.5, 3, 0.1), "Gegenbauer order must be >= 0, got -0.5"),
+    (lambda: sh.gegenbauer_all(0.5, -1, 0.1), "degree must be >= 0, got -1"),
+    (lambda: sh.gegenbauer_at_one(0.5, -1), "degree must be >= 0, got -1"),
+    (lambda: sh.check_points(2, [[0, 1]]), "points on S^2 must have 3 coordinates, got 2"),
+], ids=["order_d0", "all_negative_order", "all_negative_degree", "at_one_negative_degree",
+        "points_wrong_width"])
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_surface_measure_beyond_log_gamma_is_zero():
+    # log Gamma((d+1)/2) itself leaves float64
+    assert sh.surface_measure(10 ** 306) == 0.0

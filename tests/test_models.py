@@ -287,3 +287,15 @@ class TestParamsFromDict:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             md.params_from_dict({"model": "spectral_exponential"})
+
+
+@pytest.mark.parametrize("d, alpha, message", [
+    # the cross-correlation bound's base (0.9 * 0.9 / 0.1^2 = 81) raised to
+    # (d - 1) / 2 overflows; alpha_12 fails first
+    (10 ** 6, (0.1, 0.1, 0.9), "invalid multiquadratic parameters: alpha_12 = 0.9 "
+     "exceeds sqrt(alpha_11 alpha_22) = 0.1"),
+], ids=["bound_overflows"])
+def test_validity_refusal(d, alpha, message):
+    with pytest.raises(ValueError) as info:
+        md.multiquadratic_validity(mq(d=d, alpha=alpha))
+    assert str(info.value) == message

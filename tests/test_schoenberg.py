@@ -247,7 +247,7 @@ class TestKernelEval:
                                     alpha=(0.9, 0.1, 0.3))
         seq = md.build_sequence(p, 200)
         k = sb.IsotropicKernel(seq)
-        tail = k.tail_bound
+        tail = sb.tail_bound(seq)[0]
         r1 = k(1.0)
         assert np.linalg.eigvalsh(r1)[0] >= -(tail + 1e-10)
         for t in np.linspace(-1, 1, 21):
@@ -256,24 +256,26 @@ class TestKernelEval:
             assert np.linalg.eigvalsh(joint)[0] >= -(2 * tail + 1e-10)
 
     def test_tail_heuristic_flagged(self):
-        k = sb.IsotropicKernel(scalar_sequence([1, .5, .25]))
-        assert k.tail_is_heuristic
-        assert k.tail_bound == pytest.approx(0.25)
+        bound, heuristic = sb.tail_bound(scalar_sequence([1, .5, .25]))
+        assert heuristic
+        assert bound == pytest.approx(0.25)
 
 
 class TestTailBounds:
     def test_geometric_tail_dominates_brute_force(self):
         # oracle: direct summation of c * binom(n+d-2, n) * a^n far past L
         for d in (2, 3, 5):
-            tail = sb.GeometricTail(coefficients=(0.7, 1.3), ratios=(0.6, 0.4), d=d)
+            p = md.MultiquadraticParams(d=d, sigma=(1.0, 1.5), rho12=0.1,
+                                        alpha=(0.6, 0.4, 0.3))
             for L in (10, 50, 200):
                 brute = 0.0
-                for c, a in ((0.7, 0.6), (1.3, 0.4)):
+                for s, a in zip(p.sigma, p.alpha[:2]):
+                    c = s * s * (1.0 - a) ** (d - 1)
                     n = np.arange(L + 1, L + 4000)
                     lb = (np.vectorize(math.lgamma)(n + d - 1.0)
                           - np.vectorize(math.lgamma)(n + 1.0) - math.lgamma(d - 1.0))
                     brute += np.sum(c * np.exp(lb + n * math.log(a)))
-                bound = tail.trace_tail_bound(L)
+                bound = p.trace_tail_bound(L)
                 # at d = 2 the bound is the exact geometric tail, so allow
                 # summation rounding on the brute-force side
                 assert brute <= bound * (1.0 + 1e-12) + 1e-300
@@ -282,47 +284,44 @@ class TestTailBounds:
     def test_power_law_tail_dominates_brute_force(self):
         for sigma, alpha, nu in ((1.0, 1.0, 1.0), (2.0, 0.5, 0.75)):
             p = md.LegendreMaternParams(sigma, alpha, nu, 2, 2)
-            tail = sb.PowerLawTail(sigma, alpha, nu)
             for L in (5, 50, 200):
                 grid = md.legendre_matern_gamma_grid(replace(p, k_max=4000), l_max=L + 3000)
                 mult = np.full(4001, 2.0)
                 mult[0] = 1.0
                 brute = float(np.sum(grid[L + 1:] @ mult))
-                assert brute <= tail.trace_tail_bound(L)
+                assert brute <= p.trace_tail_bound(L)
 
     def test_serialization_roundtrip(self):
-        assert sb.GeometricTail((1.0, 0.25), (0.5, 0.3), 3).to_dict() == {
+        mq = md.MultiquadraticParams(d=3, sigma=(2.0, 1.0), rho12=0.4,
+                                     alpha=(0.5, 0.5, 0.3))
+        assert mq.tail_to_dict() == {
             "kind": "geometric",
-            "params": {"coefficients": [1.0, 0.25], "ratios": [0.5, 0.3], "d": 3}}
-        assert sb.PowerLawTail(1.0, 2.0, 0.8).to_dict() == {
+            "params": {"coefficients": [1.0, 0.25], "ratios": [0.5, 0.5], "d": 3}}
+        assert md.LegendreMaternParams(1.0, 2.0, 0.8).tail_to_dict() == {
             "kind": "power_law", "params": {"sigma": 1.0, "alpha": 2.0, "nu": 0.8}}
 
-    # tail_bound(seq), then validate's tail_estimate (times omega_d) and the
-    # kernel's tail_bound; the values are pinned as the two computed them
-    # before they shared tail_bound
-    @pytest.mark.parametrize("make, bound, heuristic, estimate, kernel_bound", [
+    # tail_bound(seq), then validate's tail_estimate (times omega_d); the
+    # values are pinned as validate and the kernel computed them before they
+    # shared tail_bound
+    @pytest.mark.parametrize("make, bound, heuristic, estimate", [
         pytest.param(lambda: md.build_sequence(md.MultiquadraticParams(
             d=3, sigma=(1, 1.2), rho12=.4, alpha=(.5, .5, .45)), 10),
-            0.007798295454545433, False, 0.15393218227835348, 0.007798295454545433,
-            id="geometric"),
+            0.007798295454545433, False, 0.15393218227835348, id="geometric"),
         pytest.param(lambda: md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 8, 8)),
-                     0.008138020833333332, False, 0.10226538585904273,
-                     0.008138020833333332, id="power_law"),
+                     0.008138020833333332, False, 0.10226538585904273, id="power_law"),
         # the last term trace(b_2) C_2^1(1) = 0.25 * 3, times omega_3 = 2 pi^2
         pytest.param(lambda: scalar_sequence([1.0, 0.5, 0.25], d=3),
-                     0.75, True, 14.804406601634037, 0.75, id="heuristic"),
+                     0.75, True, 14.804406601634037, id="heuristic"),
         pytest.param(lambda: scalar_sequence([1.0], d=3),
-                     None, True, None, 0.0, id="degree_zero"),
+                     None, True, None, id="degree_zero"),
     ])
-    def test_one_tail_bound(self, make, bound, heuristic, estimate, kernel_bound):
+    def test_one_tail_bound(self, make, bound, heuristic, estimate):
         seq = make()
         assert sb.tail_bound(seq) == (bound, heuristic)
         report = sb.validate_sequence(seq)
         assert (report["tail_estimate"], report["tail_is_heuristic"]) == (estimate, heuristic)
         assert (("tail estimate is a last-term heuristic" in report["flags"])
                 == (heuristic and bound is not None))
-        kernel = sb.IsotropicKernel(seq)
-        assert (kernel.tail_bound, kernel.tail_is_heuristic) == (kernel_bound, heuristic)
 
 
 class TestValidateSequence:
@@ -364,3 +363,24 @@ class TestSequenceSerialization:
     ])
     def test_roundtrip(self, make):
         validate_schema("sequence.schema.json", sb.sequence_to_dict(make()))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sb.SchoenbergSequence(2, "bogus", [1.0]), "unknown variant 'bogus'"),
+    (lambda: sb.SchoenbergSequence(2, sb.MATRIX, np.zeros((2, 2, 3))),
+     "matrix coefficients must stack to a nonempty 3-d array (matrices square), "
+     "got shape (2, 2, 3)"),
+    (lambda: sb.SchoenbergSequence(0, sb.SCALAR, [1.0]),
+     "sphere dimension must be >= 1, got 0"),
+    (lambda: sb.SchoenbergSequence(2, sb.MATRIX, [np.eye(2)]).quadratic_forms([1, 0, 0]),
+     "direction must have length 2, got shape (3,)"),
+], ids=["unknown_variant", "matrix_not_square", "d0", "direction_length"])
+def test_sequence_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_sequence_is_not_equal_to_another_type():
+    seq = scalar_sequence([1.0])
+    assert (seq == 3) is False and seq != 3

@@ -738,3 +738,19 @@ class TestExports:
         obj = json.loads(path.read_text())
         assert obj["seed"] == 4 and obj["L_max"] == 6
         assert np.allclose(obj["values"], sample.values)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda seq, g: sim.sample_coefficients(seq, 4, sim.make_generator(0, 0)),
+     "degree must lie in [0, 3], got 4"),
+    (lambda seq, g: sim.synthesize_ensemble(seq, sim.SampleGrid.from_points(1, [[1.0, 0.0]]), 2),
+     "grid dimension 1 does not match sequence d=2"),
+    (lambda seq, g: sim.synthesize_ensemble(seq, g, 0), "n_fields must be >= 1, got 0"),
+    (lambda seq, g: sim.monte_carlo_kernel_check(seq, [[[0, 0, 1], [0, 1, 0]]], 1),
+     "n_samples must be >= 2, got 1"),
+], ids=["degree_above_l_max", "ensemble_grid_d", "ensemble_no_fields", "one_sample"])
+def test_argument_checks(call, message):
+    grid = sim.SampleGrid.from_points(2, [[0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError) as info:
+        call(mq_sequence(l_max=3), grid)
+    assert str(info.value) == message
