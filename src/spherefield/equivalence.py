@@ -34,7 +34,6 @@ from .models import (
     multiquadratic_validity,
 )
 from .schoenberg import (
-    SCALAR,
     SchoenbergSequence,
     check_compatible,
     fold_multiplicities,
@@ -200,7 +199,7 @@ def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:
     u = np.asarray(u, dtype=float)
     if not np.linalg.norm(u) > 0.0:
         raise ValueError("direction u must be nonzero")
-    return SchoenbergSequence(seq.d, SCALAR, np.maximum(seq.quadratic_forms(u), 0.0))
+    return SchoenbergSequence(seq.d, np.maximum(seq.quadratic_forms(u), 0.0))
 
 
 def scalar_marginal_series(seq1: SchoenbergSequence, seq2: SchoenbergSequence,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._memory import require_fit
-from .schoenberg import FOURIER_DIAGONAL, MATRIX, SchoenbergSequence
+from .schoenberg import SchoenbergSequence
 
 DEFAULT_L_MAX = 200
 DEFAULT_K_MAX = 200
@@ -193,7 +193,7 @@ def multiquadratic_sequence(p: MultiquadraticParams, l_max: int) -> SchoenbergSe
     e11, e22, e12 = np.exp(_mq_entry_logs(p, np.arange(l_max + 1)))
     stack = np.stack([np.stack([e11, e12], axis=1),
                       np.stack([e12, e22], axis=1)], axis=1)  # (L+1, 2, 2)
-    return SchoenbergSequence(p.d, MATRIX, stack, p)
+    return SchoenbergSequence(p.d, stack, p)
 
 
 def _finite_gammas(*xs) -> bool:
@@ -288,8 +288,7 @@ def build_sequence(params, l_max: int | None = None) -> SchoenbergSequence:
     if isinstance(params, MultiquadraticParams):
         return multiquadratic_sequence(params, DEFAULT_L_MAX if l_max is None else l_max)
     if isinstance(params, LegendreMaternParams):
-        return SchoenbergSequence(2, FOURIER_DIAGONAL,
-                                  legendre_matern_gamma_grid(params, l_max), params)
+        return SchoenbergSequence(2, legendre_matern_gamma_grid(params, l_max), params)
     raise TypeError(f"unsupported parameter type {type(params).__name__}")
 
 

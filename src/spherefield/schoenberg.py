@@ -17,7 +17,8 @@ Three operator variants are supported:
   each unfolded (cos, sin) coordinate to its folded entry.
 
 A :class:`SchoenbergSequence` stores its coefficients as one stacked array,
-degree axis first, and that array is their only representation: a single
+degree axis first, and that array is their only representation; its ndim
+names the variant (1 scalar, 2 fourier, 3 matrix).  A single
 coefficient is a plain array (0-d scalar, 1-d folded fourier entries, 2-d
 matrix), checked by :func:`one_degree_stack` under the same rules as a
 sequence.  The scalar variant is handled as a diagonal with one entry of
@@ -55,12 +56,10 @@ STRICT_RTOL = 1e-12
 
 _SYM_RTOL = 1e-12
 
-# ndim of a coefficient stack (degree axis first) per variant.  A stack of
-# ndim 3 is dense; any other stack is diagonal, a scalar being one entry of
-# multiplicity 1, so sequence-level code has one branch for each.
-_STACK_NDIM = {SCALAR: 1, FOURIER_DIAGONAL: 2, MATRIX: 3}
-# variant of one coefficient (no degree axis) by its ndim
-_NDIM_VARIANT = {n - 1: variant for variant, n in _STACK_NDIM.items()}
+# The variant of a coefficient stack (degree axis first), named by its ndim.
+# A stack of ndim 3 is dense; any other stack is diagonal, a scalar being one
+# entry of multiplicity 1, so sequence-level code has one branch for each.
+_STACK_VARIANT = {1: SCALAR, 2: FOURIER_DIAGONAL, 3: MATRIX}
 
 
 def unfolded_index(n: int) -> np.ndarray:
@@ -75,11 +74,6 @@ def fold_multiplicities(n: int) -> np.ndarray:
     """Multiplicities ``(1, 2, 2, ...)`` of n folded diagonal entries: the
     number of unfolded coordinates of each (see :func:`unfolded_index`)."""
     return np.bincount(unfolded_index(n), minlength=n).astype(float)
-
-
-def _width(stack: np.ndarray) -> int:
-    """Side p of dense coefficients, or number of folded diagonal entries."""
-    return stack.shape[1] if stack.ndim > 1 else 1
 
 
 def _rowdot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -107,22 +101,24 @@ def _reject(bad: np.ndarray, message) -> None:
         raise ValueError(message(int(np.argmax(bad))))
 
 
-def _checked_stack(variant: str, stack) -> np.ndarray:
-    """Validate coefficients of one variant stacked along the degree axis and
-    return them as a new read-only array.
+def _checked_stack(stack) -> np.ndarray:
+    """Validate coefficients of one variant (named by the ndim) stacked along
+    the degree axis and return them as a new read-only array.
 
     Every entry must be finite.  Diagonal entries must be >= 0; dense
     coefficients must be symmetric within ``_SYM_RTOL`` (relative, Frobenius)
     and PSD within ``PSD_RTOL * trace``, and are returned symmetrized.
     Errors name the first failing degree.
     """
-    if variant not in _STACK_NDIM:
-        raise ValueError(f"unknown variant {variant!r}")
     s = np.asarray(stack, dtype=float)
-    if (s.ndim != _STACK_NDIM[variant] or 0 in s.shape
-            or (s.ndim == 3 and s.shape[1] != s.shape[2])):
+    if s.ndim not in _STACK_VARIANT:
+        raise ValueError("coefficients must stack to an (L+1,) scalar, "
+                         "(L+1, K+1) fourier or (L+1, p, p) matrix array, "
+                         f"got shape {s.shape}")
+    variant = _STACK_VARIANT[s.ndim]
+    if 0 in s.shape or (s.ndim == 3 and s.shape[1] != s.shape[2]):
         raise ValueError(f"{variant} coefficients must stack to a nonempty "
-                         f"{_STACK_NDIM[variant]}-d array (matrices square), "
+                         f"{s.ndim}-d array (matrices square), "
                          f"got shape {s.shape}")
     flat = s.reshape(s.shape[0], -1)
     _reject(~np.all(np.isfinite(flat), axis=1),
@@ -171,10 +167,10 @@ def one_degree_stack(b) -> np.ndarray:
     a 0-d scalar, a 1-d vector of folded fourier entries or a 2-d matrix
     becomes a read-only stack of shape ``(1,) + b.shape``."""
     b = np.asarray(b, dtype=float)
-    if b.ndim not in _NDIM_VARIANT:
+    if b.ndim + 1 not in _STACK_VARIANT:
         raise ValueError(f"a coefficient must be a 0-d, 1-d or 2-d array, "
                          f"got shape {b.shape}")
-    return _checked_stack(_NDIM_VARIANT[b.ndim], b[None])
+    return _checked_stack(b[None])
 
 
 def operator_sqrt(b: np.ndarray) -> np.ndarray:
@@ -192,40 +188,44 @@ def operator_sqrt(b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchoenbergSequence:
-    """Dimension d, the variant, and the coefficients ``b_0 .. b_{L_max}``.
+    """Dimension d and the coefficients ``b_0 .. b_{L_max}``.
 
-    ``coeffs`` is a read-only stack with the degree axis first: ``(L+1,)``
-    scalar, ``(L+1, p, p)`` matrix, ``(L+1, K+1)`` fourier.  The input is
-    checked in one batched pass (finite, symmetric and PSD; errors name the
-    first failing degree) and stored as a new array.  ``tail`` is ``None`` or
+    ``coeffs`` is a read-only stack with the degree axis first, whose ndim
+    names the variant: ``(L+1,)`` scalar, ``(L+1, K+1)`` fourier,
+    ``(L+1, p, p)`` matrix.  The input is checked in one batched pass (finite,
+    symmetric and PSD; errors name the first failing degree) and stored as a
+    new array.  ``tail`` is ``None`` or
     an object with ``trace_tail_bound(l_from)``, an upper bound on
     ``sum_{l > l_from} trace(b_l) C_l^lam(1)``, and ``tail_to_dict()``, its
     JSON object; the model builders pass their parameter object.  ``==``
-    compares values (d, variant, tail and every entry); sequences are
-    unhashable.
+    compares values (d, tail, and the shape and every entry of the stack);
+    sequences are unhashable.
     """
 
     d: int
-    variant: str
     coeffs: np.ndarray
     tail: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _checked_stack(self.variant, self.coeffs))
+        object.__setattr__(self, "coeffs", _checked_stack(self.coeffs))
         if self.d < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {self.d}")
 
     def __eq__(self, other):
         if not isinstance(other, SchoenbergSequence):
             return NotImplemented
-        return (self.d == other.d and self.variant == other.variant
-                and self.tail == other.tail
+        return (self.d == other.d and self.tail == other.tail
                 and np.array_equal(self.coeffs, other.coeffs))
+
+    @property
+    def variant(self) -> str:
+        """``scalar``, ``fourier_diagonal`` or ``matrix``: the stack's ndim."""
+        return _STACK_VARIANT[self.coeffs.ndim]
 
     @property
     def dim(self) -> int:
         """Coefficient side: p for matrices, K_max + 1 folded entries, 1 for scalars."""
-        return _width(self.coeffs)
+        return self.coeffs.shape[1] if self.coeffs.ndim > 1 else 1
 
     @property
     def l_max(self) -> int:
@@ -390,7 +390,7 @@ def check_compatible(seq1: SchoenbergSequence, seq2: SchoenbergSequence) -> None
     the coefficient size; their lengths may differ."""
     if seq1.d != seq2.d:
         raise ValueError(f"sphere dimensions differ: {seq1.d} vs {seq2.d}")
-    if seq1.variant != seq2.variant or seq1.dim != seq2.dim:
+    if seq1.coeffs.shape[1:] != seq2.coeffs.shape[1:]:
         raise ValueError("sequences must share variant and coefficient size, got "
                          f"{seq1.variant} of size {seq1.dim} and {seq2.variant} "
                          f"of size {seq2.dim}")
@@ -405,7 +405,7 @@ def truncate_sequence(seq: SchoenbergSequence, l_max: int) -> SchoenbergSequence
         raise ValueError(f"l_max must lie in [0, {seq.l_max}], got {l_max}")
     if l_max == seq.l_max:
         return seq
-    return SchoenbergSequence(seq.d, seq.variant, seq.coeffs[:l_max + 1], seq.tail)
+    return SchoenbergSequence(seq.d, seq.coeffs[:l_max + 1], seq.tail)
 
 
 # ---------------------------------------------------------------------------

@@ -300,11 +300,13 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     contraction) and a ring of two draw slots, about ``_BATCH_ELEMS * 8 *
     1.25`` bytes whatever ``n_fields`` is, plus the output and the
     ``(n_points, H)`` harmonic basis.  An output beyond physical memory is
-    refused first, with :class:`EnsembleTooLarge`.  A slot holds at most
-    half a batch and at most ``_BATCH_ELEMS // 8`` elements, but at least
-    one field.  Philox fills a request sequentially, so how a batch is split
-    into slots changes no bit.  The batch partition is a pure function of ``(n_fields, H,
-    dim)``, balanced so that sizes differ by at most one: BLAS picks its
+    refused first, with :class:`EnsembleTooLarge`; then a basis, ring and
+    batch buffer that together exceed it, with a plain ``MemoryError``.  A
+    slot holds at most half a batch and at most ``_BATCH_ELEMS // 8``
+    elements, but at least one field.  Philox fills a request sequentially,
+    so how a batch is split into slots changes no bit.  The batch partition
+    is a pure function of ``(n_fields, H, dim)``, balanced so that sizes
+    differ by at most one: BLAS picks its
     kernel, and so the rounding of the contraction, from the batch's shape.
     On a one-point grid numpy's ``dot`` sends the contraction to BLAS dgemv,
     whose last ``nb * dim mod 4`` rows take a remainder kernel, so there a
@@ -329,15 +331,22 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     except MemoryError as exc:
         raise EnsembleTooLarge(str(exc)) from None
     L = seq.l_max
+    H = harmonic_count(seq.d, L)
+    sizes = _batch_sizes(n_fields, H * dim)
+    cap = max(1, min(-(-sizes[0] // 2), _BATCH_ELEMS // 8 // (H * dim)))
+    n_slots = 1 if sizes[0] == 1 else 2
+    zt_fields = sizes[0] if sizes[0] > 1 else 0
+    # a plain MemoryError: the basis, ring and batch buffer grow with the
+    # truncation, not with n_fields
+    require_fit(8 * H * (grid.n_points + dim * (n_slots * cap + zt_fields)),
+                f"the degree-{L} harmonic basis and draw buffers on "
+                f"{grid.n_points} points")
     rng = make_generator(seed, stream)
     basis = harmonic_basis(seq.d, L, grid.points)        # (npts, H)
     slices = degree_slices(seq.d, L)
-    H = harmonic_count(seq.d, L)
     factors = [_scale_factor(seq, l) for l in range(L + 1)]
     scale = np.matmul if seq.variant == MATRIX else np.multiply
 
-    sizes = _batch_sizes(n_fields, H * dim)
-    cap = max(1, min(-(-sizes[0] // 2), _BATCH_ELEMS // 8 // (H * dim)))
     # A batch of one field is scaled in place in its slot and contracted as
     # z[0].T, through BLAS's transposed-operand kernel, which rounds
     # differently from the batch buffer's rows: this keeps one-field batches
@@ -345,8 +354,8 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     # has one field, one slot and no batch buffer suffice.  Larger batches
     # are scaled straight into zt, laid out as the (nb*dim, H) rows of the
     # contraction.
-    ring = [np.empty((cap, H, dim)) for _ in range(1 if sizes[0] == 1 else 2)]
-    zt = np.empty((sizes[0], dim, H)) if sizes[0] > 1 else None
+    ring = [np.empty((cap, H, dim)) for _ in range(n_slots)]
+    zt = np.empty((zt_fields, dim, H)) if zt_fields else None
     out = np.empty((n_fields, grid.n_points, dim))
     # (first field of the batch, batch size, slot start, slot end) in draw order
     slots = []

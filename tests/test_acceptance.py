@@ -176,7 +176,7 @@ def test_criterion_6_marginalization_inequality():
             b2 = a2 @ a2.T + 0.05 * np.eye(p)
             u = rng.standard_normal(p)
             hl = int(rng.integers(1, 40))
-            q1, q2 = (sb.SchoenbergSequence(2, sb.MATRIX, [b]).quadratic_forms(u)[0]
+            q1, q2 = (sb.SchoenbergSequence(2, [b]).quadratic_forms(u)[0]
                       for b in (b1, b2))
             scalar = hl * (q1 / q2 - 1.0) ** 2
             functional = eq.hs_term(b1, b2, hl)

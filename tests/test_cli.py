@@ -1239,6 +1239,24 @@ def test_ensemble_beyond_memory_names_n_samples(capsys, tmp_json, monkeypatch):
     assert "--n-samples" in err and "--l-max" not in err
 
 
+def test_ensemble_buffers_beyond_memory_name_l_max(capsys, tmp_json, monkeypatch):
+    # the output of 20 fields fits in 1e6 bytes, but the 1.4 MB basis, two
+    # 9.4 MB draw slots and the 28 MB batch buffer at L=300, K=6 do not:
+    # they are refused together before the basis is built
+    def no_basis(*args):
+        raise AssertionError("the harmonic basis was built")
+
+    monkeypatch.setattr(_memory, "physical_memory", lambda: 10 ** 6)
+    monkeypatch.setattr(sim, "harmonic_basis", no_basis)
+    config = tmp_json("m.json", dict(LM, L_max=24, K_max=6))
+    code, out, err = run(capsys, ["mc-check", "--config", config, "--l-max", "300",
+                                  "--thetas", "0,1", "--n-samples", "20"])
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert ("out of memory: the degree-300 harmonic basis and draw buffers on "
+            "2 points needs") in err
+    assert "lower --l-max" in err and "--n-samples" not in err
+
+
 def test_manifest_beyond_memory_names_n_samples(capsys, tmp_json, tmp_path,
                                                monkeypatch):
     # the stream ids, file entries and manifest of 1e10 samples are refused

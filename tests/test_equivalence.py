@@ -27,7 +27,7 @@ def brute_force_term(b1, b2, hl):
 
 
 def scalar_seq(d, values):
-    return sb.SchoenbergSequence(d, sb.SCALAR, values)
+    return sb.SchoenbergSequence(d, values)
 
 
 class TestHsTerm:
@@ -123,8 +123,8 @@ class TestScalarMarginalization:
         rng = np.random.default_rng(5)
         mats1 = [random_spd(rng, 3) for _ in range(9)]
         mats2 = [random_spd(rng, 3) for _ in range(9)]
-        s1 = sb.SchoenbergSequence(2, sb.MATRIX, mats1)
-        s2 = sb.SchoenbergSequence(2, sb.MATRIX, mats2)
+        s1 = sb.SchoenbergSequence(2, mats1)
+        s2 = sb.SchoenbergSequence(2, mats2)
         series = eq.scalar_marginal_series(s1, s2, [1.0, 0.0, 0.0])
         for l in range(9):
             expect = h_dim(2, l) * (mats1[l][0, 0] / mats2[l][0, 0] - 1.0) ** 2
@@ -157,8 +157,8 @@ class TestScalarMarginalization:
     def test_dust_negative_form_projects_to_zero(self):
         # PSD within tolerance, with eigenvalue -1e-13 along u = (1, -1)
         b = np.array([[1.0, 1.0 + 1e-13], [1.0 + 1e-13, 1.0]])
-        dust = sb.SchoenbergSequence(2, sb.MATRIX, [b])
-        ref = sb.SchoenbergSequence(2, sb.MATRIX, [np.eye(2)])
+        dust = sb.SchoenbergSequence(2, [b])
+        ref = sb.SchoenbergSequence(2, [np.eye(2)])
         u = [1.0, -1.0]
         assert dust.quadratic_forms(u)[0] < 0.0
         assert eq.project_sequence(dust, u).coeffs[0] == 0.0
@@ -179,8 +179,8 @@ class TestScalarMarginalization:
             b2 = random_spd(rng, p)
             u = rng.standard_normal(p)
             hl = int(rng.integers(1, 30))
-            s1 = sb.SchoenbergSequence(2, sb.MATRIX, [b1])
-            s2 = sb.SchoenbergSequence(2, sb.MATRIX, [b2])
+            s1 = sb.SchoenbergSequence(2, [b1])
+            s2 = sb.SchoenbergSequence(2, [b2])
             scal = eq.scalar_marginal_series(s1, s2, u)[0] * hl
             func = eq.hs_term(b1, b2, 1) * hl
             assert scal <= func * (1.0 + 1e-10) + 1e-18
@@ -193,7 +193,7 @@ class TestMarginalBoundCheck:
 
     @staticmethod
     def sides(a, b, u):
-        seq_a, seq_b = (sb.SchoenbergSequence(2, sb.MATRIX, [m]) for m in (a, b))
+        seq_a, seq_b = (sb.SchoenbergSequence(2, [m]) for m in (a, b))
         return (math.sqrt(eq.scalar_marginal_series(seq_a, seq_b, u)[0]),
                 math.sqrt(eq.hs_term(a, b, 1)))
 

@@ -330,6 +330,14 @@ class TestBasisArithmetic:
             sh.iter_degree_blocks(2, 100, random_points(2, 200, seed=1))
         sh.iter_degree_blocks(2, 10, random_points(2, 200, seed=1))
 
+    def test_unknown_physical_memory_refuses_nothing(self, monkeypatch):
+        def no_sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(_memory.os, "sysconf", no_sysconf)
+        assert _memory.physical_memory() is None
+        _memory.require_fit(2 ** 200, "an impossible allocation")
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: sh.gegenbauer_order(0), "sphere dimension must be >= 1, got 0"),
@@ -337,8 +345,9 @@ class TestBasisArithmetic:
     (lambda: sh.gegenbauer_all(0.5, -1, 0.1), "degree must be >= 0, got -1"),
     (lambda: sh.gegenbauer_at_one(0.5, -1), "degree must be >= 0, got -1"),
     (lambda: sh.check_points(2, [[0, 1]]), "points on S^2 must have 3 coordinates, got 2"),
+    (lambda: sh.surface_measure(0), "sphere dimension must be >= 1, got 0"),
 ], ids=["order_d0", "all_negative_order", "all_negative_degree", "at_one_negative_degree",
-        "points_wrong_width"])
+        "points_wrong_width", "surface_measure_d0"])
 def test_argument_checks(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -435,8 +435,8 @@ def scaled_stacks(draw):
         scaled = c[:, None] * d * d * stack
     if variant == sb.SCALAR:
         stack, scaled = stack[:, 0], scaled[:, 0]
-    return (sb.SchoenbergSequence(2, variant, stack),
-            sb.SchoenbergSequence(2, variant, scaled))
+    return (sb.SchoenbergSequence(2, stack),
+            sb.SchoenbergSequence(2, scaled))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

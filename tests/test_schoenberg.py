@@ -12,7 +12,7 @@ import spherefield
 from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
-from _reference import multiquadratic_coeff_entries, validate_schema
+from _reference import load_schema, multiquadratic_coeff_entries, validate_schema
 
 
 def random_spd(rng, p, jitter=0.05):
@@ -21,7 +21,7 @@ def random_spd(rng, p, jitter=0.05):
 
 
 def scalar_sequence(values, d=2):
-    return sb.SchoenbergSequence(d, sb.SCALAR, values)
+    return sb.SchoenbergSequence(d, values)
 
 
 class TestOperatorConstruction:
@@ -33,15 +33,15 @@ class TestOperatorConstruction:
 
     def test_matrix_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            sb.SchoenbergSequence(2, sb.MATRIX, [[[1.0, 0.2], [0.3, 1.0]]])
+            sb.SchoenbergSequence(2, [[[1.0, 0.2], [0.3, 1.0]]])
 
     def test_matrix_rejects_indefinite(self):
         with pytest.raises(ValueError, match="PSD"):
-            sb.SchoenbergSequence(2, sb.MATRIX, [[[1.0, 2.0], [2.0, 1.0]]])
+            sb.SchoenbergSequence(2, [[[1.0, 2.0], [2.0, 1.0]]])
 
     def test_fourier_rejects_negative_entries(self):
         with pytest.raises(ValueError, match="entries >= 0"):
-            sb.SchoenbergSequence(2, sb.FOURIER_DIAGONAL, [[1.0, -0.5]])
+            sb.SchoenbergSequence(2, [[1.0, -0.5]])
 
     @pytest.mark.parametrize("variant, stack", [
         (sb.SCALAR, [math.inf]),
@@ -50,7 +50,7 @@ class TestOperatorConstruction:
     ])
     def test_rejects_non_finite(self, variant, stack):
         with pytest.raises(ValueError, match="finite"):
-            sb.SchoenbergSequence(2, variant, stack)
+            sb.SchoenbergSequence(2, stack)
 
     @pytest.mark.parametrize("bad, good, match", [
         (-0.1, 1.0, "entries >= 0"),
@@ -83,11 +83,11 @@ class TestOperatorConstruction:
             coeff(10)
 
     def test_fourier_trace_uses_multiplicities(self):
-        seq = sb.SchoenbergSequence(2, sb.FOURIER_DIAGONAL, [[1.0, 0.5, 0.25]])
+        seq = sb.SchoenbergSequence(2, [[1.0, 0.5, 0.25]])
         assert seq.trace_terms()[0] == pytest.approx(1.0 + 2 * 0.5 + 2 * 0.25)
 
     def test_quadratic_form_multiplicities(self):
-        seq = sb.SchoenbergSequence(2, sb.FOURIER_DIAGONAL, [[2.0, 3.0]])
+        seq = sb.SchoenbergSequence(2, [[2.0, 3.0]])
         # <b u, u> = gamma_0 u_0^2 + 2 gamma_1 u_1^2
         assert seq.quadratic_forms([1.0, 1.0])[0] == pytest.approx(8.0)
 
@@ -334,7 +334,7 @@ class TestValidateSequence:
         assert not report["flags"]
 
     def test_zero_coefficient_flagged(self):
-        seq = sb.SchoenbergSequence(2, sb.MATRIX, [np.eye(2), np.zeros((2, 2))])
+        seq = sb.SchoenbergSequence(2, [np.eye(2), np.zeros((2, 2))])
         report = sb.validate_sequence(seq)
         assert not report["passed"]
         assert report["psd_valid"] is True
@@ -365,16 +365,48 @@ class TestSequenceSerialization:
         validate_schema("sequence.schema.json", sb.sequence_to_dict(make()))
 
 
+@pytest.mark.parametrize("schema", ["sequence.schema.json", "validity_report.schema.json"])
+def test_schema_variants_are_the_code_variants(schema):
+    enum = load_schema(schema)["properties"]["variant"]["enum"]
+    assert (set(enum) == set(sb._STACK_VARIANT.values())
+            == {sb.SCALAR, sb.FOURIER_DIAGONAL, sb.MATRIX})
+
+
+@pytest.mark.parametrize("stack, variant, labels", [
+    ([1.0, 0.5], sb.SCALAR, ["R"]),
+    ([[1.0, 0.5], [0.5, 0.25]], sb.FOURIER_DIAGONAL, ["gamma[0]", "gamma[1]"]),
+    ([np.eye(2), 0.5 * np.eye(2)], sb.MATRIX, ["R[0][0]", "R[0][1]", "R[1][0]", "R[1][1]"]),
+], ids=["scalar", "fourier", "matrix"])
+def test_stack_ndim_names_the_variant(stack, variant, labels):
+    seq = sb.SchoenbergSequence(2, stack)
+    as_dict, report = sb.sequence_to_dict(seq), sb.validate_sequence(seq)
+    validate_schema("sequence.schema.json", as_dict)
+    validate_schema("validity_report.schema.json", report)
+    assert (seq.variant, as_dict["variant"], report["variant"]) == (variant,) * 3
+    assert sb.entry_labels(seq) == labels
+
+
+def test_scalar_and_one_entry_fourier_are_incompatible():
+    # shape[1:] is () against (1,): the one pair of equal size to tell apart
+    with pytest.raises(ValueError) as info:
+        sb.check_compatible(sb.SchoenbergSequence(2, [1.0, 0.5]),
+                            sb.SchoenbergSequence(2, [[1.0], [0.5]]))
+    assert str(info.value) == ("sequences must share variant and coefficient size, "
+                               "got scalar of size 1 and fourier_diagonal of size 1")
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: sb.SchoenbergSequence(2, "bogus", [1.0]), "unknown variant 'bogus'"),
-    (lambda: sb.SchoenbergSequence(2, sb.MATRIX, np.zeros((2, 2, 3))),
+    (lambda: sb.SchoenbergSequence(2, np.ones((1, 2, 2, 2))),
+     "coefficients must stack to an (L+1,) scalar, (L+1, K+1) fourier or "
+     "(L+1, p, p) matrix array, got shape (1, 2, 2, 2)"),
+    (lambda: sb.SchoenbergSequence(2, np.zeros((2, 2, 3))),
      "matrix coefficients must stack to a nonempty 3-d array (matrices square), "
      "got shape (2, 2, 3)"),
-    (lambda: sb.SchoenbergSequence(0, sb.SCALAR, [1.0]),
+    (lambda: sb.SchoenbergSequence(0, [1.0]),
      "sphere dimension must be >= 1, got 0"),
-    (lambda: sb.SchoenbergSequence(2, sb.MATRIX, [np.eye(2)]).quadratic_forms([1, 0, 0]),
+    (lambda: sb.SchoenbergSequence(2, [np.eye(2)]).quadratic_forms([1, 0, 0]),
      "direction must have length 2, got shape (3,)"),
-], ids=["unknown_variant", "matrix_not_square", "d0", "direction_length"])
+], ids=["stack_4d", "matrix_not_square", "d0", "direction_length"])
 def test_sequence_checks(call, message):
     with pytest.raises(ValueError) as info:
         call()

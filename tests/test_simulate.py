@@ -165,14 +165,14 @@ class TestSampleGrid:
 
 class TestSampleCoefficients:
     def test_zero_coefficient_gives_zero_draws(self):
-        seq = sb.SchoenbergSequence(2, sb.SCALAR, [1.0, 0.0])
+        seq = sb.SchoenbergSequence(2, [1.0, 0.0])
         a = sim.sample_coefficients(seq, 1, sim.make_generator(0))
         assert a.shape == (3, 1) and np.all(a == 0.0)
 
     def test_scalar_bridge_variance(self):
         # b_l = 1, d = 2: coefficient variance is 4 pi / (2l + 1)
         l = 3
-        seq = sb.SchoenbergSequence(2, sb.SCALAR, np.ones(l + 1))
+        seq = sb.SchoenbergSequence(2, np.ones(l + 1))
         rng = sim.make_generator(2024)
         n_draws = 100_000
         h = sh.h_dim(2, l)
@@ -223,7 +223,7 @@ class TestSampleCoefficients:
 
 class TestSynthesizeField:
     def test_degree_zero_only_constant(self):
-        seq = sb.SchoenbergSequence(2, sb.SCALAR, [1.0])
+        seq = sb.SchoenbergSequence(2, [1.0])
         grid = sim.SampleGrid.uniform_random(2, 9, seed=1)
         f = sim.synthesize_field(seq, grid, seed=3)
         assert np.allclose(f.values, f.values[0])
@@ -242,7 +242,7 @@ class TestSynthesizeField:
         (mq_sequence(30, d=1), sim.SampleGrid.equispaced_circle(90)),
         (md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 24, 6)),
          sim.SampleGrid.equiangular(9, 18)),
-        (sb.SchoenbergSequence(2, sb.SCALAR, 1.0 / (1.0 + np.arange(31.0)) ** 3),
+        (sb.SchoenbergSequence(2, 1.0 / (1.0 + np.arange(31.0)) ** 3),
          sim.SampleGrid.uniform_random(2, 120, seed=7)),
     ], ids=["matrix", "circle", "fourier", "scalar"])
     def test_streamed_fields_match_basis_reference_bitwise(self, seq, grid):
@@ -352,7 +352,7 @@ class TestSynthesizeField:
         # d = 1: scalar sequence, empirical covariance against the
         # Chebyshev-basis kernel at a few angles
         values = (1.0, 0.6, 0.3, 0.1)
-        seq = sb.SchoenbergSequence(1, sb.SCALAR, values)
+        seq = sb.SchoenbergSequence(1, values)
         grid = sim.SampleGrid.equispaced_circle(8)
         vals = sim.synthesize_ensemble(seq, grid, 6000, seed=44)
         kernel = sb.IsotropicKernel(seq)
@@ -408,7 +408,7 @@ def mq(l_max, d=2):
     return md.build_sequence(md.MultiquadraticParams(
         d=d, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)), l_max)
 
-scalar = sb.SchoenbergSequence(2, sb.SCALAR, 1.0 / (1.0 + np.arange(16.0)) ** 3)
+scalar = sb.SchoenbergSequence(2, 1.0 / (1.0 + np.arange(16.0)) ** 3)
 fourier = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 12, 3))
 # name -> (sequence, points, fields, fields per batch)
 cases = {"matrix_2_2_1": (mq(20), 3, 5, 2), "matrix_ones": (mq(20), 3, 4, 1),
@@ -537,6 +537,18 @@ class TestOneBlasThread:
         assert inside == [1] * 1600
         assert blas_threads() == 2
 
+    def test_without_the_thread_api_the_block_just_runs(self, monkeypatch):
+        monkeypatch.setattr(_blas, "_thread_api", lambda: None)
+        ran = []
+        with one_blas_thread():
+            ran.append(_blas._depth)
+        assert ran == [0] and _blas._depth == 0
+
+    def test_no_thread_api_where_no_library_loads(self, monkeypatch):
+        missing = os.path.join(os.path.dirname(__file__), "libscipy_openblas64_none.so")
+        monkeypatch.setattr(_blas.glob, "glob", lambda pattern: [missing])
+        assert _blas._thread_api.__wrapped__() is None
+
 
 class TestEnsembleThreads:
     @pytest.mark.slow
@@ -618,7 +630,7 @@ class TestEnsembleRing:
 
 class TestEmpiricalCovariance:
     def test_zero_samples_give_zero(self):
-        seq = sb.SchoenbergSequence(2, sb.SCALAR, [0.0])
+        seq = sb.SchoenbergSequence(2, [0.0])
         grid = sim.SampleGrid.uniform_random(2, 3, seed=0)
         vals = sim.synthesize_ensemble(seq, grid, 4, seed=0)
         est, se = sim.empirical_covariance(vals, 0, 1)
@@ -626,7 +638,7 @@ class TestEmpiricalCovariance:
 
     def test_variance_identity_scalar(self):
         values = (1.0, 0.5, 0.25)
-        seq = sb.SchoenbergSequence(2, sb.SCALAR, values)
+        seq = sb.SchoenbergSequence(2, values)
         grid = sim.SampleGrid.uniform_random(2, 2, seed=5)
         vals = sim.synthesize_ensemble(seq, grid, 6000, seed=9)
         est, se = sim.empirical_covariance(vals, 0, 0)
@@ -655,7 +667,7 @@ class TestMonteCarloKernelCheck:
         assert not report["passed"]
 
     def test_zero_sequence_exact_pass(self):
-        seq = sb.SchoenbergSequence(2, sb.SCALAR, np.zeros(4))
+        seq = sb.SchoenbergSequence(2, np.zeros(4))
         report = sim.monte_carlo_kernel_check(
             seq, theta_pairs([0.0, 1.0]), 500, seed=0)
         assert report["passed"] and report["z_max"] == 0.0
@@ -675,10 +687,10 @@ class TestMonteCarloKernelCheck:
 
     def test_infinite_z_written_as_null(self):
         # zero samples against a nonzero kernel: se = 0, so every z is inf
-        seq = sb.SchoenbergSequence(2, sb.SCALAR, np.zeros(4))
+        seq = sb.SchoenbergSequence(2, np.zeros(4))
         report = sim.monte_carlo_kernel_check(
             seq, theta_pairs([0.0, 2.0]), 500, seed=2,
-            analytic_seq=sb.SchoenbergSequence(2, sb.SCALAR, np.ones(4)))
+            analytic_seq=sb.SchoenbergSequence(2, np.ones(4)))
         assert report["z_max"] is None and not report["passed"]
         obj = json.loads(json.dumps(report, allow_nan=False))
         validate_schema("check_report.schema.json", obj)

@@ -45,7 +45,7 @@ def test_counted_generator_resolves(tracing):
     md.build_sequence(md.MultiquadraticParams(
         d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)), 7),
     md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 5, 3)),
-    sb.SchoenbergSequence(2, sb.SCALAR, np.ones(4)),
+    sb.SchoenbergSequence(2, np.ones(4)),
 ], ids=["matrix", "fourier", "scalar"])
 def test_count_degrees_counts_every_degree(tracing, seq):
     # models.degrees_built reads the sequence's coefficients as the traced
