@@ -242,7 +242,10 @@ def harmonic_basis(d: int, l_max: int, points) -> np.ndarray:
     """
     require_synthesis_dim(d)
     pts = check_points(d, points)
-    out = np.empty((pts.shape[0], harmonic_count(d, l_max)), dtype=float)
+    n_harmonics = harmonic_count(d, l_max)
+    require_fit(8 * pts.shape[0] * n_harmonics,
+                f"the degree-{l_max} harmonic basis at {pts.shape[0]} points")
+    out = np.empty((pts.shape[0], n_harmonics), dtype=float)
     off = 0
     for block in iter_degree_blocks(d, l_max, pts):
         h = block.shape[1]

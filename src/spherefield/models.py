@@ -93,13 +93,15 @@ class MultiquadraticParams:
 
         The term ratio ``a (n + d - 1) / (n + 1)`` is decreasing in n, so the
         tail is bounded by its first term times the geometric closure at that
-        ratio (``inf`` when the ratio is not below 1).
+        ratio (``inf`` when the ratio is not below 1).  A prefactor ``c``
+        that underflows to 0 is taken in logs, ``2 log sigma + (d - 1)
+        log1p(-a)``, since the terms it multiplies can be large.
         """
         total = 0.0
         n = l_from + 1
-        for c, a in self._tail_terms():
-            if c == 0.0:
-                continue
+        for s, (c, a) in zip(self.sigma, self._tail_terms()):
+            log_c = (math.log(c) if c > 0.0
+                     else 2.0 * math.log(s) + (self.d - 1) * math.log1p(-a))
             r = a * (n + self.d - 1.0) / (n + 1.0)
             if r >= 1.0:
                 return math.inf
@@ -108,7 +110,7 @@ class MultiquadraticParams:
                              - math.lgamma(self.d - 1.0))
             else:
                 log_binom = -math.inf  # family degenerates on the circle
-            log_term = math.log(c) + log_binom + n * math.log(a)
+            log_term = log_c + log_binom + n * math.log(a)
             total += math.exp(log_term) / (1.0 - r)
         return total
 

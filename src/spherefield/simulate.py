@@ -59,7 +59,11 @@ from .schoenberg import (
     unfolded_index,
 )
 
-_BATCH_ELEMS = 4_000_000   # float64 elements per ensemble batch buffer or field group
+# float64 elements per ensemble batch buffer or sample field group; the
+# ensemble's two draw slots hold half a batch each, so its working set is
+# about 2 * _BATCH_ELEMS * 8 bytes.  1M keeps the 300-field two-point
+# ensemble of a default mc-check (576,600 elements) in one batch.
+_BATCH_ELEMS = 1_000_000
 _MAX_POINTS = int(np.iinfo(np.intp).max)   # the largest size of a numpy array
 _CSV_CHUNK_ROWS = 256      # rows converted to Python floats at a time
 Z_THRESHOLD = 4.0          # a kernel check passes when every |z| is below it
@@ -297,20 +301,22 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     sequence.
 
     Memory: one batch buffer (the scaled draws, laid out as the rows of the
-    contraction) and a ring of two draw slots, about ``_BATCH_ELEMS * 8 *
-    1.25`` bytes whatever ``n_fields`` is, plus the output and the
-    ``(n_points, H)`` harmonic basis.  An output beyond physical memory is
+    contraction) and a ring of two draw slots of half a batch each, about
+    ``2 * _BATCH_ELEMS * 8`` bytes (16 MB) whatever ``n_fields`` is, plus
+    the output and the ``(n_points, H)`` harmonic basis.  A field of more
+    than half of ``_BATCH_ELEMS`` elements forms a batch of its own, drawn
+    into one slot of one field.  An output beyond physical memory is
     refused first, with :class:`EnsembleTooLarge`; then a basis, ring and
-    batch buffer that together exceed it, with a plain ``MemoryError``.  A
-    slot holds at most half a batch and at most ``_BATCH_ELEMS // 8``
-    elements, but at least one field.  Philox fills a request sequentially,
-    so how a batch is split into slots changes no bit.  The batch partition
-    is a pure function of ``(n_fields, H, dim)``, balanced so that sizes
-    differ by at most one: BLAS picks its
-    kernel, and so the rounding of the contraction, from the batch's shape.
-    On a one-point grid numpy's ``dot`` sends the contraction to BLAS dgemv,
-    whose last ``nb * dim mod 4`` rows take a remainder kernel, so there a
-    field's last bits also depend on its position in its batch.
+    batch buffer that together exceed it, with a plain ``MemoryError``.
+    Philox fills a request sequentially, so how a batch is split into slots
+    changes no bit.  The batch partition is a pure function of
+    ``(n_fields, H, dim)`` and ``_BATCH_ELEMS``, balanced so that sizes
+    differ by at most one: BLAS picks its kernel, and so the rounding of
+    the contraction, from the batch's shape.  On a one-point grid numpy's
+    ``dot`` sends the contraction to BLAS dgemv, whose last ``nb * dim mod
+    4`` rows take a remainder kernel, so there a field's last bits also
+    depend on its position in its batch; a change of the partition moves
+    last bits on one- and two-point grids only.
 
     Threads: one worker thread draws the next slot while the caller scales
     the current one and contracts each finished batch; only the caller calls
@@ -333,7 +339,7 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     L = seq.l_max
     H = harmonic_count(seq.d, L)
     sizes = _batch_sizes(n_fields, H * dim)
-    cap = max(1, min(-(-sizes[0] // 2), _BATCH_ELEMS // 8 // (H * dim)))
+    cap = -(-sizes[0] // 2)
     n_slots = 1 if sizes[0] == 1 else 2
     zt_fields = sizes[0] if sizes[0] > 1 else 0
     # a plain MemoryError: the basis, ring and batch buffer grow with the

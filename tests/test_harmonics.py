@@ -330,6 +330,14 @@ class TestBasisArithmetic:
             sh.iter_degree_blocks(2, 100, random_points(2, 200, seed=1))
         sh.iter_degree_blocks(2, 10, random_points(2, 200, seed=1))
 
+    def test_basis_checked_against_memory(self, monkeypatch):
+        # a (2, 301^2) basis of 1.45 MB, against 1 MB "installed"; the
+        # recurrence state alone would fit
+        monkeypatch.setattr(_memory, "physical_memory", lambda: 10**6)
+        with pytest.raises(MemoryError, match="degree-300 harmonic basis at 2 points"):
+            sh.harmonic_basis(2, 300, random_points(2, 2, seed=1))
+        sh.harmonic_basis(2, 200, random_points(2, 2, seed=1))
+
     def test_unknown_physical_memory_refuses_nothing(self, monkeypatch):
         def no_sysconf(name):
             raise ValueError(f"unrecognized configuration name {name!r}")

@@ -281,6 +281,26 @@ class TestTailBounds:
                 assert brute <= bound * (1.0 + 1e-12) + 1e-300
                 assert bound <= brute * 50 + 1e-300
 
+    def test_underflowed_prefactor_still_bounds_the_tail(self):
+        # c = (1 - a)^(d-1) = 2^-1999 is 0 in float64, but the terms
+        # c binom(n+d-2, n) a^n peak near n = d, so the tail past L = 200 is
+        # sigma_1^2 + sigma_2^2 = 2 (up to 1e-300), not 0
+        d = 2000
+        p = md.MultiquadraticParams(d=d, sigma=(1.0, 1.0), rho12=1e-300,
+                                    alpha=(0.5, 0.5, 0.4))
+        lgamma = np.vectorize(math.lgamma)
+
+        def brute(L):
+            n = np.arange(L + 1, L + 20000)
+            log_terms = (lgamma(n + d - 1.0) - lgamma(n + 1.0) - math.lgamma(d - 1.0)
+                         + n * math.log(0.5) + (d - 1) * math.log1p(-0.5))
+            return 2.0 * float(np.sum(np.exp(log_terms)))
+
+        assert brute(200) == pytest.approx(2.0, rel=1e-12)
+        assert p.trace_tail_bound(200) == math.inf
+        bound = p.trace_tail_bound(3000)
+        assert 0.0 < brute(3000) <= bound <= 50 * brute(3000)
+
     def test_power_law_tail_dominates_brute_force(self):
         for sigma, alpha, nu in ((1.0, 1.0, 1.0), (2.0, 0.5, 0.75)):
             p = md.LegendreMaternParams(sigma, alpha, nu, 2, 2)

@@ -414,7 +414,7 @@ fourier = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 12, 3))
 cases = {"matrix_2_2_1": (mq(20), 3, 5, 2), "matrix_ones": (mq(20), 3, 4, 1),
          "fourier_2_2_1": (fourier, 4, 5, 2), "scalar_3_2_2": (scalar, 2, 7, 3),
          "d1_3_2_2": (mq(40, d=1), 5, 7, 3),
-         # batches [17, 17, 16] drawn through slots of at most 3 fields
+         # batches [17, 17, 16] drawn through half-batch slots of 9 and 8 fields
          "matrix_ring": (mq(20), 3, 50, 24), "fourier_ring": (fourier, 4, 50, 24),
          "one_point_ring": (mq(20), 1, 50, 24)}
 sys.setswitchinterval(1e-6)   # interleave the draw thread and the caller often
@@ -616,16 +616,99 @@ class TestEnsembleRing:
         seq = mq_sequence(80)
         grid = sim.SampleGrid.uniform_random(2, 3, seed=1)
         field = sh.harmonic_count(2, 80) * 2                 # elements
-        monkeypatch.setattr(sim, "_BATCH_ELEMS", 48 * field)  # slots of 6 fields
+        monkeypatch.setattr(sim, "_BATCH_ELEMS", 48 * field)  # batches of 48 fields
         tracemalloc.start()
         try:
             sim.synthesize_ensemble(seq, grid, 96, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        batch, slots = 48 * field * 8, 2 * 6 * field * 8
+        batch, slots = 48 * field * 8, 2 * 24 * field * 8     # slots of half a batch
         out, basis = 96 * 3 * 2 * 8, 3 * field // 2 * 8
         assert peak <= batch + slots + out + basis + batch // 20
+
+
+class UnitVectors:
+    """A stand-in generator whose normals, in draw order, are the unit
+    vectors e_first, e_first+1, ... of R^size, one vector per field."""
+
+    def __init__(self, size, first):
+        self.size = size
+        self.drawn = first * size
+
+    def standard_normal(self, shape, out=None):
+        pos = self.drawn + np.arange(math.prod(shape))
+        self.drawn += pos.size
+        z = (pos % self.size == pos // self.size).astype(float).reshape(shape)
+        if out is None:
+            return z
+        out[...] = z
+        return out
+
+
+# the fourier model has dim = 2 K + 1 = 5; the d = 1 models run on the circle
+EXACT_MODELS = {
+    "matrix": lambda: mq_sequence(4),
+    "fourier": lambda: md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 4, 2)),
+    "scalar": lambda: sb.SchoenbergSequence(2, 1.0 / (1.0 + np.arange(5.0)) ** 3),
+    "matrix_d1": lambda: mq_sequence(6, d=1),
+    "scalar_d1": lambda: sb.SchoenbergSequence(1, 0.7 ** np.arange(7.0)),
+}
+
+
+class TestExactCovariance:
+    """The fields are linear in the draws, so with the unit vectors of
+    R^(H*dim) as draws, one per field, ``sum_f out[f, i] (x) out[f, j]`` is
+    exactly the covariance the code gives points i and j: it must be the
+    kernel ``R(x_i . x_j)`` (the unfolded diagonal of the folded gamma for
+    the fourier variant), up to rounding."""
+
+    @staticmethod
+    def check(seq, grid, values):
+        kernel = sb.IsotropicKernel(seq)
+        if seq.variant == sb.FOURIER_DIAGONAL:
+            idx = sb.unfolded_index(seq.dim)
+            want = lambda t: np.diag(kernel(t)[idx])
+        else:
+            want = lambda t: np.atleast_2d(kernel(t))
+        # the largest entry of sum_l |b_l| C_l(1) sets the rounding scale;
+        # errors up to 4.1 eps times it were seen
+        scale = np.max(sb.IsotropicKernel(
+            sb.SchoenbergSequence(seq.d, np.abs(seq.coeffs)))(1.0))
+        tol = 16 * np.finfo(float).eps * scale
+        for i in range(grid.n_points):
+            for j in range(grid.n_points):
+                cov = np.einsum("fa,fb->ab", values[:, i], values[:, j])
+                t = float(np.clip(grid.points[i] @ grid.points[j], -1.0, 1.0))
+                assert np.max(np.abs(cov - want(t))) <= tol, (i, j)
+
+    @pytest.mark.parametrize("n_points", [1, 4])
+    @pytest.mark.parametrize("model", list(EXACT_MODELS))
+    def test_ensemble_covariance_is_the_kernel(self, monkeypatch, model, n_points):
+        seq = EXACT_MODELS[model]()
+        grid = sim.SampleGrid.uniform_random(seq.d, n_points, seed=6)
+        size = sh.harmonic_count(seq.d, seq.l_max) * sim.unfolded_dim(seq)
+        monkeypatch.setattr(sim, "make_generator",
+                            lambda seed, stream=0: UnitVectors(size, stream))
+        # one-field batches; then balanced batches of 7 and 6 fields (the
+        # fields number H * dim, at least 13 here), whose half-batch slots
+        # are 4 and 3 fields, and 3 and 3
+        for per_batch in (1, 7):
+            monkeypatch.setattr(sim, "_BATCH_ELEMS", per_batch * size)
+            sizes = sim._batch_sizes(size, size)
+            assert max(sizes) == per_batch and len(sizes) > 1
+            self.check(seq, grid, sim.synthesize_ensemble(seq, grid, size))
+
+    @pytest.mark.parametrize("model", list(EXACT_MODELS))
+    def test_per_field_covariance_is_the_kernel(self, monkeypatch, model):
+        # synthesize_fields draws field s from stream s alone: unit vector s
+        seq = EXACT_MODELS[model]()
+        grid = sim.SampleGrid.uniform_random(seq.d, 3, seed=6)
+        size = sh.harmonic_count(seq.d, seq.l_max) * sim.unfolded_dim(seq)
+        monkeypatch.setattr(sim, "make_generator",
+                            lambda seed, stream=0: UnitVectors(size, stream))
+        fields = sim.synthesize_fields(seq, grid, range(size))
+        self.check(seq, grid, np.stack([f.values for f in fields]))
 
 
 class TestEmpiricalCovariance:
