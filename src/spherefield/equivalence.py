@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .harmonics import h_dim
 from .models import (
     LegendreMaternParams,
@@ -69,10 +70,54 @@ def _verdict(verdict: str, provenance: str, diagnostics: str) -> dict:
 
 _EPS = float(np.finfo(float).eps)
 
+# Elements of one degree block of _conjugated_distances (1 MiB of float64).
+_BLOCK_ELEMS = 1 << 17
+
+
+def _degree_blocks(n_rows: int, row_elems: int) -> list:
+    """Slices of ``n_rows`` degrees into blocks of ``_BLOCK_ELEMS // row_elems``
+    rows rounded down to a multiple of 8 (at least 8).  A last block shorter
+    than half of that joins the block before it, so no block but a lone one
+    is that short."""
+    step = max(8, _BLOCK_ELEMS // row_elems // 8 * 8)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] < step // 2:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+
+
+def _dense_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """The distances of :func:`_conjugated_distances` for dense stacks whose
+    reference is strictly positive."""
+    p = v2.shape[1]
+    scale = 1.0 / np.sqrt(np.diagonal(v2, axis1=1, axis2=2))
+    B1 = scale[:, :, None] * v1 * scale[:, None, :]
+    B2 = scale[:, :, None] * v2 * scale[:, None, :]  # unit diagonal
+    w, v = np.linalg.eigh(B2)
+    lo, hi = w[:, 0], w[:, -1]
+    s = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
+    m = s @ B1 @ s
+    diff = m - np.eye(p)
+    dist = np.sum(diff * diff, axis=(1, 2))
+    noise_floor = p * (64.0 * _EPS * hi / lo) ** 2
+    return np.where(dist <= noise_floor, 0.0, dist)
+
 
 def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """``||(b2)^{-1/2} b1 (b2)^{-1/2} - I||_HS^2`` for every degree of two
     coefficient stacks (degree axis first), b2 the strictly positive reference.
+
+    Both are read in degree blocks of about ``_BLOCK_ELEMS`` elements
+    (:func:`_degree_blocks`), so the work space is one block, not a stack,
+    and the blocks do not move a bit.  The dense branch is batched per
+    degree.  The diagonal branch sums each block's rows with one gemv at one
+    OpenBLAS thread (:func:`one_blas_thread`), which takes the rows in
+    groups of 4 from the block's start and ends with a remainder kernel;
+    blocks that start on multiples of 8 give every row the kernel it gets in
+    one product over the whole stack, and the merged last block keeps
+    clear of a one-row product, which numpy computes as a dot.  (At more
+    threads OpenBLAS splits a gemv at row counts that need not be multiples
+    of 4, so its bits would depend on the thread count and on the blocks.)
 
     Diagonal stacks (scalar or folded fourier) give
     ``sum_k mult_k (b1_k / b2_k - 1)^2``.  For dense stacks the value equals
@@ -92,22 +137,18 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         l = int(np.argmax(bad))
         raise ValueError(f"second coefficient must be strictly positive "
                          f"(degree {l}: {why(l)})")
+    dist = np.empty(v2.shape[0])
     if v2.ndim < 3:
         g1 = v1.reshape(v1.shape[0], -1)
         g2 = v2.reshape(v2.shape[0], -1)
-        return (g1 / g2 - 1.0) ** 2 @ fold_multiplicities(g2.shape[1])
-    p = v2.shape[1]
-    scale = 1.0 / np.sqrt(np.diagonal(v2, axis1=1, axis2=2))
-    B1 = scale[:, :, None] * v1 * scale[:, None, :]
-    B2 = scale[:, :, None] * v2 * scale[:, None, :]  # unit diagonal
-    w, v = np.linalg.eigh(B2)
-    lo, hi = w[:, 0], w[:, -1]
-    s = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
-    m = s @ B1 @ s
-    diff = m - np.eye(p)
-    dist = np.sum(diff * diff, axis=(1, 2))
-    noise_floor = p * (64.0 * _EPS * hi / lo) ** 2
-    return np.where(dist <= noise_floor, 0.0, dist)
+        mult = fold_multiplicities(g2.shape[1])
+        with one_blas_thread():
+            for b in _degree_blocks(*g2.shape):
+                dist[b] = (g1[b] / g2[b] - 1.0) ** 2 @ mult
+        return dist
+    for b in _degree_blocks(v2.shape[0], v2.shape[1] ** 2):
+        dist[b] = _dense_distances(v1[b], v2[b])
+    return dist
 
 
 def hs_term(b1, b2, hl: int) -> float:

@@ -41,6 +41,12 @@ DEFAULT_K_MAX = 200
 THETA_SLACK = 1e-9
 
 _FLOAT_MAX = float(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+# The most terms a multiquadratic tail bound sums one by one, beyond the
+# degrees it bounds from (see MultiquadraticParams._summed_tail).
+_TAIL_TERMS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -89,22 +95,32 @@ class MultiquadraticParams:
                 for s, a in zip(self.sigma, self.alpha[:2])]
 
     def trace_tail_bound(self, l_from: int) -> float:
-        """Upper bound on ``sum_{n > l_from} trace(b_n) C_n^lam(1)``.
+        """Upper bound on ``sum_{n > l_from} trace(b_n) C_n^lam(1)``, finite
+        for every valid model.
 
-        The term ratio ``a (n + d - 1) / (n + 1)`` is decreasing in n, so the
-        tail is bounded by its first term times the geometric closure at that
-        ratio (``inf`` when the ratio is not below 1).  A prefactor ``c``
-        that underflows to 0 is taken in logs, ``2 log sigma + (d - 1)
-        log1p(-a)``, since the terms it multiplies can be large.
+        Each diagonal entry's terms ``t_n = c binom(n + d - 2, n) a^n`` have
+        the ratio ``r_n = a (n + d - 1) / (n + 1)``, which decreases in n
+        towards ``a``.  Where ``r`` at ``n = l_from + 1`` is at most
+        ``(1 + a) / 2`` the tail is bounded by its first term over
+        ``1 - r``; elsewhere :meth:`_summed_tail` sums the terms up to where
+        it is.  Either closure is at most twice the tail it bounds, since
+        the tail from there is at least that term over ``1 - a``.  A
+        prefactor ``c`` that is not a normal float64, or is the product of
+        one that is not, is taken in logs, ``2 log sigma + (d - 1)
+        log1p(-a)``: it has lost digits or underflowed to 0, and the terms
+        it multiplies can be large.
         """
         total = 0.0
         n = l_from + 1
         for s, (c, a) in zip(self.sigma, self._tail_terms()):
-            log_c = (math.log(c) if c > 0.0
-                     else 2.0 * math.log(s) + (self.d - 1) * math.log1p(-a))
+            if min(c, (1.0 - a) ** (self.d - 1)) >= _TINY:
+                log_c = math.log(c)
+            else:
+                log_c = 2.0 * math.log(s) + (self.d - 1) * math.log1p(-a)
             r = a * (n + self.d - 1.0) / (n + 1.0)
-            if r >= 1.0:
-                return math.inf
+            if r > 0.5 * (1.0 + a):
+                total += self._summed_tail(s * s, log_c, a, n)
+                continue
             if self.d >= 2:
                 log_binom = (math.lgamma(n + self.d - 1.0) - math.lgamma(n + 1.0)
                              - math.lgamma(self.d - 1.0))
@@ -113,6 +129,48 @@ class MultiquadraticParams:
             log_term = log_c + log_binom + n * math.log(a)
             total += math.exp(log_term) / (1.0 - r)
         return total
+
+    def _summed_tail(self, s2: float, log_c: float, a: float, n0: int) -> float:
+        """Bound on ``sum_{n >= n0} t_n`` for one diagonal entry (terms of
+        log prefactor ``log_c`` that sum to ``s2 = sigma^2`` over all n)
+        whose ratio at n0 exceeds ``q = (1 + a) / 2``.
+
+        The terms from n0 up to the first degree N whose ratio is at most q
+        are summed from their logs, and the rest is closed geometrically at
+        ``r_N``.  That takes about ``2 a d / (1 - a)`` terms.  Where that is
+        more than ``_TAIL_TERMS`` and more than n0, n0 lies below about half
+        of N, near or below the mean degree ``a (d - 1) / (1 - a)`` of the
+        terms, where the tail is a fair share of ``s2``; there the bound is
+        ``s2`` minus the terms below n0.  Either way it is raised by the
+        rounding of the terms' logs, 16 eps times the sum of the magnitudes
+        of their parts at the largest degree used, relative to the sum or to
+        ``s2``.  It is at most ``s2``, which it is where that rounding
+        leaves the logs no digits (d beyond about 1e14).
+        """
+        d = self.d
+        # N = ceil((a (d - 1) - q) / (q - a)) exactly, at any size of d
+        num, den = a.as_integer_ratio()
+        N = max(n0, -((den + num - 2 * num * (int(d) - 1)) // (den - num)))
+        summed = N - n0 <= max(_TAIL_TERMS, n0)
+        try:
+            log_gd = math.lgamma(d - 1.0)
+            top = N if summed else n0
+            rounding = 16.0 * _EPS * (abs(log_c) + math.lgamma(top + d - 1.0) + log_gd
+                                      + math.lgamma(top + 1.0) - top * math.log(a) + 1.0)
+        except OverflowError:
+            return s2
+        if not rounding < 1.0:
+            return s2
+
+        def terms(ns):
+            return [math.exp(log_c + math.lgamma(n + d - 1.0) - math.lgamma(n + 1.0)
+                             - log_gd + n * math.log(a)) for n in ns]
+
+        if summed:
+            t = terms(range(n0, N + 1))
+            t[-1] /= 1.0 - a * (N + d - 1.0) / (N + 1.0)   # close at r_N
+            return min(s2, math.fsum(t) * (1.0 + rounding))
+        return min(s2, s2 - math.fsum(terms(range(n0))) + s2 * rounding)
 
     def tail_to_dict(self) -> dict:
         """The ``tail`` object of docs/schemas/sequence.schema.json."""
@@ -266,7 +324,13 @@ class LegendreMaternParams:
 def legendre_matern_gamma_grid(p: LegendreMaternParams,
                                l_max: int | None = None) -> np.ndarray:
     """Grid ``gamma_{l,k}`` for ``l <= l_max`` (default ``p.l_max``) and
-    ``k <= p.k_max``, shape (L+1, K+1).
+    ``k <= p.k_max``, shape (L+1, K+1), as a read-only array.
+
+    The grid is the one array of that size that is allocated: each step of
+    ``sigma^2 / ((2l+1) (alpha + k^2 + l^2)^(nu+1/2))`` runs in place, with
+    the ufuncs of the plain expression, so the ``require_fit`` check of one
+    stack is what the build needs and the bits are the expression's.  A
+    :class:`SchoenbergSequence` adopts the read-only result without a copy.
 
     For large ``nu`` (from about 62 at L = K = 200) the denominator overflows
     to ``inf``, and for small ``alpha`` at large ``nu`` its first entry
@@ -279,8 +343,13 @@ def legendre_matern_gamma_grid(p: LegendreMaternParams,
                 f"the degree-{L}, frequency-{K} coefficient stack")
     l = np.arange(L + 1, dtype=float)[:, None]
     k = np.arange(K + 1, dtype=float)[None, :]
+    g = p.alpha + k * k + l * l
     with np.errstate(over="ignore", divide="ignore"):
-        return p.sigma ** 2 / ((2 * l + 1) * (p.alpha + k * k + l * l) ** (p.nu + 0.5))
+        g **= p.nu + 0.5
+        g *= 2 * l + 1
+        np.divide(p.sigma ** 2, g, out=g)
+    g.setflags(write=False)
+    return g
 
 
 def build_sequence(params, l_max: int | None = None) -> SchoenbergSequence:

@@ -103,12 +103,18 @@ def _reject(bad: np.ndarray, message) -> None:
 
 def _checked_stack(stack) -> np.ndarray:
     """Validate coefficients of one variant (named by the ndim) stacked along
-    the degree axis and return them as a new read-only array.
+    the degree axis and return them as a read-only array.
 
     Every entry must be finite.  Diagonal entries must be >= 0; dense
     coefficients must be symmetric within ``_SYM_RTOL`` (relative, Frobenius)
-    and PSD within ``PSD_RTOL * trace``, and are returned symmetrized.
-    Errors name the first failing degree.
+    and PSD within ``PSD_RTOL * trace``, and are returned symmetrized (a new
+    array).  A diagonal stack that is a float64 array, already read-only and
+    owning its data, is adopted as it is, so a builder's stack is not held
+    twice; any other diagonal stack (writable, or a view of another array)
+    is copied, so no caller can change a sequence's coefficients through it.
+    (numpy lets the owner of an adopted array make it writable again; the
+    model builders hand theirs over and keep no reference.)  Errors name
+    the first failing degree.
     """
     s = np.asarray(stack, dtype=float)
     if s.ndim not in _STACK_VARIANT:
@@ -136,7 +142,8 @@ def _checked_stack(stack) -> np.ndarray:
     else:
         _reject(np.any(flat < 0.0, axis=1),
                 lambda l: f"{variant} coefficient b_{l} must have entries >= 0")
-        s = np.array(s)
+        if s.flags.writeable or not s.flags.owndata:
+            s = np.array(s)
     s.setflags(write=False)
     return s
 
@@ -194,7 +201,9 @@ class SchoenbergSequence:
     names the variant: ``(L+1,)`` scalar, ``(L+1, K+1)`` fourier,
     ``(L+1, p, p)`` matrix.  The input is checked in one batched pass (finite,
     symmetric and PSD; errors name the first failing degree) and stored as a
-    new array.  ``tail`` is ``None`` or
+    new array, except that a read-only float64 diagonal stack that owns its
+    data is adopted without a copy (:func:`_checked_stack`).  ``tail`` is
+    ``None`` or
     an object with ``trace_tail_bound(l_from)``, an upper bound on
     ``sum_{l > l_from} trace(b_l) C_l^lam(1)``, and ``tail_to_dict()``, its
     JSON object; the model builders pass their parameter object.  ``==``

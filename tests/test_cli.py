@@ -1,6 +1,7 @@
 import argparse
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -179,6 +180,23 @@ class TestValidate:
         assert code == 2 and out == "" and "Traceback" not in err
         assert err == "invalid model: weighted trace not finite\n"
         assert not (tmp_path / "out").exists()
+
+    def test_tail_bound_is_finite_where_the_first_ratio_exceeds_one(self, capsys,
+                                                                      tmp_json):
+        # d = 10, a = .9: the term ratio a (n + 9) / (n + 1) is above 1 up to
+        # n = 71; the tail past L = 3 is 2 (1 - 3.3e-7), times omega_10
+        cfg = tmp_json("m.json", dict(MQ, d=10, rho12=1e-7, alpha=[0.9, 0.9, 0.5]))
+        code, out, _ = run(capsys, ["validate", "--config", cfg, "--l-max", "3"])
+        report = json.loads(out)
+        assert code == 0 and "tail estimate is a last-term heuristic" not in report["flags"]
+        bound = report["tail_estimate"] / sb.surface_measure(10)
+        assert 1.9999996 < bound < 2.01
+        code, out, _ = run(capsys, ["kernel", "--config", cfg, "--l-max", "3",
+                                    "--thetas", "0,1"])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 2
+        assert all(float(row["tail_bound"]) == pytest.approx(bound, rel=1e-15)
+                   for row in rows)
 
     @pytest.mark.parametrize("d, validate_code", [(343, 0), (100000, 2)])
     def test_large_multiquadratic_d_no_traceback(self, capsys, tmp_json, d,
@@ -1360,7 +1378,9 @@ STRICT_JSON_CASES = {
     "validate-partial-sums-nan": (
         ["validate", "--config", "{a}"], [dict(MQ, d=100000, alpha=[0.5, 0.5, 0.5])],
         "validity_report", 2),
-    "validate-infinite-tail": (
+    # the term ratio at L + 1 is above 1, where the tail bound is summed
+    # term by term
+    "validate-summed-tail": (
         ["validate", "--config", "{a}", "--l-max", "3"],
         [dict(MQ, d=10, rho12=1e-7, alpha=[0.9, 0.9, 0.5])], "validity_report", 0),
     "equiv": (["equiv", "{a}", "{b}", "--l-max", "64"], [LM, LM_ALPHA],

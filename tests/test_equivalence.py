@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
+from spherefield import _blas
 from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
@@ -116,6 +118,86 @@ class TestFunctionalSeries:
         for l in (0, 3, 17, 32):
             direct = eq.hs_term(s1.coeffs[l], s2.coeffs[l], h_dim(2, l))
             assert series[l] == pytest.approx(direct, rel=1e-12)
+
+
+def _sweep_stacks(rng, kind, width, n):
+    """Two strictly positive stacks of n degrees: scalar, fourier with width
+    entries, or matrix of side width."""
+    if kind == "scalar":
+        return rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    if kind == "fourier":
+        return rng.uniform(0.5, 1.5, (n, width)), rng.uniform(0.5, 1.5, (n, width))
+    return tuple(random_spd(rng, width)[None] * rng.uniform(0.5, 1.5, (n, 1, 1))
+                 for _ in range(2))
+
+
+class TestDegreeBlocks:
+    """_conjugated_distances reads its stacks in degree blocks; the blocks
+    must not move a bit of the distances, which functional_series multiplies
+    by h(l)."""
+
+    @staticmethod
+    def lengths(step):
+        # every length mod 8 past two blocks, which leaves a last block of
+        # 0-7 rows to merge; tails of 1-3 rows past eight blocks (at 2049
+        # rows of 513 entries a gemv at two OpenBLAS threads splits its rows
+        # where the blocks do not); a tail of half a block, which stays; a
+        # lone block
+        return ([2 * step + r for r in range(8)] + [8 * step + r for r in (1, 2, 3)]
+                + [step + step // 2, step // 2 + 3])
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    @pytest.mark.parametrize("kind, width", [
+        ("scalar", 1), ("fourier", 1), ("fourier", 2), ("fourier", 3),
+        ("fourier", 17), ("fourier", 513), ("matrix", 2), ("matrix", 3),
+        ("matrix", 5)])
+    def test_blocks_keep_the_bits(self, monkeypatch, blas_threads, kind, width):
+        api = _blas._thread_api()
+        if api is None and blas_threads > 1:
+            pytest.skip("no OpenBLAS thread API")
+        rng = np.random.default_rng(width)
+        row = width * width if kind == "matrix" else width
+        if kind == "matrix":
+            # blocks of 64 degrees: the dense branch works degree by degree,
+            # and a full block (32768 2 x 2 degrees) takes over a second
+            monkeypatch.setattr(eq, "_BLOCK_ELEMS", 64 * row)
+        step = max(8, eq._BLOCK_ELEMS // row // 8 * 8)
+        before = api[0]() if api else None
+        try:
+            if api:
+                api[1](blas_threads)
+            for n in self.lengths(step):
+                v1, v2 = _sweep_stacks(rng, kind, width, n)
+                blocks = eq._degree_blocks(n, row)
+                assert all(b.start % 8 == 0 for b in blocks)
+                assert min(b.stop - b.start for b in blocks) >= min(n, step // 2)
+                blocked = eq._conjugated_distances(v1, v2)
+                with monkeypatch.context() as m:
+                    m.setattr(eq, "_BLOCK_ELEMS", (n + 8) * row)
+                    assert len(eq._degree_blocks(n, row)) == 1
+                    whole = eq._conjugated_distances(v1, v2)
+                assert np.array_equal(blocked, whole), (n, len(blocks))
+        finally:
+            if api:
+                api[1](before)
+
+    def test_series_holds_one_block(self):
+        # above its two input stacks, functional_series needs the largest
+        # degree block and the reference's positivity mask, not a stack
+        s1 = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 1024, 256))
+        s2 = md.build_sequence(md.LegendreMaternParams(1.0, 2.0, 1.0, 1024, 256))
+        block = 8 * 257 * max(b.stop - b.start for b in eq._degree_blocks(1025, 257))
+        mask = 1025 * 257
+        assert block < s1.coeffs.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            terms = eq.functional_series(s1, s2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert terms.shape == (1025,)
+        assert peak <= 1.05 * (block + mask)
 
 
 class TestScalarMarginalization:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,33 @@ class TestLegendreMaternGamma:
         # every gamma is below float64, and 0 is its correctly rounded value
         p = md.LegendreMaternParams(1.0, 1e300, 1.0, 5, 4)
         assert np.all(md.legendre_matern_gamma_grid(p) == 0.0)
+
+    # nu + 1/2 of 1 and 2 take numpy's scalar-power shortcuts; nu = 100
+    # overflows the denominator
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.3, 100.0])
+    def test_in_place_grid_has_the_bits_of_the_expression(self, nu):
+        p = md.LegendreMaternParams(1.7, 0.3, nu, 40, 30)
+        l = np.arange(41.0)[:, None]
+        k = np.arange(31.0)[None, :]
+        with np.errstate(over="ignore", divide="ignore"):
+            want = p.sigma ** 2 / ((2 * l + 1) * (p.alpha + k * k + l * l) ** (p.nu + 0.5))
+        grid = md.legendre_matern_gamma_grid(p)
+        assert np.array_equal(grid, want) and not grid.flags.writeable
+
+    def test_build_holds_one_stack(self):
+        # the grid is computed in place and adopted by the sequence: the
+        # peak is the stack and the boolean masks of its checks
+        p = md.LegendreMaternParams(1.0, 1.0, 1.0, 1024, 256)
+        stack = 8 * 1025 * 257
+        mask = stack // 8
+        tracemalloc.start()
+        try:
+            seq = md.build_sequence(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.coeffs.nbytes == stack
+        assert peak <= 1.05 * (stack + 2 * mask)
 
 
 class TestBuildSequence:

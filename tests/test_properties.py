@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 from hypothesis import given, reject, settings, strategies as st
 from jsonschema import Draft7Validator, ValidationError
+from scipy import stats
 
 from spherefield import cli
 from spherefield import equivalence as eq
@@ -500,3 +501,31 @@ def test_positive_finite_window_has_a_decay_fit(terms):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isfinite(eq.fit_decay_exponent(terms))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 1000), l_from=st.integers(0, 3000),
+       sigma=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       alpha=st.tuples(st.floats(0.001, 0.999), st.floats(0.001, 0.999)),
+       cross=st.floats(0.01, 0.99))
+def test_multiquadratic_tail_bound_is_finite_and_tight(d, l_from, sigma, alpha, cross):
+    # the bound reads d, sigma and the diagonal rates only, and a small
+    # enough rho12 makes any of them a valid model.
+    # Entry i's terms are sigma_i^2 times the negative binomial pmf of d - 1
+    # successes at probability 1 - a_ii, so the tail past l_from is
+    # sigma_i^2 sf(l_from) (none on the circle, where only degree 0 is left).
+    # The bound is at least the tail and at most twice it: either geometric
+    # closure overshoots the tail from its degree by at most a factor of 2
+    # (the ratios never fall below a_ii).  Tails below 1e-290 are not
+    # compared: float64 has too few digits there.  About 1 s for the 200
+    # examples.
+    a11, a22 = alpha
+    p = md.MultiquadraticParams(d=d, sigma=tuple(10.0 ** s for s in sigma), rho12=1e-9,
+                                alpha=(a11, a22, cross * math.sqrt(a11 * a22)))
+    tail = 0.0 if d == 1 else sum(
+        s * s * float(stats.nbinom.sf(l_from, d - 1, 1.0 - a))
+        for s, a in zip(p.sigma, (a11, a22)))
+    bound = p.trace_tail_bound(l_from)
+    assert math.isfinite(bound) and bound >= 0.0
+    if tail > 1e-290:
+        assert tail * (1.0 - 1e-9) <= bound <= 2.0 * tail * (1.0 + 1e-9)

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import eval_legendre
 
 import spherefield
@@ -147,6 +148,22 @@ class TestSequence:
         assert seq.coeffs.tolist() == [1.0, 0.5] and len(seq.coeffs) == seq.l_max + 1
         with pytest.raises(ValueError):
             seq.coeffs[0] = 2.0
+
+    @pytest.mark.parametrize("make, adopted", [
+        pytest.param(lambda a: a, True, id="read_only_owner"),
+        pytest.param(lambda a: a.copy(), False, id="writable"),
+        pytest.param(lambda a: a[1:], False, id="view"),
+        pytest.param(lambda a: a.reshape(1, -1), False, id="read_only_view"),
+    ])
+    def test_read_only_owned_stack_is_adopted(self, make, adopted):
+        # a read-only float64 stack that owns its data is stored as it is;
+        # any other is copied, so no caller can write the sequence's stack
+        base = np.array([[1.0, 0.5, 0.25], [0.5, 0.25, 0.125]])
+        base.setflags(write=False)
+        stack = make(base)
+        seq = sb.SchoenbergSequence(2, stack)
+        assert np.shares_memory(seq.coeffs, stack) == adopted
+        assert np.array_equal(seq.coeffs, stack) and not seq.coeffs.flags.writeable
 
     def test_truncate(self):
         seq = scalar_sequence([1, .5, .25])
@@ -297,9 +314,22 @@ class TestTailBounds:
             return 2.0 * float(np.sum(np.exp(log_terms)))
 
         assert brute(200) == pytest.approx(2.0, rel=1e-12)
-        assert p.trace_tail_bound(200) == math.inf
-        bound = p.trace_tail_bound(3000)
-        assert 0.0 < brute(3000) <= bound <= 50 * brute(3000)
+        for L in (200, 3000):
+            # at L = 200 the bound is sigma_1^2 + sigma_2^2, the sum of all
+            # terms, which the brute-force sum exceeds by its rounding
+            bound = p.trace_tail_bound(L)
+            assert 0.0 < brute(L) <= bound * (1.0 + 1e-12) and bound <= 2 * brute(L)
+
+    @pytest.mark.parametrize("L", [3, 30, 100])
+    def test_bound_is_finite_where_the_first_ratio_exceeds_one(self, L):
+        # a = .9, d = 10: the term ratio a (n + 9) / (n + 1) is above 1 up to
+        # n = 71.  One entry's terms are sigma^2 times the negative binomial
+        # pmf of d - 1 = 9 successes at probability 1 - a, so the tail is
+        # sigma^2 sf(L) for each of the two entries.
+        p = md.MultiquadraticParams(d=10, sigma=(1.0, 1.0), rho12=1e-7,
+                                    alpha=(0.9, 0.9, 0.5))
+        tail = 2.0 * float(stats.nbinom.sf(L, 9, 0.1))
+        assert tail <= p.trace_tail_bound(L) <= 1.02 * tail
 
     def test_power_law_tail_dominates_brute_force(self):
         for sigma, alpha, nu in ((1.0, 1.0, 1.0), (2.0, 0.5, 0.75)):

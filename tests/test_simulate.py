@@ -699,6 +699,36 @@ class TestExactCovariance:
             assert max(sizes) == per_batch and len(sizes) > 1
             self.check(seq, grid, sim.synthesize_ensemble(seq, grid, size))
 
+    @staticmethod
+    def responses(monkeypatch, seq, grid, size):
+        """Field f of a one-field ensemble whose one draw is unit vector f:
+        the response to draw f alone."""
+        def alone(f):
+            monkeypatch.setattr(sim, "make_generator",
+                                lambda seed, stream=0: UnitVectors(size, f))
+            return sim.synthesize_ensemble(seq, grid, 1)[0]
+        return np.stack([alone(f) for f in range(size)])
+
+    @pytest.mark.parametrize("model", list(EXACT_MODELS))
+    def test_fields_keep_the_order_of_their_draws(self, monkeypatch, model):
+        # a sum over fields cannot see fields permuted; here field f of an
+        # ensemble, in one-field and in 7/6-field batches, and field f of
+        # synthesize_fields must each be the response to draw f
+        seq = EXACT_MODELS[model]()
+        grid = sim.SampleGrid.uniform_random(seq.d, 4, seed=6)
+        size = sh.harmonic_count(seq.d, seq.l_max) * sim.unfolded_dim(seq)
+        want = self.responses(monkeypatch, seq, grid, size)
+        tol = 16 * np.finfo(float).eps * np.max(np.abs(want))
+        monkeypatch.setattr(sim, "make_generator",
+                            lambda seed, stream=0: UnitVectors(size, stream))
+        for per_batch in (1, 7):
+            monkeypatch.setattr(sim, "_BATCH_ELEMS", per_batch * size)
+            got = sim.synthesize_ensemble(seq, grid, size)
+            assert np.max(np.abs(got - want)) <= tol, per_batch
+        fields = sim.synthesize_fields(seq, grid, range(size))
+        got = np.stack([f.values for f in fields])
+        assert np.max(np.abs(got - want)) <= tol
+
     @pytest.mark.parametrize("model", list(EXACT_MODELS))
     def test_per_field_covariance_is_the_kernel(self, monkeypatch, model):
         # synthesize_fields draws field s from stream s alone: unit vector s
