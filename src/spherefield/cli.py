@@ -264,11 +264,9 @@ def cmd_kernel(args) -> int:
     bound = repr(tail_bound(seq)[0])
 
     is_mq = isinstance(params, MultiquadraticParams)
-    series_consistent = is_mq and params.d == 3
     header = ["theta"] + labels + ["tail_bound"]
     if is_mq:
         header += [f"cf[{i}][{j}]" for i in range(2) for j in range(2)]
-        header += ["closed_form_series_consistent"]
     rows = []
     for idx, theta in enumerate(thetas):
         entries = np.atleast_1d(values[idx]).ravel()
@@ -277,7 +275,6 @@ def cmd_kernel(args) -> int:
         if is_mq:
             cf = multiquadratic_kernel_closed_form(params, theta)
             row += [repr(float(v)) for v in cf.ravel()]
-            row.append(str(int(series_consistent)))
         rows.append(row)
 
     lines = [",".join(header)] + [",".join(r) for r in rows]
@@ -286,8 +283,6 @@ def cmd_kernel(args) -> int:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)
-    if is_mq and not series_consistent:
-        _info("closed-form columns are not series-consistent for d != 3")
     return EXIT_OK
 
 
@@ -482,9 +477,9 @@ def cmd_equiv(args) -> int:
     if type(p1) is not type(p2):
         raise UsageError("model families differ; no common coefficient space")
     if isinstance(p1, MultiquadraticParams):
-        closed = classify_multiquadratic(p1, p2)
         if args.k_max is not None:
             raise UsageError("--k-max is for Legendre-Matern configs only")
+        closed = classify_multiquadratic(p1, p2)
     else:   # Legendre-Matern, the other family that params_from_dict builds
         closed = classify_legendre_matern(p1, p2)
         k_max = args.k_max if args.k_max is not None else max(p1.k_max, p2.k_max)

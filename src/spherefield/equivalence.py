@@ -22,7 +22,6 @@ so verdicts are orientation-free.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -378,9 +377,9 @@ def report_to_dict(terms: np.ndarray, verdicts: list[dict]) -> dict:
 
 
 def write_series_csv(path, terms: np.ndarray) -> None:
-    """CSV with fixed column order (l, term, partial_sum)."""
+    """CSV with fixed column order (l, term, partial_sum), written the way
+    ``simulate.write_field_csv`` writes (``repr``, ``,``, ``\\r\\n``)."""
+    rows = zip(terms.tolist(), _partial_sums(terms).tolist())
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["l", "term", "partial_sum"])
-        for l, (t, s) in enumerate(zip(terms, _partial_sums(terms))):
-            w.writerow([l, repr(float(t)), repr(float(s))])
+        fh.write("l,term,partial_sum\r\n")
+        fh.writelines(f"{l},{t!r},{s!r}\r\n" for l, (t, s) in enumerate(rows))

@@ -224,20 +224,22 @@ def _mq_entry_logs(p: MultiquadraticParams, n) -> np.ndarray:
 
 
 def multiquadratic_kernel_closed_form(p: MultiquadraticParams, theta: float) -> np.ndarray:
-    """The 2 x 2 closed-form kernel matrix with entries
-    ``rho_ij sigma_i sigma_j (1-a_ij)^2 / (1 + a_ij^2 - 2 a_ij cos(theta))``.
-
-    The denominator exponent matches the coefficient expansion exactly at
-    d = 3 only; for other d the matrix is not the kernel of the series.
+    """The 2 x 2 closed-form kernel matrix, the sum of the coefficient series
+    at every d (Gneiting 2013), with entries
+    ``rho_ij sigma_i sigma_j (1-a_ij)^{d-1} (1 + a_ij^2 - 2 a_ij cos(theta))^{-(d-1)/2}``,
+    evaluated as ``rho sigma sigma exp(-(d-1)/2 log1p(4 a sin^2(theta/2) / (1-a)^2))``
+    (the base is ``(1-a)^2 + 4 a sin^2(theta/2)``): finite where ``(1-a)^{d-1}``
+    underflows, ``rho sigma sigma`` at theta = 0, never ``log(0)`` for ``a`` next to 1.
     """
     if not 0.0 <= theta <= math.pi + THETA_SLACK:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     s1, s2 = p.sigma
     a11, a22, a12 = p.alpha
-    ct = math.cos(theta)
+    sh2 = math.sin(0.5 * theta) ** 2
 
     def entry(rho, si, sj, a):
-        return rho * si * sj * (1.0 - a) ** 2 / (1.0 + a * a - 2.0 * a * ct)
+        return rho * si * sj * math.exp(
+            -0.5 * (p.d - 1) * math.log1p(4.0 * a * sh2 / (1.0 - a) ** 2))
 
     return np.array([
         [entry(1.0, s1, s1, a11), entry(p.rho12, s1, s2, a12)],

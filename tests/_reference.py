@@ -140,6 +140,18 @@ def multiquadratic_coeff_entries(p, n) -> np.ndarray:
     return np.exp(multiquadratic_coeff_logs(p, n))
 
 
+def closed_form_tolerance(seq) -> np.ndarray:
+    """Entrywise bound on ``|R(t) - closed form|`` for a multiquadratic
+    sequence truncated at L, minus its tail bound: the rounding of the sum
+    ``R(t) = sum_l b_l C_l(t)``, ``8 (L + 1) eps sum_l |b_l| C_l(1)``
+    (``|C_l(t)| <= C_l(1)``).  ``inf`` where that sum is not finite."""
+    c1 = sh.gegenbauer_at_one_all(seq.order, seq.l_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.sum(np.abs(seq.coeffs) * c1[:, None, None], axis=0)
+    return np.where(np.isfinite(mag), 8.0 * (seq.l_max + 1) * np.finfo(float).eps * mag,
+                    math.inf)
+
+
 def fourier_function_values(coefficients, taus) -> np.ndarray:
     """A fourier-variant field value as a function on [0, 1]: the
     coefficient vector in the orthonormal basis

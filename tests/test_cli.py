@@ -23,7 +23,8 @@ from spherefield import _memory, cli
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from _reference import ROOT, patch_draws, reject_constant, validate_schema
+from _reference import (ROOT, closed_form_tolerance, patch_draws, reject_constant,
+                        validate_schema)
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -337,10 +338,47 @@ class TestKernel:
         header = rows[0]
         for row in rows[1:]:
             r = dict(zip(header, row))
-            assert r["closed_form_series_consistent"] == "1"
             for i in range(2):
                 for j in range(2):
                     assert abs(float(r[f"R[{i}][{j}]"]) - float(r[f"cf[{i}][{j}]"])) < 1e-8
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 1000])
+    def test_closed_form_matches_series_at_every_d(self, capsys, tmp_json, d):
+        # at d = 1000 (1-a)^{d-1} is 4e-5 and the kernel at theta = 3 is 2.3e-9;
+        # the closed-form columns are the series' kernel there too
+        model = dict(MQ, d=d, rho12=0.003, alpha=[0.01, 0.01, 0.005])
+        code, out, err = run(capsys, ["kernel", "--config", tmp_json("m.json", model),
+                                      "--thetas", "0,1,3,3.141592653589793",
+                                      "--l-max", "300"])
+        assert code == 0 and err == ""
+        rows = list(csv.reader(out.strip().splitlines()))
+        cf_labels = [f"cf[{i}][{j}]" for i in range(2) for j in range(2)]
+        assert rows[0][-5:] == ["tail_bound"] + cf_labels
+        tol = closed_form_tolerance(
+            md.build_sequence(md.params_from_dict(model), 300)).ravel()
+        for row in rows[1:]:
+            r = dict(zip(rows[0], row))
+            series = np.array([float(r[f"R[{i}][{j}]"]) for i in range(2) for j in range(2)])
+            cf = np.array([float(r[k]) for k in cf_labels])
+            assert np.all(np.abs(series - cf) <= tol + float(r["tail_bound"]))
+
+    @pytest.mark.parametrize("model", [MQ, dict(LM, L_max=10, K_max=2)], ids=["mq", "lm"])
+    def test_header_is_the_documented_column_order(self, capsys, tmp_json, model):
+        # docs/formats.md's column line, "<entries>" replaced by the entry
+        # labels and the bracketed closed-form columns kept for multiquadratic
+        # models only
+        text = (ROOT / "docs" / "formats.md").read_text()
+        section = text.split("\n## Kernel tables", 1)[1].split("\n## ", 1)[0]
+        head, closed_form = re.search(r"^    (theta, <entries>, tail_bound)\[, (.*)\]$",
+                                      section, re.M).groups()
+        code, out, _ = run(capsys, ["kernel", "--config", tmp_json("m.json", model),
+                                    "--thetas", "0.5", "--l-max", "10"])
+        assert code == 0
+        labels = sb.entry_labels(md.build_sequence(md.params_from_dict(model), 10))
+        documented = head.replace("<entries>", ", ".join(labels)).split(", ")
+        if model["model"] == "multiquadratic":
+            documented += closed_form.split(", ")
+        assert out.splitlines()[0].split(",") == documented
 
     def test_theta_just_past_pi_accepted(self, capsys, tmp_json):
         # 3.1415926545 exceeds pi by 9.2e-10, inside the --thetas allowance;
@@ -927,6 +965,12 @@ class TestEquiv:
         code, out, err = run(capsys, ["equiv", mq, lm, "--l-max", "40",
                                       "--k-max", "5"])
         assert code == 1 and out == "" and "families differ" in err
+        # and the --k-max check before the validity of the models
+        bad = tmp_json("bad_mq.json", dict(MQ, rho12=0.99))
+        code, out, err = run(capsys, ["equiv", bad, mq, "--l-max", "40",
+                                      "--k-max", "5"])
+        assert code == 1 and out == ""
+        assert "--k-max is for Legendre-Matern configs only" in err
 
     def test_wide_spectrum_reference_accepted(self, capsys, tmp_json):
         # the model validate accepts at 200 is an admissible reference too

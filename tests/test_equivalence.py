@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 import tracemalloc
 from dataclasses import replace
@@ -517,6 +518,24 @@ class TestReportOutput:
             rows = list(csv.reader(fh))
         assert rows[0] == ["l", "term", "partial_sum"]
         assert int(rows[1][0]) == 0 and len(rows) == 66
+
+    def test_csv_bytes_are_the_csv_writers(self, tmp_path):
+        # the bytes that csv.writer wrote before the series CSV was written
+        # by hand, on extreme floats: partial sums -0.0, 0.0, 5e-324, the
+        # largest float, inf (the sum overflows) and nan
+        terms = np.array([-0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                          1.7976931348623157e308, math.inf, math.nan])
+        path = tmp_path / "series.csv"
+        eq.write_series_csv(path, terms)
+        with np.errstate(over="ignore"):
+            sums = np.cumsum(terms)
+        expect = io.StringIO(newline="")
+        writer = csv.writer(expect)
+        writer.writerow(["l", "term", "partial_sum"])
+        for l, (t, s) in enumerate(zip(terms, sums)):
+            writer.writerow([l, repr(float(t)), repr(float(s))])
+        assert path.read_bytes() == expect.getvalue().encode()
+        assert b"6,nan,nan\r\n" in path.read_bytes()
 
     def test_nonfinite_fit_serializes_null(self):
         assert math.isnan(eq.fit_decay_exponent(np.zeros(40)))

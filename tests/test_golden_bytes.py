@@ -112,7 +112,7 @@ GOLDEN_ALGEBRA = {
     "export_mq_300": (
         0, "c86fe553bb190cc27d04d7af0a646d64210ab2f8b959175ab0046eaac0fd99af"),
     "kernel_mq_300": (
-        0, "01b4b01a97d3150085cf6173d2f45bda7c80c406a22007702e9c0c46b0f2f99b"),
+        0, "6274baca47ca5dc32fdaed87c3085982c7a9c3bacd14aa7e6b0ebf6ad634946c"),
     "validate_lm_200": (
         0, "44d644af41a1312fcb53586b2b249764fbd7f73d674bce49f1b46e57fdae784d"),
     "validate_mq_300": (

@@ -124,10 +124,11 @@ class TestMultiquadraticClosedForm:
         assert np.allclose(cf, expect, rtol=1e-14)
 
     def test_antipodal_angle(self):
+        # (1-a)^{d-1} / (1+a)^{d-1} at theta = pi, here on S^2
         p = mq()
         cf = md.multiquadratic_kernel_closed_form(p, math.pi)
         a = 0.5
-        assert cf[0, 0] == pytest.approx((1 - a) ** 2 / (1 + a) ** 2, rel=1e-14)
+        assert cf[0, 0] == pytest.approx((1 - a) / (1 + a), rel=1e-14)
 
     def test_d3_series_consistency(self):
         # generating-function oracle at lam = 1: the truncated coefficient
@@ -139,6 +140,16 @@ class TestMultiquadraticClosedForm:
             cf = md.multiquadratic_kernel_closed_form(p, theta)
             val = kernel(math.cos(theta))
             assert np.max(np.abs(val - cf)) < 1e-8
+
+    def test_finite_where_the_base_rounds_to_zero(self):
+        # (1-a)^{d-1} is 2^-99999 here, and 1 + a^2 - 2a rounds to 0 for the
+        # largest a below 1; the kernel at theta = 0 is still sigma_i sigma_j rho_ij
+        one = np.array([[1.0, 0.4], [0.4, 1.0]])
+        for p in (mq(d=100000, alpha=(0.5, 0.5, 0.5)),
+                  mq(d=3, alpha=(math.nextafter(1.0, 0.0),) * 3)):
+            assert np.array_equal(md.multiquadratic_kernel_closed_form(p, 0.0), one)
+            cf = md.multiquadratic_kernel_closed_form(p, 1.0)
+            assert np.all(np.isfinite(cf)) and np.all(cf < one)
 
     def test_rejects_bad_angle(self):
         with pytest.raises(ValueError):

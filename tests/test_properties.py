@@ -5,7 +5,9 @@ or an invalid model, extreme model parameters end in a documented exit code
 without a numpy warning (also as an ``equiv`` pair), ``validate`` and
 ``equiv`` share one definition of strict positivity, closed-form verdicts
 are decisive and symmetric, ``C_l^lam(1)`` is the exact binomial rounded
-once, and a window of positive finite series terms always has a decay fit."""
+once, a window of positive finite series terms always has a decay fit, the
+tail bounds of both families cover their tails, and the multiquadratic
+closed form is the sum of its series at every d."""
 
 import contextlib
 import io
@@ -25,7 +27,7 @@ from spherefield import harmonics as sh
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from _reference import load_schema, reject_constant, validate_schema
+from _reference import closed_form_tolerance, load_schema, reject_constant, validate_schema
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -529,3 +531,55 @@ def test_multiquadratic_tail_bound_is_finite_and_tight(d, l_from, sigma, alpha, 
     assert math.isfinite(bound) and bound >= 0.0
     if tail > 1e-290:
         assert tail * (1.0 - 1e-9) <= bound <= 2.0 * tail * (1.0 + 1e-9)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 200), a11=st.floats(0.01, 0.95), a22=st.floats(0.01, 0.95),
+       cross=st.floats(0.01, 1.0), rho=st.floats(0.01, 0.99),
+       sigma=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       theta=st.floats(0.0, math.pi))
+def test_multiquadratic_closed_form_is_the_series(d, a11, a22, cross, rho, sigma, theta):
+    # at every d the closed form is the sum of the series: entrywise within
+    # the rounding of the sum plus the tail bound, at L the first power of
+    # two from 64 whose tail bound is below 1e-17.  Models with no such L up
+    # to 8192, or whose series is not finite there (C_l(1) beyond float64),
+    # are left out.  The error beyond the tail bound has reached 0.032 of
+    # the rounding term here (0.26 (L+1) eps sum_l |b_l| C_l(1)), and 0.33
+    # in 3000 seeded random cases.  About 1 s for the 200 examples.
+    a12 = cross * math.sqrt(a11 * a22)
+    bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((d - 1) / 2.0)
+    p = md.MultiquadraticParams(d=d, sigma=tuple(10.0 ** s for s in sigma),
+                                rho12=rho * min(bound, 1.0), alpha=(a11, a22, a12))
+    try:
+        md.multiquadratic_validity(p)
+    except ValueError:
+        reject()
+    l_max = next((64 << k for k in range(8) if p.trace_tail_bound(64 << k) < 1e-17), None)
+    if l_max is None:
+        reject()
+    seq = md.build_sequence(p, l_max)
+    tol = closed_form_tolerance(seq) + p.trace_tail_bound(l_max)
+    if not np.all(np.isfinite(tol)):
+        reject()
+    thetas = [0.0, math.pi, theta]
+    series = sb.IsotropicKernel(seq).evaluate_stack([math.cos(t) for t in thetas])
+    for t, r in zip(thetas, series):
+        assert np.all(np.abs(r - md.multiquadratic_kernel_closed_form(p, t)) <= tol)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sigma=st.floats(-1.0, 1.0), alpha=st.floats(-2.0, 2.0),
+       nu=st.floats(math.log10(0.05), math.log10(20.0)),
+       l_from=st.integers(0, 299), k_max=st.integers(1, 63))
+def test_legendre_matern_tail_bound_covers_the_tail(sigma, alpha, nu, l_from, k_max):
+    # the power-law bound past l_from is finite and at least the next 4000
+    # trace terms of the sequence, at any K_max (it bounds K_max = inf, so
+    # it is loose at small K_max: the 100 examples read bound / tail from
+    # 1.2 to 3.2e5).  sigma, alpha and nu are log-uniform; at nu = 1e-300
+    # the bound is inf, as docs/formats.md says.  About 0.3 s.
+    p = md.LegendreMaternParams(10.0 ** sigma, 10.0 ** alpha, 10.0 ** nu,
+                                l_from + 4000, k_max)
+    bound = p.trace_tail_bound(l_from)
+    tail = float(np.sum(md.build_sequence(p).trace_terms()[l_from + 1:]))
+    assert math.isfinite(bound) and bound >= tail
+
