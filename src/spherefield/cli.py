@@ -53,6 +53,7 @@ from .models import (
     multiquadratic_kernel_closed_form,
     multiquadratic_validity,
     params_from_dict,
+    parse_fields,
 )
 from .schoenberg import (
     TRACE_NOT_FINITE,
@@ -277,8 +278,7 @@ def cmd_kernel(args) -> int:
             row += [repr(float(v)) for v in cf.ravel()]
         rows.append(row)
 
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    text = "\n".join(lines) + "\n"
+    text = "".join(",".join(r) + "\r\n" for r in [header] + rows)
     if args.out:
         _write_text(args.out, text)
     else:
@@ -518,16 +518,14 @@ def cmd_mc_check(args) -> int:
     if args.pairs:
         spec = _load_config(args.pairs)
         try:
-            for key in spec:
-                if key != "pairs":
-                    raise TypeError(f"unknown field {key!r}")
-            pairs = np.array(spec["pairs"], dtype=float)
+            fields = parse_fields(spec, None, {"pairs": (((float, None), 2), None)})
+            pairs = np.array(fields["pairs"])
             if pairs.ndim != 3 or pairs.shape[1:] != (2, seq.d + 1):
                 raise ValueError(f"pairs must have shape (n_pairs, 2, {seq.d + 1}), "
                                  f"got {pairs.shape}")
             check_points(seq.d, pairs.reshape(-1, seq.d + 1))
         except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"bad pairs file {args.pairs}: {exc}") from exc
+            raise UsageError(f"bad pairs file {args.pairs}: {exc.args[0]}") from exc
     else:
         if args.thetas is None:
             raise UsageError("one of --thetas or --pairs is required")

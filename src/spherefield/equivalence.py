@@ -3,7 +3,7 @@
 Two zero-mean isotropic Gaussian fields with strictly positive Schoenberg
 sequences ``{b_l^(1)}`` and ``{b_l^(2)}`` induce equivalent measures iff
 
-    sum_l h(l) || (b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I ||_HS^2 < inf,
+    sum_l h(l) || (b_l^(2))^{-1/2} (b_l^(1) - b_l^(2)) (b_l^(2))^{-1/2} ||_HS^2 < inf,
 
 and orthogonal measures otherwise (Gaussian dichotomy); the reference must
 pass :func:`schoenberg.strict_positivity`.  This module computes the terms
@@ -67,8 +67,6 @@ def _verdict(verdict: str, provenance: str, diagnostics: str) -> dict:
             "diagnostics": diagnostics}
 
 
-_EPS = float(np.finfo(float).eps)
-
 # Elements of one degree block of _conjugated_distances (1 MiB of float64).
 _BLOCK_ELEMS = 1 << 17
 
@@ -88,22 +86,18 @@ def _degree_blocks(n_rows: int, row_elems: int) -> list:
 def _dense_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """The distances of :func:`_conjugated_distances` for dense stacks whose
     reference is strictly positive."""
-    p = v2.shape[1]
     scale = 1.0 / np.sqrt(np.diagonal(v2, axis1=1, axis2=2))
-    B1 = scale[:, :, None] * v1 * scale[:, None, :]
+    D = scale[:, :, None] * (v1 - v2) * scale[:, None, :]
     B2 = scale[:, :, None] * v2 * scale[:, None, :]  # unit diagonal
     w, v = np.linalg.eigh(B2)
-    lo, hi = w[:, 0], w[:, -1]
     s = (v / np.sqrt(w)[:, None, :]) @ v.swapaxes(1, 2)
-    m = s @ B1 @ s
-    diff = m - np.eye(p)
-    dist = np.sum(diff * diff, axis=(1, 2))
-    noise_floor = p * (64.0 * _EPS * hi / lo) ** 2
-    return np.where(dist <= noise_floor, 0.0, dist)
+    m = s @ D @ s
+    return np.sum(m * m, axis=(1, 2))
 
 
+@np.errstate(over="ignore")
 def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """``||(b2)^{-1/2} b1 (b2)^{-1/2} - I||_HS^2`` for every degree of two
+    """``||(b2)^{-1/2} (b1 - b2) (b2)^{-1/2}||_HS^2`` for every degree of two
     coefficient stacks (degree axis first), b2 the strictly positive reference.
 
     Both are read in degree blocks of about ``_BLOCK_ELEMS`` elements
@@ -121,15 +115,16 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     Diagonal stacks (scalar or folded fourier) give
     ``sum_k mult_k (b1_k / b2_k - 1)^2``.  For dense stacks the value equals
     ``sum_i (mu_i - 1)^2`` over the generalized eigenvalues of the pencil
-    (b1, b2), which are invariant under joint congruence, so both operators
-    are first equilibrated by ``diag(b2)^{-1/2}``.  That keeps the
-    computation well conditioned when diagonal entries decay at different
+    (b1, b2), which are invariant under joint congruence, so ``b1 - b2`` and
+    b2 are first equilibrated by ``diag(b2)^{-1/2}`` and the difference is
+    then conjugated by the eigendecomposition's ``(b2)^{-1/2}``.  That keeps
+    the computation well conditioned when diagonal entries decay at different
     geometric rates (high degrees of product families) and makes the result
-    exactly invariant under common positive rescaling.  Distances below the
-    resolution of the eigendecomposition-based conjugation -- an
-    O((eps * cond)^2) floor -- are reported as exact zeros; anything smaller
-    is indistinguishable from zero at double precision.  Errors name the
-    first degree whose reference fails :func:`schoenberg.strict_positivity`.
+    invariant under common positive rescaling to within 1e-12 (acceptance
+    criterion 9).  Entries that agree subtract exactly, so equal degrees
+    still give exactly 0.  A distance beyond float64 is ``inf``, without a
+    warning.  Errors name the first degree whose reference fails
+    :func:`schoenberg.strict_positivity`.
     """
     bad, why = strict_positivity(v2)
     if np.any(bad):
@@ -151,11 +146,11 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 
 
 def hs_term(b1, b2, hl: int) -> float:
-    """One functional series term ``hl * ||(b2)^{-1/2} b1 (b2)^{-1/2} - I||^2``
+    """One functional series term ``hl * ||(b2)^{-1/2} (b1 - b2) (b2)^{-1/2}||^2``
     of two coefficients given as arrays (see :func:`one_degree_stack`).
 
-    b2 must be strictly positive.  The term is exactly invariant under common
-    positive rescaling of the pair (tested property); see
+    b2 must be strictly positive.  The term is invariant under common
+    positive rescaling of the pair to within 1e-12 (acceptance criterion 9); see
     :func:`_conjugated_distances`, which this evaluates on one-degree stacks.
     """
     s1, s2 = one_degree_stack(b1), one_degree_stack(b2)
@@ -222,7 +217,7 @@ def fit_decay_exponent(terms: np.ndarray) -> float:
 
 def functional_series(seq1: SchoenbergSequence,
                       seq2: SchoenbergSequence) -> np.ndarray:
-    """Terms ``t_l = h(l) ||(b_l^(2))^{-1/2} b_l^(1) (b_l^(2))^{-1/2} - I||^2``
+    """Terms ``t_l = h(l) ||(b_l^(2))^{-1/2} (b_l^(1) - b_l^(2)) (b_l^(2))^{-1/2}||^2``
     for ``l = 0 .. L``, ``L`` the shorter sequence's ``l_max``, as one
     float64 array."""
     check_compatible(seq1, seq2)

@@ -403,19 +403,22 @@ def _field(key: str, value, kind):
         return _number(key, value, kind)
     kind, n = kind
     if not isinstance(value, list) or n is not None and len(value) != n:
-        what = "an array" if n is None else f"an array of {n} numbers"
+        what = "an array" if n is None else (
+            f"an array of {n} {'arrays' if isinstance(kind, tuple) else 'numbers'}")
         raise TypeError(f"field {key!r} must be {what}, got {value!r}")
     return tuple(_field(f"{key}[{i}]", v, kind) for i, v in enumerate(value))
 
 
-def parse_fields(obj: dict, tag: str, fields: dict, optional=()) -> dict:
-    """The fields of a block whose kind is named by its ``tag`` field, parsed
-    by :func:`_field` into keywords ``key.lower()``.  An unknown field, or
-    one of the wrong type or length, is a ``TypeError``; a missing field
-    that is not ``optional`` a ``KeyError``."""
+def parse_fields(obj: dict, tag: str | None, fields: dict, optional=()) -> dict:
+    """The fields of a block whose kind is named by its ``tag`` field (or of
+    an object of one kind, ``tag`` None), parsed by :func:`_field` into
+    keywords ``key.lower()``.  An unknown field, or one of the wrong type or
+    length, is a ``TypeError``; a missing field that is not ``optional`` a
+    ``KeyError``."""
     for key in obj:
         if key != tag and key not in fields:
-            raise TypeError(f"unknown field {key!r} in a {obj[tag]} block")
+            block = f" in a {obj[tag]} block" if tag else ""
+            raise TypeError(f"unknown field {key!r}{block}")
     for key in fields:
         if key not in obj and key not in optional:
             raise KeyError(f"missing field '{key}'")

@@ -5,6 +5,7 @@ run that also collects ``bench/tests`` loads that directory's
 ``conftest.py`` under the same module name.
 """
 
+import decimal
 import json
 import math
 import pathlib
@@ -150,6 +151,61 @@ def closed_form_tolerance(seq) -> np.ndarray:
         mag = np.sum(np.abs(seq.coeffs) * c1[:, None, None], axis=0)
     return np.where(np.isfinite(mag), 8.0 * (seq.l_max + 1) * np.finfo(float).eps * mag,
                     math.inf)
+
+
+# 60 digits and an exponent range no stored float64 entry, product or
+# quotient of them can leave
+DECIMAL = decimal.Context(prec=60, Emin=-10 ** 9, Emax=10 ** 9)
+
+
+def multiquadratic_decimal_entries(p, l_max) -> list:
+    """The stored entries ``(e11, e22, e12)`` of a multiquadratic model at
+    degrees ``0 .. l_max`` (d >= 2) as :data:`DECIMAL` numbers,
+
+        e_ij(n) = rho_ij sigma_i sigma_j alpha_ij^n (1 - alpha_ij)^(d-1),
+
+    from the exact values of the float parameters: the published entries
+    divided by ``C_n(1)``, correct to 60 digits at any d and degree."""
+    if p.d < 2:
+        raise ValueError("the stored multiquadratic entries vanish beyond degree 0 "
+                         "on the circle")
+    D = decimal.Decimal
+    s1, s2 = map(D, p.sigma)
+    alphas = tuple(map(D, p.alpha))
+    with decimal.localcontext(DECIMAL):
+        prefs = (s1 * s1, s2 * s2, D(p.rho12) * s1 * s2)
+        lows = [pref * (1 - a) ** (p.d - 1) for pref, a in zip(prefs, alphas)]
+        return [tuple(low * a ** n for low, a in zip(lows, alphas))
+                for n in range(l_max + 1)]
+
+
+def stored_decimal_entries(seq) -> list:
+    """The entries ``(e11, e22, e12)`` of a 2 x 2 coefficient stack, each the
+    exact value of its float64 as a ``Decimal``."""
+    D = decimal.Decimal
+    return [(D(float(b[0, 0])), D(float(b[1, 1])), D(float(b[0, 1])))
+            for b in seq.coeffs]
+
+
+def decimal_pair_terms(d, entries1, entries2) -> list:
+    """The equivalence terms ``h(l) tr((B2^{-1} (B1 - B2))^2)`` of two
+    symmetric 2 x 2 coefficient sequences on S^d (d >= 2) given by their
+    entries ``(e11, e22, e12)`` per degree (sequence 2 the reference), to
+    60 digits.  ``tr((B2^{-1} D)^2) = ||B2^{-1/2} D B2^{-1/2}||_F^2`` is
+    taken through the adjugate, ``tr((adj(B2) D)^2) / det(B2)^2``, with no
+    square root and no eigendecomposition, and
+    ``h(l) = binom(l + d, d) - binom(l + d - 2, d)`` is the dimension of the
+    degree-l harmonics, independent of the library's ``h_dim``."""
+    terms = []
+    with decimal.localcontext(DECIMAL):
+        for l, ((x1, y1, z1), (a, b, c)) in enumerate(zip(entries1, entries2)):
+            x, y, z = x1 - a, y1 - b, z1 - c               # D = B1 - B2
+            n11, n12 = b * x - c * z, b * z - c * y        # adj(B2) D
+            n21, n22 = a * z - c * x, a * y - c * z
+            h = math.comb(l + d, d) - math.comb(l + d - 2, d)
+            terms.append(h * (n11 * n11 + 2 * n12 * n21 + n22 * n22)
+                         / (a * b - c * c) ** 2)
+    return terms
 
 
 def fourier_function_values(coefficients, taus) -> np.ndarray:

@@ -1247,6 +1247,10 @@ def test_truncation_beyond_float64_out_of_memory(capsys, tmp_json, argv, config)
                  id="grid_nan_point"),
     pytest.param("pairs", "bad.json", b'{"pairs": [[[0, 0, 1], [NaN, 1, 0]]]}',
                  id="pairs_nan_point"),
+    pytest.param("pairs", "bad.json", b'{"pairs": [[[0, 0, 1], [0, 1, "0"]]]}',
+                 id="pairs_string_coordinate"),
+    pytest.param("pairs", "bad.json", b'{"pairs": [[[0, 0, true], [0, 1, 0]]]}',
+                 id="pairs_bool_coordinate"),
     pytest.param("grid", "bad.json", b'{"kind": "points", "d": 2, "points": [[1e200, 0, 0]]}',
                  id="grid_huge_coordinate"),
 ])

@@ -108,11 +108,11 @@ GOLDEN_ALGEBRA = {
     "equiv_lm_256": (
         0, "a7a54a15ee691a0ee00b9c6c51bacabb5be36658e67b40e22278d0b2664cc34d"),
     "equiv_mq_300": (
-        0, "a3657db79452f9e10322c7115d5207ba3e9f40b623c1a4970b06ce0f455de30d"),
+        0, "d7456985c5a19e06b65694abe893ddcd630c54af7dae21e4ed9445d793b12e7b"),
     "export_mq_300": (
         0, "c86fe553bb190cc27d04d7af0a646d64210ab2f8b959175ab0046eaac0fd99af"),
     "kernel_mq_300": (
-        0, "6274baca47ca5dc32fdaed87c3085982c7a9c3bacd14aa7e6b0ebf6ad634946c"),
+        0, "1e821d2ba80bcf33abd3bfe868577d019c5a1796a118edb81ea426b5378d63ff"),
     "validate_lm_200": (
         0, "44d644af41a1312fcb53586b2b249764fbd7f73d674bce49f1b46e57fdae784d"),
     "validate_mq_300": (

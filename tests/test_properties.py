@@ -6,15 +6,18 @@ without a numpy warning (also as an ``equiv`` pair), ``validate`` and
 ``equiv`` share one definition of strict positivity, closed-form verdicts
 are decisive and symmetric, ``C_l^lam(1)`` is the exact binomial rounded
 once, a window of positive finite series terms always has a decay fit, the
-tail bounds of both families cover their tails, and the multiquadratic
-closed form is the sum of its series at every d."""
+tail bounds of both families cover their tails, the multiquadratic
+closed form is the sum of its series at every d, and multiquadratic
+equivalence terms are those of a 60-digit decimal reference."""
 
 import contextlib
+import decimal
 import io
 import json
 import math
 import shutil
 import warnings
+from decimal import Decimal
 
 import numpy as np
 from hypothesis import given, reject, settings, strategies as st
@@ -27,7 +30,15 @@ from spherefield import harmonics as sh
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from _reference import closed_form_tolerance, load_schema, reject_constant, validate_schema
+from _reference import (
+    DECIMAL,
+    closed_form_tolerance,
+    decimal_pair_terms,
+    load_schema,
+    reject_constant,
+    stored_decimal_entries,
+    validate_schema,
+)
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -407,6 +418,71 @@ def test_closed_form_verdicts_are_decisive_and_symmetric(case):
         assert v["verdict"] in (eq.EQUIVALENT, eq.ORTHOGONAL)
         assert v["provenance"] == eq.CLOSED_FORM
     assert forward["verdict"] == backward["verdict"]
+
+
+@st.composite
+def multiquadratic_term_pairs(draw):
+    """Two valid multiquadratic models on one S^d (d from 2 to 10), the
+    second taking each parameter of the first (or its fraction of the rho12
+    bound) half the time, so some pairs share their marginals or are equal,
+    with a truncation up to 1024."""
+    d = draw(st.integers(2, 10))
+    # log10 sigma_1, log10 sigma_2, a11, a22, a12 / sqrt(a11 a22), rho12 / bound
+    ranges = [(-1.0, 1.0), (-1.0, 1.0), (0.01, 0.99), (0.01, 0.99), (0.01, 1.0),
+              (0.01, 0.99)]
+    first = [draw(st.floats(lo, hi)) for lo, hi in ranges]
+    second = [v if draw(st.booleans()) else draw(st.floats(lo, hi))
+              for v, (lo, hi) in zip(first, ranges)]
+    models = []
+    for s1, s2, a11, a22, cross, rho in (first, second):
+        a12 = cross * math.sqrt(a11 * a22)
+        bound = ((1.0 - a11) * (1.0 - a22) / (1.0 - a12) ** 2) ** ((d - 1) / 2.0)
+        models.append(md.MultiquadraticParams(
+            d=d, sigma=(10.0 ** s1, 10.0 ** s2), rho12=rho * min(bound, 1.0),
+            alpha=(a11, a22, a12)))
+    return models, draw(st.integers(0, 1024))
+
+
+# c of the bound c eps cond(B2) on a term's relative error, fixed before the
+# property first ran
+TERM_ERROR_C = 64
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=multiquadratic_term_pairs())
+def test_multiquadratic_terms_are_the_decimal_reference(case):
+    # every term of a valid pair against the 60-digit term of the same
+    # stored entries, so the difference is the computation's own rounding:
+    # 0 exactly where the reference is, never 0 where it is positive, and
+    # within TERM_ERROR_C eps cond(B2) relative, cond(B2) = (1 + r) / (1 - r)
+    # of the equilibrated reference (off-diagonal r).  The pair is cut
+    # before the first degree with an entry that is not a normal float, and
+    # degrees whose reference distance (term / h(l)) is below the normal
+    # range are not compared: float64 cannot hold their squares (ROADMAP
+    # item 2).  The 100 examples (10872 terms compared, 165 equal degrees)
+    # read at most 11.5 eps cond(B2), 0.18 of the bound, as do 1000; about
+    # 0.7 s.
+    (p1, p2), l_max = case
+    seqs = [md.build_sequence(p, l_max) for p in (p1, p2)]
+    low = np.any(np.concatenate([s.coeffs for s in seqs], axis=1).reshape(l_max + 1, -1)
+                 < np.finfo(float).tiny, axis=1)
+    seqs = [sb.truncate_sequence(s, int(np.argmax(low)) - 1) if low.any() else s
+            for s in seqs]
+    terms = eq.functional_series(*seqs)
+    ref = decimal_pair_terms(p1.d, *map(stored_decimal_entries, seqs))
+    eps, tiny, big = (Decimal(float(v)) for v in (
+        np.finfo(float).eps, np.finfo(float).tiny, np.finfo(float).max))
+    with decimal.localcontext(DECIMAL):
+        for l, (t, r, b) in enumerate(zip(terms.tolist(), ref, seqs[1].coeffs)):
+            if r == 0:
+                assert t == 0.0
+            elif r > big:
+                assert t == math.inf
+            elif r / sh.h_dim(p1.d, l) >= tiny:
+                c = abs(b[0, 1]) / math.sqrt(b[0, 0]) / math.sqrt(b[1, 1])
+                cond = Decimal((1.0 + c) / (1.0 - c))
+                assert t > 0.0
+                assert abs(Decimal(t) - r) <= TERM_ERROR_C * eps * cond * r
 
 
 @st.composite
