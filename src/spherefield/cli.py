@@ -518,11 +518,10 @@ def cmd_mc_check(args) -> int:
     if args.pairs:
         spec = _load_config(args.pairs)
         try:
-            fields = parse_fields(spec, None, {"pairs": (((float, None), 2), None)})
+            fields = parse_fields(spec, None, {"pairs": (((float, seq.d + 1), 2), None)})
+            if not fields["pairs"]:
+                raise ValueError("field 'pairs' must hold at least one pair of points")
             pairs = np.array(fields["pairs"])
-            if pairs.ndim != 3 or pairs.shape[1:] != (2, seq.d + 1):
-                raise ValueError(f"pairs must have shape (n_pairs, 2, {seq.d + 1}), "
-                                 f"got {pairs.shape}")
             check_points(seq.d, pairs.reshape(-1, seq.d + 1))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"bad pairs file {args.pairs}: {exc.args[0]}") from exc
@@ -578,21 +577,23 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Gaussian-measure equivalence diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, out_help):
         p.add_argument("--l-max", type=int,
                        help="degree truncation (default: model default)")
-        p.add_argument("--out", help="output path (default: stdout)")
+        p.add_argument("--out", help=out_help)
+
+    also_out = "also write the JSON printed on stdout to this path"
 
     p = sub.add_parser("validate", help="check model validity conditions")
     p.add_argument("--config", required=True)
-    add_common(p)
+    add_common(p, also_out)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("kernel", help="tabulate the covariance kernel over angles")
     p.add_argument("--config", required=True)
     p.add_argument("--thetas", required=True,
                    help="comma-separated geodesic angles in [0, pi]")
-    add_common(p)
+    add_common(p, "write the table to this path instead of stdout")
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("sample", help="synthesize field realizations")
@@ -626,12 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analytic-config", default=None,
                    help="compare samples against this model instead "
                         "(sensitivity runs)")
-    p.add_argument("--out", help="report path (default: stdout)")
+    p.add_argument("--out", help=also_out)
     p.set_defaults(func=cmd_mc_check)
 
     p = sub.add_parser("schoenberg-export", help="export the coefficient sequence")
     p.add_argument("--config", required=True)
-    add_common(p)
+    add_common(p, also_out)
     p.set_defaults(func=cmd_export)
 
     return parser

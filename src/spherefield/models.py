@@ -96,58 +96,44 @@ class MultiquadraticParams:
 
     def trace_tail_bound(self, l_from: int) -> float:
         """Upper bound on ``sum_{n > l_from} trace(b_n) C_n^lam(1)``, finite
-        for every valid model.
-
-        Each diagonal entry's terms ``t_n = c binom(n + d - 2, n) a^n`` have
-        the ratio ``r_n = a (n + d - 1) / (n + 1)``, which decreases in n
-        towards ``a``.  Where ``r`` at ``n = l_from + 1`` is at most
-        ``(1 + a) / 2`` the tail is bounded by its first term over
-        ``1 - r``; elsewhere :meth:`_summed_tail` sums the terms up to where
-        it is.  Either closure is at most twice the tail it bounds, since
-        the tail from there is at least that term over ``1 - a``.  A
-        prefactor ``c`` that is not a normal float64, or is the product of
-        one that is not, is taken in logs, ``2 log sigma + (d - 1)
-        log1p(-a)``: it has lost digits or underflowed to 0, and the terms
-        it multiplies can be large.
+        for every valid model: the sum of :meth:`_summed_tail` over the two
+        diagonal entries, never below the tail and at most twice it.  On the
+        circle (d = 1) only degree 0 is nonzero, and the bound is 0.
         """
-        total = 0.0
-        n = l_from + 1
-        for s, (c, a) in zip(self.sigma, self._tail_terms()):
-            if min(c, (1.0 - a) ** (self.d - 1)) >= _TINY:
-                log_c = math.log(c)
-            else:
-                log_c = 2.0 * math.log(s) + (self.d - 1) * math.log1p(-a)
-            r = a * (n + self.d - 1.0) / (n + 1.0)
-            if r > 0.5 * (1.0 + a):
-                total += self._summed_tail(s * s, log_c, a, n)
-                continue
-            if self.d >= 2:
-                log_binom = (math.lgamma(n + self.d - 1.0) - math.lgamma(n + 1.0)
-                             - math.lgamma(self.d - 1.0))
-            else:
-                log_binom = -math.inf  # family degenerates on the circle
-            log_term = log_c + log_binom + n * math.log(a)
-            total += math.exp(log_term) / (1.0 - r)
-        return total
+        if self.d == 1:
+            return 0.0
+        return sum(self._summed_tail(s, c, a, l_from + 1)
+                   for s, (c, a) in zip(self.sigma, self._tail_terms()))
 
-    def _summed_tail(self, s2: float, log_c: float, a: float, n0: int) -> float:
-        """Bound on ``sum_{n >= n0} t_n`` for one diagonal entry (terms of
-        log prefactor ``log_c`` that sum to ``s2 = sigma^2`` over all n)
-        whose ratio at n0 exceeds ``q = (1 + a) / 2``.
+    def _summed_tail(self, s: float, c: float, a: float, n0: int) -> float:
+        """Bound on ``sum_{n >= n0} t_n`` for one diagonal entry, whose terms
+        ``t_n = c binom(n + d - 2, n) a^n`` (d >= 2) sum to ``s2 = s^2`` over
+        all n.
 
-        The terms from n0 up to the first degree N whose ratio is at most q
-        are summed from their logs, and the rest is closed geometrically at
-        ``r_N``.  That takes about ``2 a d / (1 - a)`` terms.  Where that is
-        more than ``_TAIL_TERMS`` and more than n0, n0 lies below about half
-        of N, near or below the mean degree ``a (d - 1) / (1 - a)`` of the
-        terms, where the tail is a fair share of ``s2``; there the bound is
-        ``s2`` minus the terms below n0.  Either way it is raised by the
-        rounding of the terms' logs, 16 eps times the sum of the magnitudes
-        of their parts at the largest degree used, relative to the sum or to
-        ``s2``.  It is at most ``s2``, which it is where that rounding
-        leaves the logs no digits (d beyond about 1e14).
+        Their ratio ``r_n = a (n + d - 1) / (n + 1)`` decreases in n towards
+        ``a``.  The terms from n0 up to the first degree N >= n0 whose ratio
+        is at most ``q = (1 + a) / 2`` are summed from their logs, and the
+        rest is closed geometrically at ``r_N``: at most twice the tail,
+        since the tail from N is at least ``t_N / (1 - a)``.  That takes
+        about ``2 a d / (1 - a)`` terms.  Where that is more than
+        ``_TAIL_TERMS`` and more than n0, n0 lies below about half of N,
+        near or below the mean degree ``a (d - 1) / (1 - a)`` of the terms,
+        where the tail is a fair share of ``s2``; there the bound is ``s2``
+        minus the terms below n0.  Either way it is raised by the rounding
+        of the terms' logs, 16 eps times the sum of the magnitudes of their
+        parts at the largest degree used, relative to the sum or to ``s2``.
+        It is at most ``s2``, which it is where that rounding leaves the
+        logs no digits (d or n0 beyond about 1e14).  A prefactor ``c`` that
+        is not a normal float64, or is the product of one that is not, is
+        taken in logs, ``2 log s + (d - 1) log1p(-a)``: it has lost digits
+        or underflowed to 0, and the terms it multiplies can be large.
         """
         d = self.d
+        s2 = s * s
+        if min(c, (1.0 - a) ** (d - 1)) >= _TINY:
+            log_c = math.log(c)
+        else:
+            log_c = 2.0 * math.log(s) + (d - 1) * math.log1p(-a)
         # N = ceil((a (d - 1) - q) / (q - a)) exactly, at any size of d
         num, den = a.as_integer_ratio()
         N = max(n0, -((den + num - 2 * num * (int(d) - 1)) // (den - num)))
@@ -168,7 +154,9 @@ class MultiquadraticParams:
 
         if summed:
             t = terms(range(n0, N + 1))
-            t[-1] /= 1.0 - a * (N + d - 1.0) / (N + 1.0)   # close at r_N
+            # close at r_N; 1 - r_N as (1 - a) - a (d - 2) / (N + 1), whose
+            # second part is at most half the first, keeps its digits as a -> 1
+            t[-1] /= (1.0 - a) - a * (d - 2.0) / (N + 1.0)
             return min(s2, math.fsum(t) * (1.0 + rounding))
         return min(s2, s2 - math.fsum(terms(range(n0))) + s2 * rounding)
 

@@ -107,7 +107,16 @@ class SampleGrid:
 
     @classmethod
     def from_points(cls, d: int, points) -> "SampleGrid":
-        return cls(d=d, points=np.asarray(points, dtype=float))
+        try:
+            pts = np.asarray(points, dtype=float)
+        except ValueError:
+            # numpy's ragged-array message names no point; name the first without d+1
+            i = next((i for i, x in enumerate(points) if len(x) != d + 1), None)
+            if i is None:
+                raise
+            raise ValueError(f"field 'points[{i}]' must be an array of {d + 1} "
+                             f"numbers, got {list(points[i])!r}") from None
+        return cls(d=d, points=pts)
 
     @classmethod
     def uniform_random(cls, d: int, n: int, seed: int = 0, stream: int = 0) -> "SampleGrid":

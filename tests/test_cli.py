@@ -1276,6 +1276,32 @@ def test_bad_input_file_usage_error(capsys, tmp_json, tmp_path, role, name, cont
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("spec, message", [
+    pytest.param({"pairs": [[[0, 0, 1], [0, 1]]]},
+                 "field 'pairs[0][1]' must be an array of 3 numbers", id="pairs_short_point"),
+    pytest.param({"pairs": [[[0, 0, 1], [0, 1, 0]], [[1, 0, 0, 0], [0, 1, 0]]]},
+                 "field 'pairs[1][0]' must be an array of 3 numbers", id="pairs_long_point"),
+    pytest.param({"pairs": []}, "field 'pairs' must hold at least one pair of points",
+                 id="pairs_empty"),
+    pytest.param({"kind": "points", "d": 2, "points": [[0, 0, 1], [0, 1]]},
+                 "field 'points[1]' must be an array of 3 numbers", id="grid_ragged_points"),
+    pytest.param({"kind": "points", "d": 2, "points": [[0, 1], [0, 0, 1]]},
+                 "field 'points[0]' must be an array of 3 numbers", id="grid_short_first_point"),
+])
+def test_ragged_input_file_names_its_cell(capsys, tmp_json, tmp_path, spec, message):
+    # numpy's "inhomogeneous shape" text named no cell
+    bad, config = tmp_json("bad.json", spec), tmp_json("m.json", MQ)
+    if "pairs" in spec:
+        argv = ["mc-check", "--config", config, "--pairs", bad,
+                "--n-samples", "10", "--l-max", "2"]
+    else:
+        argv = ["sample", "--config", config, "--grid", bad, "--n-samples", "1",
+                "--l-max", "2", "--out", str(tmp_path / "run")]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert f"{bad}: {message}" in err and "inhomogeneous" not in err
+
+
 @pytest.mark.parametrize("grid", [
     {"kind": "equispaced", "n": 1e12},
     {"kind": "uniform", "d": 2, "n": 1e12},

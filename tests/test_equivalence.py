@@ -392,6 +392,35 @@ class TestNumericClassifier:
         with pytest.raises(ValueError, match=">= 32"):
             eq.classify_numeric(np.zeros(8))
 
+    @pytest.mark.parametrize("usable, finite", [(7, False), (8, True)])
+    def test_fit_needs_eight_usable_window_points(self, usable, finite):
+        # L = 63, window [31, 63]: every other window term is positive, the
+        # rest 0 or not finite, which the fit skips
+        terms = np.zeros(64)
+        terms[40:] = math.inf
+        degrees = np.arange(31, 31 + 2 * usable, 2)
+        terms[degrees] = degrees ** -3.0
+        assert math.isfinite(eq.fit_decay_exponent(terms)) == finite
+
+    @pytest.mark.parametrize("L", [63, 64])
+    def test_window_is_upper_half_of_the_degrees(self, L):
+        terms = np.arange(1, L + 2, dtype=float) ** -3.0
+        assert eq.report_to_dict(terms, [])["window"] == [L // 2, L]
+        assert f"window=[{L // 2},{L}]" in eq.classify_numeric(terms)["diagnostics"]
+
+    @pytest.mark.parametrize("L", [63, 64])
+    def test_fit_starts_at_the_window(self, L):
+        # a spike at the window's first degree moves the fit; one a degree
+        # below it does not
+        terms = np.arange(1, L + 2, dtype=float) ** -3.0
+        fit = eq.fit_decay_exponent(terms)
+        spiked = []
+        for degree in (L // 2, L // 2 - 1):
+            t = terms.copy()
+            t[degree] *= 100.0
+            spiked.append(eq.fit_decay_exponent(t))
+        assert spiked[0] != fit and spiked[1] == fit
+
 
 class TestClosedFormMultiquadratic:
     def p(self, sigma=(1.0, 1.0), rho12=0.4, a=(0.5, 0.5, 0.3), d=2):

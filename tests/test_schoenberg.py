@@ -3,6 +3,7 @@ import inspect
 import math
 import pkgutil
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -293,10 +294,40 @@ class TestTailBounds:
                           - np.vectorize(math.lgamma)(n + 1.0) - math.lgamma(d - 1.0))
                     brute += np.sum(c * np.exp(lb + n * math.log(a)))
                 bound = p.trace_tail_bound(L)
-                # at d = 2 the bound is the exact geometric tail, so allow
+                # at d = 2 the bound is the geometric tail raised by its
+                # log-rounding margin (about 1e-11 relative here), so allow
                 # summation rounding on the brute-force side
                 assert brute <= bound * (1.0 + 1e-12) + 1e-300
                 assert bound <= brute * 50 + 1e-300
+
+    def test_bound_is_never_below_the_exact_d2_tail(self):
+        # at d = 2 the terms are sigma^2 (1 - a) a^n, so the tail past L is
+        # exactly sum_i sigma_i^2 a_ii^(L+1); the bound may not round below
+        # it, and may exceed it only by its rounding margin.  The default MQ
+        # at every L in 0..1000, and 300 seeded draws, each with one rate
+        # within 1e-2 to 1e-12 of 1 (where 1 - a loses digits unless taken
+        # first), whose tail stays above 1e-306 (the bound is a float64);
+        # about 0.6 s.
+        def check(p, L):
+            exact = sum(Fraction(s) ** 2 * Fraction(a) ** (L + 1)
+                        for s, a in zip(p.sigma, p.alpha[:2]))
+            bound = Fraction(p.trace_tail_bound(L))
+            return exact <= bound <= exact * (1 + Fraction(1, 10 ** 9))
+
+        default = md.MultiquadraticParams(d=2, sigma=(1, 1), rho12=0.4,
+                                          alpha=(0.5, 0.5, 0.45))
+        cases = [(default, L) for L in range(1001)]
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            sigma = tuple(10.0 ** rng.uniform(-3.0, 3.0, 2))
+            a11, a22 = rng.uniform(0.01, 0.99), 1.0 - 10.0 ** -rng.uniform(2.0, 12.0)
+            p = md.MultiquadraticParams(d=2, sigma=sigma, rho12=0.1,
+                                        alpha=(a11, a22, min(a11, a22)))
+            # a^(L+1) >= e^-690 > 1e-300 for both entries
+            l_cap = min(1000, int(-690.0 / math.log(min(a11, a22))) - 1)
+            cases.append((p, int(rng.integers(0, l_cap + 1))))
+        failing = [(p.sigma, p.alpha, L) for p, L in cases if not check(p, L)]
+        assert not failing, f"{len(failing)} of {len(cases)}: {failing[:3]}"
 
     def test_underflowed_prefactor_still_bounds_the_tail(self):
         # c = (1 - a)^(d-1) = 2^-1999 is 0 in float64, but the terms
@@ -352,11 +383,12 @@ class TestTailBounds:
 
     # tail_bound(seq), then validate's tail_estimate (times omega_d); the
     # values are pinned as validate and the kernel computed them before they
-    # shared tail_bound
+    # shared tail_bound, the geometric ones since its closure at the first
+    # term carries the log-rounding margin (about 1.7e-13 relative here)
     @pytest.mark.parametrize("make, bound, heuristic, estimate", [
         pytest.param(lambda: md.build_sequence(md.MultiquadraticParams(
             d=3, sigma=(1, 1.2), rho12=.4, alpha=(.5, .5, .45)), 10),
-            0.007798295454545433, False, 0.15393218227835348, id="geometric"),
+            0.007798295454546749, False, 0.15393218227837946, id="geometric"),
         pytest.param(lambda: md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 8, 8)),
                      0.008138020833333332, False, 0.10226538585904273, id="power_law"),
         # the last term trace(b_2) C_2^1(1) = 0.25 * 3, times omega_3 = 2 pi^2
