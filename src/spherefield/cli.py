@@ -42,6 +42,7 @@ from .equivalence import (
     classify_multiquadratic,
     classify_numeric,
     functional_series,
+    legendre_matern_series,
     report_to_dict,
     write_series_csv,
 )
@@ -483,9 +484,14 @@ def cmd_equiv(args) -> int:
     else:   # Legendre-Matern, the other family that params_from_dict builds
         closed = classify_legendre_matern(p1, p2)
         k_max = args.k_max if args.k_max is not None else max(p1.k_max, p2.k_max)
-        p1, p2 = (replace(p, k_max=k_max) for p in (p1, p2))
-    s1, s2 = (_build_sequence(p, args.l_max) for p in (p1, p2))
-    terms = functional_series(s1, s2)
+        p1, p2 = (replace(p, l_max=args.l_max, k_max=k_max) for p in (p1, p2))
+    # the terms, the report and its JSON text peak at about 400 bytes a
+    # degree (tracemalloc, LM equiv at --l-max 10^5, with and without --out)
+    require_fit(512 * n_terms, f"the {n_terms}-term equivalence report")
+    if isinstance(p1, MultiquadraticParams):
+        terms = functional_series(*(_build_sequence(p, args.l_max) for p in (p1, p2)))
+    else:   # two spectra of K+1 entries a degree: streamed, never stacked
+        terms = legendre_matern_series(p1, p2)
     numeric = classify_numeric(terms)
 
     verdicts = [closed, numeric]

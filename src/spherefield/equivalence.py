@@ -10,7 +10,10 @@ pass :func:`schoenberg.strict_positivity`.  This module computes the terms
 ``t_0 .. t_L`` of a truncated series as one float64 array, scalar
 marginalizations along u, a three-valued numeric classifier that reads the
 terms over the window ``(L // 2, L)``, and closed-form classifiers for the
-two model families.
+two model families.  The terms of two sequences are read in degree blocks;
+for two Legendre-Matern models, whose operators are the diagonal spectrum
+rows ``gamma_{l,.}``, :func:`legendre_matern_series` builds each block of
+the spectra where it is read, so neither sequence is ever built.
 
 Orientation: sequence 2 is the reference throughout -- functional terms
 conjugate by ``(b_l^(2))^{-1/2}`` and scalar terms use the ratio
@@ -27,15 +30,18 @@ import math
 import numpy as np
 
 from ._blas import one_blas_thread
+from ._memory import require_fit
 from .harmonics import h_dim
 from .models import (
     LegendreMaternParams,
     MultiquadraticParams,
+    legendre_matern_gamma_rows,
     multiquadratic_validity,
 )
 from .schoenberg import (
     SchoenbergSequence,
     check_compatible,
+    checked_stack,
     fold_multiplicities,
     json_finite,
     one_degree_stack,
@@ -95,6 +101,27 @@ def _dense_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return np.sum(m * m, axis=(1, 2))
 
 
+def _require_strictly_positive(v2: np.ndarray, first: int = 0) -> None:
+    """Raise ``ValueError`` naming the first degree of the reference stack
+    whose coefficient fails :func:`schoenberg.strict_positivity`, counting
+    its first row as degree ``first``."""
+    bad, why = strict_positivity(v2)
+    if np.any(bad):
+        l = int(np.argmax(bad))
+        raise ValueError(f"second coefficient must be strictly positive "
+                         f"(degree {first + l}: {why(l)})")
+
+
+@np.errstate(over="ignore")
+def _diagonal_distances(g1: np.ndarray, g2: np.ndarray,
+                        mult: np.ndarray) -> np.ndarray:
+    """``sum_k mult_k (g1_k / g2_k - 1)^2`` for every row of one degree block
+    of two diagonal stacks (one row per degree), summed by one gemv at one
+    OpenBLAS thread; see :func:`_conjugated_distances` for why at one."""
+    with one_blas_thread():
+        return (g1 / g2 - 1.0) ** 2 @ mult
+
+
 @np.errstate(over="ignore")
 def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """``||(b2)^{-1/2} (b1 - b2) (b2)^{-1/2}||_HS^2`` for every degree of two
@@ -126,19 +153,14 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     warning.  Errors name the first degree whose reference fails
     :func:`schoenberg.strict_positivity`.
     """
-    bad, why = strict_positivity(v2)
-    if np.any(bad):
-        l = int(np.argmax(bad))
-        raise ValueError(f"second coefficient must be strictly positive "
-                         f"(degree {l}: {why(l)})")
+    _require_strictly_positive(v2)
     dist = np.empty(v2.shape[0])
     if v2.ndim < 3:
         g1 = v1.reshape(v1.shape[0], -1)
         g2 = v2.reshape(v2.shape[0], -1)
         mult = fold_multiplicities(g2.shape[1])
-        with one_blas_thread():
-            for b in _degree_blocks(*g2.shape):
-                dist[b] = (g1[b] / g2[b] - 1.0) ** 2 @ mult
+        for b in _degree_blocks(*g2.shape):
+            dist[b] = _diagonal_distances(g1[b], g2[b], mult)
         return dist
     for b in _degree_blocks(v2.shape[0], v2.shape[1] ** 2):
         dist[b] = _dense_distances(v1[b], v2[b])
@@ -161,8 +183,8 @@ def hs_term(b1, b2, hl: int) -> float:
     return hl * float(_conjugated_distances(s1, s2)[0])
 
 
-def _degree_terms(seq: SchoenbergSequence, dist: np.ndarray) -> np.ndarray:
-    """Series terms ``h(l) * dist[l]`` for ``l = 0 .. seq.l_max``.
+def _degree_terms(d: int, dist: np.ndarray) -> np.ndarray:
+    """Series terms ``h(l) * dist[l]`` on S^d for every degree l of dist.
 
     Where the integer ``h(l)`` is beyond float64 (large d) the term is
     ``exp(log h(l) + log dist[l])``, so it overflows only where its value
@@ -171,8 +193,8 @@ def _degree_terms(seq: SchoenbergSequence, dist: np.ndarray) -> np.ndarray:
     """
     h = np.zeros_like(dist)
     beyond = {}                            # degree -> h(l) beyond float64
-    for l in range(seq.l_max + 1):
-        n = h_dim(seq.d, l)
+    for l in range(dist.shape[0]):
+        n = h_dim(d, l)
         try:
             h[l] = n
         except OverflowError:
@@ -223,7 +245,46 @@ def functional_series(seq1: SchoenbergSequence,
     check_compatible(seq1, seq2)
     L = min(seq1.l_max, seq2.l_max)
     seq1, seq2 = truncate_sequence(seq1, L), truncate_sequence(seq2, L)
-    return _degree_terms(seq1, _conjugated_distances(seq1.coeffs, seq2.coeffs))
+    return _degree_terms(seq1.d, _conjugated_distances(seq1.coeffs, seq2.coeffs))
+
+
+def legendre_matern_series(p1: LegendreMaternParams,
+                           p2: LegendreMaternParams) -> np.ndarray:
+    """The terms of ``functional_series(build_sequence(p1),
+    build_sequence(p2))``, bit for bit and with its errors, for two
+    Legendre-Matern models of one ``k_max``, up to the smaller ``l_max``,
+    computed without building either sequence.
+
+    The spectra are built, checked and compared one degree block at a time
+    (:func:`_degree_blocks`), so this holds a block of each and the
+    ``L + 1`` distances, not two ``(L+1, K+1)`` stacks; the blocks are the
+    ones :func:`_conjugated_distances` reads, so no bit moves.  Each block
+    runs the rules of building the two sequences in their order (the
+    :func:`schoenberg.checked_stack` rules of ``p1``'s rows, then of
+    ``p2``'s) and then the reference's strict positivity, and errors name
+    the global degree.  That keeps the first error of the whole run because
+    a spectrum can only fail a build rule at degree 0, in the first block:
+    ``gamma_{0,0}`` is the one entry that can be ``inf``, and no gamma is
+    negative.  Before anything of a block's size is allocated, two blocks
+    must fit in memory (``MemoryError`` otherwise).
+    """
+    K = p1.k_max
+    if p2.k_max != K:
+        raise ValueError(f"models must share K_max, got {K} and {p2.k_max}")
+    L = min(p1.l_max, p2.l_max)
+    blocks = _degree_blocks(L + 1, K + 1)
+    rows = max(b.stop - b.start for b in blocks)
+    require_fit(2 * 8 * rows * (K + 1),
+                f"a pair of {rows}-degree, frequency-{K} coefficient blocks")
+    mult = fold_multiplicities(K + 1)
+    dist = np.empty(L + 1)
+    for b in blocks:
+        g1, g2 = (checked_stack(legendre_matern_gamma_rows(p, b.start, b.stop), b.start)
+                  for p in (p1, p2))
+        _require_strictly_positive(g2, b.start)
+        dist[b] = _diagonal_distances(g1, g2, mult)
+        del g1, g2   # before the next pair is built
+    return _degree_terms(2, dist)   # the family lives on S^2
 
 
 def project_sequence(seq: SchoenbergSequence, u) -> SchoenbergSequence:

@@ -121,12 +121,15 @@ class MultiquadraticParams:
         where the tail is a fair share of ``s2``; there the bound is ``s2``
         minus the terms below n0.  Either way it is raised by the rounding
         of the terms' logs, 16 eps times the sum of the magnitudes of their
-        parts at the largest degree used, relative to the sum or to ``s2``.
-        It is at most ``s2``, which it is where that rounding leaves the
-        logs no digits (d or n0 beyond about 1e14).  A prefactor ``c`` that
-        is not a normal float64, or is the product of one that is not, is
-        taken in logs, ``2 log s + (d - 1) log1p(-a)``: it has lost digits
-        or underflowed to 0, and the terms it multiplies can be large.
+        parts at the largest degree used, relative to the sum or to ``s2``;
+        a ``t_N`` below the normal float64 range has too few digits to be
+        divided by ``1 - r_N``, so it is closed in logs, and
+        ``|log(1 - r_N)|`` joins those parts.  It is at most ``s2``, which it
+        is where that rounding leaves the logs no digits (d or n0 beyond
+        about 1e14).  A prefactor ``c`` that is not a normal float64, or is
+        the product of one that is not, is taken in logs,
+        ``2 log s + (d - 1) log1p(-a)``: it has lost digits or underflowed
+        to 0, and the terms it multiplies can be large.
         """
         d = self.d
         s2 = s * s
@@ -148,17 +151,24 @@ class MultiquadraticParams:
         if not rounding < 1.0:
             return s2
 
-        def terms(ns):
-            return [math.exp(log_c + math.lgamma(n + d - 1.0) - math.lgamma(n + 1.0)
-                             - log_gd + n * math.log(a)) for n in ns]
+        def log_term(n):
+            return (log_c + math.lgamma(n + d - 1.0) - math.lgamma(n + 1.0)
+                    - log_gd + n * math.log(a))
 
         if summed:
-            t = terms(range(n0, N + 1))
+            t = [math.exp(log_term(n)) for n in range(n0, N + 1)]
             # close at r_N; 1 - r_N as (1 - a) - a (d - 2) / (N + 1), whose
             # second part is at most half the first, keeps its digits as a -> 1
-            t[-1] /= (1.0 - a) - a * (d - 2.0) / (N + 1.0)
+            one_minus_r = (1.0 - a) - a * (d - 2.0) / (N + 1.0)
+            if t[-1] >= _TINY:
+                t[-1] /= one_minus_r
+            else:   # a subnormal t_N has lost digits: close it in logs
+                log_close = math.log(one_minus_r)
+                t[-1] = math.exp(log_term(N) - log_close)
+                rounding += 16.0 * _EPS * abs(log_close)
             return min(s2, math.fsum(t) * (1.0 + rounding))
-        return min(s2, s2 - math.fsum(terms(range(n0))) + s2 * rounding)
+        return min(s2, s2 - math.fsum(math.exp(log_term(n)) for n in range(n0))
+                   + s2 * rounding)
 
     def tail_to_dict(self) -> dict:
         """The ``tail`` object of docs/schemas/sequence.schema.json."""
@@ -311,28 +321,24 @@ class LegendreMaternParams:
                 "params": {"sigma": self.sigma, "alpha": self.alpha, "nu": self.nu}}
 
 
-def legendre_matern_gamma_grid(p: LegendreMaternParams,
-                               l_max: int | None = None) -> np.ndarray:
-    """Grid ``gamma_{l,k}`` for ``l <= l_max`` (default ``p.l_max``) and
-    ``k <= p.k_max``, shape (L+1, K+1), as a read-only array.
+def legendre_matern_gamma_rows(p: LegendreMaternParams, lo: int, hi: int) -> np.ndarray:
+    """Rows ``gamma_{l,k}`` for degrees ``lo <= l < hi`` and ``k <= p.k_max``,
+    shape (hi - lo, K+1), as a read-only array.
 
-    The grid is the one array of that size that is allocated: each step of
+    The rows are the one array of that size that is allocated: each step of
     ``sigma^2 / ((2l+1) (alpha + k^2 + l^2)^(nu+1/2))`` runs in place, with
-    the ufuncs of the plain expression, so the ``require_fit`` check of one
-    stack is what the build needs and the bits are the expression's.  A
-    :class:`SchoenbergSequence` adopts the read-only result without a copy.
+    the ufuncs of the plain expression, so the bits are the expression's,
+    whatever range of degrees is built.  A :class:`SchoenbergSequence`
+    adopts the read-only result without a copy.
 
     For large ``nu`` (from about 62 at L = K = 200) the denominator overflows
     to ``inf``, and for small ``alpha`` at large ``nu`` its first entry
     underflows to 0.  Both pass silently: the quotient is then 0 or ``inf``,
-    which is what float64 holds for such a gamma.
+    which is what float64 holds for such a gamma.  Only ``gamma_{0,0}`` can
+    be ``inf``: every other entry has ``alpha + k^2 + l^2 >= 1``.
     """
-    L = p.l_max if l_max is None else l_max
-    K = p.k_max
-    require_fit(8 * (L + 1) * (K + 1),
-                f"the degree-{L}, frequency-{K} coefficient stack")
-    l = np.arange(L + 1, dtype=float)[:, None]
-    k = np.arange(K + 1, dtype=float)[None, :]
+    l = np.arange(lo, hi, dtype=float)[:, None]
+    k = np.arange(p.k_max + 1, dtype=float)[None, :]
     g = p.alpha + k * k + l * l
     with np.errstate(over="ignore", divide="ignore"):
         g **= p.nu + 0.5
@@ -340,6 +346,18 @@ def legendre_matern_gamma_grid(p: LegendreMaternParams,
         np.divide(p.sigma ** 2, g, out=g)
     g.setflags(write=False)
     return g
+
+
+def legendre_matern_gamma_grid(p: LegendreMaternParams,
+                               l_max: int | None = None) -> np.ndarray:
+    """Grid ``gamma_{l,k}`` for ``l <= l_max`` (default ``p.l_max``) and
+    ``k <= p.k_max``, shape (L+1, K+1), as a read-only array: the
+    :func:`legendre_matern_gamma_rows` of every degree, after the
+    ``require_fit`` check of one stack."""
+    L = p.l_max if l_max is None else l_max
+    require_fit(8 * (L + 1) * (p.k_max + 1),
+                f"the degree-{L}, frequency-{p.k_max} coefficient stack")
+    return legendre_matern_gamma_rows(p, 0, L + 1)
 
 
 def build_sequence(params, l_max: int | None = None) -> SchoenbergSequence:

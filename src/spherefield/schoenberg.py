@@ -101,20 +101,23 @@ def _reject(bad: np.ndarray, message) -> None:
         raise ValueError(message(int(np.argmax(bad))))
 
 
-def _checked_stack(stack) -> np.ndarray:
+def checked_stack(stack, first: int = 0) -> np.ndarray:
     """Validate coefficients of one variant (named by the ndim) stacked along
     the degree axis and return them as a read-only array.
 
     Every entry must be finite.  Diagonal entries must be >= 0; dense
-    coefficients must be symmetric within ``_SYM_RTOL`` (relative, Frobenius)
-    and PSD within ``PSD_RTOL * trace``, and are returned symmetrized (a new
-    array).  A diagonal stack that is a float64 array, already read-only and
-    owning its data, is adopted as it is, so a builder's stack is not held
-    twice; any other diagonal stack (writable, or a view of another array)
-    is copied, so no caller can change a sequence's coefficients through it.
-    (numpy lets the owner of an adopted array make it writable again; the
-    model builders hand theirs over and keep no reference.)  Errors name
-    the first failing degree.
+    coefficients must be symmetric within ``_SYM_RTOL`` (relative, Frobenius,
+    taken after scaling each degree by a power of two so that neither norm
+    overflows) and PSD within ``PSD_RTOL * trace``, and are returned
+    symmetrized (a new array; the bits of a symmetric stack, whose entries
+    may reach float64's largest).  A diagonal stack that is a float64 array,
+    already read-only and owning its data, is adopted as it is, so a
+    builder's stack is not held twice; any other diagonal stack (writable,
+    or a view of another array) is copied, so no caller can change a
+    sequence's coefficients through it.  (numpy lets the owner of an adopted
+    array make it writable again; the model builders hand theirs over and
+    keep no reference.)  Errors name the first failing degree, counting the
+    stack's first row as degree ``first``.
     """
     s = np.asarray(stack, dtype=float)
     if s.ndim not in _STACK_VARIANT:
@@ -128,20 +131,27 @@ def _checked_stack(stack) -> np.ndarray:
                          f"got shape {s.shape}")
     flat = s.reshape(s.shape[0], -1)
     _reject(~np.all(np.isfinite(flat), axis=1),
-            lambda l: f"{variant} coefficient b_{l} must be finite")
+            lambda l: f"{variant} coefficient b_{first + l} must be finite")
     if s.ndim == 3:
-        asym = np.linalg.norm(s - s.swapaxes(1, 2), axis=(1, 2))
-        _reject(asym > _SYM_RTOL * np.linalg.norm(s, axis=(1, 2)),
-                lambda l: f"matrix coefficient b_{l} must be symmetric within 1e-12")
-        s = 0.5 * (s + s.swapaxes(1, 2))
-        tr = _traces(s)
+        top = np.frexp(np.max(np.abs(flat), axis=1))[1]
+        t = np.ldexp(s, -top[:, None, None])   # entries below 1 in magnitude
+        asym = np.linalg.norm(t - t.swapaxes(1, 2), axis=(1, 2))
+        _reject(asym > _SYM_RTOL * np.linalg.norm(t, axis=(1, 2)),
+                lambda l: f"matrix coefficient b_{first + l} must be symmetric "
+                          "within 1e-12")
+        s = s - 0.5 * (s - s.swapaxes(1, 2))   # no overflow, and exact if symmetric
+        s = np.where(np.tri(s.shape[1], k=-1, dtype=bool), s.swapaxes(1, 2), s)
+        with np.errstate(over="ignore"):
+            tr = _traces(s)
         w0 = _min_eigenvalues(s)
         _reject(w0 < -PSD_RTOL * np.maximum(tr, 0.0),
-                lambda l: f"matrix coefficient b_{l} must be PSD: min eigenvalue "
-                          f"{w0[l]:.3e} below -{PSD_RTOL:g} * trace ({tr[l]:.3e})")
+                lambda l: f"matrix coefficient b_{first + l} must be PSD: min "
+                          f"eigenvalue {w0[l]:.3e} below -{PSD_RTOL:g} * trace "
+                          f"({tr[l]:.3e})")
     else:
         _reject(np.any(flat < 0.0, axis=1),
-                lambda l: f"{variant} coefficient b_{l} must have entries >= 0")
+                lambda l: f"{variant} coefficient b_{first + l} must have "
+                          "entries >= 0")
         if s.flags.writeable or not s.flags.owndata:
             s = np.array(s)
     s.setflags(write=False)
@@ -170,14 +180,14 @@ def strict_positivity(stack: np.ndarray):
 
 
 def one_degree_stack(b) -> np.ndarray:
-    """One coefficient checked as a one-degree stack by :func:`_checked_stack`:
+    """One coefficient checked as a one-degree stack by :func:`checked_stack`:
     a 0-d scalar, a 1-d vector of folded fourier entries or a 2-d matrix
     becomes a read-only stack of shape ``(1,) + b.shape``."""
     b = np.asarray(b, dtype=float)
     if b.ndim + 1 not in _STACK_VARIANT:
         raise ValueError(f"a coefficient must be a 0-d, 1-d or 2-d array, "
                          f"got shape {b.shape}")
-    return _checked_stack(b[None])
+    return checked_stack(b[None])
 
 
 def operator_sqrt(b: np.ndarray) -> np.ndarray:
@@ -202,7 +212,7 @@ class SchoenbergSequence:
     ``(L+1, p, p)`` matrix.  The input is checked in one batched pass (finite,
     symmetric and PSD; errors name the first failing degree) and stored as a
     new array, except that a read-only float64 diagonal stack that owns its
-    data is adopted without a copy (:func:`_checked_stack`).  ``tail`` is
+    data is adopted without a copy (:func:`checked_stack`).  ``tail`` is
     ``None`` or
     an object with ``trace_tail_bound(l_from)``, an upper bound on
     ``sum_{l > l_from} trace(b_l) C_l^lam(1)``, and ``tail_to_dict()``, its
@@ -216,7 +226,7 @@ class SchoenbergSequence:
     tail: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _checked_stack(self.coeffs))
+        object.__setattr__(self, "coeffs", checked_stack(self.coeffs))
         if self.d < 1:
             raise ValueError(f"sphere dimension must be >= 1, got {self.d}")
 

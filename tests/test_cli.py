@@ -1008,6 +1008,101 @@ class TestEquiv:
         # at 500 the window's partial sums overflow; at 535 its terms do
         assert ("tail_rel_growth=inf" in err) == (l_max == 500)
 
+    # Legendre-Matern pairs, the refusals with the first line they print:
+    # nu = 100 is 0 from degree 0 at K = 200, alpha = .001 at nu = 108 is inf
+    # at degree 0, and a spectrum fails its build rules before the reference
+    # fails strict positivity
+    LM_ZERO = dict(LM, nu=100.0)
+    LM_INF = dict(LM, alpha=0.001, nu=108.0)
+
+    @pytest.mark.parametrize("m1, m2, args, first_line", [
+        (dict(LM, L_max=200, K_max=200), dict(LM_ALPHA, L_max=200, K_max=200),
+         ["--l-max", "256", "--k-max", "64"], None),
+        (LM, LM_ALPHA, ["--l-max", "2048", "--k-max", "512"], None),
+        (LM_ZERO, LM_ALPHA, ["--l-max", "64"], None),
+        (LM_ALPHA, LM_ZERO, ["--l-max", "64"],
+         "invalid model: second coefficient must be strictly positive (degree 0: "
+         "nonpositive entry)"),
+        (LM_INF, LM_ALPHA, ["--l-max", "64"],
+         "invalid model: fourier_diagonal coefficient b_0 must be finite"),
+        (LM_ALPHA, LM_INF, ["--l-max", "64"],
+         "invalid model: fourier_diagonal coefficient b_0 must be finite"),
+        (LM_ZERO, LM_INF, ["--l-max", "64"],
+         "invalid model: fourier_diagonal coefficient b_0 must be finite"),
+        (LM_INF, LM_ZERO, ["--l-max", "64"],
+         "invalid model: fourier_diagonal coefficient b_0 must be finite"),
+    ], ids=["golden_256", "bench_2048", "zero_vs_alpha", "alpha_vs_zero",
+            "inf_vs_alpha", "alpha_vs_inf", "zero_vs_inf", "inf_vs_zero"])
+    def test_streamed_spectra_print_the_sequence_route_bytes(
+            self, capsys, tmp_json, tmp_path, monkeypatch, m1, m2, args, first_line):
+        # equiv streams Legendre-Matern spectra; built as two sequences and
+        # compared by functional_series, they print the same bytes
+        from spherefield import equivalence as eq
+
+        argv = ["equiv", tmp_json("a.json", m1), tmp_json("b.json", m2), *args]
+        runs = []
+        for streamed in (True, False):
+            with monkeypatch.context() as m:
+                if not streamed:
+                    m.setattr(cli, "legendre_matern_series", lambda p1, p2:
+                              eq.functional_series(md.build_sequence(p1),
+                                                   md.build_sequence(p2)))
+                prefix = tmp_path / f"rep_{streamed}"
+                code, out, err = run(capsys, argv + ["--out", str(prefix)])
+                files = {p.name[len(prefix.name):]: p.read_bytes()
+                         for p in tmp_path.glob(f"{prefix.name}.*")}
+                runs.append((code, out, err, files))
+        assert runs[0] == runs[1]
+        code, out, err, files = runs[0]
+        if first_line is None:
+            assert code in (0, 3) and set(files) == {".json", ".csv"}
+        else:
+            assert (code, out, err, files) == (2, "", first_line + "\n", {})
+
+    def test_streamed_equiv_holds_no_stack(self, capsys, tmp_json):
+        # the benchmark's Legendre-Matern pair: a (2049, 513) stack is 8.4 MB,
+        # which equiv builds for neither model
+        argv = ["equiv", tmp_json("a.json", LM), tmp_json("b.json", LM_ALPHA),
+                "--l-max", "2048", "--k-max", "512"]
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2049 * 513
+
+    @pytest.mark.parametrize("model, args, what", [
+        (LM, ["--l-max", "40", "--k-max", "1000000000000"],
+         "a pair of 9-degree, frequency-1000000000000 coefficient blocks needs"),
+        (LM, ["--l-max", "1000000000000", "--k-max", "1"],
+         "the 1000000000001-term equivalence report needs"),
+        (MQ, ["--l-max", "1000000000000"],
+         "the 1000000000001-term equivalence report needs"),
+        (LM, ["--l-max", "1" + "0" * 400], "-bit number of bytes"),
+    ], ids=["lm_k_max", "lm_l_max", "mq_l_max", "l_max_beyond_float64"])
+    def test_oversized_truncation_refused_before_allocating(
+            self, capsys, tmp_json, model, args, what):
+        code, out, err = run(capsys, ["equiv", tmp_json("a.json", model),
+                                      tmp_json("b.json", model), *args])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("out of memory: ") and what in err
+
+    def test_scales_near_float64_max(self, capsys, tmp_json):
+        # sigma^2 = 1.69e308 is valid: b_0's diagonal, 1.67e308, is finite and
+        # only its trace is not; a numpy warning would fail this test
+        big = dict(MQ, sigma=[1.3e154, 1.3e154], alpha=[0.01, 0.01, 0.009])
+        a = tmp_json("a.json", big)
+        code, out, err = run(capsys, ["validate", "--config", a, "--l-max", "40"])
+        assert code == 2 and json.loads(out)["flags"] == ["weighted trace not finite"]
+        assert err == "sequence validation failed: weighted trace not finite\n"
+        b = tmp_json("b.json", dict(big, alpha=[0.01, 0.01, 0.008]))
+        code, _, err = run(capsys, ["equiv", a, b, "--l-max", "40"])
+        assert code == 0
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            "closed_form", "numeric"]
+
     def test_verdict_disagreement_is_loud(self, capsys, tmp_json, monkeypatch):
         # a numeric verdict contradicting the closed form signals an
         # undersized truncation or a bug; the command must not pick a side

@@ -235,6 +235,95 @@ class TestDegreeBlocks:
         assert peak <= 1.05 * (block + mask)
 
 
+class TestLegendreMaternSeries:
+    """legendre_matern_series streams the two spectra through the blocks of
+    _conjugated_distances; its terms and errors are those of the series of
+    the two built sequences."""
+
+    @staticmethod
+    def sequence_route(p1, p2):
+        return eq.functional_series(md.build_sequence(p1), md.build_sequence(p2))
+
+    @pytest.mark.parametrize("blas_threads", [1, 2])
+    @pytest.mark.parametrize("k_max", [1, 16, 512])
+    def test_streamed_terms_have_the_bits_of_the_series(self, blas_threads, k_max):
+        api = _blas._thread_api()
+        if api is None and blas_threads > 1:
+            pytest.skip("no OpenBLAS thread API")
+        rng = np.random.default_rng(k_max)
+        step = max(8, eq._BLOCK_ELEMS // (k_max + 1) // 8 * 8)
+        # a lone block, a block on either side of one step, a short last
+        # block merged into the one before it, and a half block that stays
+        lengths = [step // 2 + 3, step - 1, step + 1, 2 * step + 3, step + step // 2]
+        before = api[0]() if api else None
+        try:
+            if api:
+                api[1](blas_threads)
+            for n in lengths:
+                sigma, alpha = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+                p1 = md.LegendreMaternParams(sigma, alpha, rng.uniform(0.2, 4.0),
+                                             n - 1, k_max)
+                p2 = replace(p1, sigma=sigma * rng.uniform(0.5, 2.0),
+                             alpha=10.0 ** rng.uniform(-2.0, 2.0),
+                             nu=rng.uniform(0.2, 4.0))
+                streamed = eq.legendre_matern_series(p1, p2)
+                whole = self.sequence_route(p1, p2)
+                assert streamed.tobytes() == whole.tobytes(), (n, p1, p2)
+        finally:
+            if api:
+                api[1](before)
+
+    def test_shorter_model_sets_the_length(self):
+        p1 = md.LegendreMaternParams(1.0, 1.0, 1.0, 40, 8)
+        p2 = replace(p1, alpha=2.0, l_max=30)
+        terms = eq.legendre_matern_series(p1, p2)
+        assert terms.shape == (31,)
+        assert terms.tobytes() == self.sequence_route(p1, p2).tobytes()
+
+    def test_k_max_must_agree(self):
+        p1 = md.LegendreMaternParams(1.0, 1.0, 1.0, 40, 8)
+        with pytest.raises(ValueError, match="K_max"):
+            eq.legendre_matern_series(p1, replace(p1, k_max=9))
+
+    # (nu, alpha) of the two models: nu = 100 is 0 from degree 0 at K = 200,
+    # nu = 54 from degree 373 (the second block at K = 512) and nu = 53
+    # from 496 (the third), each an error as the reference only; alpha = .001
+    # at nu = 108 is inf at degree 0, an error on either side
+    @pytest.mark.parametrize("m1, m2, k_max", [
+        ((1.0, 1.0), (100.0, 1.0), 200), ((100.0, 1.0), (1.0, 2.0), 200),
+        ((108.0, 0.001), (1.0, 2.0), 200), ((1.0, 2.0), (108.0, 0.001), 200),
+        ((100.0, 1.0), (108.0, 0.001), 200), ((108.0, 0.001), (100.0, 1.0), 200),
+        ((1.0, 1.0), (54.0, 1.0), 512), ((54.0, 1.0), (53.0, 1.0), 512),
+        ((53.0, 1.0), (54.0, 1.0), 512), ((108.0, 0.001), (54.0, 1.0), 512)])
+    def test_first_error_is_the_series_first_error(self, m1, m2, k_max):
+        p1, p2 = (md.LegendreMaternParams(1.0, alpha, nu, 1000, k_max)
+                  for nu, alpha in (m1, m2))
+
+        def outcome(series):
+            try:
+                return series(p1, p2).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(eq.legendre_matern_series) == outcome(self.sequence_route)
+
+    def test_streamed_series_holds_one_block_of_each(self):
+        # the two blocks of a pair, their quotient and the boolean masks of
+        # their checks: 3.5 of the largest block (313 of 2049 degrees)
+        p1 = md.LegendreMaternParams(1.0, 1.0, 1.0, 2048, 512)
+        p2 = replace(p1, alpha=2.0)
+        rows = max(b.stop - b.start for b in eq._degree_blocks(2049, 513))
+        block = 8 * 513 * rows
+        tracemalloc.start()
+        try:
+            terms = eq.legendre_matern_series(p1, p2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert terms.shape == (2049,)
+        assert peak <= 3.5 * block
+
+
 class TestScalarMarginalization:
     def test_coordinate_projection_matches_scalar_criterion(self):
         rng = np.random.default_rng(5)

@@ -37,6 +37,35 @@ class TestOperatorConstruction:
         with pytest.raises(ValueError, match="symmetric"):
             sb.SchoenbergSequence(2, [[[1.0, 0.2], [0.3, 1.0]]])
 
+    def test_matrices_near_float64_max_are_checked_without_overflow(self):
+        # the symmetric parts of these stacks are finite, but their sums
+        # and Frobenius norms are not: a symmetric stack keeps its bits, an
+        # asymmetric one is refused, and a numpy warning fails the test
+        big = 0.9 * np.finfo(float).max
+        sym = np.array([[[big, 0.4 * big], [0.4 * big, big]], [[1.0, 0.5], [0.5, 2.0]]])
+        seq = sb.SchoenbergSequence(2, sym)
+        assert seq.coeffs.tobytes() == sym.tobytes()
+        with pytest.raises(ValueError, match="b_1 must be symmetric"):
+            sb.SchoenbergSequence(2, [np.eye(2), [[big, big], [-big, big]]])
+
+    def test_near_symmetric_matrix_is_returned_symmetric(self):
+        # within the tolerance; the difference of the two off-diagonal
+        # entries rounds, so each half-way value rounds on its own
+        b = [[1.0, 8.342681987093789e-21], [1.0246465015313328e-21, 1.0]]
+        c = sb.SchoenbergSequence(2, [b]).coeffs[0]
+        assert c[0, 1] == c[1, 0] == pytest.approx(4.68366424431256e-21, rel=1e-15)
+
+    def test_sequence_with_entries_near_float64_max(self):
+        # sigma^2 = 1.69e308 is a valid scale; b_0's diagonal is 1.67e308,
+        # and its trace is beyond float64
+        p = md.MultiquadraticParams(d=2, sigma=(1.3e154, 1.3e154), rho12=0.4,
+                                    alpha=(0.01, 0.01, 0.009))
+        seq = md.build_sequence(p, 40)
+        assert sb.validate_sequence(seq)["flags"] == [sb.TRACE_NOT_FINITE]
+        terms = eq.functional_series(seq, md.build_sequence(
+            replace(p, alpha=(0.01, 0.01, 0.008)), 40))
+        assert np.all(np.isfinite(terms))
+
     def test_matrix_rejects_indefinite(self):
         with pytest.raises(ValueError, match="PSD"):
             sb.SchoenbergSequence(2, [[[1.0, 2.0], [2.0, 1.0]]])
@@ -306,8 +335,8 @@ class TestTailBounds:
         # it, and may exceed it only by its rounding margin.  The default MQ
         # at every L in 0..1000, and 300 seeded draws, each with one rate
         # within 1e-2 to 1e-12 of 1 (where 1 - a loses digits unless taken
-        # first), whose tail stays above 1e-306 (the bound is a float64);
-        # about 0.6 s.
+        # first), whose tail stays above 1e-306 (the bound is a float64),
+        # and one whose closing term is subnormal; about 0.6 s.
         def check(p, L):
             exact = sum(Fraction(s) ** 2 * Fraction(a) ** (L + 1)
                         for s, a in zip(p.sigma, p.alpha[:2]))
@@ -326,6 +355,11 @@ class TestTailBounds:
             # a^(L+1) >= e^-690 > 1e-300 for both entries
             l_cap = min(1000, int(-690.0 / math.log(min(a11, a22))) - 1)
             cases.append((p, int(rng.integers(0, l_cap + 1))))
+        # a closing term below the normal range: c = sigma^2 (1 - a) is
+        # subnormal, and dividing it by 1 - a kept its lost digits
+        tiny = md.MultiquadraticParams(d=2, sigma=(5.217262470541097e-150,) * 2,
+                                       rho12=0.1, alpha=(0.9999999999999997,) * 3)
+        cases.append((tiny, 950))
         failing = [(p.sigma, p.alpha, L) for p, L in cases if not check(p, L)]
         assert not failing, f"{len(failing)} of {len(cases)}: {failing[:3]}"
 
