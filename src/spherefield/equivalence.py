@@ -29,7 +29,6 @@ import math
 
 import numpy as np
 
-from ._blas import one_blas_thread
 from ._memory import require_fit
 from .harmonics import h_dim
 from .models import (
@@ -79,14 +78,11 @@ _BLOCK_ELEMS = 1 << 17
 
 def _degree_blocks(n_rows: int, row_elems: int) -> list:
     """Slices of ``n_rows`` degrees into blocks of ``_BLOCK_ELEMS // row_elems``
-    rows rounded down to a multiple of 8 (at least 8).  A last block shorter
-    than half of that joins the block before it, so no block but a lone one
-    is that short."""
-    step = max(8, _BLOCK_ELEMS // row_elems // 8 * 8)
-    starts = list(range(0, n_rows, step))
-    if len(starts) > 1 and n_rows - starts[-1] < step // 2:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
+    rows, the last one shorter.  A block has at least 8 rows, which bounds
+    the number of blocks at wide rows and sets the size of the block pair
+    that :func:`legendre_matern_series` refuses a huge ``k_max`` on."""
+    step = max(8, _BLOCK_ELEMS // row_elems)
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
 def _dense_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -116,10 +112,13 @@ def _require_strictly_positive(v2: np.ndarray, first: int = 0) -> None:
 def _diagonal_distances(g1: np.ndarray, g2: np.ndarray,
                         mult: np.ndarray) -> np.ndarray:
     """``sum_k mult_k (g1_k / g2_k - 1)^2`` for every row of one degree block
-    of two diagonal stacks (one row per degree), summed by one gemv at one
-    OpenBLAS thread; see :func:`_conjugated_distances` for why at one."""
-    with one_blas_thread():
-        return (g1 / g2 - 1.0) ** 2 @ mult
+    of two diagonal stacks (one row per degree), each row summed by numpy's
+    pairwise reduction, so its bits depend on that row alone."""
+    q = g1 / g2
+    q -= 1.0
+    q *= q
+    q *= mult
+    return np.add.reduce(q, axis=1)
 
 
 @np.errstate(over="ignore")
@@ -129,15 +128,9 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
 
     Both are read in degree blocks of about ``_BLOCK_ELEMS`` elements
     (:func:`_degree_blocks`), so the work space is one block, not a stack,
-    and the blocks do not move a bit.  The dense branch is batched per
-    degree.  The diagonal branch sums each block's rows with one gemv at one
-    OpenBLAS thread (:func:`one_blas_thread`), which takes the rows in
-    groups of 4 from the block's start and ends with a remainder kernel;
-    blocks that start on multiples of 8 give every row the kernel it gets in
-    one product over the whole stack, and the merged last block keeps
-    clear of a one-row product, which numpy computes as a dot.  (At more
-    threads OpenBLAS splits a gemv at row counts that need not be multiples
-    of 4, so its bits would depend on the thread count and on the blocks.)
+    and the blocks do not move a bit: every degree is computed from its own
+    rows only (the dense branch is batched per degree, the diagonal branch
+    sums each row by :func:`_diagonal_distances`).
 
     Diagonal stacks (scalar or folded fourier) give
     ``sum_k mult_k (b1_k / b2_k - 1)^2``.  For dense stacks the value equals
@@ -257,8 +250,7 @@ def legendre_matern_series(p1: LegendreMaternParams,
 
     The spectra are built, checked and compared one degree block at a time
     (:func:`_degree_blocks`), so this holds a block of each and the
-    ``L + 1`` distances, not two ``(L+1, K+1)`` stacks; the blocks are the
-    ones :func:`_conjugated_distances` reads, so no bit moves.  Each block
+    ``L + 1`` distances, not two ``(L+1, K+1)`` stacks.  Each block
     runs the rules of building the two sequences in their order (the
     :func:`schoenberg.checked_stack` rules of ``p1``'s rows, then of
     ``p2``'s) and then the reference's strict positivity, and errors name

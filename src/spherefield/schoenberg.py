@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .harmonics import (
     gegenbauer_all,
     gegenbauer_at_one_all,
@@ -76,17 +77,12 @@ def fold_multiplicities(n: int) -> np.ndarray:
     return np.bincount(unfolded_index(n), minlength=n).astype(float)
 
 
-def _rowdot(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x[l] . w`` for every row, each one BLAS dot as ``np.dot`` computes it
-    (``x @ w`` goes through gemv and can differ in the last bit)."""
-    return (x[:, None, :] @ w)[:, 0]
-
-
+@np.errstate(over="ignore")   # a trace beyond float64 is inf, without a warning
 def _traces(stack: np.ndarray) -> np.ndarray:
     if stack.ndim == 3:
         return np.trace(stack, axis1=1, axis2=2)
     v = stack.reshape(stack.shape[0], -1)
-    return _rowdot(v, fold_multiplicities(v.shape[1]))
+    return np.add.reduce(v * fold_multiplicities(v.shape[1]), axis=1)   # row by row
 
 
 def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
@@ -141,8 +137,7 @@ def checked_stack(stack, first: int = 0) -> np.ndarray:
                           "within 1e-12")
         s = s - 0.5 * (s - s.swapaxes(1, 2))   # no overflow, and exact if symmetric
         s = np.where(np.tri(s.shape[1], k=-1, dtype=bool), s.swapaxes(1, 2), s)
-        with np.errstate(over="ignore"):
-            tr = _traces(s)
+        tr = _traces(s)
         w0 = _min_eigenvalues(s)
         _reject(w0 < -PSD_RTOL * np.maximum(tr, 0.0),
                 lambda l: f"matrix coefficient b_{first + l} must be PSD: min "
@@ -264,10 +259,11 @@ class SchoenbergSequence:
         if u.shape != (self.dim,):
             raise ValueError(f"direction must have length {self.dim}, "
                              f"got shape {u.shape}")
-        if self.variant == MATRIX:
-            return _rowdot(u @ self.coeffs, u)
         v = self.coeffs.reshape(self.coeffs.shape[0], -1)
-        return _rowdot(v * fold_multiplicities(self.dim), u ** 2)
+        x, w = ((u @ self.coeffs, u) if self.variant == MATRIX
+                else (v * fold_multiplicities(self.dim), u ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):   # inf or nan, no warning
+            return np.add.reduce(x * w, axis=1)
 
     def trace_terms(self) -> np.ndarray:
         """Per-degree variance contributions ``trace(b_l) C_l^lam(1)``."""
@@ -378,10 +374,12 @@ class IsotropicKernel:
         self._order = seq.order
 
     def evaluate_stack(self, ts) -> np.ndarray:
-        """Raw kernel values for an array of ts, shape ``(len(ts),) + coeff shape``."""
+        """Raw kernel values for an array of ts, shape ``(len(ts),) + coeff shape``,
+        summed at one OpenBLAS thread (:func:`one_blas_thread`)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         c = gegenbauer_all(self._order, self.seq.l_max, ts)  # (L+1, nt)
-        return np.tensordot(np.moveaxis(c, 0, -1), self.seq.coeffs, axes=([-1], [0]))
+        with one_blas_thread():
+            return np.tensordot(np.moveaxis(c, 0, -1), self.seq.coeffs, axes=([-1], [0]))
 
     def __call__(self, t: float) -> np.ndarray:
         """``R(t)`` as a read-only array of the shape of one coefficient: 0-d

@@ -257,16 +257,18 @@ def synthesize_fields(seq: SchoenbergSequence, grid: SampleGrid, streams,
     not change a bit.  The group walks the harmonic recurrence once
     (:func:`iter_degree_blocks`) and never builds the ``(n_points, H)``
     basis, and computes each degree's scale factor once; its values, ``len(streams) * n_points * dim`` floats, are views
-    of one array (:func:`field_groups` bounds them).
+    of one array (:func:`field_groups` bounds them).  The products run at
+    one OpenBLAS thread (:func:`one_blas_thread`).
     """
     if grid.d != seq.d:
         raise ValueError(f"grid dimension {grid.d} does not match sequence d={seq.d}")
     rngs = [make_generator(seed, stream) for stream in streams]
     values = np.zeros((len(rngs), grid.n_points, unfolded_dim(seq)))
-    for l, block in enumerate(iter_degree_blocks(seq.d, seq.l_max, grid.points)):
-        root = _scale_factor(seq, l)                        # once per group
-        for v, rng in zip(values, rngs):
-            v += block @ sample_coefficients(seq, l, rng, root)   # (h(l), dim)
+    with one_blas_thread():
+        for l, block in enumerate(iter_degree_blocks(seq.d, seq.l_max, grid.points)):
+            root = _scale_factor(seq, l)                        # once per group
+            for v, rng in zip(values, rngs):
+                v += block @ sample_coefficients(seq, l, rng, root)   # (h(l), dim)
     return [FieldSample(grid=grid, values=v, l_max=seq.l_max, seed=seed,
                         stream=stream) for v, stream in zip(values, streams)]
 

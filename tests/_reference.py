@@ -5,15 +5,18 @@ run that also collects ``bench/tests`` loads that directory's
 ``conftest.py`` under the same module name.
 """
 
+import contextlib
 import decimal
 import json
 import math
 import pathlib
 
 import numpy as np
+import pytest
 from jsonschema import Draft7Validator
 from referencing import Registry, Resource
 
+from spherefield import _blas
 from spherefield import harmonics as sh
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -68,6 +71,22 @@ def patch_draws(monkeypatch, on_draw):
 
     monkeypatch.setattr(simulate, "make_generator",
                         lambda *a, **kw: Generator(make_generator(*a, **kw)))
+
+
+@contextlib.contextmanager
+def openblas_threads(n: int):
+    """Run the block at ``n`` threads of numpy's OpenBLAS and restore the
+    count after it; skip the test where the thread API is missing."""
+    api = _blas._thread_api()
+    if api is None:
+        pytest.skip("numpy's OpenBLAS thread API is not available")
+    get, set_ = api
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def sphere_quadrature(d: int, max_degree: int):
@@ -206,6 +225,18 @@ def decimal_pair_terms(d, entries1, entries2) -> list:
             terms.append(h * (n11 * n11 + 2 * n12 * n21 + n22 * n22)
                          / (a * b - c * c) ** 2)
     return terms
+
+
+def decimal_diagonal_distances(g1, g2, mult) -> list:
+    """``sum_k mult_k (g1_k / g2_k - 1)^2`` for every row of two diagonal
+    stacks of shape ``(rows, K+1)`` (g2 the strictly positive reference),
+    from the exact values of the stored floats, to 60 digits: the
+    distances of the diagonal branch of the equivalence terms."""
+    D = decimal.Decimal
+    ms = [D(float(m)) for m in mult]
+    with decimal.localcontext(DECIMAL):
+        return [sum(m * (D(a) / D(b) - 1) ** 2 for m, a, b in zip(ms, r1, r2))
+                for r1, r2 in zip(np.asarray(g1).tolist(), np.asarray(g2).tolist())]
 
 
 def fourier_function_values(coefficients, taus) -> np.ndarray:

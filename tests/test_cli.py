@@ -23,8 +23,8 @@ from spherefield import _memory, cli
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield import simulate as sim
-from _reference import (ROOT, closed_form_tolerance, patch_draws, reject_constant,
-                        validate_schema)
+from _reference import (ROOT, closed_form_tolerance, openblas_threads, patch_draws,
+                        reject_constant, validate_schema)
 
 MQ = {"model": "multiquadratic", "d": 2, "sigma": [1, 1],
       "rho12": 0.4, "alpha": [0.5, 0.5, 0.45]}
@@ -852,6 +852,34 @@ def test_fan_out_leaves_bytes_unchanged(tmp_json, tmp_path, blas_threads):
             assert runs["real"] == runs["1"] and runs["3"] == runs["1"], (fmt, n)
 
 
+@pytest.mark.parametrize("command", ["validate", "kernel", "sample"])
+def test_bytes_independent_of_openblas_threads(capsys, tmp_json, tmp_path, command):
+    # configs whose output once depended on the OpenBLAS thread count:
+    # validate's traces (a BLAS dot threads above 10000 entries), kernel's
+    # sum over degrees and sample's per-degree products
+    if command == "validate":
+        argv = ["--config", tmp_json("m.json", dict(LM, L_max=40, K_max=10000))]
+    elif command == "kernel":
+        argv = ["--config", tmp_json("m.json", dict(LM, nu=0.3, L_max=1000, K_max=1000)),
+                "--thetas", "0,0.5,1,2,3"]
+    else:
+        argv = ["--config", tmp_json("m.json", dict(LM, L_max=40, K_max=150)),
+                "--grid", tmp_json("g.json", {"kind": "equiangular", "n_polar": 8,
+                                              "n_azimuth": 16}),
+                "--n-samples", "1"]
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        extra = ["--out", str(out)] if command == "sample" else []
+        with openblas_threads(threads):
+            code, stdout, stderr = run(capsys, [command, *argv, *extra])
+        assert code == 0, stderr
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if extra else {}
+        runs.append((stdout.replace(str(out), "OUT"), stderr.replace(str(out), "OUT"),
+                     files))
+    assert runs[0] == runs[1]
+
+
 def test_cli_import_loads_no_pool_machinery():
     # mc-check and the algebra commands must not pay for sample's fan-out
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
@@ -1075,7 +1103,7 @@ class TestEquiv:
 
     @pytest.mark.parametrize("model, args, what", [
         (LM, ["--l-max", "40", "--k-max", "1000000000000"],
-         "a pair of 9-degree, frequency-1000000000000 coefficient blocks needs"),
+         "a pair of 8-degree, frequency-1000000000000 coefficient blocks needs"),
         (LM, ["--l-max", "1000000000000", "--k-max", "1"],
          "the 1000000000001-term equivalence report needs"),
         (MQ, ["--l-max", "1000000000000"],

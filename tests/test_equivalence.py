@@ -11,15 +11,16 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from spherefield import _blas
 from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
 from spherefield.harmonics import h_dim
 from _reference import (
     DECIMAL,
+    decimal_diagonal_distances,
     decimal_pair_terms,
     multiquadratic_decimal_entries,
+    openblas_threads,
     validate_schema,
 )
 
@@ -154,6 +155,35 @@ class TestFunctionalSeries:
             rel = max(abs(Decimal(t) - r) / r for t, r in zip(terms.tolist(), ref))
         assert rel <= Decimal("1e-10")
 
+    @pytest.mark.parametrize("k_max, l_max", [(1, 200), (16, 100), (513, 16),
+                                              (10001, 2)])
+    def test_diagonal_distances_are_the_decimal_reference(self, k_max, l_max):
+        # ten drawn Legendre-Matern pairs per K, sigma and nu equal or drawn:
+        # each distance is within 8 eps sum_k m_k |q_k - 1| (q_k + |q_k - 1|)
+        # of its 60-digit value from the stored spectra, q = g1 / g2, the
+        # rounding of the quotient, the difference and the square carried
+        # through the sum.  About 1.3 s for the four.
+        rng = np.random.default_rng(k_max)
+        mult = sb.fold_multiplicities(k_max + 1)
+        for i in range(10):
+            sigma, alpha = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            p1 = md.LegendreMaternParams(sigma, alpha, rng.uniform(0.2, 4.0),
+                                         l_max, k_max)
+            p2 = replace(p1, alpha=10.0 ** rng.uniform(-2.0, 2.0))
+            if i % 2:
+                p2 = replace(p2, sigma=sigma * rng.uniform(0.5, 2.0))
+            if i % 4 > 1:
+                p2 = replace(p2, nu=rng.uniform(0.2, 4.0))
+            g1, g2 = md.legendre_matern_gamma_grid(p1), md.legendre_matern_gamma_grid(p2)
+            dist = eq._conjugated_distances(g1, g2)
+            q = g1 / g2
+            bound = 8.0 * np.finfo(float).eps * np.sum(
+                mult * np.abs(q - 1.0) * (q + np.abs(q - 1.0)), axis=1)
+            ref = decimal_diagonal_distances(g1, g2, mult)
+            with decimal.localcontext(DECIMAL):
+                err = [abs(Decimal(x) - r) for x, r in zip(dist.tolist(), ref)]
+            assert all(e <= Decimal(b) for e, b in zip(err, bound.tolist())), (p1, p2)
+
 
 def _sweep_stacks(rng, kind, width, n):
     """Two strictly positive stacks of n degrees: scalar, fourier with width
@@ -173,10 +203,8 @@ class TestDegreeBlocks:
 
     @staticmethod
     def lengths(step):
-        # every length mod 8 past two blocks, which leaves a last block of
-        # 0-7 rows to merge; tails of 1-3 rows past eight blocks (at 2049
-        # rows of 513 entries a gemv at two OpenBLAS threads splits its rows
-        # where the blocks do not); a tail of half a block, which stays; a
+        # a last block of 0-7 rows past two blocks, one row among them;
+        # tails of 1-3 rows past eight blocks; a tail of half a block; a
         # lone block
         return ([2 * step + r for r in range(8)] + [8 * step + r for r in (1, 2, 3)]
                 + [step + step // 2, step // 2 + 3])
@@ -184,37 +212,26 @@ class TestDegreeBlocks:
     @pytest.mark.parametrize("blas_threads", [1, 2])
     @pytest.mark.parametrize("kind, width", [
         ("scalar", 1), ("fourier", 1), ("fourier", 2), ("fourier", 3),
-        ("fourier", 17), ("fourier", 513), ("matrix", 2), ("matrix", 3),
-        ("matrix", 5)])
+        ("fourier", 17), ("fourier", 513), ("fourier", 10001), ("matrix", 2),
+        ("matrix", 3), ("matrix", 5)])
     def test_blocks_keep_the_bits(self, monkeypatch, blas_threads, kind, width):
-        api = _blas._thread_api()
-        if api is None and blas_threads > 1:
-            pytest.skip("no OpenBLAS thread API")
         rng = np.random.default_rng(width)
         row = width * width if kind == "matrix" else width
         if kind == "matrix":
             # blocks of 64 degrees: the dense branch works degree by degree,
             # and a full block (32768 2 x 2 degrees) takes over a second
             monkeypatch.setattr(eq, "_BLOCK_ELEMS", 64 * row)
-        step = max(8, eq._BLOCK_ELEMS // row // 8 * 8)
-        before = api[0]() if api else None
-        try:
-            if api:
-                api[1](blas_threads)
+        step = max(8, eq._BLOCK_ELEMS // row)
+        with openblas_threads(blas_threads):
             for n in self.lengths(step):
                 v1, v2 = _sweep_stacks(rng, kind, width, n)
                 blocks = eq._degree_blocks(n, row)
-                assert all(b.start % 8 == 0 for b in blocks)
-                assert min(b.stop - b.start for b in blocks) >= min(n, step // 2)
                 blocked = eq._conjugated_distances(v1, v2)
                 with monkeypatch.context() as m:
                     m.setattr(eq, "_BLOCK_ELEMS", (n + 8) * row)
                     assert len(eq._degree_blocks(n, row)) == 1
                     whole = eq._conjugated_distances(v1, v2)
                 assert np.array_equal(blocked, whole), (n, len(blocks))
-        finally:
-            if api:
-                api[1](before)
 
     def test_series_holds_one_block(self):
         # above its two input stacks, functional_series needs the largest
@@ -247,18 +264,12 @@ class TestLegendreMaternSeries:
     @pytest.mark.parametrize("blas_threads", [1, 2])
     @pytest.mark.parametrize("k_max", [1, 16, 512])
     def test_streamed_terms_have_the_bits_of_the_series(self, blas_threads, k_max):
-        api = _blas._thread_api()
-        if api is None and blas_threads > 1:
-            pytest.skip("no OpenBLAS thread API")
         rng = np.random.default_rng(k_max)
-        step = max(8, eq._BLOCK_ELEMS // (k_max + 1) // 8 * 8)
+        step = max(8, eq._BLOCK_ELEMS // (k_max + 1))
         # a lone block, a block on either side of one step, a short last
-        # block merged into the one before it, and a half block that stays
+        # block, and a last block of half a block
         lengths = [step // 2 + 3, step - 1, step + 1, 2 * step + 3, step + step // 2]
-        before = api[0]() if api else None
-        try:
-            if api:
-                api[1](blas_threads)
+        with openblas_threads(blas_threads):
             for n in lengths:
                 sigma, alpha = 10.0 ** rng.uniform(-2.0, 2.0, 2)
                 p1 = md.LegendreMaternParams(sigma, alpha, rng.uniform(0.2, 4.0),
@@ -269,9 +280,6 @@ class TestLegendreMaternSeries:
                 streamed = eq.legendre_matern_series(p1, p2)
                 whole = self.sequence_route(p1, p2)
                 assert streamed.tobytes() == whole.tobytes(), (n, p1, p2)
-        finally:
-            if api:
-                api[1](before)
 
     def test_shorter_model_sets_the_length(self):
         p1 = md.LegendreMaternParams(1.0, 1.0, 1.0, 40, 8)
@@ -420,19 +428,20 @@ class TestMarginalBoundCheck:
 
 class TestScalarMarginalDigests:
     """sha256 of the ``scalar_marginal_series`` terms on the model pairs of
-    acceptance criterion 6, recorded with numpy 2.4.6 when the scalar terms
-    had a pipeline of their own; routing them through
-    :func:`functional_series` changes no bit."""
+    acceptance criterion 6, recorded with numpy 2.4.6 once the quadratic
+    forms and the diagonal distances became numpy row reductions (they were
+    BLAS dots and a gemv; the moved terms agree with a 60-digit reference
+    as well as the old ones did)."""
 
     @pytest.mark.parametrize("pa, pb, u, digest", [
         (((1.0, 1.1), 0.40, (0.9, 0.9, 0.88)), ((1.0, 1.1), 0.45, (0.9, 0.9, 0.89)),
          [1.0, 0.0], "4f2cfec1c5dc3827cdeb42906713b37cae91e009aa0e2d211c376ccb9969b3ea"),
         (((1.0, 1.1), 0.40, (0.9, 0.9, 0.88)), ((1.0, 1.1), 0.45, (0.9, 0.9, 0.89)),
-         [0.3, -0.9], "dfcdc20bc28bb62eb3a8a9e5256b992a1edcbc8c143b9f93a0bb1fed46d19185"),
+         [0.3, -0.9], "2f2993c857d354989958e02f20e61e69b72652ef25faad843d335e3f0c59c81b"),
         (((1.0, 1.0), 0.40, (0.6, 0.5, 0.30)), ((1.2, 1.0), 0.40, (0.6, 0.5, 0.30)),
          [1.0, 0.0], "8b1c365203471d49a84baa852f980d95ac0c7af855fc2edc4a162a2834f17562"),
         (((1.0, 1.0), 0.40, (0.6, 0.5, 0.30)), ((1.2, 1.0), 0.40, (0.6, 0.5, 0.30)),
-         [0.3, -0.9], "945b254c2697b113d20e88d3e6e8d3c4a033ebf145cf87dab765d04090977a31"),
+         [0.3, -0.9], "2e8069a096868236933253171e853b537ffd7213ec201f6c5868ceb7c75cb35f"),
     ])
     def test_multiquadratic(self, pa, pb, u, digest):
         seq_a, seq_b = (md.build_sequence(
@@ -442,8 +451,8 @@ class TestScalarMarginalDigests:
         assert hashlib.sha256(terms.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("alpha, nu, digest", [
-        (2.0, 1.0, "0a37b393945f639a72af72303e1e534db9c592a78dbe534cc4780e3ceff6cd55"),
-        (1.0, 1.2, "c68e0369196e81b94e584cfbe6cfa5a733055d256ffba21c9301c1ab011980a1"),
+        (2.0, 1.0, "588809fd84ad611e21b26ca9bf6e3227c6a3d066886733ee18c3bf9f4cfba7ee"),
+        (1.0, 1.2, "1013b9564e843bd7a9521aaaed5f9723f85249d0f9137be097c49d07bd995525"),
     ])
     def test_legendre_matern(self, alpha, nu, digest):
         seq_a = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 512, 512))

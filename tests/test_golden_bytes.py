@@ -111,7 +111,7 @@ ALGEBRA_RUNS = {
 # name -> (exit code, sha256 of stdout)
 GOLDEN_ALGEBRA = {
     "equiv_lm_256": (
-        0, "a7a54a15ee691a0ee00b9c6c51bacabb5be36658e67b40e22278d0b2664cc34d"),
+        0, "65a3afa86d78670a24011a11f535b2139f50e583eb004d1d874b2cedd7aee714"),
     "equiv_mq_300": (
         0, "d7456985c5a19e06b65694abe893ddcd630c54af7dae21e4ed9445d793b12e7b"),
     "export_mq_300": (
@@ -119,7 +119,7 @@ GOLDEN_ALGEBRA = {
     "kernel_mq_300": (
         0, "7b4cbfe669f2566a6a3571e70917a4d60bcca7f9ecf7f100c3569ee3a25df4e0"),
     "validate_lm_200": (
-        0, "44d644af41a1312fcb53586b2b249764fbd7f73d674bce49f1b46e57fdae784d"),
+        0, "002b8e357472240e5eae1d33065f62ca05fb2cb339b3b389710fd712b186bb9c"),
     "validate_mq_300": (
         0, "e4d54f1dd98974ee25b3d07feba1058c70d07d7ae3a67fe682e5cd8df7583be1"),
 }

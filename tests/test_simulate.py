@@ -18,7 +18,8 @@ from spherefield import schoenberg as sb
 from spherefield import simulate as sim
 from spherefield import _blas
 from spherefield._blas import one_blas_thread
-from _reference import fourier_function_values, patch_draws, validate_schema
+from _reference import (fourier_function_values, openblas_threads, patch_draws,
+                        validate_schema)
 
 
 def mq_sequence(l_max=20, d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)):
@@ -459,13 +460,8 @@ def blas_threads():
 @pytest.fixture
 def two_blas_threads():
     """Run at two OpenBLAS threads, so that a pin left behind shows."""
-    api = _blas._thread_api()
-    before = None if api is None else api[0]()
-    if api is not None:
-        api[1](2)
-    yield
-    if api is not None:
-        api[1](before)
+    with openblas_threads(2):
+        yield
 
 
 def ensemble_with_batches_of_two(monkeypatch):
