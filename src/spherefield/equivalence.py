@@ -41,6 +41,7 @@ from .schoenberg import (
     SchoenbergSequence,
     check_compatible,
     checked_stack,
+    degree_blocks,
     fold_multiplicities,
     json_finite,
     one_degree_stack,
@@ -70,19 +71,6 @@ def _verdict(verdict: str, provenance: str, diagnostics: str) -> dict:
     """A verdict as the ``verdicts`` item of the equivalence report."""
     return {"verdict": verdict, "provenance": provenance,
             "diagnostics": diagnostics}
-
-
-# Elements of one degree block of _conjugated_distances (1 MiB of float64).
-_BLOCK_ELEMS = 1 << 17
-
-
-def _degree_blocks(n_rows: int, row_elems: int) -> list:
-    """Slices of ``n_rows`` degrees into blocks of ``_BLOCK_ELEMS // row_elems``
-    rows, the last one shorter.  A block has at least 8 rows, which bounds
-    the number of blocks at wide rows and sets the size of the block pair
-    that :func:`legendre_matern_series` refuses a huge ``k_max`` on."""
-    step = max(8, _BLOCK_ELEMS // row_elems)
-    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
 def _dense_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
@@ -127,10 +115,10 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     coefficient stacks (degree axis first), b2 the strictly positive reference.
 
     Both are read in degree blocks of about ``_BLOCK_ELEMS`` elements
-    (:func:`_degree_blocks`), so the work space is one block, not a stack,
-    and the blocks do not move a bit: every degree is computed from its own
-    rows only (the dense branch is batched per degree, the diagonal branch
-    sums each row by :func:`_diagonal_distances`).
+    (:func:`schoenberg.degree_blocks`), so the work space is one block,
+    not a stack, and the blocks do not move a bit: every degree is computed
+    from its own rows only (the dense branch is batched per degree, the
+    diagonal branch sums each row by :func:`_diagonal_distances`).
 
     Diagonal stacks (scalar or folded fourier) give
     ``sum_k mult_k (b1_k / b2_k - 1)^2``.  For dense stacks the value equals
@@ -152,10 +140,10 @@ def _conjugated_distances(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
         g1 = v1.reshape(v1.shape[0], -1)
         g2 = v2.reshape(v2.shape[0], -1)
         mult = fold_multiplicities(g2.shape[1])
-        for b in _degree_blocks(*g2.shape):
+        for b in degree_blocks(*g2.shape):
             dist[b] = _diagonal_distances(g1[b], g2[b], mult)
         return dist
-    for b in _degree_blocks(v2.shape[0], v2.shape[1] ** 2):
+    for b in degree_blocks(v2.shape[0], v2.shape[1] ** 2):
         dist[b] = _dense_distances(v1[b], v2[b])
     return dist
 
@@ -249,7 +237,7 @@ def legendre_matern_series(p1: LegendreMaternParams,
     computed without building either sequence.
 
     The spectra are built, checked and compared one degree block at a time
-    (:func:`_degree_blocks`), so this holds a block of each and the
+    (:func:`schoenberg.degree_blocks`), so this holds a block of each and the
     ``L + 1`` distances, not two ``(L+1, K+1)`` stacks.  Each block
     runs the rules of building the two sequences in their order (the
     :func:`schoenberg.checked_stack` rules of ``p1``'s rows, then of
@@ -264,7 +252,7 @@ def legendre_matern_series(p1: LegendreMaternParams,
     if p2.k_max != K:
         raise ValueError(f"models must share K_max, got {K} and {p2.k_max}")
     L = min(p1.l_max, p2.l_max)
-    blocks = _degree_blocks(L + 1, K + 1)
+    blocks = degree_blocks(L + 1, K + 1)
     rows = max(b.stop - b.start for b in blocks)
     require_fit(2 * 8 * rows * (K + 1),
                 f"a pair of {rows}-degree, frequency-{K} coefficient blocks")

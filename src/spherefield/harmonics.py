@@ -41,6 +41,11 @@ UNIT_NORM_TOL = 1e-12
 # rounding dust); larger excursions are rejected.
 _T_CLAMP = 1e-12
 
+# Points per tile of the S^2 recurrence: each degree's harmonics are
+# assembled one tile of points at a time, so the assembly scratch is
+# (2 l_max + 1) * _POINT_TILE floats, not (2 l_max + 1) * n.
+_POINT_TILE = 256
+
 
 def gegenbauer_order(d: int) -> float:
     """Gegenbauer order ``lam = (d - 1) / 2`` for the sphere ``S^d``."""
@@ -261,9 +266,13 @@ def iter_degree_blocks(d: int, l_max: int, points):
     ``(n, h(l))`` array of the degree-l harmonics at the points: the
     degree-l columns of :func:`harmonic_basis`, bit for bit.  Every item is
     a view of one buffer that the next step overwrites; copy an item to
-    keep it.  On S^2 the recurrence keeps ``(8 l_max + 6) * n * 8`` bytes of
-    state, so the ``(n, harmonic_count)`` basis never exists.  Arguments are
-    checked when this is called, not when iteration starts.
+    keep it.  On S^2 the recurrence keeps
+    ``((6 l_max + 5) * n + (2 l_max + 1) * min(n, 256)) * 8`` bytes of
+    state: two rows of Legendre values, the cosines and sines of every
+    order at every point, the item buffer (also the recurrence's scratch)
+    and the assembly scratch of one tile of 256 points
+    (``_POINT_TILE``), so the ``(n, harmonic_count)`` basis never exists.
+    Arguments are checked when this is called, not when iteration starts.
 
     The items are C-contiguous because BLAS rounds ``block @ a`` for a
     transposed (F-ordered) block differently when ``a`` has few columns.
@@ -272,8 +281,9 @@ def iter_degree_blocks(d: int, l_max: int, points):
     pts = check_points(d, points)
     if d == 1:
         return _circle_blocks(l_max, pts)
-    require_fit((8 * l_max + 6) * pts.shape[0] * 8,
-                f"the degree-{l_max} harmonic recurrence at {pts.shape[0]} points")
+    n = pts.shape[0]
+    require_fit(((6 * l_max + 5) * n + (2 * l_max + 1) * min(n, _POINT_TILE)) * 8,
+                f"the degree-{l_max} harmonic recurrence at {n} points")
     return _sphere_blocks(l_max, pts)
 
 
@@ -308,25 +318,29 @@ def _sphere_blocks(l_max: int, pts: np.ndarray):
     #   m < l - 1  ascent in l    P_{l,m}   = a u P_{l-1,m} - b P_{l-2,m}
     # Each entry sees the same scalar operations, in the same order, as the
     # per-(l, m) form of this recurrence, so the values are bit-identical to
-    # it (tests keep that form as the reference).
+    # it (tests keep that form as the reference), whatever the tile width.
     n = pts.shape[0]
     u = pts[:, 2]
     s = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     sqrt2 = math.sqrt(2.0)
 
-    cos_m = np.empty((l_max + 1, n))
-    sin_m = np.empty((l_max + 1, n))
+    # row m: cos(m phi) and sin(m phi), the pair of order m
+    trig = np.empty((l_max + 1, 2, n))
     for m in range(1, l_max + 1):
-        cos_m[m] = np.cos(m * phi)
-        sin_m[m] = np.sin(m * phi)
+        trig[m, 0] = np.cos(m * phi)
+        trig[m, 1] = np.sin(m * phi)
 
     # Row m of p_prev holds P_{l-1,m}; p holds P_{l-2,m} on entry to degree
-    # l and P_{l,m} on exit.  A degree's 2l + 1 harmonics are assembled as
-    # rows of a contiguous block and stored in out_buf with one transposed
-    # copy, which is much faster than scattering them column by column.
+    # l and P_{l,m} on exit.  The ascent's scratch is the front of out_buf,
+    # whose previous item is dead by then.  A degree's 2l + 1 harmonics are
+    # then assembled one tile of at most _POINT_TILE points at a time, as
+    # the rows of a contiguous tile block, and stored in out_buf with one
+    # transposed copy, which is much faster than scattering them column by
+    # column.
+    tiles = [slice(t0, min(t0 + _POINT_TILE, n)) for t0 in range(0, n, _POINT_TILE)]
     p_prev, p = np.empty((2, l_max + 1, n))
-    block = np.empty((2 * l_max + 1, n))
+    tile_buf = np.empty((2 * l_max + 1) * min(n, _POINT_TILE))
     out_buf = np.empty(n * (2 * l_max + 1))
     for l in range(l_max + 1):
         if l == 0:
@@ -337,7 +351,7 @@ def _sphere_blocks(l_max: int, pts: np.ndarray):
                 a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
                 b = np.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
                             / ((2.0 * l - 3.0) * (l * l - m * m)))
-                a_term = block[:l - 1]           # scratch until the block fill
+                a_term = out_buf[:(l - 1) * n].reshape(l - 1, n)
                 np.multiply(a[:, None], u, out=a_term)
                 np.multiply(a_term, p_prev[:l - 1], out=a_term)
                 np.multiply(b[:, None], p[:l - 1], out=p[:l - 1])
@@ -347,13 +361,16 @@ def _sphere_blocks(l_max: int, pts: np.ndarray):
             np.multiply(-math.sqrt((2.0 * l + 1.0) / (2.0 * l)), s, out=p[l])
             np.multiply(p[l], p_prev[l - 1], out=p[l])
 
-        # within-degree order: zonal, then (cos, sin) for m = 1 .. l
-        block[0] = p[0]
-        for trig, first in ((cos_m, 1), (sin_m, 2)):
-            rows = block[first:2 * l + 1:2]
-            np.multiply(sqrt2, p[1:l + 1], out=rows)
-            np.multiply(rows, trig[1:l + 1], out=rows)
+        # within-degree order: zonal, then (cos, sin) for m = 1 .. l, each
+        # sqrt(2) P_{l,m} times the trigonometric factor
         out = out_buf[:n * (2 * l + 1)].reshape(n, 2 * l + 1)
-        out.T[...] = block[:2 * l + 1]
+        for t in tiles:
+            w = t.stop - t.start
+            block = tile_buf[:(2 * l + 1) * w].reshape(2 * l + 1, w)
+            block[0] = p[0, t]
+            pairs = block[1:].reshape(l, 2, w)
+            np.multiply(sqrt2, p[1:l + 1, None, t], out=pairs)
+            np.multiply(pairs, trig[1:l + 1, :, t], out=pairs)
+            out[t].T[...] = block
         yield _readonly(out)
         p_prev, p = p, p_prev

@@ -77,12 +77,34 @@ def fold_multiplicities(n: int) -> np.ndarray:
     return np.bincount(unfolded_index(n), minlength=n).astype(float)
 
 
+# Elements of one degree block of a stack read block by block (1 MiB of
+# float64): diagonal traces here, equivalence distances in equivalence.
+_BLOCK_ELEMS = 1 << 17
+
+
+def degree_blocks(n_rows: int, row_elems: int) -> list:
+    """Slices of ``n_rows`` degrees into blocks of ``_BLOCK_ELEMS // row_elems``
+    rows, the last one shorter.  A block has at least 8 rows, which bounds
+    the number of blocks at wide rows and sets the size of the block pair
+    that ``equivalence.legendre_matern_series`` refuses a huge ``k_max`` on."""
+    step = max(8, _BLOCK_ELEMS // row_elems)
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+
+
 @np.errstate(over="ignore")   # a trace beyond float64 is inf, without a warning
 def _traces(stack: np.ndarray) -> np.ndarray:
+    """Per-degree traces.  A diagonal stack is weighted by its fold
+    multiplicities one degree block at a time (:func:`degree_blocks`), so
+    no product is the size of the stack; each row is summed by numpy's
+    pairwise reduction, so its bits depend on that row alone."""
     if stack.ndim == 3:
         return np.trace(stack, axis1=1, axis2=2)
     v = stack.reshape(stack.shape[0], -1)
-    return np.add.reduce(v * fold_multiplicities(v.shape[1]), axis=1)   # row by row
+    mult = fold_multiplicities(v.shape[1])
+    out = np.empty(v.shape[0])
+    for b in degree_blocks(*v.shape):
+        out[b] = np.add.reduce(v[b] * mult, axis=1)
+    return out
 
 
 def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
@@ -266,9 +288,15 @@ class SchoenbergSequence:
             return np.add.reduce(x * w, axis=1)
 
     def trace_terms(self) -> np.ndarray:
-        """Per-degree variance contributions ``trace(b_l) C_l^lam(1)``."""
-        c1 = gegenbauer_at_one_all(self.order, self.l_max)
-        return _traces(self.coeffs) * c1
+        """Per-degree variance contributions ``trace(b_l) C_l^lam(1)``;
+        ``inf`` or ``nan`` where they leave float64, without a warning."""
+        return _trace_terms(self, _traces(self.coeffs))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _trace_terms(seq: SchoenbergSequence, traces: np.ndarray) -> np.ndarray:
+    """:meth:`SchoenbergSequence.trace_terms` from the per-degree traces."""
+    return traces * gegenbauer_at_one_all(seq.order, seq.l_max)
 
 
 def json_finite(x):
@@ -283,12 +311,13 @@ def json_finite(x):
 TRACE_NOT_FINITE = "weighted trace not finite"
 
 
-def _weighted_partial_sums(seq: SchoenbergSequence) -> np.ndarray:
-    """The partial sums of ``omega_d`` times ``seq.trace_terms()`` over
-    l = 0 .. L_max; the last sum is the truncated field variance integrated
-    over S^d.  An overflow gives ``inf`` without a warning."""
+def _weighted_partial_sums(d: int, terms: np.ndarray) -> np.ndarray:
+    """The partial sums of ``omega_d`` times the trace terms of a sequence on
+    S^d (:meth:`SchoenbergSequence.trace_terms`) over l = 0 .. L_max; the
+    last sum is the truncated field variance integrated over S^d.  An
+    overflow gives ``inf`` without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.cumsum(surface_measure(seq.d) * seq.trace_terms())
+        return np.cumsum(surface_measure(d) * terms)
 
 
 def has_finite_variance(seq: SchoenbergSequence) -> bool:
@@ -298,10 +327,10 @@ def has_finite_variance(seq: SchoenbergSequence) -> bool:
     :data:`TRACE_NOT_FINITE`; its kernel and samples would hold ``inf`` or
     ``nan``.
     """
-    return bool(np.all(np.isfinite(_weighted_partial_sums(seq))))
+    return bool(np.all(np.isfinite(_weighted_partial_sums(seq.d, seq.trace_terms()))))
 
 
-def tail_bound(seq: SchoenbergSequence):
+def tail_bound(seq: SchoenbergSequence, terms: np.ndarray | None = None):
     """The one truncation-tail rule: ``(bound, heuristic)``.
 
     ``bound`` dominates ``sum_{l > L_max} trace(b_l) C_l^lam(1)``, and so the
@@ -309,14 +338,14 @@ def tail_bound(seq: SchoenbergSequence):
     ``|C_l(t)| <= C_l(1)``: the closed form of the sequence's ``tail`` when
     it has one, else the last term ``trace(b_L) C_L^lam(1)`` (``heuristic``
     true; ``inf`` without a warning where it overflows), else ``None`` at
-    ``L_max = 0``.
+    ``L_max = 0``.  ``terms`` is ``seq.trace_terms()`` when the caller
+    already has them.
     """
     if seq.tail is not None:
         return seq.tail.trace_tail_bound(seq.l_max), False
     if seq.l_max == 0:
         return None, True
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(seq.trace_terms()[-1]), True
+    return float((seq.trace_terms() if terms is None else terms)[-1]), True
 
 
 def validate_sequence(seq: SchoenbergSequence) -> dict:
@@ -333,8 +362,9 @@ def validate_sequence(seq: SchoenbergSequence) -> dict:
         traces = _traces(seq.coeffs)
         mins = _min_eigenvalues(seq.coeffs)
         ratios = np.where(traces > 0, mins / np.where(traces > 0, traces, 1.0), 0.0)
+    terms = _trace_terms(seq, traces)   # computed once, for the sums and the tail
     strictly_positive = not np.any(strict_positivity(seq.coeffs)[0])
-    partial = _weighted_partial_sums(seq)
+    partial = _weighted_partial_sums(seq.d, terms)
     finite = bool(np.all(np.isfinite(partial)))
 
     flags = []
@@ -343,7 +373,7 @@ def validate_sequence(seq: SchoenbergSequence) -> dict:
     if not finite:
         flags.append(TRACE_NOT_FINITE)
 
-    tail_estimate, heuristic = tail_bound(seq)
+    tail_estimate, heuristic = tail_bound(seq, terms)
     if tail_estimate is not None:
         tail_estimate *= surface_measure(seq.d)
         if heuristic:

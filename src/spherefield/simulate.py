@@ -60,9 +60,9 @@ from .schoenberg import (
 )
 
 # float64 elements per ensemble batch buffer or sample field group; the
-# ensemble's two draw slots hold half a batch each, so its working set is
-# about 2 * _BATCH_ELEMS * 8 bytes.  1M keeps the 300-field two-point
-# ensemble of a default mc-check (576,600 elements) in one batch.
+# ensemble's two draw slots hold at most a quarter of that each, so its
+# working set is about 1.5 * _BATCH_ELEMS * 8 bytes.  1M keeps the 300-field
+# two-point ensemble of a default mc-check (576,600 elements) in one batch.
 _BATCH_ELEMS = 1_000_000
 _MAX_POINTS = int(np.iinfo(np.intp).max)   # the largest size of a numpy array
 _CSV_CHUNK_ROWS = 256      # rows converted to Python floats at a time
@@ -312,13 +312,15 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     sequence.
 
     Memory: one batch buffer (the scaled draws, laid out as the rows of the
-    contraction) and a ring of two draw slots of half a batch each, about
-    ``2 * _BATCH_ELEMS * 8`` bytes (16 MB) whatever ``n_fields`` is, plus
-    the output and the ``(n_points, H)`` harmonic basis.  A field of more
-    than half of ``_BATCH_ELEMS`` elements forms a batch of its own, drawn
-    into one slot of one field.  An output beyond physical memory is
-    refused first, with :class:`EnsembleTooLarge`; then a basis, ring and
-    batch buffer that together exceed it, with a plain ``MemoryError``.
+    contraction) and a ring of two draw slots, each of at most half a batch
+    and at most a quarter of ``_BATCH_ELEMS`` elements (at least one
+    field), about ``1.5 * _BATCH_ELEMS * 8`` bytes (12 MB) whatever
+    ``n_fields`` is, plus the output and the ``(n_points, H)`` harmonic
+    basis.  A field of more than half of ``_BATCH_ELEMS`` elements forms a
+    batch of its own, drawn into one slot of one field.  An output beyond
+    physical memory is refused first, with :class:`EnsembleTooLarge`; then
+    a basis, ring and batch buffer that together exceed it, with a plain
+    ``MemoryError``.
     Philox fills a request sequentially, so how a batch is split into slots
     changes no bit.  The batch partition is a pure function of
     ``(n_fields, H, dim)`` and ``_BATCH_ELEMS``, balanced so that sizes
@@ -350,7 +352,7 @@ def synthesize_ensemble(seq: SchoenbergSequence, grid: SampleGrid, n_fields: int
     L = seq.l_max
     H = harmonic_count(seq.d, L)
     sizes = _batch_sizes(n_fields, H * dim)
-    cap = -(-sizes[0] // 2)
+    cap = min(-(-sizes[0] // 2), max(1, (_BATCH_ELEMS // 4) // (H * dim)))
     n_slots = 1 if sizes[0] == 1 else 2
     zt_fields = sizes[0] if sizes[0] > 1 else 0
     # a plain MemoryError: the basis, ring and batch buffer grow with the

@@ -10,6 +10,7 @@ import decimal
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ def openblas_threads(n: int):
         yield
     finally:
         set_(before)
+
+
+def traced_peak(fn, *args, **kw):
+    """``(fn(*args, **kw), peak)``: the call's result and the most memory
+    tracemalloc saw allocated during it, in bytes above what was allocated
+    when it started (the result included, as it is alive at the end)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kw)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def sphere_quadrature(d: int, max_degree: int):

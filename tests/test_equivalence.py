@@ -220,16 +220,16 @@ class TestDegreeBlocks:
         if kind == "matrix":
             # blocks of 64 degrees: the dense branch works degree by degree,
             # and a full block (32768 2 x 2 degrees) takes over a second
-            monkeypatch.setattr(eq, "_BLOCK_ELEMS", 64 * row)
-        step = max(8, eq._BLOCK_ELEMS // row)
+            monkeypatch.setattr(sb, "_BLOCK_ELEMS", 64 * row)
+        step = max(8, sb._BLOCK_ELEMS // row)
         with openblas_threads(blas_threads):
             for n in self.lengths(step):
                 v1, v2 = _sweep_stacks(rng, kind, width, n)
-                blocks = eq._degree_blocks(n, row)
+                blocks = sb.degree_blocks(n, row)
                 blocked = eq._conjugated_distances(v1, v2)
                 with monkeypatch.context() as m:
-                    m.setattr(eq, "_BLOCK_ELEMS", (n + 8) * row)
-                    assert len(eq._degree_blocks(n, row)) == 1
+                    m.setattr(sb, "_BLOCK_ELEMS", (n + 8) * row)
+                    assert len(sb.degree_blocks(n, row)) == 1
                     whole = eq._conjugated_distances(v1, v2)
                 assert np.array_equal(blocked, whole), (n, len(blocks))
 
@@ -238,7 +238,7 @@ class TestDegreeBlocks:
         # degree block and the reference's positivity mask, not a stack
         s1 = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 1024, 256))
         s2 = md.build_sequence(md.LegendreMaternParams(1.0, 2.0, 1.0, 1024, 256))
-        block = 8 * 257 * max(b.stop - b.start for b in eq._degree_blocks(1025, 257))
+        block = 8 * 257 * max(b.stop - b.start for b in sb.degree_blocks(1025, 257))
         mask = 1025 * 257
         assert block < s1.coeffs.nbytes
         tracemalloc.start()
@@ -265,7 +265,7 @@ class TestLegendreMaternSeries:
     @pytest.mark.parametrize("k_max", [1, 16, 512])
     def test_streamed_terms_have_the_bits_of_the_series(self, blas_threads, k_max):
         rng = np.random.default_rng(k_max)
-        step = max(8, eq._BLOCK_ELEMS // (k_max + 1))
+        step = max(8, sb._BLOCK_ELEMS // (k_max + 1))
         # a lone block, a block on either side of one step, a short last
         # block, and a last block of half a block
         lengths = [step // 2 + 3, step - 1, step + 1, 2 * step + 3, step + step // 2]
@@ -320,7 +320,7 @@ class TestLegendreMaternSeries:
         # their checks: 3.5 of the largest block (313 of 2049 degrees)
         p1 = md.LegendreMaternParams(1.0, 1.0, 1.0, 2048, 512)
         p2 = replace(p1, alpha=2.0)
-        rows = max(b.stop - b.start for b in eq._degree_blocks(2049, 513))
+        rows = max(b.stop - b.start for b in sb.degree_blocks(2049, 513))
         block = 8 * 513 * rows
         tracemalloc.start()
         try:

@@ -40,17 +40,22 @@ LM_B = dict(LM_200, alpha=2.0)
 MQ_D1 = {"model": "multiquadratic", "d": 1, "sigma": [1, 1.2],
          "rho12": 0.3, "alpha": [0.5, 0.6, 0.5]}
 LM_20 = dict(LM, L_max=20, K_max=6)
+LM_64 = dict(LM, L_max=64, K_max=16)
 
-# name -> (model, grid, format, extra flags)
+# name -> (model, grid, format, fields, extra flags)
 SAMPLE_RUNS = {
     "lm_csv": (LM, {"kind": "equiangular", "n_polar": 8, "n_azimuth": 16},
-               "csv", []),
+               "csv", 3, []),
     "mq_csv": (MQ, {"kind": "uniform", "d": 2, "n": 50, "seed": 3},
-               "csv", ["--l-max", "20"]),
+               "csv", 3, ["--l-max", "20"]),
     "mq_json": (MQ, {"kind": "uniform", "d": 2, "n": 50, "seed": 3},
-                "json", ["--l-max", "20"]),
+                "json", 3, ["--l-max", "20"]),
     "mq_d1_csv": (MQ_D1, {"kind": "equispaced", "n": 40},
-                  "csv", ["--l-max", "12"]),
+                  "csv", 3, ["--l-max", "12"]),
+    # 2048 points: eight tiles of the S^2 recurrence, where every other
+    # grid here fits in one
+    "lm_wide_csv": (LM_64, {"kind": "equiangular", "n_polar": 32, "n_azimuth": 64},
+                    "csv", 2, []),
 }
 
 GOLDEN_SAMPLE = {
@@ -83,6 +88,14 @@ GOLDEN_SAMPLE = {
             "de4861187b3a3e77a639ddc16344ca4a9ec4b08080f418ffa9196654995a69c7",
         "sample_0002.csv":
             "a9f6a13dbf4e60558e85796bbbd30c535b52e5d803cd0dbafe101002f5a8021b",
+    },
+    "lm_wide_csv": {
+        "manifest.json":
+            "f635c6651d60dc5bc11035039dd7cc6f37c3f97df1930e86e841574c7f98f3b0",
+        "sample_0000.csv":
+            "2418852c756c07db81f16e7a834237ea5b7a54e0d5c8e520e7e7731972b00d3c",
+        "sample_0001.csv":
+            "9fe2d470d7f1a638fed078adef3472016eeee518d4f9ff1a63fba22f72580841",
     },
     "mq_json": {
         "manifest.json":
@@ -244,14 +257,15 @@ def _mismatch(what: str) -> str:
 
 def sample_digests(tmp_path, name) -> dict:
     """sha256 of every file one `sample` run writes, manifest included."""
-    model, grid, fmt, flags = SAMPLE_RUNS[name]
+    model, grid, fmt, n_fields, flags = SAMPLE_RUNS[name]
     run_dir = tmp_path / name
     run_dir.mkdir()
     (run_dir / "model.json").write_text(json.dumps(model))
     (run_dir / "grid.json").write_text(json.dumps(grid))
     out = run_dir / "out"
     code = cli.main(["sample", "--config", str(run_dir / "model.json"),
-                     "--grid", str(run_dir / "grid.json"), "--n-samples", "3",
+                     "--grid", str(run_dir / "grid.json"),
+                     "--n-samples", str(n_fields),
                      "--seed", "42", "--stream", "5", "--format", fmt,
                      "--out", str(out)] + flags)
     assert code == 0

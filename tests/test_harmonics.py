@@ -6,7 +6,7 @@ from scipy.special import eval_gegenbauer, eval_legendre
 
 from spherefield import _memory
 from spherefield import harmonics as sh
-from _reference import sphere_quadrature, zonal_sum
+from _reference import sphere_quadrature, traced_peak, zonal_sum
 
 
 def gegenbauer(lam, l, t):
@@ -323,12 +323,44 @@ class TestBasisArithmetic:
         with pytest.raises(ValueError, match="unit vectors"):
             sh.iter_degree_blocks(2, 2, [[0.0, 0.0, 2.0]])
 
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 69])
+    def test_point_tiles_keep_the_bits(self, monkeypatch, n):
+        # tiles of 16 points: one point, a tile short of one point, one
+        # tile, a tile and one point, four tiles and five points
+        monkeypatch.setattr(sh, "_POINT_TILE", 16)
+        pts = random_points(2, n, seed=n)
+        basis = sh.harmonic_basis(2, 12, pts)
+        assert np.array_equal(basis, scalar_recurrence_basis(12, pts))
+        slices = sh.degree_slices(2, 12)
+        for l, block in enumerate(sh.iter_degree_blocks(2, 12, pts)):
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert np.array_equal(block, basis[:, slices[l]])
+
+    def test_recurrence_state_is_tiled(self):
+        # at 4096 points the state holds one tile of assembly scratch, not
+        # a second (2L+1, n) block: 5.0 MB, where (8L + 6) * n floats are 6.5 MB
+        L, n = 24, 4096
+        pts = random_points(2, n, seed=2)
+
+        def walk():
+            for _ in sh.iter_degree_blocks(2, L, pts):
+                pass
+
+        state = ((6 * L + 5) * n + (2 * L + 1) * sh._POINT_TILE) * 8
+        assert 1.05 * state < (8 * L + 6) * n * 8
+        _, peak = traced_peak(walk)
+        assert peak <= 1.05 * state
+
     def test_recurrence_state_checked_against_memory(self, monkeypatch):
         # (8 * 100 + 6) * 200 * 8 bytes of state, against 1 MB "installed"
         monkeypatch.setattr(_memory, "physical_memory", lambda: 10**6)
         with pytest.raises(MemoryError, match="physical memory"):
             sh.iter_degree_blocks(2, 100, random_points(2, 200, seed=1))
         sh.iter_degree_blocks(2, 10, random_points(2, 200, seed=1))
+        # (6 * 100 + 5) * 2000 * 8 + 201 * 256 * 8 bytes (10.1 MB) fit in
+        # 11 MB, where (8 * 100 + 6) * 2000 * 8 (12.9 MB) would not
+        monkeypatch.setattr(_memory, "physical_memory", lambda: 11 * 10**6)
+        sh.iter_degree_blocks(2, 100, random_points(2, 2000, seed=1))
 
     def test_basis_checked_against_memory(self, monkeypatch):
         # a (2, 301^2) basis of 1.45 MB, against 1 MB "installed"; the

@@ -14,7 +14,8 @@ import spherefield
 from spherefield import equivalence as eq
 from spherefield import models as md
 from spherefield import schoenberg as sb
-from _reference import load_schema, multiquadratic_coeff_entries, validate_schema
+from _reference import (load_schema, multiquadratic_coeff_entries, traced_peak,
+                        validate_schema)
 
 
 def random_spd(rng, p, jitter=0.05):
@@ -467,6 +468,26 @@ class TestValidateSequence:
         p = md.LegendreMaternParams(1.0, 1.0, 1.0, 20, 20)
         report = sb.validate_sequence(md.build_sequence(p))
         validate_schema("validity_report.schema.json", report)
+
+    def test_traces_computed_once(self, monkeypatch):
+        # the traces, the partial sums and the last-term tail heuristic of a
+        # sequence without a closed-form tail read one set of trace terms
+        seq = sb.SchoenbergSequence(2, np.full((40, 9), 0.5))
+        real, calls = sb._traces, []
+        monkeypatch.setattr(sb, "_traces", lambda stack: calls.append(1) or real(stack))
+        report = sb.validate_sequence(seq)
+        assert report["tail_is_heuristic"] and len(calls) == 1
+
+    def test_diagonal_traces_hold_one_block(self):
+        # a (1025, 513) stack of 4.2 MB is weighted one block of at most
+        # 1 MiB at a time, and each row keeps the bits of the whole product;
+        # 10% covers the 64 kB buffer of numpy's broadcast product
+        v = np.random.default_rng(1).random((1025, 513))
+        whole = np.add.reduce(v * sb.fold_multiplicities(513), axis=1)
+        rows = max(b.stop - b.start for b in sb.degree_blocks(1025, 513))
+        traces, peak = traced_peak(sb._traces, v)
+        assert traces.tobytes() == whole.tobytes()
+        assert peak <= 1.1 * (rows * 513 * 8 + 1025 * 8)
 
 
 class TestSequenceSerialization:

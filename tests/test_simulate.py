@@ -19,7 +19,7 @@ from spherefield import simulate as sim
 from spherefield import _blas
 from spherefield._blas import one_blas_thread
 from _reference import (fourier_function_values, openblas_threads, patch_draws,
-                        validate_schema)
+                        traced_peak, validate_schema)
 
 
 def mq_sequence(l_max=20, d=2, sigma=(1.0, 1.0), rho12=0.4, alpha=(0.5, 0.5, 0.3)):
@@ -415,7 +415,7 @@ fourier = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 12, 3))
 cases = {"matrix_2_2_1": (mq(20), 3, 5, 2), "matrix_ones": (mq(20), 3, 4, 1),
          "fourier_2_2_1": (fourier, 4, 5, 2), "scalar_3_2_2": (scalar, 2, 7, 3),
          "d1_3_2_2": (mq(40, d=1), 5, 7, 3),
-         # batches [17, 17, 16] drawn through half-batch slots of 9 and 8 fields
+         # batches [17, 17, 16] drawn through quarter-budget slots of 5 or 6 fields
          "matrix_ring": (mq(20), 3, 50, 24), "fourier_ring": (fourier, 4, 50, 24),
          "one_point_ring": (mq(20), 1, 50, 24)}
 sys.setswitchinterval(1e-6)   # interleave the draw thread and the caller often
@@ -623,6 +623,20 @@ class TestEnsembleRing:
         out, basis = 96 * 3 * 2 * 8, 3 * field // 2 * 8
         assert peak <= batch + slots + out + basis + batch // 20
 
+    def test_slots_hold_a_quarter_of_the_budget(self, monkeypatch):
+        # batches [17, 17, 16] of a 20-field budget: half a batch is 9
+        # fields, more than the 5 of a quarter budget, so the ring is two
+        # slots of 5 fields
+        seq = md.build_sequence(md.LegendreMaternParams(1.0, 1.0, 1.0, 60, 8))
+        grid = sim.SampleGrid.uniform_random(2, 4, seed=3)
+        field = sh.harmonic_count(2, 60) * sim.unfolded_dim(seq)
+        monkeypatch.setattr(sim, "_BATCH_ELEMS", 20 * field)
+        assert sim._batch_sizes(50, field) == [17, 17, 16]
+        _, peak = traced_peak(sim.synthesize_ensemble, seq, grid, 50, seed=4)
+        batch, slots = 17 * field * 8, 2 * 5 * field * 8
+        out, basis = 50 * 4 * 17 * 8, 4 * sh.harmonic_count(2, 60) * 8
+        assert peak <= batch + slots + out + basis + batch // 20
+
 
 class UnitVectors:
     """A stand-in generator whose normals, in draw order, are the unit
@@ -687,8 +701,8 @@ class TestExactCovariance:
         monkeypatch.setattr(sim, "make_generator",
                             lambda seed, stream=0: UnitVectors(size, stream))
         # one-field batches; then balanced batches of 7 and 6 fields (the
-        # fields number H * dim, at least 13 here), whose half-batch slots
-        # are 4 and 3 fields, and 3 and 3
+        # fields number H * dim, at least 13 here), drawn one field a slot
+        # (a quarter of the budget is 1.75 fields)
         for per_batch in (1, 7):
             monkeypatch.setattr(sim, "_BATCH_ELEMS", per_batch * size)
             sizes = sim._batch_sizes(size, size)
